@@ -58,6 +58,7 @@ class WorkloadRun:
                 entry[config] = {
                     "partitions": stats.get("partitions_scanned", 0),
                     "rows_scanned": result.metrics.total_rows_scanned,
+                    "segments_dispatched": result.metrics.segments_dispatched,
                     "elapsed": elapsed,
                     "optimize_seconds": tracer.seconds("optimize"),
                     "table": table,

@@ -29,7 +29,7 @@ _NEG_INF = object()
 _POS_INF = object()
 
 
-def _lo_key(interval: "Interval") -> tuple:
+def lo_key(interval: "Interval") -> tuple:
     """Sort key placing unbounded-low intervals first and, for equal lows,
     inclusive bounds before exclusive ones."""
     if interval.lo is None:
@@ -132,8 +132,20 @@ class Interval:
         return True
 
     def overlaps(self, other: "Interval") -> bool:
-        """Whether the two intervals share at least one point."""
-        return self._intersect(other) is not None
+        """Whether the two intervals share at least one point: neither ends
+        before the other starts.  A pure bound comparison (nothing is
+        built); two ends meeting at one value share it only when both are
+        closed there."""
+        return not (self._ends_before(other) or other._ends_before(self))
+
+    def _ends_before(self, other: "Interval") -> bool:
+        """Whether every point of ``self`` lies below every point of
+        ``other``."""
+        if self.hi is None or other.lo is None:
+            return False
+        if self.hi == other.lo:
+            return not (self.hi_inclusive and other.lo_inclusive)
+        return self.hi < other.lo
 
     def _intersect(self, other: "Interval") -> "Interval | None":
         lo, lo_inc = self.lo, self.lo_inclusive
@@ -210,7 +222,7 @@ class IntervalSet:
 
     @staticmethod
     def _normalize(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
-        items = sorted(intervals, key=_lo_key)
+        items = sorted(intervals, key=lo_key)
         merged: list[Interval] = []
         for interval in items:
             if merged and merged[-1]._touches_or_overlaps(interval):
@@ -257,9 +269,19 @@ class IntervalSet:
 
         This is the heart of partition selection: a partition with
         constraint ``C`` may hold tuples satisfying predicate set ``P``
-        iff ``C.overlaps(P)``.
+        iff ``C.overlaps(P)``.  One merge pass over the two sorted tuples
+        that stops at the first shared point; nothing is allocated.
         """
-        return not self.intersect(other).is_empty
+        ours, theirs = self.intervals, other.intervals
+        i = j = 0
+        while i < len(ours) and j < len(theirs):
+            if ours[i]._ends_before(theirs[j]):
+                i += 1
+            elif theirs[j]._ends_before(ours[i]):
+                j += 1
+            else:
+                return True
+        return False
 
     # -- algebra --------------------------------------------------------------
 

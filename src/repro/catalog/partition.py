@@ -29,7 +29,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import PartitionError
 from ..types import add_months
-from .constraints import Interval, IntervalSet
+from .constraints import Interval, IntervalSet, lo_key
 
 LeafId = tuple[int, ...]
 
@@ -57,65 +57,105 @@ class PartitionLevel:
             raise PartitionError(f"partition level on {key!r} has no partitions")
         self.key = key
         self.slots: tuple[PartitionSlot, ...] = tuple(slots)
+        # One sorted index over every interval of every slot.  Slots are
+        # mutually disjoint, so their intervals order totally: by low bound
+        # and by high bound at once.  ``route``, ``select`` and the
+        # disjointness check all work on these parallel lists.
+        entries = sorted(
+            (
+                (interval, idx)
+                for idx, slot in enumerate(self.slots)
+                for interval in slot.constraint
+            ),
+            key=lambda entry: lo_key(entry[0]),
+        )
+        self._entry_slot = [idx for _, idx in entries]
+        self._intervals = [interval for interval, _ in entries]
         self._check_disjoint()
-        # Fast path for the common case: contiguous pure-range slots can be
-        # routed with binary search instead of a linear scan.
-        self._range_bounds = self._contiguous_range_bounds()
+        self._lows = [interval.lo for interval in self._intervals]
+        self._highs = [interval.hi for interval in self._intervals]
+        # Only the first entry can be unbounded below and only the last
+        # unbounded above; value bisects skip those two positions.
+        self._first_bounded = 1 if self._lows[0] is None else 0
+        self._last_bounded = len(entries) - (self._highs[-1] is None)
 
     def _check_disjoint(self) -> None:
-        for i, a in enumerate(self.slots):
-            for b in self.slots[i + 1 :]:
-                if a.constraint.overlaps(b.constraint):
-                    raise PartitionError(
-                        f"partitions {a.name!r} and {b.name!r} on key "
-                        f"{self.key!r} have overlapping constraints"
-                    )
+        """Two slots overlap iff two entries adjacent in the index do, so
+        one pass over neighbours replaces the all-pairs comparison."""
+        intervals = self._intervals
+        for pos in range(len(intervals) - 1):
+            a, b = self._entry_slot[pos], self._entry_slot[pos + 1]
+            if a != b and intervals[pos].overlaps(intervals[pos + 1]):
+                raise PartitionError(
+                    f"partitions {self.slots[a].name!r} and "
+                    f"{self.slots[b].name!r} on key {self.key!r} have "
+                    f"overlapping constraints"
+                )
 
-    def _contiguous_range_bounds(self) -> list | None:
-        """If every slot is a single interval ``[lo_i, lo_{i+1})`` in order,
-        return the list of low bounds for bisect routing; else ``None``."""
-        lows = []
-        prev_hi = None
-        for slot in self.slots:
-            if len(slot.constraint) != 1:
-                return None
-            iv = slot.constraint.intervals[0]
-            if iv.lo is None or iv.hi is None:
-                return None
-            if not iv.lo_inclusive or iv.hi_inclusive:
-                return None
-            if prev_hi is not None and iv.lo != prev_hi:
-                return None
-            lows.append(iv.lo)
-            prev_hi = iv.hi
-        return lows
+    def _candidates(self, wanted: Interval) -> list[int]:
+        """Slot indices, in index order, of the entries that share a point
+        with ``wanted``: entries ending below its low bound or starting
+        above its high bound are bisected away, and an entry that only
+        touches an end is kept when both ends are closed there.  The caller
+        still confirms each candidate through the slot's own constraint:
+        the interval algebra stays the judge, the index only decides which
+        slots it is asked about."""
+        entries = self._intervals
+        start = 0
+        if wanted.lo is not None:
+            highs, last = self._highs, self._last_bounded
+            start = bisect.bisect_left(highs, wanted.lo, 0, last)
+            while (
+                start < last
+                and highs[start] == wanted.lo
+                and not (wanted.lo_inclusive and entries[start].hi_inclusive)
+            ):
+                start += 1
+        stop = len(entries)
+        if wanted.hi is not None:
+            lows, first = self._lows, self._first_bounded
+            stop = bisect.bisect_right(lows, wanted.hi, first)
+            while (
+                stop > first
+                and lows[stop - 1] == wanted.hi
+                and not (wanted.hi_inclusive and entries[stop - 1].lo_inclusive)
+            ):
+                stop -= 1
+        return self._entry_slot[start:stop]
 
     def route(self, value: Any) -> int | None:
         """``f_T`` restricted to this level: slot index for ``value``, or
         ``None`` when the value maps to the invalid partition ⊥."""
         if value is None:
             return None
-        if self._range_bounds is not None:
-            idx = bisect.bisect_right(self._range_bounds, value) - 1
-            if idx < 0:
-                return None
+        # Only the last entry starting at or below the value can hold it;
+        # an entry *open* at exactly the value defers to the one before.
+        # (A point lookup on the per-row insert path: one bisect, no list.)
+        lows = self._lows
+        pos = bisect.bisect_right(lows, value, self._first_bounded)
+        while pos > 0:
+            pos -= 1
+            idx = self._entry_slot[pos]
             if self.slots[idx].constraint.contains(value):
                 return idx
-            return None
-        for idx, slot in enumerate(self.slots):
-            if slot.constraint.contains(value):
-                return idx
+            if lows[pos] != value:
+                break
         return None
 
     def select(self, predicate: IntervalSet | None) -> list[int]:
         """``f*_T`` restricted to this level: indices of slots whose
-        constraint overlaps ``predicate`` (all slots when no predicate)."""
+        constraint overlaps ``predicate`` (all slots when no predicate).
+        Work is proportional to the slots selected, not to the slots that
+        exist (the paper's Table 2 promise)."""
         if predicate is None or predicate.is_universe:
             return list(range(len(self.slots)))
+        candidates: set[int] = set()
+        for interval in predicate:
+            candidates.update(self._candidates(interval))
         return [
             idx
-            for idx, slot in enumerate(self.slots)
-            if slot.constraint.overlaps(predicate)
+            for idx in sorted(candidates)
+            if self.slots[idx].constraint.overlaps(predicate)
         ]
 
     def __len__(self) -> int:

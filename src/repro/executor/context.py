@@ -25,6 +25,7 @@ The MPP simulator's conventions:
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Sequence
 
 from ..catalog import Catalog
@@ -85,6 +86,9 @@ class ExecContext:
         #: vectorized batch width for this run (1 = row-at-a-time; the
         #: executor runs the batch pipeline iff > 1)
         self.batch_size = batch_size
+        #: part_scan_id -> the statement's compiled selector program
+        self._selector_programs: dict[int, Any] = {}
+        self._selector_lock = threading.Lock()
 
     @property
     def tracker(self) -> ScanTracker:
@@ -102,6 +106,20 @@ class ExecContext:
 
     def channel(self, part_scan_id: int, segment: int) -> OidChannel:
         return self.channels.channel(part_scan_id, segment)
+
+    def selector_program(self, part_scan_id: int, build):
+        """The one selector program of ``part_scan_id`` for this statement,
+        built by the first segment instance that asks (``build()``) and
+        shared by the rest — across worker threads too: nothing in it
+        depends on the segment, and a retried instance reuses it."""
+        program = self._selector_programs.get(part_scan_id)
+        if program is None:
+            with self._selector_lock:
+                program = self._selector_programs.get(part_scan_id)
+                if program is None:
+                    program = build()
+                    self._selector_programs[part_scan_id] = program
+        return program
 
     def motion_buffer(self, motion_id: int) -> MotionBuffer:
         buffer = self.motion_buffers.get(motion_id)

@@ -214,6 +214,7 @@ class MppExecutor:
                 limits.check()
                 slice_started = time.perf_counter()
                 slice_scan_ids = _slice_part_scan_ids(motion.children[0])
+                segments = self._dispatched_segments(motion, ctx)
                 with obs_trace.span(
                     f"slice:{slice_id}", motion=motion.name
                 ) as slice_span:
@@ -224,11 +225,13 @@ class MppExecutor:
                         slice_id,
                         slice_scan_ids,
                         slice_span,
+                        segments,
                     )
                 metrics.record_slice(
                     slice_id,
                     f"below {motion.name}",
                     time.perf_counter() - slice_started,
+                    segments,
                 )
             limits.check()
             root_started = time.perf_counter()
@@ -238,7 +241,10 @@ class MppExecutor:
                     plan.root, ctx, scheduler, root_scan_ids, slice_span
                 )
             metrics.record_slice(
-                0, "root", time.perf_counter() - root_started
+                0,
+                "root",
+                time.perf_counter() - root_started,
+                range(self.num_segments),
             )
             limits.check()
         except BaseException:
@@ -300,6 +306,18 @@ class MppExecutor:
         )
         return [row for seg_rows in per_segment for row in seg_rows]
 
+    def _dispatched_segments(
+        self, motion: phys.Motion, ctx: ExecContext
+    ) -> Sequence[int]:
+        """The segments the slice below ``motion`` runs on: every segment,
+        unless the slice carries a direct-dispatch restriction whose
+        run-time values prove its rows live on fewer."""
+        if motion.dispatch is not None:
+            pinned = motion.dispatch.segments(ctx.params, self.num_segments)
+            if pinned is not None:
+                return pinned
+        return range(self.num_segments)
+
     def _run_motion_slice(
         self,
         motion: phys.Motion,
@@ -308,9 +326,13 @@ class MppExecutor:
         slice_id: int,
         scan_ids: set[int],
         slice_span,
+        segments: Sequence[int],
     ) -> None:
-        """Run one motion slice's per-segment producer instances, then
-        seal the receive queues so the consuming slice may drain them."""
+        """Run one motion slice's producer instances on ``segments``, then
+        seal the receive queues so the consuming slice may drain them.  A
+        segment that is not dispatched simply has no producer run: every
+        queue still closes, and retry, failover and channel harvest see
+        only the instances that exist."""
         buffer = ctx.motion_buffer(id(motion))
         hash_fns = None
         if isinstance(motion, phys.RedistributeMotion):
@@ -335,9 +357,7 @@ class MppExecutor:
                 work,
             )
 
-        scheduler.run_slice(
-            [instance(segment) for segment in range(self.num_segments)]
-        )
+        scheduler.run_slice([instance(segment) for segment in segments])
         buffer.close()
 
     def _run_instance_with_retry(

@@ -179,7 +179,9 @@ def _dynamic_scan_iter(
 
 
 class _SelectorProgram:
-    """Compiled form of a PartSelectorSpec for one execution.
+    """Compiled form of a PartSelectorSpec for one execution: one program
+    per statement, shared by the selector's instances on every segment
+    (:meth:`ExecContext.selector_program`).
 
     Splits every level's predicate into a constant part (derived once into
     an IntervalSet) and streaming comparisons (evaluated per input tuple).
@@ -198,6 +200,7 @@ class _SelectorProgram:
         spec: PartSelectorSpec,
         child_layout: RowLayout | None,
         params,
+        catalog,
     ):
         self.spec = spec
         self.table: TableDescriptor = spec.table
@@ -249,7 +252,19 @@ class _SelectorProgram:
             bool(parts) and all(op_name == "=" for op_name, _ in parts)
             for parts in self.streaming
         ]
+        #: shared by every segment instance of the statement; entries are
+        #: pure functions of the streamed values, so workers racing on one
+        #: key store the same list
         self._memo: dict[tuple, list[int]] = {}
+        #: what a selector with no streaming part selects — the same list
+        #: on every segment, built once here; instances only propagate it
+        self.static_oids: list[int] | None = None
+        if not self.has_streaming:
+            self.static_oids = (
+                self._leaves_to_oids(self._constant_slots)
+                if spec.has_predicates
+                else partition_expansion(catalog, self.table.oid)
+            )
 
     @property
     def has_streaming(self) -> bool:
@@ -262,9 +277,6 @@ class _SelectorProgram:
                 return []
             leaves = [leaf + (slot,) for leaf in leaves for slot in slots]
         return [self.table.leaf_oid(leaf) for leaf in leaves]
-
-    def constant_oids(self) -> list[int]:
-        return self._leaves_to_oids(list(self._constant_slots))
 
     def _slots_for_values(self, values: tuple) -> list[int]:
         """Slot lists per level for one streamed value combination."""
@@ -321,74 +333,85 @@ class _SelectorProgram:
         return cached
 
 
+def _open_selector(
+    op: phys.PartitionSelector, segment: int, ctx: ExecContext
+) -> _SelectorProgram | None:
+    """What a selector instance does before any tuple flows.
+
+    A cache replay or a static selection pushes its OIDs and closes the
+    channel here, and ``None`` is returned: the child's tuples only pass
+    through.  A streaming selector gets its program back with the channel
+    still open.  The program is the statement's, not the instance's
+    (:meth:`ExecContext.selector_program`): deriving interval sets and
+    running ``f*_T`` happen once, and each segment only propagates the
+    result into its own channel.
+    """
+    spec = op.spec
+    scan_id = spec.part_scan_id
+    ctx.metrics.node(op).part_scan_id = scan_id
+    # Cache replay: the session holds this instance's OID set from an
+    # identical earlier statement (same fingerprint, literals, params and
+    # plan options — see repro.cache.keys), so selection is skipped
+    # entirely.  Child rows still stream unchanged: only selection work is
+    # short-circuited, never data flow.
+    oids = (
+        ctx.cache.cached_oids(scan_id, segment)
+        if ctx.cache is not None
+        else None
+    )
+    program = None
+    if oids is not None:
+        mode = "cached"
+    else:
+        child_layout = op.children[0].output_layout() if op.children else None
+        program = ctx.selector_program(
+            scan_id,
+            lambda: _SelectorProgram(
+                spec, child_layout, ctx.params, ctx.catalog
+            ),
+        )
+        if program.has_streaming:
+            if not op.children:
+                raise ExecutionError(
+                    "streaming PartitionSelector requires an input (join "
+                    "predicate over no tuples)"
+                )
+            ctx.metrics.record_selector(
+                scan_id, "dynamic", spec.table.num_leaves
+            )
+            return program
+        # Static selection (constant predicates, parameters, or Φ):
+        # propagate and close before any tuple flows.
+        mode = "static"
+        oids = program.static_oids
+    ctx.metrics.record_selector(scan_id, mode, spec.table.num_leaves)
+    for oid in oids:
+        partition_propagation(ctx, scan_id, segment, oid)
+    _close_selector(scan_id, segment, ctx)
+    return None
+
+
+def _close_selector(scan_id: int, segment: int, ctx: ExecContext) -> None:
+    if ctx.faults.active:
+        ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
+    ctx.channel(scan_id, segment).close()
+
+
 def _partition_selector_iter(
     op: phys.PartitionSelector, segment: int, ctx: ExecContext
 ) -> RowIter:
-    spec = op.spec
-    channel = ctx.channel(spec.part_scan_id, segment)
-    child = op.children[0] if op.children else None
-
-    cache = ctx.cache
-    if cache is not None:
-        cached = cache.cached_oids(spec.part_scan_id, segment)
-        if cached is not None:
-            # Cache replay: the session holds this instance's OID set from
-            # an identical earlier statement (same fingerprint, literals,
-            # params and plan options — see repro.cache.keys), so skip
-            # compiling and evaluating the selector program entirely and
-            # push the remembered set.  Child rows still stream unchanged:
-            # only selection work is short-circuited, never data flow.
-            ctx.metrics.node(op).part_scan_id = spec.part_scan_id
-            ctx.metrics.record_selector(
-                spec.part_scan_id, "cached", spec.table.num_leaves
-            )
-            for oid in cached:
-                partition_propagation(ctx, spec.part_scan_id, segment, oid)
-            if ctx.faults.active:
-                ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
-            channel.close()
-            if child is not None:
-                yield from build_iterator(child, segment, ctx)
-            return
-
-    child_layout = child.output_layout() if child is not None else None
-    program = _SelectorProgram(spec, child_layout, ctx.params)
-    ctx.metrics.node(op).part_scan_id = spec.part_scan_id
-    ctx.metrics.record_selector(
-        spec.part_scan_id,
-        "dynamic" if program.has_streaming else "static",
-        spec.table.num_leaves,
-    )
-
-    if not program.has_streaming:
-        # Static selection (constant predicates, parameters, or Φ): compute
-        # once, propagate, close — before any tuple flows.
-        if spec.has_predicates:
-            oids = program.constant_oids()
-        else:
-            oids = partition_expansion(ctx.catalog, spec.table.oid)
-        for oid in oids:
-            partition_propagation(ctx, spec.part_scan_id, segment, oid)
-        if ctx.faults.active:
-            ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
-        channel.close()
-        if child is not None:
-            yield from build_iterator(child, segment, ctx)
+    program = _open_selector(op, segment, ctx)
+    if program is None:
+        if op.children:
+            yield from build_iterator(op.children[0], segment, ctx)
         return
-
     # Dynamic selection: apply the selection function per streamed tuple.
-    if child is None:
-        raise ExecutionError(
-            "streaming PartitionSelector requires an input (join predicate "
-            "over no tuples)"
-        )
-    for row in build_iterator(child, segment, ctx):
+    scan_id = op.spec.part_scan_id
+    for row in build_iterator(op.children[0], segment, ctx):
         for oid in program.oids_for_row(row):
-            partition_propagation(ctx, spec.part_scan_id, segment, oid)
+            partition_propagation(ctx, scan_id, segment, oid)
         yield row
-    if ctx.faults.active:
-        ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
-    channel.close()
+    _close_selector(scan_id, segment, ctx)
 
 
 def _sequence_iter(op: phys.Sequence, segment: int, ctx: ExecContext) -> RowIter:
@@ -978,64 +1001,19 @@ def _dynamic_scan_batches(
 def _partition_selector_batches(
     op: phys.PartitionSelector, segment: int, ctx: ExecContext
 ) -> BatchIter:
-    spec = op.spec
-    channel = ctx.channel(spec.part_scan_id, segment)
-    child = op.children[0] if op.children else None
-
-    cache = ctx.cache
-    if cache is not None:
-        cached = cache.cached_oids(spec.part_scan_id, segment)
-        if cached is not None:
-            ctx.metrics.node(op).part_scan_id = spec.part_scan_id
-            ctx.metrics.record_selector(
-                spec.part_scan_id, "cached", spec.table.num_leaves
-            )
-            for oid in cached:
-                partition_propagation(ctx, spec.part_scan_id, segment, oid)
-            if ctx.faults.active:
-                ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
-            channel.close()
-            if child is not None:
-                yield from build_batches(child, segment, ctx)
-            return
-
-    child_layout = child.output_layout() if child is not None else None
-    program = _SelectorProgram(spec, child_layout, ctx.params)
-    ctx.metrics.node(op).part_scan_id = spec.part_scan_id
-    ctx.metrics.record_selector(
-        spec.part_scan_id,
-        "dynamic" if program.has_streaming else "static",
-        spec.table.num_leaves,
-    )
-
-    if not program.has_streaming:
-        if spec.has_predicates:
-            oids = program.constant_oids()
-        else:
-            oids = partition_expansion(ctx.catalog, spec.table.oid)
-        for oid in oids:
-            partition_propagation(ctx, spec.part_scan_id, segment, oid)
-        if ctx.faults.active:
-            ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
-        channel.close()
-        if child is not None:
-            yield from build_batches(child, segment, ctx)
+    program = _open_selector(op, segment, ctx)
+    if program is None:
+        if op.children:
+            yield from build_batches(op.children[0], segment, ctx)
         return
-
-    if child is None:
-        raise ExecutionError(
-            "streaming PartitionSelector requires an input (join predicate "
-            "over no tuples)"
-        )
+    scan_id = op.spec.part_scan_id
     oids_for_row = program.oids_for_row
-    for batch in build_batches(child, segment, ctx):
+    for batch in build_batches(op.children[0], segment, ctx):
         for row in batch:
             for oid in oids_for_row(row):
-                partition_propagation(ctx, spec.part_scan_id, segment, oid)
+                partition_propagation(ctx, scan_id, segment, oid)
         yield batch
-    if ctx.faults.active:
-        ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
-    channel.close()
+    _close_selector(scan_id, segment, ctx)
 
 
 def _sequence_batches(

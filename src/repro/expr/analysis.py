@@ -123,6 +123,29 @@ def find_preds_on_keys(
     return [find_pred_on_key(predicate, key) for key in keys]
 
 
+def pins_key(expr: Expression, key: ColumnRef) -> bool:
+    """Whether ``expr`` can only hold for finitely many values of ``key``,
+    whatever the parameter values: ``key = <constant>``, ``key IN (...)``,
+    or an ``AND``/``OR`` of nothing else (top-level conjuncts are the
+    caller's to split).  Purely syntactic, so a plan can be tested before
+    parameter values exist; the values themselves come from
+    :func:`derive_interval_set` at run time, which accepts every shape
+    accepted here.
+    """
+    if isinstance(expr, Comparison):
+        normalized = _comparison_on_key(expr, key)
+        return (
+            normalized is not None
+            and normalized.op == "="
+            and is_constant(normalized.right)
+        )
+    if isinstance(expr, InList):
+        return isinstance(expr.subject, ColumnRef) and expr.subject.matches(key)
+    if isinstance(expr, BoolExpr) and expr.op != BoolExpr.NOT:
+        return all(pins_key(arg, key) for arg in expr.args)
+    return False
+
+
 def interval_for_comparison(op: str, value: Any) -> IntervalSet:
     """The set of key values admitted by ``key <op> value``.
 
@@ -164,8 +187,9 @@ def derive_interval_set(
     declared type before interval arithmetic, so ``date_col IN
     ('2013-05-15', ...)`` compares dates to dates rather than strings to
     dates.  An uncoercible comparison bound degrades to "no restriction";
-    an uncoercible IN value is dropped (it can never equal a well-typed
-    key, so dropping it is sound).
+    an uncoercible IN value is dropped when it can never equal a well-typed
+    key (a malformed date string), and degrades to "no restriction" when it
+    still can (a float in an integer key's list).
     """
     try:
         return _derive_interval_set(
@@ -243,10 +267,13 @@ def _derive_interval_set(
         for v in predicate.values:
             if v is None:
                 continue
-            v = coerce(v)
-            if v is _UNCOERCIBLE:
+            coerced = coerce(v)
+            if coerced is _UNCOERCIBLE:
+                if isinstance(v, (int, float)):
+                    # 7.0 is not a valid INT but still equals the key 7
+                    return None
                 continue
-            points.append(v)
+            points.append(coerced)
         return IntervalSet.points(points)
 
     if isinstance(predicate, IsNull):

@@ -57,7 +57,13 @@ from typing import Any, Iterator
 #: v9: the "parallel" section gains "batch_size" (the vectorized batch
 #: width the executor ran with; 1 = row-at-a-time) — see
 #: docs/parallelism.md; every v8 field is unchanged.
-METRICS_SCHEMA_VERSION = 9
+#: v10: direct dispatch — every "slices" entry gains
+#: "segments_dispatched" (the segments the slice ran instances on) and
+#: "totals" gains "segments_dispatched" (distinct segments the sending
+#: slices ran on; ``num_segments`` unless a distribution-key predicate
+#: pinned them) — see docs/architecture.md ("Runtime"); every v9 field is
+#: unchanged.
+METRICS_SCHEMA_VERSION = 10
 
 
 class ScanTracker:
@@ -246,8 +252,11 @@ class MetricsCollector:
         self.instances: list[dict] = []
         #: part_scan_id -> {"mode", "total", "selected" per-segment sets}
         self.selectors: dict[int, dict] = {}
-        #: slice_id -> {"label", "seconds"}
+        #: one entry per slice: {"id", "label", "seconds",
+        #: "segments_dispatched"}
         self.slices: list[dict] = []
+        #: segments that ran an instance of any sending slice (schema v10)
+        self._dispatched_segments: set[int] = set()
         #: table name -> total leaf count (for k/N reporting)
         self._table_totals: dict[str, int] = {}
         self._by_op: dict[int, NodeMetrics] = {}
@@ -439,11 +448,22 @@ class MetricsCollector:
 
     # -- slices -------------------------------------------------------------
 
-    def record_slice(self, slice_id: int, label: str, seconds: float) -> None:
+    def record_slice(
+        self, slice_id: int, label: str, seconds: float, segments
+    ) -> None:
+        """One finished slice; ``segments`` are the ones it ran on (all of
+        them, or the direct-dispatch targets of a sending slice)."""
         with self._lock:
             self.slices.append(
-                {"id": slice_id, "label": label, "seconds": seconds}
+                {
+                    "id": slice_id,
+                    "label": label,
+                    "seconds": seconds,
+                    "segments_dispatched": len(segments),
+                }
             )
+            if slice_id != 0:
+                self._dispatched_segments.update(segments)
 
     def finish(self, elapsed_seconds: float) -> None:
         self.elapsed_seconds = elapsed_seconds
@@ -610,6 +630,14 @@ class MetricsCollector:
     def total_rows_scanned(self) -> int:
         return self.tracker.rows_scanned
 
+    @property
+    def segments_dispatched(self) -> int:
+        """Distinct segments the statement's sending slices (the ones
+        below a Motion) ran on: ``num_segments`` unless direct dispatch
+        pinned them.  The root slice is the coordinator's and not
+        counted."""
+        return len(self._dispatched_segments)
+
     def partitions_scanned(self, table_name: str | None = None) -> int:
         if table_name is not None:
             return self.tracker.partitions_scanned(table_name)
@@ -680,6 +708,7 @@ class MetricsCollector:
             "totals": {
                 "rows_scanned": self.total_rows_scanned,
                 "partitions_scanned": self.partitions_scanned(),
+                "segments_dispatched": self.segments_dispatched,
                 "motion_rows": motion["rows_moved"],
                 "motion_bytes": motion["bytes_moved"],
             },

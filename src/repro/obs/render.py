@@ -36,7 +36,8 @@ def render_explain_analyze(metrics: MetricsCollector) -> str:
     for entry in metrics.slices:
         lines.append(
             f"Slice {entry['id']} ({entry['label']}): "
-            f"{entry['seconds'] * 1000:.2f} ms"
+            f"{entry['seconds'] * 1000:.2f} ms, segments_dispatched = "
+            f"{entry['segments_dispatched']}/{metrics.num_segments}"
         )
     if metrics.workers > 1:
         parallel = metrics.parallel_stats()

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 from ..catalog import TableDescriptor
 from ..expr.ast import AggCall, ColumnRef, Expression
 from ..expr.eval import RowLayout
-from .properties import DistributionSpec, PartSelectorSpec
+from .properties import DispatchSpec, DistributionSpec, PartSelectorSpec
 
 
 class PhysicalOp:
@@ -485,11 +485,23 @@ class Motion(PhysicalOp):
     """Base class for motions: the boundary between two active processes
     potentially on different hosts.  Slicing cuts plans at Motion nodes."""
 
+    #: direct dispatch: the restriction of the sending slice to the
+    #: segments its distribution-key predicate hashes to.  Derived from the
+    #: slice by :class:`~repro.physical.plan.Plan`, shown by EXPLAIN, and
+    #: not part of the serialized plan (the segments are computed from the
+    #: parameter vector at execution).
+    dispatch: DispatchSpec | None = None
+
     def __init__(self, child: PhysicalOp):
         self.children = (child,)
 
     def output_layout(self) -> RowLayout:
         return self.children[0].output_layout()
+
+    def describe(self) -> str:
+        if self.dispatch is None:
+            return ""
+        return f"direct dispatch: {self.dispatch!r}"
 
 
 class GatherMotion(Motion):
@@ -510,7 +522,9 @@ class RedistributeMotion(Motion):
         self.hash_exprs: tuple[Expression, ...] = tuple(hash_exprs)
 
     def describe(self) -> str:
-        return ", ".join(repr(e) for e in self.hash_exprs)
+        exprs = ", ".join(repr(e) for e in self.hash_exprs)
+        dispatch = super().describe()
+        return f"{exprs}; {dispatch}" if dispatch else exprs
 
     def serial_fields(self) -> dict:
         return {"hash_exprs": [repr(e) for e in self.hash_exprs]}

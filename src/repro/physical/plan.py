@@ -27,16 +27,26 @@ from __future__ import annotations
 import json
 from typing import Iterator
 
+from ..catalog import DistributionPolicy
 from ..errors import InvalidPlanError
-from ..expr.ast import column_refs
+from ..expr.analysis import conj, conjuncts, pins_key
+from ..expr.ast import ColumnRef, Expression, column_refs
 from .ops import (
+    Delete,
     DynamicScan,
+    Filter,
+    HashAgg,
     LeafScan,
+    Limit,
     Motion,
     PartitionSelector,
     PhysicalOp,
+    Project,
+    Scan,
+    Sort,
+    Update,
 )
-from .properties import PartSelectorSpec
+from .properties import DispatchSpec, PartSelectorSpec
 
 
 def _producer_id(op: PhysicalOp) -> int | None:
@@ -68,12 +78,61 @@ def _is_streaming_selector(spec: PartSelectorSpec) -> bool:
     return False
 
 
+def _slice_dispatch(root: PhysicalOp) -> DispatchSpec | None:
+    """The direct-dispatch restriction of the slice rooted at ``root`` (a
+    Motion's child), or ``None`` when the slice must run everywhere.
+
+    Provable only for the plainest slice: a chain of unary operators over
+    one scan of a hash-distributed table, with filters directly on the
+    scan that pin the distribution column to a finite point set.  A join,
+    a Motion input, a Sequence or an Append in the slice, a replicated
+    table, or a filter above a projection or aggregate (whose column names
+    are no longer the table's) all leave the slice dispatched everywhere.
+    """
+    predicates: list[Expression] = []
+    op = root
+    while not isinstance(op, (Scan, DynamicScan)):
+        if len(op.children) != 1 or not isinstance(
+            op, (Filter, PartitionSelector, Project, HashAgg, Sort, Limit)
+        ):
+            return None
+        if isinstance(op, Filter):
+            predicates.append(op.predicate)
+        elif not isinstance(op, PartitionSelector):
+            predicates.clear()
+        op = op.children[0]
+    policy = op.table.distribution
+    if policy.kind != DistributionPolicy.HASHED:
+        return None
+    key = ColumnRef(policy.column, op.alias)
+    pinned = [
+        conjunct
+        for predicate in predicates
+        for conjunct in conjuncts(predicate)
+        if pins_key(conjunct, key)
+    ]
+    if not pinned:
+        return None
+    key_type = op.table.schema.column(policy.column).data_type
+    return DispatchSpec(key, key_type, conj(pinned))
+
+
 class Plan:
     """A complete physical plan."""
 
     def __init__(self, root: PhysicalOp, parameter_count: int = 0):
         self.root = root
         self.parameter_count = parameter_count
+        # Direct dispatch is read off the finished tree, so every producer
+        # of plans (Orca, the Planner, the Section 3.2 lowering, a test's
+        # hand-built tree) gets it the same way.  DML dispatches everywhere.
+        ops = list(self.walk())
+        is_dml = any(isinstance(op, (Update, Delete)) for op in ops)
+        for op in ops:
+            if isinstance(op, Motion):
+                op.dispatch = (
+                    None if is_dml else _slice_dispatch(op.children[0])
+                )
 
     # -- inspection -----------------------------------------------------------
 

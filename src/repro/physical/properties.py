@@ -11,6 +11,8 @@ PartitionSelector for partition propagation) is plugged in.
   (optional) partition-filtering predicate per level.
 * :class:`PartitionPropagationSpec` — the set of outstanding
   PartSelectorSpecs in an optimization request.
+* :class:`DispatchSpec` — the distribution-key restriction that lets a
+  slice run only on the segments its rows can be on (direct dispatch).
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from ..catalog import TableDescriptor
+from ..expr.analysis import derive_interval_set
 from ..expr.ast import ColumnRef, Expression
+from ..storage.distribution import segment_for
+from ..types import DataType
 
 
 class DistributionSpec:
@@ -184,6 +189,48 @@ class PartSelectorSpec:
         )
         keys = ", ".join(repr(k) for k in self.part_keys)
         return f"<{self.part_scan_id}, [{keys}], [{preds}]>"
+
+
+class DispatchSpec:
+    """Where a slice's rows can be: the segment-level twin of
+    :class:`PartSelectorSpec`.
+
+    A slice whose only table access scans a table hash-distributed on
+    ``key`` under a filter that holds for finitely many key values
+    (``predicate``: ``=``, ``IN`` and ``$n`` conjuncts, see
+    :func:`~repro.expr.analysis.pins_key`) can produce rows only on the
+    segments those values hash to.  The spec rides on the slice's Motion;
+    the plan stores the predicate, never the segments, so one plan serves
+    every parameter value and any segment count.
+    """
+
+    __slots__ = ("key", "key_type", "predicate")
+
+    def __init__(
+        self, key: ColumnRef, key_type: DataType, predicate: Expression
+    ):
+        self.key = key
+        self.key_type = key_type
+        self.predicate = predicate
+
+    def segments(self, params, num_segments: int) -> list[int] | None:
+        """The segments to run the slice on for these parameter values
+        (none at all when no value can match, e.g. ``key = NULL``), or
+        ``None`` when they cannot be proven: a comparand the key's type
+        does not represent exactly, as ``insert`` would refuse it."""
+        admitted = derive_interval_set(
+            self.predicate, self.key, params=params, key_type=self.key_type
+        )
+        if admitted is None or any(
+            iv.lo is None or iv.lo != iv.hi for iv in admitted
+        ):
+            return None  # not a finite point set: the rows can be anywhere
+        return sorted(
+            {segment_for(point.lo, num_segments) for point in admitted}
+        )
+
+    def __repr__(self) -> str:
+        return repr(self.predicate)
 
 
 class PartitionPropagationSpec:

@@ -176,3 +176,22 @@ def test_normalized_intervals_are_sorted_and_disjoint(a):
 @given(interval_sets(), interval_sets())
 def test_covers_matches_difference(a, b):
     assert a.covers(b) == b.difference(a).is_empty
+
+
+@st.composite
+def any_interval_sets(draw) -> IntervalSet:
+    """Interval sets with every bound kind: complementing reaches the
+    unbounded ends and flips open and closed."""
+    drawn = draw(interval_sets())
+    return drawn.complement() if draw(st.booleans()) else drawn
+
+
+@given(any_interval_sets(), any_interval_sets())
+def test_overlaps_is_nonempty_intersection(a, b):
+    """The allocation-free overlap test keeps the truth table of the
+    intersection it no longer builds."""
+    assert a.overlaps(b) == (not a.intersect(b).is_empty)
+    assert b.overlaps(a) == a.overlaps(b)
+    for x in a:
+        for y in b:
+            assert x.overlaps(y) == (x._intersect(y) is not None)

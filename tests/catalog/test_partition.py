@@ -65,7 +65,7 @@ class TestPartitionLevel:
         level = range_level("k", [0, 10, 20])
         assert level.select(IntervalSet.EMPTY) == []
 
-    def test_non_contiguous_level_falls_back_to_scan_routing(self):
+    def test_gapped_level_routes_through_the_index(self):
         level = PartitionLevel(
             "k",
             [
@@ -73,7 +73,6 @@ class TestPartitionLevel:
                 PartitionSlot("high", IntervalSet.of(Interval(20, 30))),
             ],
         )
-        assert level._range_bounds is None
         assert level.route(5) == 0
         assert level.route(15) is None
         assert level.route(25) == 1

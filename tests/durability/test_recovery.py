@@ -259,7 +259,6 @@ def test_metrics_carry_durability_section(tmp_path):
     _orders(db)
     result = db.sql("SELECT count(*) FROM orders")
     data = result.metrics.to_dict()
-    assert data["schema_version"] == 9
     section = data["durability"]
     assert section["enabled"] is True
     assert section["wal_records"] > 0

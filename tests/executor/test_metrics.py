@@ -192,7 +192,6 @@ def test_metrics_json_round_trip(orders_db):
     )
     result = orders_db.sql(sql, analyze=True)
     data = json.loads(result.metrics.to_json())
-    assert data["schema_version"] == 9
     assert data["num_segments"] == SEGMENTS
     assert data["timing_collected"] is True
     # Every v1/v2 field survives in v3, plus the additive trace and

@@ -263,7 +263,6 @@ def test_default_execution_stays_serial(pdb):
 def test_parallel_metrics_section_shape(pdb):
     result = pdb.sql(JOIN_SQL, analyze=True, workers=4)
     data = result.metrics.to_dict()
-    assert data["schema_version"] == 9
     section = data["parallel"]
     assert section["workers"] == 4
     assert section["mode"] == "parallel"

@@ -15,6 +15,7 @@ from repro.expr.analysis import (
     interval_for_comparison,
     is_constant,
     join_comparison_on_key,
+    pins_key,
     usable_on_key,
 )
 from repro.expr.ast import (
@@ -235,6 +236,43 @@ def test_key_type_drops_uncoercible_in_values():
     derived = derive_interval_set(in_list, PK, key_type=t.DATE)
     assert derived.contains(datetime.date(2013, 5, 15))
     assert derived == IntervalSet.points([datetime.date(2013, 5, 15)])
+
+
+def test_key_type_keeps_in_values_that_can_still_equal_the_key():
+    """``7.0`` is not a valid INT, but ``7 = 7.0`` holds: a number the key
+    type refuses must not be dropped from the list (the partition holding
+    key 7 would be skipped), so the derivation reports 'unsupported'."""
+    from repro import types as t
+
+    assert derive_interval_set(InList(PK, [7.0]), PK, key_type=t.INT) is None
+    assert derive_interval_set(InList(PK, [7.0, 8]), PK, key_type=t.INT) is None
+    assert derive_interval_set(
+        InList(PK, [7, 8]), PK, key_type=t.INT
+    ) == IntervalSet.points([7, 8])
+
+
+def test_pins_key_accepts_only_finite_point_shapes():
+    eq = Comparison("=", PK, Literal(7))
+    param = Comparison("=", Parameter(1), PK)
+    in_list = InList(PK, [1, 2, 3])
+    assert pins_key(eq, PK) and pins_key(param, PK) and pins_key(in_list, PK)
+    assert pins_key(BoolExpr("OR", [eq, in_list]), PK)
+    assert pins_key(BoolExpr("AND", [eq, param]), PK)
+    for not_pinned in (
+        Comparison("<", PK, Literal(7)),
+        Comparison("=", PK, OTHER),  # join form
+        Comparison("=", OTHER, Literal(7)),  # another column
+        Between(PK, Literal(1), Literal(2)),
+        IsNull(PK),
+        BoolExpr("NOT", [eq]),
+        BoolExpr("OR", [eq, Comparison("=", OTHER, Literal(3))]),
+        BoolExpr("OR", [eq, IsNull(PK)]),
+    ):
+        assert not pins_key(not_pinned, PK), not_pinned
+    # every pinned shape is one derive_interval_set turns into points
+    for pinned in (eq, in_list, BoolExpr("OR", [eq, in_list])):
+        derived = derive_interval_set(pinned, PK)
+        assert all(iv.lo == iv.hi for iv in derived)
 
 
 def test_key_type_uncoercible_comparison_degrades_to_unsupported():

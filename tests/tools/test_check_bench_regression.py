@@ -20,7 +20,11 @@ FIG16 = {
     "tables": {
         "store_sales": {"orca": 108, "planner": 276},
         "web_returns": {"orca": 74, "planner": 132},
-    }
+    },
+    "segments_dispatched": {
+        "store_sales": {"orca": 18, "planner": 18},
+        "web_returns": {"orca": 8, "planner": 8},
+    },
 }
 FIG18A = {
     "fractions": [0.01, 0.25, 0.5, 0.75, 1.0],
@@ -80,6 +84,20 @@ def test_perturbed_fig16_counter_fails(tmp_path):
     proc = _run(tmp_path / "baseline", tmp_path / "current")
     assert proc.returncode == 1, proc.stdout
     assert "FAIL" in proc.stdout and "tables" in proc.stdout
+
+
+def test_perturbed_segments_dispatched_fails(tmp_path):
+    """The segment-level twin: a statement that starts running on more
+    (or fewer) segments than the baseline turns the gate red."""
+    _write_results(tmp_path / "baseline")
+    worse = json.loads(json.dumps(FIG16))
+    worse["segments_dispatched"]["web_returns"]["orca"] = 7
+    _write_results(
+        tmp_path / "current", **{"fig16_partitions_scanned.json": worse}
+    )
+    proc = _run(tmp_path / "baseline", tmp_path / "current")
+    assert proc.returncode == 1, proc.stdout
+    assert "FAIL" in proc.stdout and "segments_dispatched" in proc.stdout
 
 
 def test_plan_size_regression_fails(tmp_path):

@@ -32,7 +32,7 @@ import sys
 
 #: benchmark JSON -> top-level keys whose values must match exactly
 COUNTER_GATES: dict[str, list[str]] = {
-    "fig16_partitions_scanned.json": ["tables"],
+    "fig16_partitions_scanned.json": ["tables", "segments_dispatched"],
     "fig18a_static_plan_size.json": [
         "fractions",
         "planner_bytes",
