@@ -159,10 +159,13 @@ class DurabilityManager:
         self.faults = faults
         self.health = None  # set by StorageManager.attach_durability
         self.storage: "StorageManager | None" = None
-        #: allocates LSNs/xids; commits already run under the storage
-        #: write lock, but checkpoint counters and the background thread
-        #: need their own protection
+        #: allocates LSNs/xids and orders WAL appends; a commit holds it
+        #: across its fsyncs
         self._lock = threading.RLock()
+        #: guards the counters below and is never held across I/O: every
+        #: statement exports them (``stats_dict``), and a reader behind
+        #: ``_lock`` would wait out another client's fsyncs
+        self._stats_lock = threading.Lock()
         self._next_lsn = 1
         self._next_xid = 1
         # -- durable files ------------------------------------------------
@@ -312,8 +315,7 @@ class DurabilityManager:
                 segment = op["segment"]
                 self._fire(WAL_APPEND, segment)
                 wal = self._segment_wals[segment]
-                self.wal_bytes += wal.append(op)
-                self.wal_records += 1
+                self._count_record(wal.append(op))
                 if wal not in synced:
                     synced.append(wal)
                 primary, mirror = op["copies"]
@@ -326,8 +328,7 @@ class DurabilityManager:
                     self._fsync(wal)
             self._fire(WAL_APPEND, SHARED_SEGMENT)
             marker = {"type": "commit", "xid": txn.xid, "lsns": lsns}
-            self.wal_bytes += self._commit_wal.append(marker)
-            self.wal_records += 1
+            self._count_record(self._commit_wal.append(marker))
             if self.wal_sync == SYNC:
                 self._fsync(self._commit_wal)
 
@@ -359,21 +360,25 @@ class DurabilityManager:
             self._next_xid += 1
             record["xid"] = xid
             self._fire(WAL_APPEND, SHARED_SEGMENT)
-            self.wal_bytes += self._catalog_wal.append(record)
-            self.wal_records += 1
+            self._count_record(self._catalog_wal.append(record))
             if self.wal_sync == SYNC:
                 self._fsync(self._catalog_wal)
             marker = {"type": "commit", "xid": xid, "lsns": [record["lsn"]]}
             self._fire(WAL_APPEND, SHARED_SEGMENT)
-            self.wal_bytes += self._commit_wal.append(marker)
-            self.wal_records += 1
+            self._count_record(self._commit_wal.append(marker))
             if self.wal_sync == SYNC:
                 self._fsync(self._commit_wal)
 
     def _fsync(self, wal: WalFile) -> None:
         self._fire(WAL_FSYNC, SHARED_SEGMENT)
         wal.sync()
-        self.wal_fsyncs += 1
+        with self._stats_lock:
+            self.wal_fsyncs += 1
+
+    def _count_record(self, appended_bytes: int) -> None:
+        with self._stats_lock:
+            self.wal_bytes += appended_bytes
+            self.wal_records += 1
 
     def _fire(self, point: str, segment: int) -> None:
         if self.faults is not None and self.faults.active:
@@ -408,7 +413,7 @@ class DurabilityManager:
             total_bytes = self._write_checkpoint(manifest, segments)
             truncated = self._maybe_truncate_wal()
         duration = time.perf_counter() - start
-        with self._lock:
+        with self._stats_lock:
             self.checkpoints += 1
             self.last_checkpoint_seconds = duration
             self.checkpoint_seconds_total += duration
@@ -632,7 +637,7 @@ class DurabilityManager:
 
     def stats_dict(self) -> dict:
         """The metrics ``"durability"`` section (schema v8)."""
-        with self._lock:
+        with self._stats_lock:
             return {
                 "enabled": True,
                 "data_dir": str(self.data_dir),

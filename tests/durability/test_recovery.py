@@ -267,6 +267,37 @@ def test_metrics_carry_durability_section(tmp_path):
     _close(db)
 
 
+def test_reads_do_not_wait_behind_a_commit(tmp_path):
+    """Every statement exports the durability counters; that must not
+    queue a reader behind the lock a commit holds across its fsyncs."""
+    import threading
+
+    db = _db(tmp_path)
+    _orders(db)
+    committing, done = threading.Event(), threading.Event()
+
+    def commit_in_progress():
+        with db.durability._lock:
+            committing.set()
+            done.wait(5.0)
+
+    writer = threading.Thread(target=commit_in_progress)
+    writer.start()
+    try:
+        assert committing.wait(5.0)
+        answered = threading.Event()
+        reader = threading.Thread(
+            target=lambda: (db.sql("SELECT count(*) FROM orders"), answered.set())
+        )
+        reader.start()
+        assert answered.wait(2.0), "a read blocked on the commit lock"
+        reader.join()
+    finally:
+        done.set()
+        writer.join()
+    _close(db)
+
+
 def test_metrics_without_data_dir_mark_durability_off():
     db = Database(num_segments=4)
     db.create_table(
