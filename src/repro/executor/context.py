@@ -89,6 +89,8 @@ class ExecContext:
         #: part_scan_id -> the statement's compiled selector program
         self._selector_programs: dict[int, Any] = {}
         self._selector_lock = threading.Lock()
+        #: id(operator) -> the statement's generated kernel(s) for it
+        self._kernels: dict[int, Any] = {}
 
     @property
     def tracker(self) -> ScanTracker:
@@ -120,6 +122,16 @@ class ExecContext:
                     program = build()
                     self._selector_programs[part_scan_id] = program
         return program
+
+    def kernel(self, op, build):
+        """The statement's generated kernel(s) for ``op``: rendered by the
+        first segment instance that asks (``build()``) and shared by the
+        rest.  Kernels keep no state between calls, so worker threads
+        racing here at worst render one twice."""
+        made = self._kernels.get(id(op))
+        if made is None:
+            made = self._kernels[id(op)] = build()
+        return made
 
     def motion_buffer(self, motion_id: int) -> MotionBuffer:
         buffer = self.motion_buffers.get(motion_id)

@@ -36,6 +36,13 @@ from ..physical import ops as phys
 from ..physical.properties import PartSelectorSpec
 from ..resilience.faults import CHANNEL_CLOSE, SCAN_ROW
 from .context import COORDINATOR_SEGMENT, ExecContext
+from .kernels import (
+    filter_kernel,
+    hash_agg_kernels,
+    hash_join_kernels,
+    project_kernel,
+    sort_key_kernel,
+)
 from .runtime_funcs import partition_expansion, partition_propagation
 
 RowIter = Iterator[tuple]
@@ -696,17 +703,8 @@ def _sort_key(keys_asc: list[bool]):
 
 
 def _sort_iter(op: phys.Sort, segment: int, ctx: ExecContext) -> RowIter:
-    layout = op.children[0].output_layout()
-    key_fns = [
-        compile_expression(expr, layout, ctx.params) for expr, _ in op.keys
-    ]
-    ascending = [asc for _, asc in op.keys]
-    wrapper = _sort_key(ascending)
     rows = list(build_iterator(op.children[0], segment, ctx))
-    if ctx.limits.active:
-        ctx.limits.charge_rows(len(rows))
-    rows.sort(key=lambda row: wrapper([fn(row) for fn in key_fns]))
-    yield from rows
+    yield from _sorted_rows(op, rows, ctx)
 
 
 def _limit_iter(op: phys.Limit, segment: int, ctx: ExecContext) -> RowIter:
@@ -1028,10 +1026,14 @@ def _sequence_batches(
 def _filter_batches(
     op: phys.Filter, segment: int, ctx: ExecContext
 ) -> BatchIter:
-    layout = op.children[0].output_layout()
-    predicate = compile_predicate(op.predicate, layout, ctx.params)
+    keep = ctx.kernel(
+        op,
+        lambda: filter_kernel(
+            op.predicate, op.children[0].output_layout(), ctx.params
+        ),
+    )
     for batch in build_batches(op.children[0], segment, ctx):
-        out = [row for row in batch if predicate(row)]
+        out = keep(batch)
         if out:
             yield out
 
@@ -1039,94 +1041,44 @@ def _filter_batches(
 def _project_batches(
     op: phys.Project, segment: int, ctx: ExecContext
 ) -> BatchIter:
-    layout = op.children[0].output_layout()
-    funcs = [
-        compile_expression(expr, layout, ctx.params) for expr, _ in op.items
-    ]
+    project = ctx.kernel(
+        op,
+        lambda: project_kernel(
+            [expr for expr, _ in op.items],
+            op.children[0].output_layout(),
+            ctx.params,
+        ),
+    )
     for batch in build_batches(op.children[0], segment, ctx):
-        if not funcs:
-            yield [() for _ in batch]
-            continue
-        # column-at-a-time: one tight list comprehension per expression,
-        # then a C-level zip back into row tuples
-        yield list(zip(*[[func(row) for row in batch] for func in funcs]))
+        yield project(batch)
 
 
 def _hash_join_batches(
     op: phys.HashJoin, segment: int, ctx: ExecContext
 ) -> BatchIter:
-    build_layout = op.build.output_layout()
-    probe_layout = op.probe.output_layout()
-    build_fns = [
-        compile_expression(k, build_layout, ctx.params) for k in op.build_keys
-    ]
-    probe_fns = [
-        compile_expression(k, probe_layout, ctx.params) for k in op.probe_keys
-    ]
-    residual = None
-    if op.residual is not None:
-        residual = compile_predicate(
-            op.residual, build_layout.concat(probe_layout), ctx.params
-        )
-
+    build, probe = ctx.kernel(
+        op,
+        lambda: hash_join_kernels(
+            op.build_keys,
+            op.probe_keys,
+            op.residual,
+            op.kind == "semi",
+            op.build.output_layout(),
+            op.probe.output_layout(),
+            ctx.params,
+        ),
+    )
     limits = ctx.limits if ctx.limits.active else None
-    single_key = len(build_fns) == 1 and len(probe_fns) == 1
     table: dict = {}
-    if single_key:
-        # scalar keys: no per-row tuple allocation, no NULL-scan genexpr
-        build_fn = build_fns[0]
-        for batch in build_batches(op.build, segment, ctx):
-            added = 0
-            for row in batch:
-                key = build_fn(row)
-                if key is None:
-                    continue  # NULL keys never join
-                table.setdefault(key, []).append(row)
-                added += 1
-            if limits is not None and added:
-                limits.charge_rows_batch(added)
-    else:
-        for batch in build_batches(op.build, segment, ctx):
-            added = 0
-            for row in batch:
-                key = tuple(fn(row) for fn in build_fns)
-                if any(v is None for v in key):
-                    continue  # NULL keys never join
-                table.setdefault(key, []).append(row)
-                added += 1
-            if limits is not None and added:
-                limits.charge_rows_batch(added)  # build side is materialized
+    for batch in build_batches(op.build, segment, ctx):
+        added = build(batch, table)
+        if limits is not None and added:
+            limits.charge_rows_batch(added)  # build side is materialized
 
-    semi = op.kind == "semi"
     batch_size = ctx.batch_size
-    probe_fn = probe_fns[0] if single_key else None
     out: list[tuple] = []
-    for probe_batch in build_batches(op.probe, segment, ctx):
-        for probe_row in probe_batch:
-            if single_key:
-                key = probe_fn(probe_row)
-                if key is None:
-                    continue
-            else:
-                key = tuple(fn(probe_row) for fn in probe_fns)
-                if any(v is None for v in key):
-                    continue
-            matches = table.get(key)
-            if not matches:
-                continue
-            if semi:
-                if residual is None:
-                    out.append(probe_row)
-                else:
-                    for build_row in matches:
-                        if residual(build_row + probe_row):
-                            out.append(probe_row)
-                            break
-            else:
-                for build_row in matches:
-                    combined = build_row + probe_row
-                    if residual is None or residual(combined):
-                        out.append(combined)
+    for batch in build_batches(op.probe, segment, ctx):
+        probe(batch, table, out)
         if len(out) >= batch_size:
             yield out
             out = []
@@ -1137,10 +1089,6 @@ def _hash_join_batches(
 def _hash_agg_batches(
     op: phys.HashAgg, segment: int, ctx: ExecContext
 ) -> BatchIter:
-    layout = op.children[0].output_layout()
-    key_fns = [
-        compile_expression(key, layout, ctx.params) for key in op.group_keys
-    ]
     limits = ctx.limits if ctx.limits.active else None
     if op.mode == "final":
         key_count = len(op.group_keys)
@@ -1178,83 +1126,60 @@ def _hash_agg_batches(
         )
         return
 
-    agg_arg_fns: list[Callable[[tuple], Any]] = []
-    for agg, _name in op.aggregates:
-        if agg.arg is None:
-            agg_arg_fns.append(lambda row: 1)  # COUNT(*)
-        else:
-            agg_arg_fns.append(
-                compile_expression(agg.arg, layout, ctx.params)
-            )
-
+    aggregates = [agg for agg, _ in op.aggregates]
+    partial = op.mode == "partial"
+    update, emit = ctx.kernel(
+        op,
+        lambda: hash_agg_kernels(
+            op.group_keys,
+            aggregates,
+            partial,
+            op.children[0].output_layout(),
+            ctx.params,
+        ),
+    )
     groups = {}
     for batch in build_batches(op.children[0], segment, ctx):
-        new_groups = 0
-        for row in batch:
-            key = tuple(fn(row) for fn in key_fns)
-            accumulators = groups.get(key)
-            if accumulators is None:
-                accumulators = [
-                    _Accumulator(agg.func) for agg, _ in op.aggregates
-                ]
-                groups[key] = accumulators
-                new_groups += 1
-            for accumulator, arg_fn in zip(accumulators, agg_arg_fns):
-                accumulator.add(arg_fn(row))
+        # one buffered group ~ one row of state; the scalar aggregate's
+        # single group opens, and is charged, when its first row arrives
+        new_groups = update(batch, groups) if batch else 0
         if limits is not None and new_groups:
             limits.charge_rows_batch(new_groups)
 
-    if op.mode == "partial":
-        if not groups and not op.group_keys:
-            yield [
-                tuple(
-                    _Accumulator(agg.func).transition()
-                    for agg, _ in op.aggregates
-                )
-            ]
-            return
-        yield from _slice_batches(
-            [
-                key + tuple(acc.transition() for acc in accumulators)
-                for key, accumulators in groups.items()
-            ],
-            ctx.batch_size,
-        )
-        return
-
     if not groups and not op.group_keys:
-        if segment == COORDINATOR_SEGMENT:
-            yield [
-                tuple(
-                    _Accumulator(agg.func).result()
-                    for agg, _ in op.aggregates
-                )
-            ]
+        # Scalar aggregation over empty input: a partial emits the empty
+        # transition on every segment so the final stage always has states
+        # to combine; otherwise the empty result, on the coordinator only.
+        if partial or segment == COORDINATOR_SEGMENT:
+            yield emit({(): [0, None] * len(aggregates)})
         return
-    yield from _slice_batches(
-        [
-            key + tuple(acc.result() for acc in accumulators)
-            for key, accumulators in groups.items()
-        ],
-        ctx.batch_size,
+    yield from _slice_batches(emit(groups), ctx.batch_size)
+
+
+def _sorted_rows(op: phys.Sort, rows: list[tuple], ctx: ExecContext) -> list:
+    """``rows`` sorted in place by the Sort's keys, after one gulp charge
+    (the same at every batch width)."""
+    if ctx.limits.active:
+        ctx.limits.charge_rows(len(rows))
+    rows.sort(
+        key=ctx.kernel(
+            op,
+            lambda: sort_key_kernel(
+                [expr for expr, _ in op.keys],
+                op.children[0].output_layout(),
+                ctx.params,
+                _sort_key([asc for _, asc in op.keys]),
+            ),
+        )
     )
+    return rows
 
 
 def _sort_batches(op: phys.Sort, segment: int, ctx: ExecContext) -> BatchIter:
-    layout = op.children[0].output_layout()
-    key_fns = [
-        compile_expression(expr, layout, ctx.params) for expr, _ in op.keys
-    ]
-    ascending = [asc for _, asc in op.keys]
-    wrapper = _sort_key(ascending)
     rows: list[tuple] = []
     for batch in build_batches(op.children[0], segment, ctx):
         rows.extend(batch)
-    # one gulp charge, exactly like the row path's _sort_iter
-    if ctx.limits.active:
-        ctx.limits.charge_rows(len(rows))
-    rows.sort(key=lambda row: wrapper([fn(row) for fn in key_fns]))
-    yield from _slice_batches(rows, ctx.batch_size)
+    yield from _slice_batches(_sorted_rows(op, rows, ctx), ctx.batch_size)
 
 
 def _limit_batches(op: phys.Limit, segment: int, ctx: ExecContext) -> BatchIter:

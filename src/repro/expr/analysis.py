@@ -213,6 +213,8 @@ def _derive_interval_set(
 
     def fold(expr: Expression) -> Any:
         """Evaluate a column-free subexpression to a constant."""
+        if isinstance(expr, Literal):
+            return expr.value
         if best_effort and any(
             isinstance(n, Parameter) for n in expr.walk()
         ):

@@ -1,34 +1,26 @@
 """Compiled expression evaluation.
 
 A :class:`RowLayout` names the columns of a tuple stream (each as a
-``(qualifier, name)`` pair).  :func:`compile_expression` turns an expression
-tree into a plain Python closure ``row -> value`` resolved against a layout
-once, so the per-tuple cost is a few function calls rather than repeated
-tree interpretation and name lookups.
+``(qualifier, name)`` pair).  :func:`compile_expression` and
+:func:`compile_predicate` render an expression tree against a layout to
+Python source and return the compiled function (:mod:`repro.expr.codegen`:
+one evaluator, compiled once per expression *shape*, literals and ``$n``
+values passed in as closure cells).  The per-tuple cost is one call whose
+body reads slots by index.
 
-SQL three-valued logic: closures return ``True``/``False``/``None`` for
-predicates; :func:`compile_predicate` wraps a closure so filters pass only
-rows where the predicate is strictly true.
+SQL three-valued logic: an expression function returns
+``True``/``False``/``None`` for predicates; a predicate function returns a
+plain bool that is true only where the predicate is strictly TRUE, so
+filters drop NULL results.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Sequence
 
-from ..errors import BindError, ExecutionError
-from .ast import (
-    AggCall,
-    Arithmetic,
-    Between,
-    BoolExpr,
-    ColumnRef,
-    Comparison,
-    Expression,
-    InList,
-    IsNull,
-    Literal,
-    Parameter,
-)
+from ..errors import BindError
+from .ast import ColumnRef, Expression
+from .codegen import KernelSource
 
 RowFunc = Callable[[tuple], Any]
 
@@ -92,154 +84,16 @@ class RowLayout:
         return f"RowLayout({names})"
 
 
-def _compare(op: str, left: Any, right: Any) -> bool | None:
-    if left is None or right is None:
-        return None
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise AssertionError(op)
-
-
 def compile_expression(
     expr: Expression,
     layout: RowLayout,
     params: Sequence[Any] | None = None,
 ) -> RowFunc:
-    """Compile ``expr`` into a closure evaluating it against rows shaped by
-    ``layout``.  ``params`` supplies values for ``$n`` parameters."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda row: value
-
-    if isinstance(expr, ColumnRef):
-        idx = layout.resolve(expr)
-        return lambda row: row[idx]
-
-    if isinstance(expr, Parameter):
-        if params is None or expr.index > len(params):
-            raise ExecutionError(
-                f"no value bound for parameter ${expr.index}"
-            )
-        value = params[expr.index - 1]
-        return lambda row: value
-
-    if isinstance(expr, Comparison):
-        op = expr.op
-        left = compile_expression(expr.left, layout, params)
-        right = compile_expression(expr.right, layout, params)
-        return lambda row: _compare(op, left(row), right(row))
-
-    if isinstance(expr, BoolExpr):
-        arg_funcs = [compile_expression(a, layout, params) for a in expr.args]
-        if expr.op == BoolExpr.NOT:
-            inner = arg_funcs[0]
-
-            def negate(row: tuple) -> bool | None:
-                value = inner(row)
-                return None if value is None else not value
-
-            return negate
-        if expr.op == BoolExpr.AND:
-
-            def conjunction(row: tuple) -> bool | None:
-                saw_null = False
-                for func in arg_funcs:
-                    value = func(row)
-                    if value is False:
-                        return False
-                    if value is None:
-                        saw_null = True
-                return None if saw_null else True
-
-            return conjunction
-
-        def disjunction(row: tuple) -> bool | None:
-            saw_null = False
-            for func in arg_funcs:
-                value = func(row)
-                if value is True:
-                    return True
-                if value is None:
-                    saw_null = True
-            return None if saw_null else False
-
-        return disjunction
-
-    if isinstance(expr, Between):
-        subject = compile_expression(expr.subject, layout, params)
-        lo = compile_expression(expr.lo, layout, params)
-        hi = compile_expression(expr.hi, layout, params)
-
-        def between(row: tuple) -> bool | None:
-            value, low, high = subject(row), lo(row), hi(row)
-            if value is None or low is None or high is None:
-                return None
-            return low <= value <= high
-
-        return between
-
-    if isinstance(expr, InList):
-        subject = compile_expression(expr.subject, layout, params)
-        values = set(expr.values)
-
-        def in_list(row: tuple) -> bool | None:
-            value = subject(row)
-            if value is None:
-                return None
-            return value in values
-
-        return in_list
-
-    if isinstance(expr, IsNull):
-        subject = compile_expression(expr.subject, layout, params)
-        if expr.negated:
-            return lambda row: subject(row) is not None
-        return lambda row: subject(row) is None
-
-    if isinstance(expr, Arithmetic):
-        op = expr.op
-        left = compile_expression(expr.left, layout, params)
-        right = compile_expression(expr.right, layout, params)
-
-        def arith(row: tuple) -> Any:
-            a, b = left(row), right(row)
-            if a is None or b is None:
-                return None
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0:
-                    raise ExecutionError("division by zero")
-                result = a / b
-                if isinstance(a, int) and isinstance(b, int):
-                    return a // b
-                return result
-            if b == 0:
-                raise ExecutionError("division by zero")
-            return a % b
-
-        return arith
-
-    if isinstance(expr, AggCall):
-        raise ExecutionError(
-            "aggregate calls are evaluated by the Agg operator, not inline"
-        )
-
-    raise ExecutionError(f"cannot compile expression {expr!r}")
+    """Compile ``expr`` into a function ``row -> value`` over rows shaped by
+    ``layout`` (``None`` = NULL).  ``params`` supplies ``$n`` values."""
+    source = KernelSource(params)
+    value = source.over(layout).value(expr)
+    return source.build(["def k(r):", f"    return {value}", "return k"])
 
 
 def compile_predicate(
@@ -247,9 +101,11 @@ def compile_predicate(
     layout: RowLayout,
     params: Sequence[Any] | None = None,
 ) -> Callable[[tuple], bool]:
-    """Compile a predicate; NULL results count as non-matching."""
-    func = compile_expression(expr, layout, params)
-    return lambda row: func(row) is True
+    """Compile a predicate into ``row -> bool``: the predicate is TRUE
+    (NULL counts as not matching)."""
+    source = KernelSource(params)
+    truth = source.over(layout).truth(expr)
+    return source.build(["def k(r):", f"    return {truth}", "return k"])
 
 
 def evaluate(

@@ -35,6 +35,7 @@ from .ops import (
     Delete,
     DynamicScan,
     Filter,
+    GatherMotion,
     HashAgg,
     LeafScan,
     Limit,
@@ -78,16 +79,19 @@ def _is_streaming_selector(spec: PartSelectorSpec) -> bool:
     return False
 
 
-def _slice_dispatch(root: PhysicalOp) -> DispatchSpec | None:
+def _slice_dispatch(root: PhysicalOp, gathered: bool) -> DispatchSpec | None:
     """The direct-dispatch restriction of the slice rooted at ``root`` (a
-    Motion's child), or ``None`` when the slice must run everywhere.
+    Motion's child; ``gathered``: that Motion is a Gather), or ``None``
+    when the slice must run everywhere.
 
     Provable only for the plainest slice: a chain of unary operators over
-    one scan of a hash-distributed table, with filters directly on the
-    scan that pin the distribution column to a finite point set.  A join,
-    a Motion input, a Sequence or an Append in the slice, a replicated
-    table, or a filter above a projection or aggregate (whose column names
-    are no longer the table's) all leave the slice dispatched everywhere.
+    one scan.  Of a hash-distributed table, with filters directly on the
+    scan that pin the distribution column to a finite point set; or of a
+    replicated table below a Gather, where every segment would send the
+    same rows and one of them must.  A join, a Motion input, a Sequence or
+    an Append in the slice, or a filter above a projection or aggregate
+    (whose column names are no longer the table's) all leave the slice
+    dispatched everywhere.
     """
     predicates: list[Expression] = []
     op = root
@@ -103,7 +107,7 @@ def _slice_dispatch(root: PhysicalOp) -> DispatchSpec | None:
         op = op.children[0]
     policy = op.table.distribution
     if policy.kind != DistributionPolicy.HASHED:
-        return None
+        return DispatchSpec.one_copy() if gathered else None
     key = ColumnRef(policy.column, op.alias)
     pinned = [
         conjunct
@@ -131,7 +135,11 @@ class Plan:
         for op in ops:
             if isinstance(op, Motion):
                 op.dispatch = (
-                    None if is_dml else _slice_dispatch(op.children[0])
+                    None
+                    if is_dml
+                    else _slice_dispatch(
+                        op.children[0], isinstance(op, GatherMotion)
+                    )
                 )
 
     # -- inspection -----------------------------------------------------------

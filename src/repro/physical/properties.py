@@ -202,22 +202,36 @@ class DispatchSpec:
     segments those values hash to.  The spec rides on the slice's Motion;
     the plan stores the predicate, never the segments, so one plan serves
     every parameter value and any segment count.
+
+    :meth:`one_copy` is the spec of a gathered slice over a *replicated*
+    table: every segment holds every row, so the slice runs on one.
     """
 
     __slots__ = ("key", "key_type", "predicate")
 
     def __init__(
-        self, key: ColumnRef, key_type: DataType, predicate: Expression
+        self,
+        key: ColumnRef | None,
+        key_type: DataType | None,
+        predicate: Expression | None,
     ):
         self.key = key
         self.key_type = key_type
         self.predicate = predicate
+
+    @staticmethod
+    def one_copy() -> "DispatchSpec":
+        return _ONE_COPY
 
     def segments(self, params, num_segments: int) -> list[int] | None:
         """The segments to run the slice on for these parameter values
         (none at all when no value can match, e.g. ``key = NULL``), or
         ``None`` when they cannot be proven: a comparand the key's type
         does not represent exactly, as ``insert`` would refuse it."""
+        if self.predicate is None:
+            # any segment would do; reads of a segment whose primary is
+            # down are served by its mirror like any other scan
+            return [0]
         admitted = derive_interval_set(
             self.predicate, self.key, params=params, key_type=self.key_type
         )
@@ -230,7 +244,12 @@ class DispatchSpec:
         )
 
     def __repr__(self) -> str:
+        if self.predicate is None:
+            return "one copy of a replicated table"
         return repr(self.predicate)
+
+
+_ONE_COPY = DispatchSpec(None, None, None)
 
 
 class PartitionPropagationSpec:

@@ -275,3 +275,323 @@ def test_scan_segment_batches_matches_scan_segment(orders_db):
         assert flat == rows
         assert all(len(batch) <= 64 for batch in batches)
         assert all(batch for batch in batches)  # never yields empties
+
+
+# -- generated kernels: every variant equals the row path --------------------
+#
+# Hand-built operator trees over one segment, so each kernel variant is
+# reached whatever plan the optimizers prefer: the row pipeline is the
+# reference, the batch pipeline runs at widths 1, 7 and 1024, and rows (in
+# order), every node's rows_out / rows_scanned and the max_rows firing point
+# must be equal.
+
+from repro.catalog import Catalog  # noqa: E402
+from repro.errors import ExecutionError  # noqa: E402
+from repro.executor.context import ExecContext  # noqa: E402
+from repro.executor.iterators import build_batches, build_iterator  # noqa: E402
+from repro.expr.ast import (  # noqa: E402
+    AggCall,
+    Arithmetic,
+    ColumnRef,
+    Comparison,
+    InList,
+    Literal,
+    Parameter,
+)
+from repro.physical.ops import (  # noqa: E402
+    EmptyScan,
+    Filter,
+    HashAgg,
+    HashJoin,
+    Project,
+    Scan,
+    Sort,
+)
+from repro.storage import StorageManager  # noqa: E402
+
+#: l(k, g, v) and r(k, g, w): NULLs in every column, duplicate keys on both
+#: sides, float values whose sum depends on the order of addition
+L_ROWS = [
+    (i % 7 if i % 11 else None, i % 3 if i % 5 else None, 0.1 * i if i % 4 else None)
+    for i in range(60)
+]
+R_ROWS = [
+    (i % 9 if i % 6 else None, i % 3 if i % 7 else None, i if i % 5 else None)
+    for i in range(40)
+]
+
+
+#: build rows of ``l`` that have a join key
+KEYED = sum(1 for row in L_ROWS if row[0] is not None)
+
+
+@pytest.fixture(scope="module")
+def kernel_env():
+    catalog = Catalog()
+    storage = StorageManager(catalog, 1)
+    tables = {}
+    for name, columns, rows in (
+        ("l", (("k", t.INT), ("g", t.INT), ("v", t.FLOAT)), L_ROWS),
+        ("r", (("k", t.INT), ("g", t.INT), ("w", t.INT)), R_ROWS),
+        ("nulls", (("k", t.INT), ("g", t.INT), ("v", t.FLOAT)),
+         [(None, 1, None), (None, 1, None), (None, 2, None)]),
+    ):
+        table = catalog.create_table(
+            name, TableSchema.of(*columns), distribution=DistributionPolicy.replicated()
+        )
+        storage.register(table)
+        storage.store(table.oid).insert_many(rows)
+        tables[name] = table
+    return catalog, storage, tables
+
+
+def _col(name, alias):
+    return ColumnRef(name, alias)
+
+
+def _run_tree(kernel_env, make_tree, width, params=None, max_rows=None):
+    """(rows, per-node counters, limits) — or the typed error — of a fresh
+    tree run through the row pipeline (``width=None``) or the batch one."""
+    catalog, storage, tables = kernel_env
+    limits = QueryLimits(max_rows=max_rows)
+    limits.start()
+    ctx = ExecContext(
+        catalog, storage, 1, params, limits=limits, batch_size=width or 1
+    )
+    tree = make_tree(tables)
+    try:
+        if width is None:
+            rows = list(build_iterator(tree, 0, ctx))
+        else:
+            rows = [row for batch in build_batches(tree, 0, ctx) for row in batch]
+    except (ResourceLimitExceeded, ExecutionError) as error:
+        return type(error), str(error), limits.buffered_rows
+    counters = sorted(
+        (n.op, n.detail, n.rows_out, n.rows_scanned) for n in ctx.metrics.nodes
+    )
+    return rows, counters, limits.buffered_rows
+
+
+def _join(kind, keys, residual=None, build="l", probe="r"):
+    def make(tables):
+        return HashJoin(
+            kind,
+            Scan(tables[build], "b"),
+            Scan(tables[probe], "p"),
+            [_col(k, "b") for k in keys],
+            [_col(k, "p") for k in keys],
+            residual,
+        )
+
+    return make
+
+
+RESIDUAL = Comparison("<", _col("v", "b"), _col("w", "p"))
+
+JOINS = {
+    "inner-single-key": _join("inner", ["k"]),
+    "inner-multi-key": _join("inner", ["k", "g"]),
+    "inner-residual": _join("inner", ["k"], RESIDUAL),
+    "inner-multi-key-residual": _join("inner", ["k", "g"], RESIDUAL),
+    "semi": _join("semi", ["k"]),
+    "semi-multi-key": _join("semi", ["k", "g"]),
+    "semi-residual": _join("semi", ["k"], RESIDUAL),
+    "all-null-build-keys": _join("inner", ["k"], build="nulls", probe="l"),
+    "all-null-probe-keys": _join("semi", ["k", "g"], build="l", probe="nulls"),
+    "expression-key": lambda tables: HashJoin(
+        "inner",
+        Scan(tables["l"], "b"),
+        Scan(tables["r"], "p"),
+        [Arithmetic("+", _col("k", "b"), Literal(1))],
+        [Arithmetic("+", _col("k", "p"), Parameter(1))],
+    ),
+}
+
+
+@pytest.mark.parametrize("width", BATCH_SIZES)
+@pytest.mark.parametrize("name", sorted(JOINS))
+def test_join_kernels_match_the_row_path(kernel_env, name, width):
+    reference = _run_tree(kernel_env, JOINS[name], None, params=[1])
+    assert _run_tree(kernel_env, JOINS[name], width, params=[1]) == reference
+    rows = reference[0]
+    if name.startswith("all-null"):
+        assert rows == []  # NULL keys never join, from either side
+    else:
+        assert rows
+
+
+ALL_AGGS = [
+    (AggCall("count", None), "n"),
+    (AggCall("count", _col("v", "x")), "nv"),
+    (AggCall("sum", _col("v", "x")), "s"),
+    (AggCall("avg", _col("v", "x")), "a"),
+    (AggCall("min", _col("v", "x")), "lo"),
+    (AggCall("max", _col("v", "x")), "hi"),
+    (AggCall("sum", Arithmetic("*", _col("v", "x"), Literal(2))), "s2"),
+    (AggCall("count", Literal(1)), "ones"),
+]
+
+
+def _agg(table, keys, mode, predicate=None):
+    def make(tables):
+        child = (
+            EmptyScan(tables["l"], "x") if table == "empty" else Scan(tables[table], "x")
+        )
+        if predicate is not None:
+            child = Filter(child, predicate)
+        partial = HashAgg(
+            child,
+            [_col(k, "x") for k in keys],
+            ALL_AGGS,
+            "partial" if mode == "final" else mode,
+        )
+        if mode != "final":
+            return partial
+        return HashAgg(
+            partial,
+            [_col(k, "x") for k in keys],
+            [(AggCall(agg.func, ColumnRef(name)), name) for agg, name in ALL_AGGS],
+            "final",
+        )
+
+    return make
+
+
+AGG_INPUTS = {
+    "rows": ("l", None),
+    "all-null": ("nulls", None),
+    "filtered-empty": ("l", Comparison("<", _col("k", "x"), Literal(-1))),
+    "empty": ("empty", None),
+}
+
+
+@pytest.mark.parametrize("width", BATCH_SIZES)
+@pytest.mark.parametrize("mode", ["single", "partial", "final"])
+@pytest.mark.parametrize("keys", [(), ("g",), ("k", "g")], ids=["scalar", "one-key", "two-keys"])
+@pytest.mark.parametrize("data", sorted(AGG_INPUTS))
+def test_agg_kernels_match_the_row_path(kernel_env, data, keys, mode, width):
+    table, predicate = AGG_INPUTS[data]
+    make = _agg(table, keys, mode, predicate)
+    reference = _run_tree(kernel_env, make, None)
+    assert _run_tree(kernel_env, make, width) == reference
+    rows = reference[0]
+    if data in ("empty", "filtered-empty"):
+        # a scalar aggregate answers over no rows; a grouped one has no groups
+        assert len(rows) == (0 if keys else 1)
+    if data == "all-null" and not keys and mode != "partial":
+        assert rows == [(3, 0, None, None, None, None, None, 3)]
+
+
+def test_float_sums_accumulate_left_to_right(kernel_env):
+    """The batch==row battery compares exactly, so the kernel may not use
+    ``sum()`` (compensated on 3.12) or reorder the additions."""
+    total = None
+    for _, _, v in L_ROWS:
+        if v is not None:
+            total = v if total is None else total + v
+    make = _agg("l", (), "single")
+    for width in BATCH_SIZES:
+        rows = _run_tree(kernel_env, make, width)[0]
+        assert rows[0][2] == total
+
+
+@pytest.mark.parametrize("width", BATCH_SIZES)
+@pytest.mark.parametrize(
+    "keys",
+    [
+        [("v", True)],
+        [("v", False)],
+        [("g", True), ("v", False)],
+        [("g", False), ("k", True), ("v", True)],
+    ],
+    ids=["asc", "desc", "asc-desc", "desc-asc-asc"],
+)
+def test_sort_kernel_matches_the_row_path(kernel_env, keys, width):
+    make = lambda tables: Sort(  # noqa: E731
+        Scan(tables["l"], "x"), [(_col(name, "x"), asc) for name, asc in keys]
+    )
+    reference = _run_tree(kernel_env, make, None)
+    assert _run_tree(kernel_env, make, width) == reference
+    column = {"k": 0, "g": 1, "v": 2}[keys[0][0]]
+    leading = [row[column] for row in reference[0]]
+    nulls = leading.count(None)
+    assert nulls  # NULLs sort last ascending, first descending
+    assert (leading[-nulls:] if keys[0][1] else leading[:nulls]) == [None] * nulls
+
+
+@pytest.mark.parametrize("width", BATCH_SIZES)
+def test_filter_and_project_kernels_match_the_row_path(kernel_env, width):
+    predicate = Comparison(">", Arithmetic("*", _col("v", "x"), Literal(2)), Parameter(1))
+    make = lambda tables: Project(  # noqa: E731
+        Filter(Scan(tables["l"], "x"), predicate),
+        [
+            (_col("k", "x"), "k"),
+            (Arithmetic("/", _col("k", "x"), Literal(2)), "half"),
+            (InList(_col("g", "x"), [1, None]), "member"),
+            (Literal("it's"), "text"),
+        ],
+    )
+    reference = _run_tree(kernel_env, make, None, params=[3.0])
+    assert _run_tree(kernel_env, make, width, params=[3.0]) == reference
+    assert reference[0] and all(row[3] == "it's" for row in reference[0])
+    zero = lambda tables: Project(  # noqa: E731
+        Scan(tables["l"], "x"), [(Arithmetic("%", _col("k", "x"), Literal(0)), "m")]
+    )
+    error = _run_tree(kernel_env, zero, None)
+    assert error[:2] == (ExecutionError, "division by zero")
+    assert _run_tree(kernel_env, zero, width)[:2] == error[:2]
+
+
+@pytest.mark.parametrize("width", BATCH_SIZES)
+@pytest.mark.parametrize("budget", [0, 1, 5, 20, KEYED - 1, KEYED])
+def test_max_rows_trips_inside_a_build_side_identically(kernel_env, budget, width):
+    """Only build rows with a key are buffered: budgets below their count
+    trip mid-build, with the same message and the same buffered_rows as
+    row-at-a-time charging."""
+    reference = _run_tree(kernel_env, JOINS["inner-single-key"], None, max_rows=budget)
+    result = _run_tree(kernel_env, JOINS["inner-single-key"], width, max_rows=budget)
+    assert result == reference
+    assert (reference[0] is ResourceLimitExceeded) == (budget < KEYED)
+
+
+@pytest.mark.parametrize("width", BATCH_SIZES)
+@pytest.mark.parametrize("keys", [(), ("g",), ("k", "g")], ids=["scalar", "one-key", "two-keys"])
+def test_max_rows_trips_inside_a_group_table_identically(kernel_env, keys, width):
+    """One charge per group; the scalar aggregate's single group is charged
+    when its first row arrives."""
+    make = _agg("l", keys, "single")
+    groups = len({tuple(row["kgv".index(k)] for k in keys) for row in L_ROWS})
+    assert len(_run_tree(kernel_env, make, None)[0]) == groups
+    for budget in (groups - 1, groups):
+        reference = _run_tree(kernel_env, make, None, max_rows=budget)
+        assert _run_tree(kernel_env, make, width, max_rows=budget) == reference
+        assert (reference[0] is ResourceLimitExceeded) == (budget < groups)
+        assert reference[2] == groups  # buffered_rows stops at the crossing charge
+    empty = _agg("empty", keys, "single")
+    assert _run_tree(kernel_env, empty, width, max_rows=0)[2] == 0
+
+
+# -- SQL level: the two fixed answers at both optimizers and widths ----------
+
+
+@pytest.mark.parametrize("batch_size", [1, 1024])
+@pytest.mark.parametrize("optimizer", ["orca", "planner"])
+def test_not_in_with_a_null_member_returns_no_rows(optimizer, batch_size):
+    db = Database(num_segments=4)
+    db.create_table(
+        "t",
+        TableSchema.of(("k", t.INT), ("v", t.INT)),
+        distribution=DistributionPolicy.hashed("k"),
+        partition_scheme=PartitionScheme([uniform_int_level("v", 0, 40, 4)]),
+    )
+    db.insert("t", [(k, k % 40) for k in range(200)])
+    settings = dict(optimizer=optimizer, batch_size=batch_size)
+    assert db.sql("SELECT k FROM t WHERE v NOT IN (10, NULL)", **settings).rows == []
+    assert len(db.sql("SELECT k FROM t WHERE v NOT IN (10, 11)", **settings).rows) == 190
+    hits = db.sql("SELECT k FROM t WHERE v IN (10, NULL)", **settings)
+    assert sorted(hits.rows) == [(k,) for k in range(10, 200, 40)]
+    # the NULL member neither widens nor narrows partition selection
+    plain = db.sql("SELECT k FROM t WHERE v IN (10)", **settings)
+    assert hits.partitions_scanned() == plain.partitions_scanned() == 1
+    projected = db.sql("SELECT v IN (10, NULL) FROM t WHERE k = 11", **settings)
+    assert projected.rows == [(None,)]  # a miss is unknown, not FALSE

@@ -133,3 +133,52 @@ def test_group_by_is_batch_invariant(cut, batch_size, workers):
     reference = DB.sql(sql, batch_size=1)
     batched = DB.sql(sql, batch_size=batch_size, workers=workers)
     assert sorted(batched.rows) == sorted(reference.rows)
+
+
+#: one statement per kernel variant the optimizers can produce from SQL:
+#: semi join, multi-key join, join with a residual, every aggregate function
+#: scalar and grouped (``{cut}`` below the domain makes the input empty),
+#: mixed-direction sort
+KERNEL_SHAPES = [
+    "SELECT id FROM facts WHERE key < {cut} AND key IN "
+    "(SELECT key FROM dim WHERE grp < 5)",
+    "SELECT f.id, d.grp FROM facts f, dim d "
+    "WHERE f.key = d.key AND f.val = d.grp AND f.key < {cut}",
+    "SELECT f.id, d.grp FROM facts f, dim d "
+    "WHERE f.key = d.key AND f.val < d.grp AND f.key < {cut}",
+    "SELECT count(*), count(val), sum(val), avg(val), min(val), max(val) "
+    "FROM facts WHERE key < {cut}",
+    "SELECT val, count(*), sum(id), avg(key), min(key), max(id) "
+    "FROM facts WHERE key < {cut} GROUP BY val",
+    "SELECT val, key, id FROM facts WHERE key < {cut} "
+    "ORDER BY val DESC, key, id DESC",
+]
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    shape=st.sampled_from(KERNEL_SHAPES),
+    cut=bounds,
+    batch_size=batch_sizes,
+    workers=workers_counts,
+)
+def test_kernel_shapes_are_batch_invariant(shape, cut, batch_size, workers):
+    sql = shape.format(cut=cut)
+    reference = DB.sql(sql, analyze=True, batch_size=1)
+    batched = DB.sql(sql, analyze=True, batch_size=batch_size, workers=workers)
+    if "ORDER BY" in sql:
+        assert batched.rows == reference.rows
+    else:
+        assert sorted(batched.rows, key=repr) == sorted(reference.rows, key=repr)
+    assert (
+        batched.metrics.partitions_scanned()
+        == reference.metrics.partitions_scanned()
+    )
+    assert (
+        batched.metrics.total_rows_scanned
+        == reference.metrics.total_rows_scanned
+    )

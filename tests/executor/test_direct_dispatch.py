@@ -100,7 +100,6 @@ EVERYWHERE = [
     ("SELECT key FROM dim WHERE key BETWEEN 5 AND 9", None),  # a range
     ("SELECT key FROM dim WHERE key + 0 = 7", None),  # expression on the column
     ("SELECT grp FROM dim WHERE key IS NULL", None),  # NULL keys live on segment 0
-    ("SELECT grp FROM rep WHERE key = 7", None),  # replicated table
     ("SELECT id FROM facts WHERE key = 7", None),  # not the distribution column
 ]
 
@@ -287,6 +286,65 @@ def test_explain_shows_the_pin_and_plan_size_is_unchanged(db):
     assert "direct dispatch: (dim.key = 7)" in analyzed
     assert f"segments_dispatched = 1/{SEGMENTS}" in analyzed
     assert "direct dispatch" not in db.explain("SELECT grp FROM dim WHERE key > 7")
+
+
+# -- replicated tables: a gathered scan runs on one segment -----------------
+
+REPLICATED = [
+    ("SELECT count(*) FROM rep", [(20,)]),
+    ("SELECT grp FROM rep WHERE key = 7", [(2,)]),
+    ("SELECT grp, count(*) FROM rep GROUP BY grp", [(g, 4) for g in range(5)]),
+    ("SELECT key FROM rep ORDER BY key DESC LIMIT 3", [(19,), (18,), (17,)]),
+    ("SELECT key FROM rep WHERE grp NOT IN (0, NULL)", []),
+]
+
+
+@pytest.mark.parametrize("segments", [1, 2, 4])
+@pytest.mark.parametrize("optimizer", ["orca", "planner"])
+@pytest.mark.parametrize("batch_size", [1, 1024])
+def test_a_gathered_replicated_scan_answers_once(segments, optimizer, batch_size):
+    db = Database(num_segments=segments)
+    db.create_table(
+        "rep",
+        TableSchema.of(("key", t.INT), ("grp", t.INT)),
+        distribution=DistributionPolicy.replicated(),
+    )
+    db.insert("rep", [(k, k % 5) for k in range(20)])
+    for sql, expected in REPLICATED:
+        result = db.sql(sql, optimizer=optimizer, batch_size=batch_size)
+        assert sorted(result.rows) == sorted(expected), sql
+        assert result.metrics.segments_dispatched == 1, sql
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_replicated_scan_reads_the_mirror_when_its_primary_is_down(db, workers):
+    assert db.health.failover(0, "test")
+    result = db.sql("SELECT count(*) FROM rep", workers=workers)
+    assert result.rows == [(20,)]
+    assert result.metrics.segments_dispatched == 1
+    assert db.health.mirror_reads[0] > 0
+    db.health.recover_all()
+    # a persistent fault on the one dispatched primary fails over and retries
+    db.faults.arm(SCAN_ROW, segment=0, mode=FAIL_ONCE, transient=False)
+    result = db.sql("SELECT grp FROM rep WHERE key = 7", workers=workers)
+    assert result.rows == [(2,)]
+    assert db.health.down_segments == [0]
+    db.faults.reset()
+    db.health.recover_all()
+
+
+def test_a_join_against_a_replicated_table_is_not_dispatched(db):
+    sql = "SELECT f.id, r.grp FROM facts f, rep r WHERE f.key = r.key"
+    plan = db.plan(sql)
+    assert all(op.dispatch is None for op in plan.walk() if isinstance(op, Motion))
+    reference = all_segments_answer(db, sql, None)
+    result = db.sql(sql)
+    assert_same_answer(result, reference)
+    assert len(result.rows) == sum(1 for i in range(ROWS) if i % 50 < 20)
+    assert result.metrics.segments_dispatched == SEGMENTS
+    assert "direct dispatch: one copy of a replicated table" in db.explain(
+        "SELECT count(*) FROM rep"
+    )
 
 
 def test_planner_plans_dispatch_too(db):

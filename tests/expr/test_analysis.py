@@ -322,3 +322,23 @@ def test_derivation_agrees_with_evaluation(predicate, value):
     layout = RowLayout([("t", "pk")])
     evaluated = compile_expression(predicate, layout)((value,))
     assert derived.contains(value) == (evaluated is True)
+
+
+def test_a_null_in_list_member_neither_widens_nor_narrows_the_set():
+    """``pk IN (10, NULL)`` is TRUE exactly where ``pk IN (10)`` is, so it
+    selects the same partitions; under NOT it is never TRUE, and the
+    complement derived for it stays a superset of that (sound: the filter
+    above the scan drops the rows)."""
+    with_null = derive_interval_set(InList(PK, [10, None]), PK)
+    assert with_null == derive_interval_set(InList(PK, [10]), PK)
+    assert with_null == IntervalSet.points([10])
+    assert derive_interval_set(InList(PK, [None]), PK) == IntervalSet.EMPTY
+    negated = BoolExpr("NOT", [InList(PK, [10, None])])
+    derived = derive_interval_set(negated, PK)
+    assert derived == IntervalSet.points([10]).complement()
+    layout = RowLayout([("t", "pk")])
+    evaluate_row = compile_expression(negated, layout)
+    for value in (9, 10, 11):
+        truth = evaluate_row((value,)) is True
+        assert not truth  # NULL or FALSE, never TRUE
+        assert derived.contains(value) or not truth  # never skips a match

@@ -1,4 +1,4 @@
-"""Expression evaluation: compiled closures, layouts, three-valued logic."""
+"""Expression evaluation: compiled functions, layouts, three-valued logic."""
 
 import pytest
 
