@@ -6,16 +6,21 @@ fingerprint-keyed caching, "the single biggest lever for heavy repeated
 traffic").  This benchmark drives a skewed hot-statement workload — a
 small set of wide IN-list queries over a table with many partitions,
 repeated with a skewed popularity distribution — and measures what
-``cache='partitions'`` buys: compiling and evaluating the selector
-program dominates wall time at this partition count, and a cache hit
-replays the recorded OID sets instead.
+``cache='partitions'`` buys: a cache hit replays the recorded OID sets
+instead of deriving and evaluating the selector program.
+
+When the cache landed that evaluation dominated wall time at this
+partition count and replaying it was worth ~2.4x.  Since selection became
+an indexed lookup evaluated once per statement it costs so little that
+replaying it saves almost nothing: 1.04-1.08x measured.  The ratio is
+therefore reported, like every other wall clock in ``benchmarks/``, and
+not asserted.
 
 Emitted counters (``workload``) are fully deterministic and gate hard in
 ``tools/check_bench_regression.py``; the wall clocks are report-only.
 
-Assertions: >= 80% hit rate over the workload and >= 2x wall-clock
-speedup with the cache on, with every statement answering byte-identically
-to cache-off.
+Assertions: >= 80% hit rate over the workload, with every statement
+answering byte-identically to cache-off.
 """
 
 from __future__ import annotations
@@ -175,10 +180,8 @@ def _report():
         },
     )
 
-    # The acceptance bars: >= 80% hit rate, >= 2x wall clock.
+    # The acceptance bar: >= 80% hit rate (the wall-clock ratio above is
+    # report-only).
     assert hit_rate_pct >= 80, (
         f"hit rate {hit_rate_pct}% below the 80% bar"
-    )
-    assert speedup >= 2.0, (
-        f"cache speedup {speedup:.2f}x below the 2x bar"
     )

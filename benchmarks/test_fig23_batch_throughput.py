@@ -1,10 +1,12 @@
-"""Figure 23 (this repo's extension) — vectorized batch execution throughput.
+"""Figure 23 (this repo's extension) — throughput at width 1024 vs width 1.
 
 The paper's executor model is row-at-a-time Volcano iterators; modern MPP
 executors amortize interpretation overhead by pulling one *batch* of rows
-per iterator call.  This benchmark measures what the batch pipeline
-(``batch_size=1024``, the engine default) buys over the row path
-(``batch_size=1``) on the two shapes the executor spends its life in:
+per iterator call.  The executor has one pipeline whose operators pull
+batches of ``batch_size`` rows; this benchmark measures what the width
+buys: ``batch_size=1024`` (the engine default) against ``batch_size=1``
+(the same operators, one row per call) on the two shapes the executor
+spends its life in:
 
 * **scan+filter** — a full scan of a 12-partition fact table with a
   selective predicate, gathered to the coordinator;
@@ -15,12 +17,14 @@ Reported as input-rows-per-second per workload per batch width.
 
 Assertions: identical rows at both widths, identical deterministic
 counters (partitions/rows scanned, motion rows/bytes — these gate hard in
-CI via ``tools/check_bench_regression.py``), and the batch pipeline must
-clear 3x on scan+filter and 3x on the join (wall-clock bars measured as
-a ratio on the same machine; the absolute timings stay report-only).  The
-batch operators run generated whole-batch kernels
-(``repro.executor.kernels``); the table ends with the source of the
-scan+filter one, report-only.
+CI via ``tools/check_bench_regression.py``), and width 1024 must clear 3x
+on scan+filter and 2x on the join against width 1 (wall-clock bars
+measured as a ratio on the same machine; the absolute timings stay
+report-only).  The operators run generated whole-batch kernels
+(``repro.executor.kernels``) at every width; the table ends with the
+source of the scan+filter one, report-only.  The JSON keeps the key
+``speedup_vs_row`` for the width-1024 / width-1 ratio, so the committed
+baseline and older artifacts stay comparable.
 """
 
 from __future__ import annotations
@@ -44,8 +48,14 @@ WORKLOADS = [
     ("hash join", JOIN_SQL),
 ]
 
-#: hard wall-clock ratio bars (same-machine ratio, so CI-stable)
-SPEEDUP_BARS = {"scan+filter": 3.0, "hash join": 3.0}
+#: hard wall-clock ratio bars, width 1024 over width 1 (same-machine ratio,
+#: so CI-stable).  scan+filter measures 5.0-5.1x.  The join's bar was 3.0
+#: while width 1 ran handwritten per-row closures (~5x); width 1 now runs
+#: the generated join kernels too and fell from 31-32 ms to 21-22 ms, with
+#: width 1024 unchanged at 6.1-6.4 ms, so the ratio is 3.3-3.6x and dipped
+#: to 2.2x in one of the runs taken when the bar was set: 2.0 is what the
+#: width alone reliably buys there.
+SPEEDUP_BARS = {"scan+filter": 3.0, "hash join": 2.0}
 
 
 def _build_db():
@@ -190,6 +200,6 @@ def _report():
         )
         bar = SPEEDUP_BARS[name]
         assert batched["speedup_vs_row"] >= bar, (
-            f"{name}: batch speedup {batched['speedup_vs_row']:.2f}x below "
-            f"the {bar}x bar"
+            f"{name}: width {BATCH_SIZES[-1]} is "
+            f"{batched['speedup_vs_row']:.2f}x width 1, below the {bar}x bar"
         )

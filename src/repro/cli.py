@@ -69,8 +69,8 @@ SET statements configure the session:
                    execution on N worker threads (results identical to
                    serial; off = serial)
   SET batch_size N;        SET batch_size off;      vectorized batch
-                   width (N >= 1; 1 or off = row-at-a-time; results
-                   identical at any width)
+                   width (N >= 1; 1 = one row per batch; off = the
+                   database default; results identical at any width)
   SET cache off|partitions|results;                 statement caching:
                    'partitions' replays partition-selector OID sets for
                    repeat statements, 'results' additionally serves repeat

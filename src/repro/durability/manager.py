@@ -276,7 +276,7 @@ class DurabilityManager:
         if self._ticker is not None:
             return
 
-        def tick():
+        def checkpoint_loop():
             while not self._stop.wait(interval_s):
                 try:
                     self.checkpoint()
@@ -287,7 +287,7 @@ class DurabilityManager:
                     pass
 
         self._ticker = threading.Thread(
-            target=tick, name="repro-checkpointer", daemon=True
+            target=checkpoint_loop, name="repro-checkpointer", daemon=True
         )
         self._ticker.start()
 

@@ -50,6 +50,7 @@ from .resilience import (
 from .sql.ast import InsertStmt
 from .sql.binder import Binder
 from .sql.parser import parse
+from .types import DEFAULT_BATCH_SIZE
 
 ORCA = "orca"
 PLANNER = "planner"
@@ -63,7 +64,7 @@ class Database:
         num_segments: int = 4,
         cost_model: CostModel | None = None,
         workers: int = 1,
-        batch_size: int = 1024,
+        batch_size: int = DEFAULT_BATCH_SIZE,
         cache: str | CacheConfig | CacheManager | None = None,
         data_dir: str | None = None,
         wal_sync: str = "sync",
@@ -76,8 +77,8 @@ class Database:
         #: default segment-scheduler pool size (1 = serial execution);
         #: per-query override via ``sql(..., workers=N)``
         self.workers = workers
-        #: default vectorized batch width (1 = the exact row-at-a-time
-        #: pipeline); per-query override via ``sql(..., batch_size=N)``
+        #: default batch width (1 = row-at-a-time); per-query override
+        #: via ``sql(..., batch_size=N)``
         self.batch_size = batch_size
         self.catalog = Catalog()
         self.storage = StorageManager(self.catalog, num_segments)
@@ -441,11 +442,11 @@ class Database:
         concurrently on a thread pool; results are guaranteed identical
         to a serial run (see docs/parallelism.md).
 
-        ``batch_size`` sets the vectorized batch width for this query
-        (``None`` uses the Database default, normally 1024; ``1`` runs
-        the exact row-at-a-time pipeline).  Results, partition counters
-        and guardrail firing rows are identical at any batch size (see
-        docs/parallelism.md, "Vectorized batch execution").
+        ``batch_size`` sets the batch width for this query (``None`` uses
+        the Database default, normally 1024; ``1`` is row-at-a-time).
+        Results, partition counters and guardrail firing rows are
+        identical at any width (see docs/parallelism.md, "Vectorized
+        batch execution").
 
         ``analyze=True`` enables per-node wall-clock timing collection on
         top of the always-on row/partition/motion counters; the result's

@@ -33,6 +33,7 @@ from ..obs.metrics import MetricsCollector, ScanTracker
 from ..resilience.faults import FaultInjector
 from ..resilience.guardrails import QueryLimits
 from ..storage import StorageManager
+from ..types import DEFAULT_BATCH_SIZE
 from .channels import ChannelRegistry, OidChannel
 from .queues import MotionBuffer
 
@@ -60,7 +61,7 @@ class ExecContext:
         workers: int = 1,
         motion_queue_capacity: int | None = None,
         cache=None,
-        batch_size: int = 1,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ):
         self.catalog = catalog
         self.storage = storage
@@ -83,8 +84,7 @@ class ExecContext:
         #: the statement's :class:`~repro.cache.CacheSession` (None = cache
         #: off): PartitionSelector iterators ask it for replay OID sets
         self.cache = cache
-        #: vectorized batch width for this run (1 = row-at-a-time; the
-        #: executor runs the batch pipeline iff > 1)
+        #: batch width for this run (1 = row-at-a-time)
         self.batch_size = batch_size
         #: part_scan_id -> the statement's compiled selector program
         self._selector_programs: dict[int, Any] = {}

@@ -58,8 +58,9 @@ from ..resilience.faults import MOTION_SEND, SLICE_START, FaultInjector
 from ..resilience.guardrails import QueryLimits, RetryPolicy
 from ..storage import StorageManager
 from ..storage.distribution import segment_for, stable_hash
+from ..types import DEFAULT_BATCH_SIZE
 from .context import COORDINATOR_SEGMENT, ExecContext
-from .iterators import build_batches, build_iterator
+from .iterators import build_batches, drain
 from .queues import MotionBuffer
 from .scheduler import SegmentScheduler
 
@@ -122,7 +123,7 @@ class MppExecutor:
         faults: FaultInjector | None = None,
         retry_policy: RetryPolicy | None = None,
         workers: int = 1,
-        batch_size: int = 1024,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -136,7 +137,7 @@ class MppExecutor:
         #: default segment-scheduler pool size (1 = serial); per-query
         #: override via ``execute(..., workers=N)``
         self.workers = workers
-        #: default vectorized batch width (1 = row-at-a-time); per-query
+        #: default batch width (1 = row-at-a-time); per-query
         #: override via ``execute(..., batch_size=N)``
         self.batch_size = batch_size
 
@@ -171,8 +172,8 @@ class MppExecutor:
         registered): the executor attaches the collector to it once, so
         activity snapshots can read rows/partitions-so-far — a pull
         model, with zero per-row writes.  ``batch_size`` overrides the
-        executor's default vectorized batch width for this query (1 =
-        the exact row-at-a-time pipeline)."""
+        executor's default batch width for this query (1 = one row per
+        batch)."""
         plan.validate()
         resolved_workers = self.workers if workers is None else workers
         if resolved_workers < 1:
@@ -290,12 +291,7 @@ class MppExecutor:
                 faults = view.faults if view.faults.active else None
                 if faults is not None:
                     faults.maybe_fire(SLICE_START, segment)
-                if view.batch_size > 1:
-                    rows: list[tuple] = []
-                    for batch in build_batches(root, segment, view):
-                        rows.extend(batch)
-                    return rows
-                return list(build_iterator(root, segment, view))
+                return drain(root, segment, view)
 
             return lambda: self._run_instance_with_retry(
                 ctx, scheduler, 0, segment, scan_ids, None, slice_span, work
@@ -449,65 +445,20 @@ class MppExecutor:
         hash_fns,
     ) -> None:
         """One producer instance: run the motion's child subtree on
-        ``segment`` and route every row into the receive queues, tagged
-        with this segment as the producer (the deterministic-merge key)."""
-        child = motion.children[0]
-        record = view.metrics.record_motion
-        faults = view.faults if view.faults.active else None
-        charge = view.limits.charge_rows if view.limits.active else None
-        if faults is not None:
-            faults.maybe_fire(SLICE_START, segment)
-        if view.batch_size > 1:
-            self._send_segment_batches(
-                motion, view, segment, buffer, hash_fns, faults
-            )
-            return
-        for row in build_iterator(child, segment, view):
-            if faults is not None:
-                faults.maybe_fire(MOTION_SEND, segment)
-            if isinstance(motion, phys.GatherMotion):
-                buffer.send(COORDINATOR_SEGMENT, row, segment)
-                record(motion, "gather", COORDINATOR_SEGMENT, row)
-                if charge is not None:
-                    charge(1)
-            elif isinstance(motion, phys.BroadcastMotion):
-                for target in range(self.num_segments):
-                    buffer.send(target, row, segment)
-                    record(motion, "broadcast", target, row)
-                if charge is not None:
-                    charge(self.num_segments)
-            else:
-                values = tuple(fn(row) for fn in hash_fns)
-                if len(values) == 1:
-                    target = segment_for(values[0], self.num_segments)
-                else:
-                    target = (
-                        sum(stable_hash(v) for v in values)
-                        % self.num_segments
-                    )
-                buffer.send(target, row, segment)
-                record(motion, "redistribute", target, row)
-                if charge is not None:
-                    charge(1)
-
-    def _send_segment_batches(
-        self,
-        motion: phys.Motion,
-        view: ExecContext,
-        segment: int,
-        buffer: MotionBuffer,
-        hash_fns,
-        faults,
-    ) -> None:
-        """Batch-mode producer instance: whole batches go into the receive
-        queues in one lock acquisition, with the ``motion_send`` fault
-        point and the buffered-row charges at per-batch granularity
-        (charges replicate the row path's crossing row exactly)."""
+        ``segment`` and route every batch into the receive queues, tagged
+        with this segment as the producer (the deterministic-merge key).
+        A batch takes one lock acquisition per target queue; the
+        ``motion_send`` fault point fires once per batch, and the
+        buffered-row charges stop at the first one that crosses
+        ``max_rows``, whatever the width."""
         child = motion.children[0]
         record = view.metrics.record_motion_batch
+        faults = view.faults if view.faults.active else None
         limits = view.limits if view.limits.active else None
         gather = isinstance(motion, phys.GatherMotion)
         broadcast = isinstance(motion, phys.BroadcastMotion)
+        if faults is not None:
+            faults.maybe_fire(SLICE_START, segment)
         for batch in build_batches(child, segment, view):
             if faults is not None:
                 faults.maybe_fire(MOTION_SEND, segment)

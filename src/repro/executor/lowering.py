@@ -51,13 +51,7 @@ from ..physical.ops import PartitionSelector, PhysicalOp, Sequence
 from ..physical.plan import Plan
 from ..resilience.faults import CHANNEL_CLOSE
 from .context import ExecContext
-from .iterators import (
-    EXTRA_BATCH_ITERATORS,
-    EXTRA_ITERATORS,
-    _rebatch,
-    build_batches,
-    build_iterator,
-)
+from .iterators import OPERATORS, _slice_batches, build_batches
 from .runtime_funcs import (
     partition_constraints,
     partition_propagation,
@@ -150,18 +144,25 @@ class PropagatingProject(PhysicalOp):
         }
 
 
-def _constraints_scan_iter(op: ConstraintsFunctionScan, segment: int, ctx: ExecContext):
-    for row in partition_constraints(ctx.catalog, op.table.oid):
-        yield (
+def _constraints_scan_batches(
+    op: ConstraintsFunctionScan, segment: int, ctx: ExecContext
+):
+    rows = [
+        (
             row.oid,
             row.min_values[0],
             row.min_inclusive[0],
             row.max_values[0],
             row.max_inclusive[0],
         )
+        for row in partition_constraints(ctx.catalog, op.table.oid)
+    ]
+    return _slice_batches(rows, ctx.batch_size)
 
 
-def _propagating_project_iter(op: PropagatingProject, segment: int, ctx: ExecContext):
+def _propagating_project_batches(
+    op: PropagatingProject, segment: int, ctx: ExecContext
+):
     child = op.children[0]
     scan_id = op.produces_part_scan_id
     channel = ctx.channel(scan_id, segment)
@@ -174,68 +175,22 @@ def _propagating_project_iter(op: PropagatingProject, segment: int, ctx: ExecCon
         op.table.num_leaves,
     )
     if op.mode == "oids":
-        layout = child.output_layout()
-        oid_index = layout.resolve(ColumnRef(OID_COLUMN))
-        for row in build_iterator(child, segment, ctx):
-            partition_propagation(ctx, scan_id, segment, row[oid_index])
-            yield row
-        if ctx.faults.active:
-            ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
-        channel.close()
-        return
-    key_fn = compile_expression(
-        op.key_expr, child.output_layout(), ctx.params
-    )
-    for row in build_iterator(child, segment, ctx):
-        value = key_fn(row)
-        oid = partition_selection(ctx.catalog, op.table.oid, value)
-        if oid is not None:
-            partition_propagation(ctx, scan_id, segment, oid)
-        yield row
-    if ctx.faults.active:
-        ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
-    channel.close()
+        oid_index = child.output_layout().resolve(ColumnRef(OID_COLUMN))
 
+        def oid_of(row):
+            return row[oid_index]
 
-def _constraints_scan_batches(
-    op: ConstraintsFunctionScan, segment: int, ctx: ExecContext
-):
-    # one row per leaf partition — small enough that re-batching the row
-    # iterator is the whole implementation
-    return _rebatch(
-        _constraints_scan_iter(op, segment, ctx), ctx.batch_size
-    )
+    else:
+        key_fn = compile_expression(
+            op.key_expr, child.output_layout(), ctx.params
+        )
 
+        def oid_of(row):
+            return partition_selection(ctx.catalog, op.table.oid, key_fn(row))
 
-def _propagating_project_batches(
-    op: PropagatingProject, segment: int, ctx: ExecContext
-):
-    child = op.children[0]
-    scan_id = op.produces_part_scan_id
-    channel = ctx.channel(scan_id, segment)
-    ctx.metrics.node(op).part_scan_id = scan_id
-    ctx.metrics.record_selector(
-        scan_id,
-        "static" if op.mode == "oids" else "dynamic",
-        op.table.num_leaves,
-    )
-    if op.mode == "oids":
-        layout = child.output_layout()
-        oid_index = layout.resolve(ColumnRef(OID_COLUMN))
-        for batch in build_batches(child, segment, ctx):
-            for row in batch:
-                partition_propagation(ctx, scan_id, segment, row[oid_index])
-            yield batch
-        if ctx.faults.active:
-            ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)
-        channel.close()
-        return
-    key_fn = compile_expression(
-        op.key_expr, child.output_layout(), ctx.params
-    )
     for batch in build_batches(child, segment, ctx):
         for row in batch:
-            oid = partition_selection(ctx.catalog, op.table.oid, key_fn(row))
+            oid = oid_of(row)
             if oid is not None:
                 partition_propagation(ctx, scan_id, segment, oid)
         yield batch
@@ -244,10 +199,8 @@ def _propagating_project_batches(
     channel.close()
 
 
-EXTRA_ITERATORS[ConstraintsFunctionScan] = _constraints_scan_iter
-EXTRA_ITERATORS[PropagatingProject] = _propagating_project_iter
-EXTRA_BATCH_ITERATORS[ConstraintsFunctionScan] = _constraints_scan_batches
-EXTRA_BATCH_ITERATORS[PropagatingProject] = _propagating_project_batches
+OPERATORS[ConstraintsFunctionScan] = _constraints_scan_batches
+OPERATORS[PropagatingProject] = _propagating_project_batches
 
 
 # ---------------------------------------------------------------------------

@@ -238,9 +238,6 @@ class MotionBuffer:
             TupleQueue(capacity, limits=limits) for _ in range(num_segments)
         ]
 
-    def send(self, target: int, row: tuple, producer: int) -> None:
-        self._queues[target].put(row, producer)
-
     def send_batch(
         self, target: int, rows: list[tuple], producer: int
     ) -> None:

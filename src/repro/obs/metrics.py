@@ -24,7 +24,9 @@ import json
 import threading
 import time
 from itertools import chain
-from typing import Any, Iterator
+from typing import Any
+
+from ..types import DEFAULT_BATCH_SIZE
 
 #: bump when the shape of :meth:`MetricsCollector.to_dict` changes
 #: v2: added the top-level "resilience" section (retries, failovers,
@@ -227,8 +229,8 @@ class MetricsCollector:
     """All measurements of one query execution.
 
     The executor registers the plan (:meth:`register_plan`), wraps every
-    iterator through :meth:`instrument`, and the scan / selector / motion
-    recording methods fill in the operator-specific counters.
+    iterator through :meth:`instrument_batches`, and the scan / selector /
+    motion recording methods fill in the operator-specific counters.
     """
 
     def __init__(self, num_segments: int, timing: bool = False):
@@ -245,9 +247,8 @@ class MetricsCollector:
         # parallel execution (schema v4)
         #: worker-pool size the query ran with (1 = serial)
         self.workers = 1
-        #: vectorized batch width the query ran with (schema v9;
-        #: 1 = row-at-a-time)
-        self.batch_size = 1
+        #: batch width the query ran with (schema v9; 1 = row-at-a-time)
+        self.batch_size = DEFAULT_BATCH_SIZE
         #: one entry per (slice, segment) instance: wall seconds on its worker
         self.instances: list[dict] = []
         #: part_scan_id -> {"mode", "total", "selected" per-segment sets}
@@ -338,19 +339,10 @@ class MetricsCollector:
 
     # -- generic per-node instrumentation -----------------------------------
 
-    def instrument(self, op, segment: int, inner: Iterator[tuple]):
-        """Wrap one node's iterator with row counting (and timing when
-        enabled).  Time is inclusive of children, like EXPLAIN ANALYZE."""
-        node = self.node(op)
-        node.loops[segment] += 1
-        if self.timing:
-            return _timed_iter(node, segment, inner)
-        return _counted_iter(node, segment, inner)
-
     def instrument_batches(self, op, segment: int, inner):
-        """Batch counterpart of :meth:`instrument`: ``inner`` yields row
-        batches, and each batch charges ``len(batch)`` to ``rows_out`` in
-        one increment."""
+        """Wrap one node's batch iterator with row counting (and timing
+        when enabled; inclusive of children, like EXPLAIN ANALYZE): each
+        batch charges ``len(batch)`` to ``rows_out`` in one increment."""
         node = self.node(op)
         node.loops[segment] += 1
         if self.timing:
@@ -427,20 +419,11 @@ class MetricsCollector:
 
     # -- motions ------------------------------------------------------------
 
-    def record_motion(
-        self, op, kind: str, target_segment: int, row: tuple
-    ) -> None:
-        """One row routed by a Motion to ``target_segment``."""
-        node = self.node(op)
-        node.motion_kind = kind
-        node.rows_by_target[target_segment] += 1
-        node.bytes_moved += _row_bytes(row)
-
     def record_motion_batch(
         self, op, kind: str, target_segment: int, rows: list
     ) -> None:
-        """A batch of rows routed by a Motion to ``target_segment``; same
-        counters as ``len(rows)`` :meth:`record_motion` calls."""
+        """A batch of rows routed by a Motion to ``target_segment``: one
+        row and its serialized size each."""
         node = self.node(op)
         node.motion_kind = kind
         node.rows_by_target[target_segment] += len(rows)
@@ -756,8 +739,8 @@ class WorkerMetrics:
         self._motions: dict[int, list] = {}
 
     def __getattr__(self, name: str):
-        # everything not intercepted (instrument, node, record_slice, ...)
-        # behaves exactly as on the shared collector
+        # everything not intercepted (instrument_batches, node,
+        # record_slice, ...) behaves exactly as on the shared collector
         return getattr(self._base, name)
 
     # -- intercepted recorders (contended counters buffered locally) ---------
@@ -783,16 +766,6 @@ class WorkerMetrics:
         entry = self._base._selector(part_scan_id)
         entry["selected"][segment].add(oid)
         self._pushed[part_scan_id] = self._pushed.get(part_scan_id, 0) + 1
-
-    def record_motion(
-        self, op, kind: str, target_segment: int, row: tuple
-    ) -> None:
-        entry = self._motions.get(id(op))
-        if entry is None:
-            entry = [op, kind, [0] * self._base.num_segments, 0]
-            self._motions[id(op)] = entry
-        entry[2][target_segment] += 1
-        entry[3] += _row_bytes(row)
 
     def record_motion_batch(
         self, op, kind: str, target_segment: int, rows: list
@@ -828,29 +801,6 @@ class WorkerMetrics:
         self._motions = {}
 
 
-def _counted_iter(node: NodeMetrics, segment: int, inner):
-    rows_out = node.rows_out
-    for row in inner:
-        rows_out[segment] += 1
-        yield row
-
-
-def _timed_iter(node: NodeMetrics, segment: int, inner):
-    rows_out = node.rows_out
-    time_s = node.time_s
-    perf = time.perf_counter
-    while True:
-        start = perf()
-        try:
-            row = next(inner)
-        except StopIteration:
-            time_s[segment] += perf() - start
-            return
-        time_s[segment] += perf() - start
-        rows_out[segment] += 1
-        yield row
-
-
 def _counted_batch_iter(node: NodeMetrics, segment: int, inner):
     rows_out = node.rows_out
     for batch in inner:
@@ -874,14 +824,10 @@ def _timed_batch_iter(node: NodeMetrics, segment: int, inner):
         yield batch
 
 
-def _row_bytes(row: tuple) -> int:
-    """Cheap serialized-size estimate of one tuple (repr length plus a
-    fixed per-field framing overhead), the basis of bytes-moved counters."""
-    return sum(len(repr(value)) for value in row) + 8 * len(row)
-
-
 def _batch_bytes(rows: list) -> int:
-    """Sum of :func:`_row_bytes` over a batch, flattened into two C-level
-    ``map`` passes — same totals, no per-row generator frames."""
+    """Cheap serialized-size estimate of a batch, the basis of the
+    bytes-moved counters: per tuple, the repr length of every field plus a
+    fixed 8-byte framing overhead each.  Flattened into two C-level
+    ``map`` passes, no per-row generator frames."""
     flat = list(chain.from_iterable(rows))
     return sum(map(len, map(repr, flat))) + 8 * len(flat)

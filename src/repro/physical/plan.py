@@ -79,20 +79,40 @@ def _is_streaming_selector(spec: PartSelectorSpec) -> bool:
     return False
 
 
+def _reads_only_replicated(root: PhysicalOp) -> bool:
+    """Whether every segment's instance of the slice rooted at ``root``
+    computes the same rows: no Motion feeds it, and every leaf is a scan of
+    a replicated table (or a childless PartitionSelector, which reads
+    none).  Joins, aggregates and sorts over equal inputs are equal."""
+    for op in root.walk():
+        if isinstance(op, Motion):
+            return False
+        if op.children or isinstance(op, PartitionSelector):
+            continue
+        if not isinstance(op, (Scan, LeafScan, DynamicScan)) or (
+            op.table.distribution.kind != DistributionPolicy.REPLICATED
+        ):
+            return False
+    return True
+
+
 def _slice_dispatch(root: PhysicalOp, gathered: bool) -> DispatchSpec | None:
     """The direct-dispatch restriction of the slice rooted at ``root`` (a
     Motion's child; ``gathered``: that Motion is a Gather), or ``None``
     when the slice must run everywhere.
 
-    Provable only for the plainest slice: a chain of unary operators over
-    one scan.  Of a hash-distributed table, with filters directly on the
-    scan that pin the distribution column to a finite point set; or of a
-    replicated table below a Gather, where every segment would send the
-    same rows and one of them must.  A join, a Motion input, a Sequence or
-    an Append in the slice, or a filter above a projection or aggregate
-    (whose column names are no longer the table's) all leave the slice
-    dispatched everywhere.
+    Two slices are provable.  Below a Gather, one that reads nothing but
+    replicated tables (a scan, or a join of them): every segment would
+    send the same rows and one of them must.  And the plainest slice over
+    a hash-distributed table: a chain of unary operators over one scan,
+    with filters directly on the scan that pin the distribution column to
+    a finite point set.  There a join, a Motion input, a Sequence or an
+    Append, or a filter above a projection or aggregate (whose column
+    names are no longer the table's) all leave the slice dispatched
+    everywhere.
     """
+    if gathered and _reads_only_replicated(root):
+        return DispatchSpec.one_copy()
     predicates: list[Expression] = []
     op = root
     while not isinstance(op, (Scan, DynamicScan)):
@@ -107,7 +127,7 @@ def _slice_dispatch(root: PhysicalOp, gathered: bool) -> DispatchSpec | None:
         op = op.children[0]
     policy = op.table.distribution
     if policy.kind != DistributionPolicy.HASHED:
-        return DispatchSpec.one_copy() if gathered else None
+        return None
     key = ColumnRef(policy.column, op.alias)
     pinned = [
         conjunct

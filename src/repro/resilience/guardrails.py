@@ -2,8 +2,8 @@
 
 :class:`QueryLimits` is the cooperative enforcement object one execution
 carries on its :class:`~repro.executor.context.ExecContext`.  Iterators
-call :meth:`QueryLimits.tick` once per row (cheap: one attribute check,
-with the wall-clock read amortized over ``check_interval`` rows) and
+call :meth:`QueryLimits.tick_rows` once per batch (cheap: one attribute
+check, with the wall-clock read amortized over ``check_interval`` rows) and
 blocking operators charge their materialized rows through
 :meth:`QueryLimits.charge_rows` — the engine's memory-consumption proxy.
 Each violation raises its own typed error so callers can distinguish a
@@ -88,7 +88,7 @@ class QueryLimits:
         self._ticks = 0
         self._buffered_rows = 0
         #: guards the buffered-row budget — blocking operators on
-        #: different segment workers charge it concurrently.  ``tick``'s
+        #: different segment workers charge it concurrently.  ``tick_rows``'s
         #: ``_ticks`` counter stays lock-free on purpose: a lost increment
         #: only shifts *when* the amortized deadline check happens, never
         #: whether limits are enforced.
@@ -129,28 +129,12 @@ class QueryLimits:
                 f"query exceeded timeout of {self.timeout_seconds}s"
             )
 
-    def tick(self) -> None:
-        """Per-row checkpoint: cancellation every row, deadline every
-        ``check_interval`` rows."""
-        token = self.cancel_token
-        if token is not None:
-            token._note_check()
-            if token.cancelled:
-                raise QueryCancelled("query cancelled")
-        if self._deadline is None:
-            return
-        self._ticks += 1
-        if self._ticks % self.check_interval == 0:
-            if time.monotonic() > self._deadline:
-                raise QueryTimeout(
-                    f"query exceeded timeout of {self.timeout_seconds}s"
-                )
-
     def tick_rows(self, count: int) -> None:
-        """Batch checkpoint: exactly what ``count`` sequential
-        :meth:`tick` calls would enforce, in O(1).  The cancel token is
+        """Per-batch checkpoint, in O(1): exactly what ``count``
+        sequential ``tick_rows(1)`` calls enforce (cancellation every row,
+        the deadline every ``check_interval`` rows).  The cancel token is
         advanced by ``count`` checkpoints, and the amortized deadline
-        read fires iff one of the covered ticks would have crossed a
+        read fires iff one of the covered ticks crosses a
         ``check_interval`` boundary."""
         if count <= 0:
             return

@@ -16,6 +16,7 @@ from ..catalog import Catalog, TableDescriptor
 from ..errors import CatalogError
 from ..resilience.faults import RECOVERY_REPLAY
 from ..resilience.health import PRIMARY, SegmentHealth
+from ..types import DEFAULT_BATCH_SIZE
 from .table import TableStore
 
 
@@ -59,7 +60,7 @@ class StorageManager:
         #: table's writes fan out here (the cache layer's invalidation feed)
         self._mutation_listeners: list = []
         #: simulated per-read I/O latency in seconds (0.0 = off).  Each
-        #: ``scan_table``/``scan_leaf`` call sleeps this long before its
+        #: ``scan_table_batches``/``scan_leaf`` call sleeps this long before its
         #: first row — modelling the seek a real segment pays per
         #: partition file.  The sleep releases the GIL, so it is also what
         #: the parallel scheduler genuinely overlaps across segment worker
@@ -156,24 +157,16 @@ class StorageManager:
             return self._delayed(inner)
         return inner
 
-    def scan_table(
-        self, segment: int, root_oid: int, oids: Sequence[int] | None = None
-    ) -> Iterator[tuple]:
-        inner = self.store(root_oid).scan_segment(segment, oids)
-        if self.io_latency_s > 0:
-            return self._delayed(inner)
-        return inner
-
     def scan_table_batches(
         self,
         segment: int,
         root_oid: int,
         oids: Sequence[int] | None = None,
-        batch_size: int = 1024,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> Iterator[list[tuple]]:
-        """Batched variant of :meth:`scan_table`: row batches sliced
-        straight out of the heap lists.  The simulated I/O latency is
-        still one sleep per scan call, same as the row path."""
+        """Scan a table's rows on one segment (``oids=None``: every leaf)
+        as row batches sliced straight out of the heap lists.  The
+        simulated I/O latency is one sleep per scan call."""
         inner = self.store(root_oid).scan_segment_batches(
             segment, oids, batch_size
         )

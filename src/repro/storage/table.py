@@ -37,6 +37,7 @@ from ..catalog import DistributionPolicy, TableDescriptor
 from ..errors import PartitionError
 from ..resilience.faults import DELETE_ROWS, INSERT_ROW
 from ..resilience.health import MIRROR, PRIMARY, SegmentHealth
+from ..types import DEFAULT_BATCH_SIZE
 from .distribution import segment_for
 
 
@@ -271,7 +272,7 @@ class TableStore:
         self,
         segment: int,
         oids: Sequence[int] | None = None,
-        batch_size: int = 1024,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> Iterator[list[tuple]]:
         """Like :meth:`scan_segment`, but yields row batches sliced
         straight out of the heap lists — no per-row Python calls.

@@ -19,6 +19,11 @@ from typing import Any
 
 from .errors import ReproError
 
+#: rows per executor batch, where nothing narrower is asked for: the one
+#: default behind ``Database(batch_size=)``, the executor, its contexts and
+#: collectors, and the storage batch scans (1 = row-at-a-time)
+DEFAULT_BATCH_SIZE = 1024
+
 
 class TypeKind(enum.Enum):
     """Enumeration of supported column types."""

@@ -21,6 +21,14 @@ from repro.catalog import (
 ORDERS_START = datetime.date(2012, 1, 1)
 
 
+def rows_of(op, segment, ctx) -> list[tuple]:
+    """Every row the executor's operators produce for ``op`` on one
+    segment, at the context's batch width."""
+    from repro.executor.iterators import drain
+
+    return drain(op, segment, ctx)
+
+
 def approx_rows(left, right, rel=1e-9):
     """Order-insensitive row-set comparison with float tolerance.
 

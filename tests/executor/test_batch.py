@@ -1,17 +1,21 @@
-"""Vectorized batch execution: exact equivalence with the row path.
+"""Width invariance: one pipeline, the same answer at every batch width.
 
-The executor's batch pipeline (``batch_size > 1``) must be externally
-indistinguishable from row-at-a-time execution — same rows, same
-guardrail firing points (max_rows budget, cooperative cancel, timeout),
-same LIMIT semantics — at every batch width.  These tests pin the exact
-accounting rules:
+The executor runs every width through the same batch operators; width 1
+is row-at-a-time execution.  At widths 1, 7 and 1024 it must be externally
+indistinguishable from the handwritten row operators kept as the reference
+in :mod:`tests.executor.row_reference` — same rows, same per-node
+counters, same Motion rows and bytes, same guardrail firing points
+(max_rows budget, cooperative cancel, timeout) and typed messages, same
+LIMIT semantics.  These tests pin the exact accounting rules:
 
-* ``tick_rows(n)`` enforces exactly what ``n`` sequential ``tick()``
-  calls would (cancel-after-checks thresholds, amortized deadline reads);
+* ``tick_rows(n)`` enforces exactly what ``n`` calls of ``tick_rows(1)``
+  would (cancel-after-checks thresholds, amortized deadline reads);
 * ``charge_rows_batch(n)`` stops at the first crossing charge, so
-  ``buffered_rows`` and the typed error message match the row path;
+  ``buffered_rows`` and the typed error message match one-by-one charges;
 * ``TupleQueue.put_batch`` degrades to per-row puts on bounded queues so
-  backpressure errors fire on the same row.
+  backpressure errors fire on the same row;
+* the one legal divergence, below a LIMIT that abandons its child, is the
+  contract of docs/observability.md ("Width invariance").
 """
 
 from __future__ import annotations
@@ -27,8 +31,12 @@ from repro.errors import (
     QueryTimeout,
     ResourceLimitExceeded,
 )
-from repro.executor.queues import TupleQueue
+from repro.executor.queues import MotionBuffer, TupleQueue
+from repro.obs.metrics import MetricsCollector
 from repro.resilience import CancelToken, QueryLimits
+from tests.conftest import rows_of
+
+from . import row_reference
 
 BATCH_SIZES = [1, 7, 1024]
 
@@ -53,12 +61,33 @@ QUERIES = [
 # -- guardrail unit level ----------------------------------------------------
 
 
+def _ticks_until_raised(limits, step: int, total: int):
+    """Rows ticked, in steps of ``step``, when the guardrail fired."""
+    limits.start()
+    for done in range(0, total, step):
+        try:
+            limits.tick_rows(step)
+        except (QueryCancelled, QueryTimeout) as error:
+            return type(error), done + step
+    return None, total
+
+
 def test_tick_rows_matches_sequential_ticks_for_cancel():
     # The threshold checkpoint lands mid-batch: the batch call must fire.
     limits = QueryLimits(cancel=CancelToken(cancel_after_checks=10))
     limits.tick_rows(9)
     with pytest.raises(QueryCancelled):
         limits.tick_rows(4)
+    # f(n) == n x f(1): the same checkpoint trips, in the step holding it
+    for step in (1, 4, 7, 13):
+        cancel = QueryLimits(cancel=CancelToken(cancel_after_checks=10))
+        assert _ticks_until_raised(cancel, step, 52) == (
+            QueryCancelled, -(-10 // step) * step,
+        )
+        deadline = QueryLimits(timeout_seconds=0.0, check_interval=16)
+        assert _ticks_until_raised(deadline, step, 52) == (
+            QueryTimeout, -(-16 // step) * step,
+        )
 
 
 def test_tick_rows_zero_and_inactive_are_noops():
@@ -157,30 +186,88 @@ def test_put_batch_to_closed_queue_raises():
         queue.put_batch([(1,)])
 
 
+def test_send_batch_of_n_equals_n_sends_of_one():
+    rows = [(i, "x" * i) for i in range(9)]
+    whole, single = MotionBuffer(2), MotionBuffer(2)
+    for producer in (1, 0):
+        whole.send_batch(1, rows, producer)
+        for row in rows:
+            single.send_batch(1, [row], producer)
+    whole.close()
+    single.close()
+    assert whole.rows(1) == single.rows(1) == rows + rows
+    assert whole.rows(0) == single.rows(0) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_record_motion_batch_of_n_equals_n_records_of_one(workers):
+    rows = [(i, None, 0.5 * i, "it's") for i in range(9)]
+    motion = object()
+
+    def recorded(batches):
+        collector = MetricsCollector(2)
+        sink = collector.worker(0) if workers > 1 else collector
+        for batch in batches:
+            sink.record_motion_batch(motion, "gather", 1, batch)
+        if workers > 1:
+            sink.merge()
+        node = collector.node(motion)
+        return node.motion_kind, node.rows_by_target, node.bytes_moved
+
+    whole = recorded([rows])
+    assert whole == recorded([[row] for row in rows])
+    assert whole[:2] == ("gather", [0, 9])
+    assert whole[2] == sum(len(repr(v)) + 8 for row in rows for v in row)
+
+
 # -- engine level: result equivalence ---------------------------------------
+
+
+def _node_counters(metrics):
+    """Per node, in plan order: rows out, rows scanned and loops per
+    segment, Motion rows per target and bytes."""
+    return [
+        (n.op, n.detail, n.rows_out, n.rows_scanned, n.loops,
+         n.rows_by_target, n.bytes_moved)
+        for n in metrics.nodes
+    ]
+
+
+def _row_reference(db, sql, optimizer="orca", **kwargs):
+    """(rows, context) of ``sql`` run through the row operators."""
+    return row_reference.run_plan(db, db.plan(sql, optimizer), **kwargs)
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("sql", QUERIES)
 def test_batch_results_match_row_path(orders_db, sql, batch_size):
-    reference = orders_db.sql(sql, batch_size=1)
-    batched = orders_db.sql(sql, batch_size=batch_size)
-    assert sorted(batched.rows, key=repr) == sorted(reference.rows, key=repr)
+    rows, ctx = _row_reference(orders_db, sql)
+    batched = orders_db.sql(sql, analyze=True, batch_size=batch_size)
+    assert batched.rows == rows  # same rows in the same order
+    if "LIMIT" not in sql or batch_size == 1:
+        # nothing is abandoned mid-stream (or width 1 is the row path):
+        # every counter of every node, Motion rows and bytes included
+        assert _node_counters(batched.metrics) == _node_counters(ctx.metrics)
+    assert batched.metrics.partitions_scanned() == ctx.metrics.partitions_scanned()
+    assert batched.metrics.total_rows_scanned == ctx.metrics.total_rows_scanned
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_batch_partition_elimination_is_batch_invariant(orders_db, batch_size):
     sql = JOIN_SQL
-    reference = orders_db.sql(sql, analyze=True, batch_size=1)
+    _, ctx = _row_reference(orders_db, sql)
     batched = orders_db.sql(sql, analyze=True, batch_size=batch_size)
     assert (
         batched.metrics.partitions_scanned()
-        == reference.metrics.partitions_scanned()
+        == ctx.metrics.partitions_scanned()
     )
     assert (
         batched.metrics.total_rows_scanned
-        == reference.metrics.total_rows_scanned
+        == ctx.metrics.total_rows_scanned
     )
+    assert [
+        batched.metrics.selector_summary(scan_id) for scan_id in batched.metrics.selectors
+    ] == [ctx.metrics.selector_summary(scan_id) for scan_id in ctx.metrics.selectors]
 
 
 def test_metrics_record_the_batch_size(orders_db):
@@ -195,11 +282,19 @@ def test_metrics_record_the_batch_size(orders_db):
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 def test_max_rows_fires_identically_at_any_batch_size(orders_db, batch_size):
+    reference_limits = QueryLimits(max_rows=5)
     with pytest.raises(ResourceLimitExceeded) as row_err:
-        orders_db.sql(JOIN_SQL, max_rows=5, batch_size=1)
+        _row_reference(orders_db, JOIN_SQL, limits=reference_limits)
+    limits = QueryLimits(max_rows=5)
     with pytest.raises(ResourceLimitExceeded) as batch_err:
-        orders_db.sql(JOIN_SQL, max_rows=5, batch_size=batch_size)
+        orders_db.execute_plan(
+            orders_db.plan(JOIN_SQL), limits=limits, batch_size=batch_size
+        )
     assert str(batch_err.value) == str(row_err.value)
+    assert limits.buffered_rows == reference_limits.buffered_rows == 8
+    with pytest.raises(ResourceLimitExceeded) as sql_err:
+        orders_db.sql(JOIN_SQL, max_rows=5, batch_size=batch_size)
+    assert str(sql_err.value) == str(row_err.value)
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
@@ -267,7 +362,7 @@ def test_scan_segment_batches_matches_scan_segment(orders_db):
     storage = orders_db.storage
     root = orders_db.catalog.table("orders").oid
     for segment in range(orders_db.num_segments):
-        rows = list(storage.scan_table(segment, root))
+        rows = list(storage.store(root).scan_segment(segment))
         batches = list(
             storage.scan_table_batches(segment, root, batch_size=64)
         )
@@ -280,15 +375,15 @@ def test_scan_segment_batches_matches_scan_segment(orders_db):
 # -- generated kernels: every variant equals the row path --------------------
 #
 # Hand-built operator trees over one segment, so each kernel variant is
-# reached whatever plan the optimizers prefer: the row pipeline is the
-# reference, the batch pipeline runs at widths 1, 7 and 1024, and rows (in
-# order), every node's rows_out / rows_scanned and the max_rows firing point
-# must be equal.
+# reached whatever plan the optimizers prefer: the row operators of
+# row_reference are the reference, the pipeline runs at widths 1, 7 and
+# 1024, and rows (in order), every node's rows_out / rows_scanned / loops
+# and the max_rows firing point must be equal.
 
 from repro.catalog import Catalog  # noqa: E402
 from repro.errors import ExecutionError  # noqa: E402
 from repro.executor.context import ExecContext  # noqa: E402
-from repro.executor.iterators import build_batches, build_iterator  # noqa: E402
+from repro.executor.iterators import build_batches  # noqa: E402
 from repro.expr.ast import (  # noqa: E402
     AggCall,
     Arithmetic,
@@ -299,10 +394,13 @@ from repro.expr.ast import (  # noqa: E402
     Parameter,
 )
 from repro.physical.ops import (  # noqa: E402
+    Delete,
     EmptyScan,
     Filter,
     HashAgg,
     HashJoin,
+    Limit,
+    NLJoin,
     Project,
     Scan,
     Sort,
@@ -351,7 +449,7 @@ def _col(name, alias):
 
 def _run_tree(kernel_env, make_tree, width, params=None, max_rows=None):
     """(rows, per-node counters, limits) — or the typed error — of a fresh
-    tree run through the row pipeline (``width=None``) or the batch one."""
+    tree run through the row reference (``width=None``) or the pipeline."""
     catalog, storage, tables = kernel_env
     limits = QueryLimits(max_rows=max_rows)
     limits.start()
@@ -361,13 +459,17 @@ def _run_tree(kernel_env, make_tree, width, params=None, max_rows=None):
     tree = make_tree(tables)
     try:
         if width is None:
-            rows = list(build_iterator(tree, 0, ctx))
+            rows = list(row_reference.build_iterator(tree, 0, ctx))
         else:
-            rows = [row for batch in build_batches(tree, 0, ctx) for row in batch]
+            rows = []
+            for batch in build_batches(tree, 0, ctx):
+                assert 0 < len(batch) <= width  # never empty, never wider
+                rows.extend(batch)
     except (ResourceLimitExceeded, ExecutionError) as error:
         return type(error), str(error), limits.buffered_rows
     counters = sorted(
-        (n.op, n.detail, n.rows_out, n.rows_scanned) for n in ctx.metrics.nodes
+        (n.op, n.detail, n.rows_out, n.rows_scanned, n.loops)
+        for n in ctx.metrics.nodes
     )
     return rows, counters, limits.buffered_rows
 
@@ -569,6 +671,176 @@ def test_max_rows_trips_inside_a_group_table_identically(kernel_env, keys, width
         assert reference[2] == groups  # buffered_rows stops at the crossing charge
     empty = _agg("empty", keys, "single")
     assert _run_tree(kernel_env, empty, width, max_rows=0)[2] == 0
+
+
+# -- the rewritten stragglers: NLJoin, Delete, Update -------------------------
+
+NL_EQ = Comparison("=", _col("k", "o"), _col("k", "i"))
+
+
+def _nl_join(kind, predicate=NL_EQ):
+    return lambda tables: NLJoin(
+        kind, Scan(tables["l"], "o"), Scan(tables["r"], "i"), predicate
+    )
+
+
+@pytest.mark.parametrize("width", BATCH_SIZES)
+@pytest.mark.parametrize("kind", ["inner", "semi"])
+def test_nl_join_output_crosses_batch_boundaries(kernel_env, kind, width):
+    """NLJoin emits batches of at most the width (asserted for every batch
+    in ``_run_tree``); its output is several batches long at width 7."""
+    reference = _run_tree(kernel_env, _nl_join(kind), None)
+    assert _run_tree(kernel_env, _nl_join(kind), width) == reference
+    assert len(reference[0]) > 7 and len(reference[0]) % 7
+    cross = _run_tree(kernel_env, _nl_join(kind, None), width)
+    assert cross == _run_tree(kernel_env, _nl_join(kind, None), None)
+    assert len(cross[0]) == (60 if kind == "semi" else 60 * 40)
+
+
+@pytest.mark.parametrize("width", BATCH_SIZES)
+@pytest.mark.parametrize("kind", ["inner", "semi"])
+def test_nl_join_gulp_charge_is_the_same_at_every_width(kernel_env, kind, width):
+    """Both inputs are materialized and charged at once: 100 rows, over
+    the budget or not, never a partial charge."""
+    both = len(L_ROWS) + len(R_ROWS)
+    for budget in (both - 1, both):
+        reference = _run_tree(kernel_env, _nl_join(kind), None, max_rows=budget)
+        assert _run_tree(kernel_env, _nl_join(kind), width, max_rows=budget) == reference
+        assert (reference[0] is ResourceLimitExceeded) == (budget < both)
+        assert reference[2] == both
+
+
+def _dml_env(rows):
+    catalog = Catalog()
+    storage = StorageManager(catalog, 1)
+    target = catalog.create_table(
+        "t",
+        TableSchema.of(("a", t.INT), ("k", t.INT)),
+        distribution=DistributionPolicy.hashed("a"),
+        partition_scheme=PartitionScheme([uniform_int_level("k", 0, 100, 4)]),
+    )
+    using = catalog.create_table(
+        "u", TableSchema.of(("x", t.INT)), distribution=DistributionPolicy.replicated()
+    )
+    for table, data in ((target, rows), (using, [(a,) for a, _ in rows[:20]] * 2)):
+        storage.register(table)
+        storage.store(table.oid).insert_many(data)
+    return catalog, storage, target, using
+
+
+@pytest.mark.parametrize("width", [None, *BATCH_SIZES], ids=["reference", "1", "7", "1024"])
+def test_delete_using_duplicate_victims_in_two_batches_delete_once(width):
+    """``u`` lists 20 keys twice, 20 rows apart: probing with it emits every
+    victim twice, in different child batches at width 7.  Each is deleted
+    (and counted) once."""
+    rows = [(a, (a * 7) % 100) for a in range(50)]
+    catalog, storage, target, using = _dml_env(rows)
+    delete = Delete(
+        HashJoin(
+            "inner", Scan(target, "t"), Scan(using, "u"),
+            [_col("a", "t")], [_col("x", "u")],
+        ),
+        target,
+        "t",
+    )
+    ctx = ExecContext(catalog, storage, 1, batch_size=width or 1)
+    if width is None:
+        deleted = list(row_reference.build_iterator(delete, 0, ctx))
+    else:
+        deleted = rows_of(delete, 0, ctx)
+    assert deleted == [(20,)]
+    assert ctx.metrics.node(delete.children[0]).rows_out == [40]
+    assert sorted(storage.store(target.oid).scan_all()) == rows[20:]
+
+
+@pytest.mark.parametrize("optimizer", ["orca", "planner"])
+def test_update_moves_rows_across_partitions_and_segments_in_many_batches(optimizer):
+    """50 updated rows reach the Update in eight batches at width 7; every
+    one changes its distribution key and its partition key.  The table ends
+    up identical at every width, equal to the row reference's, and every
+    row sits on the segment and in the leaf its new values route to."""
+    from repro.storage.distribution import segment_for
+
+    def placed(width):
+        db = Database(num_segments=3)
+        table = db.create_table(
+            "t",
+            TableSchema.of(("a", t.INT), ("k", t.INT)),
+            distribution=DistributionPolicy.hashed("a"),
+            partition_scheme=PartitionScheme([uniform_int_level("k", 0, 100, 4)]),
+        )
+        db.insert("t", [(a, a) for a in range(60)])
+        sql = "UPDATE t SET a = a + 1000, k = 99 - k WHERE k < 50"
+        if width is None:
+            rows, _ = _row_reference(db, sql, optimizer)
+        else:
+            result = db.sql(sql, optimizer=optimizer, batch_size=width, analyze=True)
+            rows = result.rows
+            gather = result.metrics.nodes[1]
+            assert (gather.op, sum(gather.rows_out)) == ("GatherMotion", 50)
+        assert rows == [(50,)]
+        store = db.storage.store(table.oid)
+        where = {}
+        for segment in range(3):
+            for oid in table.all_leaf_oids():
+                for row in store.scan_segment(segment, [oid]):
+                    assert segment_for(row[0], 3) == segment
+                    assert table.leaf_oid(table.route_row(row)) == oid
+                    where[row] = (segment, oid)
+        return where
+
+    reference = placed(None)
+    assert sorted(reference) == sorted(
+        [(a + 1000, 99 - a) for a in range(50)] + [(a, a) for a in range(50, 60)]
+    )
+    for width in BATCH_SIZES:
+        assert placed(width) == reference
+
+
+# -- the one legal divergence: below a LIMIT that abandons its child ----------
+
+
+def _limited(count, child):
+    return lambda tables: Limit(child(tables), count)
+
+
+#: shape -> (the Limit's direct child, the tree below the Limit)
+ABANDONED = {
+    "filter": ("Filter", lambda tables: Filter(
+        Scan(tables["l"], "x"), Comparison(">", _col("v", "x"), Literal(0.5))
+    )),
+    "join": ("HashJoin", JOINS["inner-single-key"]),
+    "project-join": ("Project", lambda tables: Project(
+        JOINS["inner-single-key"](tables), [(_col("k", "b"), "k")]
+    )),
+    "nl-join": ("NLJoin", _nl_join("inner")),
+}
+
+
+@pytest.mark.parametrize("width", BATCH_SIZES)
+@pytest.mark.parametrize("count", [1, 5, 20])
+@pytest.mark.parametrize("shape", sorted(ABANDONED))
+def test_limit_contract_below_an_abandoned_child(kernel_env, shape, count, width):
+    """docs/observability.md, "Width invariance": the rows are identical;
+    width 1 equals the row reference counter for counter; at width ``w`` no
+    descendant of the Limit counts fewer rows than at width 1, and the
+    Limit's direct child at most ``w - 1`` more."""
+    child, below = ABANDONED[shape]
+    make = _limited(count, below)
+    reference = _run_tree(kernel_env, make, None)
+    narrow = _run_tree(kernel_env, make, 1)
+    assert narrow == reference
+    rows, counters, _ = _run_tree(kernel_env, make, width)
+    assert rows == reference[0] and len(rows) == count
+    for (op, detail, out, scanned, loops), (_, _, out1, scanned1, loops1) in zip(
+        counters, narrow[1]
+    ):
+        assert loops == loops1
+        assert out[0] >= out1[0] and scanned[0] >= scanned1[0]
+        if op == "Limit":
+            assert out == out1 == [count]
+        if op == child:
+            assert out[0] <= out1[0] + width - 1
 
 
 # -- SQL level: the two fixed answers at both optimizers and widths ----------

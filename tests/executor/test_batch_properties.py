@@ -1,10 +1,11 @@
-"""Property-based batch/row equivalence.
+"""Property-based width invariance.
 
 For random partition predicates, any batch width, and any worker count,
-the vectorized pipeline must return exactly the row-at-a-time rows, scan
-exactly the same partition set, and read the same number of rows —
-vectorization may never change what partition elimination selects or
-what the query answers.
+the one pipeline must return exactly the rows of the handwritten row
+operators (:mod:`tests.executor.row_reference`), scan exactly the same
+partition set, and count the same rows at every node and every Motion —
+the width may never change what partition elimination selects, what the
+query answers, or what its counters say.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.catalog import (
     TableSchema,
     uniform_int_level,
 )
+
+from . import row_reference
 
 ROWS = 400
 DOMAIN = 1000
@@ -54,6 +57,27 @@ def _build_db() -> Database:
 
 DB = _build_db()
 
+
+
+def _counters(metrics):
+    return [
+        (n.op, n.rows_out, n.rows_scanned, n.loops, n.rows_by_target, n.bytes_moved)
+        for n in metrics.nodes
+    ]
+
+
+def _check(sql, batch_size, workers):
+    """``sql`` at (width, workers) against the row reference: rows, scanned
+    partitions, and every node's counters (none of these statements has a
+    LIMIT, so nothing is abandoned and nothing may differ)."""
+    rows, ctx = row_reference.run_plan(DB, DB.plan(sql))
+    result = DB.sql(sql, analyze=True, batch_size=batch_size, workers=workers)
+    assert result.rows == rows  # in the same order, ORDER BY or not
+    assert result.metrics.partitions_scanned() == ctx.metrics.partitions_scanned()
+    assert result.metrics.total_rows_scanned == ctx.metrics.total_rows_scanned
+    assert _counters(result.metrics) == _counters(ctx.metrics)
+
+
 bounds = st.integers(min_value=-50, max_value=DOMAIN + 50)
 batch_sizes = st.sampled_from([1, 7, 1024])
 workers_counts = st.sampled_from([1, 4])
@@ -70,19 +94,7 @@ def test_scan_filter_is_batch_invariant(lo, hi, batch_size, workers):
     identical scanned-partition set, and identical scan-row totals at
     every (batch width, worker count)."""
     sql = f"SELECT id, key, val FROM facts WHERE key >= {lo} AND key <= {hi}"
-    reference = DB.sql(sql, analyze=True, batch_size=1)
-    batched = DB.sql(
-        sql, analyze=True, batch_size=batch_size, workers=workers
-    )
-    assert sorted(batched.rows) == sorted(reference.rows)
-    assert (
-        batched.metrics.partitions_scanned()
-        == reference.metrics.partitions_scanned()
-    )
-    assert (
-        batched.metrics.total_rows_scanned
-        == reference.metrics.total_rows_scanned
-    )
+    _check(sql, batch_size, workers)
 
 
 @settings(
@@ -102,19 +114,7 @@ def test_join_elimination_is_batch_invariant(grp, batch_size, workers):
         "SELECT count(*), sum(f.val) FROM facts f, dim d "
         f"WHERE f.key = d.key AND d.grp = {grp}"
     )
-    reference = DB.sql(sql, analyze=True, batch_size=1)
-    batched = DB.sql(
-        sql, analyze=True, batch_size=batch_size, workers=workers
-    )
-    assert batched.rows == reference.rows
-    assert (
-        batched.metrics.partitions_scanned()
-        == reference.metrics.partitions_scanned()
-    )
-    assert (
-        batched.metrics.total_rows_scanned
-        == reference.metrics.total_rows_scanned
-    )
+    _check(sql, batch_size, workers)
 
 
 @settings(
@@ -130,9 +130,7 @@ def test_group_by_is_batch_invariant(cut, batch_size, workers):
         f"SELECT val, count(*), sum(id) FROM facts WHERE key < {cut} "
         "GROUP BY val"
     )
-    reference = DB.sql(sql, batch_size=1)
-    batched = DB.sql(sql, batch_size=batch_size, workers=workers)
-    assert sorted(batched.rows) == sorted(reference.rows)
+    _check(sql, batch_size, workers)
 
 
 #: one statement per kernel variant the optimizers can produce from SQL:
@@ -168,17 +166,4 @@ KERNEL_SHAPES = [
 )
 def test_kernel_shapes_are_batch_invariant(shape, cut, batch_size, workers):
     sql = shape.format(cut=cut)
-    reference = DB.sql(sql, analyze=True, batch_size=1)
-    batched = DB.sql(sql, analyze=True, batch_size=batch_size, workers=workers)
-    if "ORDER BY" in sql:
-        assert batched.rows == reference.rows
-    else:
-        assert sorted(batched.rows, key=repr) == sorted(reference.rows, key=repr)
-    assert (
-        batched.metrics.partitions_scanned()
-        == reference.metrics.partitions_scanned()
-    )
-    assert (
-        batched.metrics.total_rows_scanned
-        == reference.metrics.total_rows_scanned
-    )
+    _check(sql, batch_size, workers)

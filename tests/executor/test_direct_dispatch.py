@@ -347,6 +347,66 @@ def test_a_join_against_a_replicated_table_is_not_dispatched(db):
     )
 
 
+REPLICATED_JOINS = [
+    ("SELECT a.k, b.v FROM a, b WHERE a.k = b.k", [(1, 10), (2, 20)]),
+    ("SELECT count(*) FROM a, b WHERE a.k = b.k", [(2,)]),
+    ("SELECT count(*) FROM a, b", [(4,)]),  # a nested loop, no key
+    ("SELECT a.k FROM a WHERE a.k IN (SELECT k FROM b WHERE v > 10)", [(2,)]),
+    ("SELECT a.k, count(*) FROM a, b WHERE a.k <= b.k GROUP BY a.k", [(1, 2), (2, 1)]),
+]
+
+
+@pytest.mark.parametrize("segments", [1, 2, 4])
+@pytest.mark.parametrize("optimizer", ["orca", "planner"])
+@pytest.mark.parametrize("batch_size", [1, 7, 1024])
+def test_a_gathered_join_of_replicated_tables_answers_once(
+    segments, optimizer, batch_size
+):
+    """Every segment holds both tables whole, so every segment's instance
+    of the joining slice computes the whole join: one of them runs."""
+    db = Database(num_segments=segments)
+    for name in ("a", "b"):
+        db.create_table(
+            name,
+            TableSchema.of(("k", t.INT), ("v", t.INT)),
+            distribution=DistributionPolicy.replicated(),
+        )
+        db.insert(name, [(1, 10), (2, 20)])
+    for sql, expected in REPLICATED_JOINS:
+        result = db.sql(sql, optimizer=optimizer, batch_size=batch_size)
+        assert sorted(result.rows) == expected, sql
+        assert result.metrics.segments_dispatched == 1, sql
+        assert "direct dispatch: one copy of a replicated table" in db.explain(
+            sql, optimizer
+        )
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_replicated_join_fails_over_like_any_dispatched_slice(db, workers):
+    sql = "SELECT count(*) FROM rep r, rep s WHERE r.key = s.key"
+    assert db.health.failover(0, "test")
+    assert db.sql(sql, workers=workers).rows == [(20,)]
+    assert db.health.mirror_reads[0] > 0
+    db.health.recover_all()
+    db.faults.arm(SCAN_ROW, segment=0, mode=FAIL_ONCE, transient=False)
+    result = db.sql(sql, workers=workers)
+    assert result.rows == [(20,)]
+    assert result.metrics.segments_dispatched == 1
+    assert db.health.down_segments == [0]
+    db.faults.reset()
+    db.health.recover_all()
+
+
+def test_a_join_with_any_hash_distributed_input_stays_undispatched(db):
+    for sql in (
+        "SELECT count(*) FROM rep r, rep s, facts f WHERE r.key = s.key AND s.key = f.key",
+        "SELECT count(*) FROM dim d, rep r WHERE d.key = r.key",
+    ):
+        plan = db.plan(sql)
+        assert all(op.dispatch is None for op in plan.walk() if isinstance(op, Motion)), sql
+        assert_same_answer(db.sql(sql), all_segments_answer(db, sql, None))
+
+
 def test_planner_plans_dispatch_too(db):
     result = db.sql("SELECT grp FROM dim WHERE key = 7", optimizer="planner")
     assert result.rows == [(7,)]

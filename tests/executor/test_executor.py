@@ -6,7 +6,6 @@ from repro import types as t
 from repro.catalog import DistributionPolicy, TableSchema
 from repro.engine import Database
 from repro.executor.context import COORDINATOR_SEGMENT, ExecContext
-from repro.executor.iterators import build_iterator
 from repro.expr.ast import ColumnRef
 from repro.physical.ops import (
     BroadcastMotion,
@@ -15,6 +14,7 @@ from repro.physical.ops import (
     Scan,
 )
 from repro.physical.plan import Plan
+from tests.conftest import rows_of
 
 
 @pytest.fixture()
@@ -35,7 +35,7 @@ def _buffered_rows(db, motion):
     ctx = ExecContext(db.catalog, db.storage, db.num_segments)
     db.executor._run_motion(motion, ctx)
     return [
-        list(build_iterator(motion, segment, ctx))
+        rows_of(motion, segment, ctx)
         for segment in range(db.num_segments)
     ]
 

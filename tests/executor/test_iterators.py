@@ -13,7 +13,6 @@ from repro.catalog import (
 )
 from repro.errors import ChannelError
 from repro.executor.context import ExecContext
-from repro.executor.iterators import build_iterator
 from repro.expr.ast import (
     AggCall,
     ColumnRef,
@@ -37,6 +36,7 @@ from repro.physical.ops import (
     Sort,
 )
 from repro.physical.properties import PartSelectorSpec
+from tests.conftest import rows_of
 
 SEGMENTS = 2
 
@@ -72,7 +72,7 @@ def env():
 def _run(op, catalog, storage, params=None) -> list[tuple]:
     """Run an iterator on one segment (tables above are replicated)."""
     ctx = ExecContext(catalog, storage, SEGMENTS, params)
-    return list(build_iterator(op, 0, ctx))
+    return rows_of(op, 0, ctx)
 
 
 def test_scan_and_filter(env):
@@ -117,7 +117,7 @@ def test_static_selector_prunes(env):
     )
     plan = PartitionSelector(spec, DynamicScan(part, "t", 1))
     ctx = ExecContext(catalog, storage, SEGMENTS)
-    rows = list(build_iterator(plan, 0, ctx))
+    rows = rows_of(plan, 0, ctx)
     assert sorted(r[0] for r in rows) == [0, 5, 10, 15, 20]
     assert ctx.tracker.partitions_scanned("part") == 1
 
@@ -131,7 +131,7 @@ def test_parameter_selector_prunes_at_runtime(env):
     )
     plan = PartitionSelector(spec, DynamicScan(part, "t", 1))
     ctx = ExecContext(catalog, storage, SEGMENTS, params=[30])
-    rows = list(build_iterator(plan, 0, ctx))
+    rows = rows_of(plan, 0, ctx)
     assert all(25 <= r[0] < 50 for r in rows)
     assert ctx.tracker.partitions_scanned("part") == 1
 
@@ -150,7 +150,7 @@ def test_streaming_selector_selects_per_tuple(env):
         Comparison("=", ColumnRef("a", "p"), ColumnRef("k", "t")),
     )
     ctx = ExecContext(catalog, storage, SEGMENTS)
-    list(build_iterator(join, 0, ctx))
+    rows_of(join, 0, ctx)
     # values 1,2,3 (and NULL) all fall in the first partition only
     assert ctx.tracker.partitions_scanned("part") == 1
 
@@ -259,7 +259,7 @@ def test_scalar_agg_empty_input_on_coordinator(env):
     assert _run(agg, catalog, storage) == [(0, None)]
     # ...other segments stay silent
     ctx = ExecContext(catalog, storage, SEGMENTS)
-    assert list(build_iterator(agg, 1, ctx)) == []
+    assert rows_of(agg, 1, ctx) == []
 
 
 def test_sort_null_placement(env):
@@ -289,6 +289,6 @@ def test_append_and_guarded_leaf_scan(env):
     channel = ctx.channel(9, 0)
     channel.push(oids[1])
     channel.close()
-    rows = list(build_iterator(append, 0, ctx))
+    rows = rows_of(append, 0, ctx)
     assert all(25 <= r[0] < 50 for r in rows)
     assert ctx.tracker.partitions_scanned("part") == 1

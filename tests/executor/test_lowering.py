@@ -9,6 +9,8 @@ from repro.executor.lowering import (
 )
 from repro.physical.ops import PartitionSelector
 
+from . import row_reference
+
 
 def _assert_equivalent(db, sql, table_name):
     native_plan = db.plan(sql)
@@ -19,6 +21,14 @@ def _assert_equivalent(db, sql, table_name):
     assert native.partitions_scanned(table_name) == lowered.partitions_scanned(
         table_name
     )
+    # the function-based operators are width-invariant too: rows and every
+    # node's counters equal the row reference's at each width
+    rows, ctx = row_reference.run_plan(db, lowered_plan)
+    counters = [(n.op, n.rows_out, n.loops) for n in ctx.metrics.nodes]
+    for width in (1, 7, 1024):
+        result = db.execute_plan(lowered_plan, batch_size=width)
+        assert result.rows == rows
+        assert [(n.op, n.rows_out, n.loops) for n in result.metrics.nodes] == counters
     return native_plan, lowered_plan
 
 

@@ -174,9 +174,9 @@ def test_queue_discard_producer_drops_only_that_run():
 
 def test_motion_buffer_routes_and_discards_per_target():
     buffer = MotionBuffer(num_segments=2)
-    buffer.send(0, ("x",), producer=1)
-    buffer.send(1, ("y",), producer=1)
-    buffer.send(1, ("z",), producer=0)
+    buffer.send_batch(0, [("x",)], producer=1)
+    buffer.send_batch(1, [("y",)], producer=1)
+    buffer.send_batch(1, [("z",)], producer=0)
     assert buffer.discard_producer(1) == 2
     buffer.close()
     assert buffer.rows(0) == []

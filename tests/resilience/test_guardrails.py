@@ -31,7 +31,7 @@ def test_limits_inactive_by_default():
     limits.start()
     limits.check()
     for _ in range(10):
-        limits.tick()
+        limits.tick_rows(1)
     limits.charge_rows(10**9)  # no budget, no error
 
 
@@ -53,18 +53,18 @@ def test_max_rows_raises_resource_limit():
 def test_cancel_token_raises_query_cancelled():
     token = CancelToken()
     limits = QueryLimits(cancel=token)
-    limits.tick()
+    limits.tick_rows(1)
     token.cancel()
     with pytest.raises(QueryCancelled):
-        limits.tick()
+        limits.tick_rows(1)
 
 
 def test_cancel_after_checks_auto_fires():
     limits = QueryLimits(cancel=CancelToken(cancel_after_checks=3))
-    limits.tick()
-    limits.tick()
+    limits.tick_rows(1)
+    limits.tick_rows(1)
     with pytest.raises(QueryCancelled):
-        limits.tick()
+        limits.tick_rows(1)
 
 
 def test_invalid_limits_rejected():
