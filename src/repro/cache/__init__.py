@@ -20,10 +20,10 @@ and guards in-flight executions with a mutation epoch.  Design notes and
 knobs: ``docs/caching.md``.
 """
 
+from ..settings import CACHE_MODES
 from .keys import StatementKey, normalized_literals, statement_key
 from .lru import CacheStats, LruCache
 from .manager import (
-    CACHE_MODES,
     CacheConfig,
     CacheManager,
     CacheSession,

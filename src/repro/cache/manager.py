@@ -40,11 +40,10 @@ import threading
 from typing import Mapping, Sequence
 
 from ..physical import ops as phys
+from ..settings import check_cache_mode
 from .keys import StatementKey
 from .partition_cache import PartitionSelectionCache, SelectionEntry
 from .result_cache import ResultCache, ResultEntry
-
-CACHE_MODES = ("off", "partitions", "results")
 
 
 class CacheConfig:
@@ -66,10 +65,7 @@ class CacheConfig:
         result_max_entries: int = 128,
         result_max_bytes: int = 32 * 1024 * 1024,
     ):
-        if mode not in CACHE_MODES:
-            raise ValueError(
-                f"unknown cache mode {mode!r} (expected one of {CACHE_MODES})"
-            )
+        check_cache_mode(mode)
         self.mode = mode
         self.max_entries = max_entries
         self.max_bytes = max_bytes
@@ -97,16 +93,6 @@ class CacheManager:
         with self._lock:
             return self._epoch
 
-    def resolve_mode(self, mode: str | None) -> str:
-        """Per-query mode, falling back to the Database-level default."""
-        if mode is None:
-            return self.config.mode
-        if mode not in CACHE_MODES:
-            raise ValueError(
-                f"unknown cache mode {mode!r} (expected one of {CACHE_MODES})"
-            )
-        return mode
-
     # -- mutation path -------------------------------------------------------
 
     def on_mutation(
@@ -132,10 +118,11 @@ class CacheManager:
     def begin(
         self, key: StatementKey, mode: str, lookup: bool = True
     ) -> "CacheSession":
-        """Open the session one statement execution runs against.
-        ``lookup=False`` skips the selection-cache probe (the result-hit
-        path, which never executes selectors)."""
-        return CacheSession(self, key, self.resolve_mode(mode), lookup)
+        """Open the session one statement execution runs against in
+        ``mode`` (the statement's ``settings.cache``).  ``lookup=False``
+        skips the selection-cache probe (the result-hit path, which never
+        executes selectors)."""
+        return CacheSession(self, key, mode, lookup)
 
     def lookup_result(self, key: StatementKey) -> ResultEntry | None:
         return self.results.get(key)

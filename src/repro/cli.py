@@ -19,16 +19,37 @@ strings, so it is unit-testable without a terminal.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import random
 import re
+import textwrap
 
-from .engine import ORCA, PLANNER, Database
+from .engine import Database
 from .errors import ReproError
 from .resilience import INJECTION_POINTS, TRIGGER_MODES
+from .settings import SET_FIELDS, apply_set
 
 PROMPT = "repro=# "
 CONTINUATION = "repro-# "
+
+
+def _settings_help() -> str:
+    """The ``SET`` lines of ``\\help`` for the rows of the settings table."""
+    lines = []
+    for field in SET_FIELDS.values():
+        off = next(word for word in field.off if word)
+        lines.append(
+            f"  SET {field.set_name} V;  SET {field.set_name} {off};"
+        )
+        lines += textwrap.wrap(
+            f"V: {field.valid}.  {field.summary}",
+            width=76,
+            initial_indent=" " * 19,
+            subsequent_indent=" " * 19,
+        )
+    return "\n".join(lines)
+
 
 _HELP = """\
 Meta commands:
@@ -63,19 +84,7 @@ SET statements configure the session:
   SET inject_fault POINT [segment=N] [mode=fail_once|fail_n|always]
                    [n=K] [skip=K] [transient];      arm a fault
   SET inject_fault off;                             disarm all faults
-  SET timeout_seconds V;   SET timeout_seconds off; per-query timeout
-  SET max_rows N;          SET max_rows off;        buffered-row budget
-  SET workers N;           SET workers off;         parallel segment
-                   execution on N worker threads (results identical to
-                   serial; off = serial)
-  SET batch_size N;        SET batch_size off;      vectorized batch
-                   width (N >= 1; 1 = one row per batch; off = the
-                   database default; results identical at any width)
-  SET cache off|partitions|results;                 statement caching:
-                   'partitions' replays partition-selector OID sets for
-                   repeat statements, 'results' additionally serves repeat
-                   SELECTs from cached results; DML invalidates entries
-                   per touched partition (see docs/caching.md)
+%s
   SET slow_log SECONDS [PATH];  SET slow_log off;   structured slow-query
                    log: statements at/above the threshold append one JSON
                    line (phase timings, partition counters) to PATH
@@ -87,7 +96,9 @@ EXPLAIN (TRACE) prefixes (ANALYZE executes the query and annotates the
 plan with per-node actual rows, partitions scanned and Motion traffic;
 TRACE plans it under a tracer and shows the lifecycle span tree plus the
 optimizer's search summary).
-Everything else is executed as SQL (end with ';' or a blank line)."""
+Everything else is executed as SQL (end with ';' or a blank line).""" % (
+    _settings_help()
+)
 
 _EXPLAIN_RE = re.compile(
     r"^explain\b(?:\s+(analyze)\b|\s*\(\s*(trace)\s*\)|\s+(trace)\b)?(.*)$",
@@ -101,27 +112,20 @@ class ReplSession:
 
     def __init__(self, db: Database | None = None, serving_session=None):
         self.db = db or Database(num_segments=4)
-        #: when set (the ``--serve`` network mode, or tests), SQL routes
-        #: through this :class:`~repro.serving.Session` — admission
-        #: control, the shared worker pool, per-session fault scope —
-        #: instead of calling :meth:`Database.sql` directly
-        self.serving_session = serving_session
-        self.optimizer = ORCA
+        #: where statements run and faults arm: a
+        #: :class:`~repro.serving.Session` in the ``--serve`` network mode
+        #: (or tests) — admission control, the shared worker pool, the
+        #: session's fault and cancel scope — else the Database itself
+        self.target = serving_session if serving_session is not None else self.db
         self.timing = False
         self.done = False
         #: count of statements that ended in an ERROR line — scripted
         #: invocations (``python -m repro < file.sql``) exit non-zero when
         #: any statement failed
         self.errors = 0
-        #: session guardrails applied to every query
-        self.timeout_seconds: float | None = None
-        self.max_rows: int | None = None
-        #: segment-scheduler pool size (None = the Database default, serial)
-        self.workers: int | None = None
-        #: vectorized batch width (None = the Database default)
-        self.batch_size: int | None = None
-        #: cache mode for every query (None = the Database default)
-        self.cache: str | None = None
+        #: the settings of every statement; edited by SET and \optimizer
+        #: (``SET x off`` goes back to the target's value)
+        self.settings = self.target.settings
         self._buffer: list[str] = []
 
     # -- line protocol -----------------------------------------------------
@@ -162,10 +166,13 @@ class ReplSession:
             return self._explain(argument)
         if name == "\\optimizer":
             if argument:
-                if argument not in (ORCA, PLANNER):
-                    return f"unknown optimizer {argument!r} (orca | planner)"
-                self.optimizer = argument
-            return f"optimizer: {self.optimizer}"
+                try:
+                    self.settings = dataclasses.replace(
+                        self.settings, optimizer=argument
+                    )
+                except ReproError as exc:
+                    return f"{exc} (orca | planner)"
+            return f"optimizer: {self.settings.optimizer}"
         if name == "\\timing":
             self.timing = not self.timing
             return f"timing is {'on' if self.timing else 'off'}"
@@ -260,10 +267,9 @@ class ReplSession:
         if not argument:
             text = store.render()
             totals = cache.stats_dict()
-            mode = self.cache if self.cache is not None else cache.config.mode
             if totals["hits"] or totals["misses"] or totals["bytes"]:
                 text += (
-                    f"\ncache ({mode}): {totals['hits']} hits, "
+                    f"\ncache ({self.settings.cache}): {totals['hits']} hits, "
                     f"{totals['misses']} misses, "
                     f"{totals['invalidations']} invalidations, "
                     f"{totals['bytes']} B cached (\\cache for detail)"
@@ -321,8 +327,9 @@ class ReplSession:
     def _cache(self, argument: str) -> str:
         manager = self.db.cache
         if not argument:
-            mode = self.cache if self.cache is not None else manager.config.mode
-            return f"session cache mode: {mode}\n{manager.render()}"
+            return (
+                f"session cache mode: {self.settings.cache}\n{manager.render()}"
+            )
         if argument.lower() == "clear":
             dropped = manager.clear()
             return f"cache cleared ({dropped} entries dropped)"
@@ -372,7 +379,9 @@ class ReplSession:
         if not sql:
             return "usage: \\explain SELECT ..."
         try:
-            return self.db.explain(sql.rstrip(";"), optimizer=self.optimizer)
+            return self.db.explain(
+                sql.rstrip(";"), optimizer=self.settings.optimizer
+            )
         except ReproError as exc:
             return self._error(exc)
 
@@ -386,20 +395,15 @@ class ReplSession:
                 return "usage: EXPLAIN [ANALYZE | (TRACE)] SELECT ..."
             try:
                 if explain.group(1):
-                    # ANALYZE executes the query, so session guardrails
-                    # apply just as they do to a plain statement.
-                    return self.db.explain_analyze(
-                        body,
-                        optimizer=self.optimizer,
-                        timeout=self.timeout_seconds,
-                        max_rows=self.max_rows,
-                        workers=self.workers,
-                        batch_size=self.batch_size,
-                        cache=self.cache,
-                    )
+                    # ANALYZE executes the query: same settings, same
+                    # serving path as a plain statement.
+                    return self.target.sql(
+                        body, settings=self.settings, analyze=True
+                    ).explain_analyze()
+                optimizer = self.settings.optimizer
                 if explain.group(2) or explain.group(3):
-                    return self.db.explain_trace(body, optimizer=self.optimizer)
-                return self.db.explain(body, optimizer=self.optimizer)
+                    return self.db.explain_trace(body, optimizer=optimizer)
+                return self.db.explain(body, optimizer=optimizer)
             except ReproError as exc:
                 return self._error(exc)
         setting = _SET_RE.match(sql.strip())
@@ -411,26 +415,7 @@ class ReplSession:
                 self.errors += 1
             return output
         try:
-            if self.serving_session is not None:
-                result = self.serving_session.sql(
-                    sql,
-                    optimizer=self.optimizer,
-                    timeout=self.timeout_seconds,
-                    max_rows=self.max_rows,
-                    workers=self.workers,
-                    batch_size=self.batch_size,
-                    cache=self.cache,
-                )
-            else:
-                result = self.db.sql(
-                    sql,
-                    optimizer=self.optimizer,
-                    timeout=self.timeout_seconds,
-                    max_rows=self.max_rows,
-                    workers=self.workers,
-                    batch_size=self.batch_size,
-                    cache=self.cache,
-                )
+            result = self.target.sql(sql, settings=self.settings)
         except ReproError as exc:
             return self._error(exc)
         lines = []
@@ -462,69 +447,15 @@ class ReplSession:
             argument = argument[1:].strip()
         if name == "inject_fault":
             return self._set_inject_fault(argument)
-        if name == "timeout_seconds":
-            if argument.lower() in ("off", "none", ""):
-                self.timeout_seconds = None
-                return "timeout_seconds is off"
-            try:
-                value = float(argument)
-            except ValueError:
-                return f"ERROR (sql): invalid timeout_seconds {argument!r}"
-            self.timeout_seconds = value
-            return f"timeout_seconds is {value}"
-        if name == "max_rows":
-            if argument.lower() in ("off", "none", ""):
-                self.max_rows = None
-                return "max_rows is off"
-            try:
-                value = int(argument)
-            except ValueError:
-                return f"ERROR (sql): invalid max_rows {argument!r}"
-            self.max_rows = value
-            return f"max_rows is {value}"
-        if name == "workers":
-            if argument.lower() in ("off", "none", "serial", ""):
-                self.workers = None
-                return "workers is off (serial execution)"
-            try:
-                value = int(argument)
-            except ValueError:
-                return f"ERROR (sql): invalid workers {argument!r}"
-            if value < 1:
-                return "ERROR (sql): workers must be >= 1"
-            self.workers = value
-            return f"workers is {value}"
-        if name == "batch_size":
-            if argument.lower() in ("off", "none", "default", ""):
-                self.batch_size = None
-                return "batch_size follows the database default"
-            try:
-                value = int(argument)
-            except ValueError:
-                return f"ERROR (sql): invalid batch_size {argument!r}"
-            if value < 1:
-                return "ERROR (sql): batch_size must be >= 1"
-            self.batch_size = value
-            return f"batch_size is {value}"
-        if name == "cache":
-            from .cache import CACHE_MODES
-
-            value = argument.lower()
-            if value in ("none", "default", ""):
-                self.cache = None
-                return "cache follows the database default"
-            if value not in CACHE_MODES:
-                return (
-                    f"ERROR (sql): unknown cache mode {argument!r} "
-                    f"(one of: {', '.join(CACHE_MODES)})"
-                )
-            self.cache = value
-            return f"cache is {value}"
         if name == "slow_log":
             return self._set_slow_log(argument)
         if name == "wal":
             return self._set_wal(argument)
-        return f"ERROR (sql): unknown setting {name!r}"
+        # every other name is a row of the settings table (or unknown)
+        self.settings, answer = apply_set(
+            self.settings, self.target.settings, name, argument
+        )
+        return answer
 
     def _set_wal(self, argument: str) -> str:
         """``SET wal sync|async`` — fsync the WAL on every commit, or
@@ -572,11 +503,7 @@ class ReplSession:
 
         With a serving session attached, faults arm on that session's
         isolated injector — other sessions' queries never see them."""
-        faults = (
-            self.serving_session.faults
-            if self.serving_session is not None
-            else self.db.faults
-        )
+        faults = self.target.faults
         if not argument:
             specs = faults.specs()
             if not specs:

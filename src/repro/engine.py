@@ -47,13 +47,10 @@ from .resilience import (
     QueryLimits,
     RetryPolicy,
 )
+from .settings import DEFAULT_SETTINGS, ORCA, PLANNER, QuerySettings, resolve
 from .sql.ast import InsertStmt
 from .sql.binder import Binder
 from .sql.parser import parse
-from .types import DEFAULT_BATCH_SIZE
-
-ORCA = "orca"
-PLANNER = "planner"
 
 
 class Database:
@@ -63,8 +60,8 @@ class Database:
         self,
         num_segments: int = 4,
         cost_model: CostModel | None = None,
-        workers: int = 1,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        workers: int | None = None,
+        batch_size: int | None = None,
         cache: str | CacheConfig | CacheManager | None = None,
         data_dir: str | None = None,
         wal_sync: str = "sync",
@@ -74,18 +71,11 @@ class Database:
         from .storage import StorageManager
 
         self.num_segments = num_segments
-        #: default segment-scheduler pool size (1 = serial execution);
-        #: per-query override via ``sql(..., workers=N)``
-        self.workers = workers
-        #: default batch width (1 = row-at-a-time); per-query override
-        #: via ``sql(..., batch_size=N)``
-        self.batch_size = batch_size
         self.catalog = Catalog()
         self.storage = StorageManager(self.catalog, num_segments)
         #: the instance's :class:`~repro.cache.CacheManager`.  ``cache``
-        #: sets the default mode ('off' | 'partitions' | 'results') or
-        #: passes a full config/manager; per-query override via
-        #: ``sql(..., cache=...)``.  Storage mutations feed its
+        #: is the default mode ('off' | 'partitions' | 'results'), a full
+        #: config or a prebuilt manager.  Storage mutations feed its
         #: partition-scoped invalidation whatever the mode.
         if isinstance(cache, CacheManager):
             self.cache = cache
@@ -95,6 +85,17 @@ class Database:
             self.cache = CacheManager(
                 CacheConfig(mode=cache) if cache is not None else None
             )
+        #: the default :class:`~repro.settings.QuerySettings` of every
+        #: statement: sessions and ``sql()`` calls override fields of it
+        #: (docs/architecture.md, "Statement settings")
+        self.settings = resolve(
+            DEFAULT_SETTINGS,
+            overrides={
+                "workers": workers,
+                "batch_size": batch_size,
+                "cache": self.cache.config.mode,
+            },
+        )
         self.storage.add_mutation_listener(self.cache.on_mutation)
         #: optimizer statistics (ANALYZE results) — renamed from ``stats``
         #: so :meth:`stats` can surface the cumulative query-stats store
@@ -138,8 +139,6 @@ class Database:
             num_segments,
             faults=self.faults,
             retry_policy=self.retry_policy,
-            workers=workers,
-            batch_size=batch_size,
         )
         #: the instance's :class:`~repro.serving.QueryServer`, created
         #: lazily by :meth:`serve` / :meth:`session`
@@ -223,9 +222,9 @@ class Database:
 
     def session(self, **settings):
         """Open one serving :class:`~repro.serving.Session` against the
-        (lazily created) server: isolated per-session defaults (workers,
-        timeout, max_rows, cache mode, optimizer, fault injector) and a
-        per-session cancel that never touches other sessions' queries."""
+        (lazily created) server: its own default settings (``settings=``
+        or keyword overrides of this Database's), its own fault injector
+        and a cancel that never touches other sessions' queries."""
         return self.serve().session(**settings)
 
     def serve_scrape(self, host: str = "127.0.0.1", port: int = 0):
@@ -335,16 +334,14 @@ class Database:
             return self.binder.bind(statement)
 
     def _optimize(
-        self,
-        logical: LogicalOp,
-        optimizer: str,
-        parameter_count: int,
-        **options,
+        self, logical: LogicalOp, settings: QuerySettings, parameter_count: int
     ) -> Plan:
         """The optimize lifecycle phase (one span; the optimizer emits the
         nested ``place_partition_selectors`` span and search events)."""
-        engine = self.make_optimizer(optimizer, **options)
-        with obs_trace.span("optimize", optimizer=optimizer):
+        engine = self.make_optimizer(
+            settings.optimizer, **dict(settings.optimizer_options)
+        )
+        with obs_trace.span("optimize", optimizer=settings.optimizer):
             return engine.optimize(logical, parameter_count)
 
     def plan(
@@ -355,8 +352,10 @@ class Database:
         **options,
     ) -> Plan:
         """Parse, bind and optimize a query into a physical plan."""
-        logical = self.bind(query)
-        return self._optimize(logical, optimizer, parameter_count, **options)
+        settings = resolve(
+            self.settings, overrides={"optimizer": optimizer, **options}
+        )
+        return self._optimize(self.bind(query), settings, parameter_count)
 
     def explain(self, query: str, optimizer: str = ORCA, **options) -> str:
         return self.plan(query, optimizer, **options).explain()
@@ -373,126 +372,76 @@ class Database:
             plan = self.plan(query, optimizer, **options)
         return render_explain_trace(plan.explain(), tracer)
 
-    def explain_analyze(
-        self,
-        query: str,
-        optimizer: str = ORCA,
-        params: Sequence[Any] | None = None,
-        **options,
-    ) -> str:
+    def explain_analyze(self, query: str, **keywords) -> str:
         """Execute the query with full metrics collection and render the
-        physical plan annotated with per-node actuals (EXPLAIN ANALYZE)."""
-        result = self.sql(
-            query, optimizer, params=params, analyze=True, **options
-        )
-        return result.explain_analyze()
+        physical plan annotated with per-node actuals (EXPLAIN ANALYZE).
+        ``keywords`` are those of :meth:`sql`."""
+        keywords["analyze"] = True
+        return self.sql(query, **keywords).explain_analyze()
 
     # -- execution ---------------------------------------------------------------------
 
     def sql(
         self,
         query: str,
-        optimizer: str = ORCA,
+        *,
         params: Sequence[Any] | None = None,
-        analyze: bool = False,
-        timeout: float | None = None,
-        max_rows: int | None = None,
+        settings: QuerySettings | None = None,
         cancel: CancelToken | None = None,
-        trace: bool = False,
-        lower_selectors: bool = False,
-        workers: int | None = None,
-        batch_size: int | None = None,
-        cache: str | None = None,
         faults=None,
         scheduler=None,
         activity=None,
-        **options,
+        **overrides,
     ) -> ExecutionResult:
         """Parse, plan and execute one statement.
 
-        Every call registers with the live activity registry
-        (``db.live``): the statement is visible in ``db.activity()`` /
-        ``\\activity`` while it runs — current phase, rows and partitions
-        so far — and its completion feeds the latency histograms, the
-        slow-query log and the metrics export's ``live`` section (schema
-        v7).  ``activity`` passes a pre-registered
-        :class:`~repro.obs.live.QueryActivity` (the serving layer
-        registers before admission so queued statements are visible);
-        None registers a fresh record.  Statements with a ``cancel``
-        token — every serving-session query has one — are cancellable by
-        id via :meth:`cancel_query`.
+        How it runs is one :class:`~repro.settings.QuerySettings` value:
+        ``settings`` if given, else the Database default, with the keyword
+        ``overrides`` on top (``db.sql(q, workers=4, cache="results",
+        enable_partition_elimination=False)``).  The fields, their ranges
+        and what each does are tabulated in docs/architecture.md,
+        "Statement settings"; an invalid value raises here, before
+        anything runs.
 
-        ``faults`` overrides the instance-wide
-        :class:`~repro.resilience.FaultInjector` for this query (serving
-        sessions each carry an isolated one); ``scheduler`` runs the
-        query's segment instances on a caller-owned
+        The remaining keywords are per-execution handles, not settings.
+        ``cancel`` is a :class:`~repro.resilience.CancelToken` whose
+        :meth:`cancel` makes the next guardrail checkpoint raise
+        :class:`~repro.errors.QueryCancelled` (and makes the statement
+        cancellable by id via :meth:`cancel_query`).  ``faults`` overrides
+        the instance-wide :class:`~repro.resilience.FaultInjector` for
+        this query (serving sessions each carry an isolated one);
+        ``scheduler`` runs the query's segment instances on a caller-owned
         :class:`~repro.executor.scheduler.SegmentScheduler` — the serving
         layer's shared worker pool — instead of a per-query pool.
 
-        ``cache`` overrides the Database-level cache mode for this query:
-        ``'off'``, ``'partitions'`` (replay partition-selector OID sets for
-        repeat statements), or ``'results'`` (additionally serve repeat
-        SELECTs from cached result sets).  Cached entries are keyed by
-        fingerprint + literal/parameter values + plan options and
-        invalidated per touched partition by DML (see docs/caching.md).
-
-        ``workers`` sets the segment-scheduler pool size for this query
-        (``None`` uses the Database default, normally 1 = serial).  With
-        ``workers > 1`` each slice's per-segment instances run
-        concurrently on a thread pool; results are guaranteed identical
-        to a serial run (see docs/parallelism.md).
-
-        ``batch_size`` sets the batch width for this query (``None`` uses
-        the Database default, normally 1024; ``1`` is row-at-a-time).
-        Results, partition counters and guardrail firing rows are
-        identical at any width (see docs/parallelism.md, "Vectorized
-        batch execution").
-
-        ``analyze=True`` enables per-node wall-clock timing collection on
-        top of the always-on row/partition/motion counters; the result's
-        ``metrics`` object and ``explain_analyze()`` expose them.
-
-        ``trace=True`` additionally records a lifecycle trace (parse →
-        bind → optimize → place_partition_selectors → lower → execute,
-        with per-slice child spans) plus the optimizer's typed search
-        events; the tracer is attached as ``result.trace`` and summarised
-        in the metrics export's ``trace``/``optimizer`` sections (schema
-        v3).  Tracing is off by default and costs nothing when off.
-
-        ``lower_selectors=True`` applies the Section 3.2 lowering (the
-        ``lower`` phase rewrites PartitionSelectors into plain operator
-        plumbing) before execution.
-
-        The guardrail parameters build the query's
-        :class:`~repro.resilience.QueryLimits`: ``timeout`` (seconds of
-        wall clock before :class:`~repro.errors.QueryTimeout`),
-        ``max_rows`` (budget of buffered rows across blocking operators
-        and motion buffers before
-        :class:`~repro.errors.ResourceLimitExceeded`) and ``cancel`` (a
-        :class:`~repro.resilience.CancelToken` whose :meth:`cancel` makes
-        the next checkpoint raise :class:`~repro.errors.QueryCancelled`).
+        Every call registers with the live activity registry
+        (``db.live``): the statement is visible in ``db.activity()`` /
+        ``\\activity`` while it runs, and its completion feeds the latency
+        histograms, the slow-query log and the metrics export's ``live``
+        section.  ``activity`` passes a pre-registered
+        :class:`~repro.obs.live.QueryActivity` (the serving layer
+        registers before admission so queued statements are visible);
+        None registers a fresh record.
         """
+        settings = resolve(self.settings, settings, overrides)
         if activity is None:
             activity = self.live.begin(
-                query,
-                workers=workers if workers is not None else self.workers,
-                cancel=cancel,
+                query, workers=settings.workers, cancel=cancel
             )
         else:
             activity.adopt_cancel(cancel)
         try:
             with obs_trace.feed_phases(activity.enter_phase):
-                mode = self.cache.resolve_mode(cache)
                 session = None
-                if mode != "off":
-                    key = self._statement_key(
-                        query, params, optimizer, lower_selectors, options
-                    )
-                    if mode == "results":
+                if settings.cache != "off":
+                    key = self._statement_key(query, params, settings)
+                    if settings.cache == "results":
                         entry = self.cache.lookup_result(key)
                         if entry is not None:
                             activity.enter_phase("cache_hit")
-                            result = self._cached_result(key, mode, entry)
+                            result = self._cached_result(
+                                key, settings.cache, entry
+                            )
                             result.metrics.record_live(
                                 self.live.complete(activity)
                             )
@@ -501,27 +450,18 @@ class Database:
                             )
                             self.query_stats.record(query, result)
                             return result
-                    session = self.cache.begin(key, mode)
-                tracer = Tracer() if trace else None
+                    session = self.cache.begin(key, settings.cache)
+                tracer = Tracer() if settings.trace else None
                 with obs_trace.activate(tracer):
                     result = self._sql(
                         query,
-                        optimizer,
                         params,
-                        analyze,
-                        QueryLimits(
-                            timeout_seconds=timeout,
-                            max_rows=max_rows,
-                            cancel=cancel,
-                        ),
-                        lower_selectors,
-                        workers,
+                        settings,
+                        QueryLimits(settings.timeout, settings.max_rows, cancel),
                         session,
-                        faults=faults,
-                        scheduler=scheduler,
-                        activity=activity,
-                        batch_size=batch_size,
-                        **options,
+                        faults,
+                        scheduler,
+                        activity,
                     )
         except BaseException as error:
             self.live.complete(activity, error=error)
@@ -567,17 +507,15 @@ class Database:
         self,
         query: str,
         params: Sequence[Any] | None,
-        optimizer: str,
-        lower_selectors: bool,
-        options: dict,
+        settings: QuerySettings,
     ):
-        """The cache key for one execution.  Optimizer options change plan
-        shape (and with it part_scan_id assignment), so they fold into the
-        key's optimizer tag."""
-        tag = optimizer
-        if options:
-            tag = f"{optimizer}|{sorted(options.items())!r}"
-        return statement_key(query, params, tag, lower_selectors)
+        """The cache key for one execution: the statement, its values and
+        ``settings.plan_key``.  Optimizer options change plan shape (and
+        with it part_scan_id assignment), so they fold into the key's
+        optimizer tag."""
+        optimizer, options, lowered = settings.plan_key
+        tag = f"{optimizer}|{options!r}" if options else optimizer
+        return statement_key(query, params, tag, lowered)
 
     def _cached_result(self, key, mode: str, entry) -> ExecutionResult:
         """Serve one SELECT from the result cache (no execution)."""
@@ -594,89 +532,69 @@ class Database:
     def _sql(
         self,
         query: str,
-        optimizer: str,
         params: Sequence[Any] | None,
-        analyze: bool,
+        settings: QuerySettings,
         limits: QueryLimits,
-        lower_selectors: bool,
-        workers: int | None = None,
         session=None,
         faults=None,
         scheduler=None,
         activity=None,
-        batch_size: int | None = None,
-        **options,
     ) -> ExecutionResult:
         with obs_trace.span("parse"):
             statement = parse(query)
+        #: the table an INSERT ... SELECT loads (None = a plain query)
+        target = None
         if isinstance(statement, InsertStmt):
-            from .obs import MetricsCollector
+            if statement.select is None:
+                from .obs import MetricsCollector
 
-            if statement.select is not None:
-                # INSERT ... SELECT: plan and run the query, then load its
-                # rows (schema-validated and re-routed through f_T).
-                target = self.catalog.table(statement.table.name)
                 with obs_trace.span("bind"):
-                    logical = self.binder.bind_select(statement.select)
-                plan = self._optimize(
-                    logical, optimizer, len(params) if params else 0, **options
-                )
-                if len(plan.root.output_layout()) != len(target.schema):
-                    raise ReproError(
-                        f"INSERT INTO {target.name}: SELECT produces "
-                        f"{len(plan.root.output_layout())} columns, table "
-                        f"has {len(target.schema)}"
-                    )
-                plan = self._lower(plan, lower_selectors)
-                with obs_trace.span("execute"):
-                    # The selection cache still applies to the source
-                    # SELECT; results are never cached for DML statements.
-                    selected = self.executor.execute(
-                        plan,
-                        params,
-                        analyze=analyze,
-                        limits=limits,
-                        workers=workers,
-                        cache=session,
-                        faults=faults,
-                        scheduler=scheduler,
-                        activity=activity,
-                        batch_size=batch_size,
-                    )
-                count = self.insert(target.name, selected.rows)
+                    table, rows = self.binder.bind_insert_rows(statement)
+                count = self.insert(table, rows)
                 return ExecutionResult(
                     [(count,)],
                     ["inserted"],
-                    selected.metrics,
-                    selected.elapsed_seconds,
+                    MetricsCollector(self.num_segments),
+                    0.0,
                 )
+            # INSERT ... SELECT: plan and run the query, then load its
+            # rows (schema-validated and re-routed through f_T).
+            target = self.catalog.table(statement.table.name)
             with obs_trace.span("bind"):
-                table, rows = self.binder.bind_insert_rows(statement)
-            count = self.insert(table, rows)
-            return ExecutionResult(
-                [(count,)],
-                ["inserted"],
-                MetricsCollector(self.num_segments),
-                0.0,
+                logical = self.binder.bind_select(statement.select)
+        else:
+            with obs_trace.span("bind"):
+                logical = self.binder.bind(statement)
+        plan = self._optimize(logical, settings, len(params) if params else 0)
+        if target is not None and len(plan.root.output_layout()) != len(
+            target.schema
+        ):
+            raise ReproError(
+                f"INSERT INTO {target.name}: SELECT produces "
+                f"{len(plan.root.output_layout())} columns, table "
+                f"has {len(target.schema)}"
             )
-        with obs_trace.span("bind"):
-            logical = self.binder.bind(statement)
-        plan = self._optimize(
-            logical, optimizer, len(params) if params else 0, **options
-        )
-        plan = self._lower(plan, lower_selectors)
+        plan = self._lower(plan, settings.lower_selectors)
         with obs_trace.span("execute"):
+            # The selection cache applies to an INSERT's source SELECT
+            # too; results are never cached for DML statements.
             result = self.executor.execute(
                 plan,
                 params,
-                analyze=analyze,
+                settings,
                 limits=limits,
-                workers=workers,
-                cache=session,
+                cache_session=session,
                 faults=faults,
                 scheduler=scheduler,
                 activity=activity,
-                batch_size=batch_size,
+            )
+        if target is not None:
+            count = self.insert(target.name, result.rows)
+            return ExecutionResult(
+                [(count,)],
+                ["inserted"],
+                result.metrics,
+                result.elapsed_seconds,
             )
         if session is not None and session.results_active:
             # Commit the result set with its invalidation footprint: the
@@ -710,16 +628,14 @@ class Database:
         self,
         plan: Plan,
         params: Sequence[Any] | None = None,
-        analyze: bool = False,
+        *,
+        settings: QuerySettings | None = None,
         limits: QueryLimits | None = None,
-        workers: int | None = None,
-        batch_size: int | None = None,
+        **overrides,
     ) -> ExecutionResult:
         return self.executor.execute(
             plan,
             params,
-            analyze=analyze,
+            resolve(self.settings, settings, overrides),
             limits=limits,
-            workers=workers,
-            batch_size=batch_size,
         )

@@ -18,9 +18,11 @@ The MPP simulator's conventions:
 * The context carries the run's :class:`~repro.resilience.FaultInjector`
   and :class:`~repro.resilience.QueryLimits`; iterators consult both on
   their hot paths (guarded by cheap ``active`` flags).
-* ``workers`` is the segment-scheduler pool size (1 = serial).  Worker
-  threads see the context through :meth:`worker_view`, which swaps in a
-  per-worker metrics facade and leaves everything else shared.
+* The context carries the statement's
+  :class:`~repro.settings.QuerySettings`; operators read the batch width
+  from it.  When ``settings.workers > 1`` worker threads see the context
+  through :meth:`worker_view`, which swaps in a per-worker metrics facade
+  and leaves everything else shared.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from ..catalog import Catalog
 from ..obs.metrics import MetricsCollector, ScanTracker
 from ..resilience.faults import FaultInjector
 from ..resilience.guardrails import QueryLimits
+from ..settings import DEFAULT_SETTINGS, QuerySettings
 from ..storage import StorageManager
-from ..types import DEFAULT_BATCH_SIZE
 from .channels import ChannelRegistry, OidChannel
 from .queues import MotionBuffer
 
@@ -58,10 +60,8 @@ class ExecContext:
         metrics: MetricsCollector | None = None,
         faults: FaultInjector | None = None,
         limits: QueryLimits | None = None,
-        workers: int = 1,
-        motion_queue_capacity: int | None = None,
+        settings: QuerySettings = DEFAULT_SETTINGS,
         cache=None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ):
         self.catalog = catalog
         self.storage = storage
@@ -75,17 +75,11 @@ class ExecContext:
         )
         self.faults = faults if faults is not None else FaultInjector()
         self.limits = limits if limits is not None else QueryLimits()
-        #: segment-scheduler pool size for this run (1 = serial)
-        self.workers = workers
-        #: per-target TupleQueue capacity (None = unbounded; the engine's
-        #: slice-at-a-time schedule attaches no streaming consumer, so a
-        #: bound that fills raises rather than blocks — see queues.py)
-        self.motion_queue_capacity = motion_queue_capacity
+        #: how the statement runs: batch width, pool size (1 = serial)
+        self.settings = settings
         #: the statement's :class:`~repro.cache.CacheSession` (None = cache
         #: off): PartitionSelector iterators ask it for replay OID sets
         self.cache = cache
-        #: batch width for this run (1 = row-at-a-time)
-        self.batch_size = batch_size
         #: part_scan_id -> the statement's compiled selector program
         self._selector_programs: dict[int, Any] = {}
         self._selector_lock = threading.Lock()
@@ -136,9 +130,10 @@ class ExecContext:
     def motion_buffer(self, motion_id: int) -> MotionBuffer:
         buffer = self.motion_buffers.get(motion_id)
         if buffer is None:
+            # unbounded queues: the slice-at-a-time schedule attaches no
+            # streaming consumer, so a bound that fills could only raise
             buffer = MotionBuffer(
                 self.num_segments,
-                self.motion_queue_capacity,
                 limits=self.limits if self.limits.active else None,
             )
             self.motion_buffers[motion_id] = buffer
@@ -158,7 +153,7 @@ class ExecContext:
         :class:`~repro.obs.metrics.WorkerMetrics` accumulator (merged by
         the executor when the instance ends) and everything else is the
         shared state."""
-        if self.workers <= 1:
+        if self.settings.workers <= 1:
             return self
         return _WorkerView(self, segment)
 

@@ -56,9 +56,9 @@ from ..physical import ops as phys
 from ..physical.plan import Plan
 from ..resilience.faults import MOTION_SEND, SLICE_START, FaultInjector
 from ..resilience.guardrails import QueryLimits, RetryPolicy
+from ..settings import DEFAULT_SETTINGS, QuerySettings
 from ..storage import StorageManager
 from ..storage.distribution import segment_for, stable_hash
-from ..types import DEFAULT_BATCH_SIZE
 from .context import COORDINATOR_SEGMENT, ExecContext
 from .iterators import build_batches, drain
 from .queues import MotionBuffer
@@ -122,11 +122,7 @@ class MppExecutor:
         num_segments: int,
         faults: FaultInjector | None = None,
         retry_policy: RetryPolicy | None = None,
-        workers: int = 1,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.catalog = catalog
         self.storage = storage
         self.num_segments = num_segments
@@ -134,32 +130,25 @@ class MppExecutor:
         self.retry_policy = (
             retry_policy if retry_policy is not None else RetryPolicy()
         )
-        #: default segment-scheduler pool size (1 = serial); per-query
-        #: override via ``execute(..., workers=N)``
-        self.workers = workers
-        #: default batch width (1 = row-at-a-time); per-query
-        #: override via ``execute(..., batch_size=N)``
-        self.batch_size = batch_size
 
     def execute(
         self,
         plan: Plan,
         params: Sequence[Any] | None = None,
-        analyze: bool = False,
+        settings: QuerySettings = DEFAULT_SETTINGS,
         limits: QueryLimits | None = None,
-        workers: int | None = None,
-        cache=None,
+        cache_session=None,
         faults: FaultInjector | None = None,
         scheduler: SegmentScheduler | None = None,
         activity=None,
-        batch_size: int | None = None,
     ) -> ExecutionResult:
-        """Run the plan; ``analyze=True`` additionally collects per-node
-        wall-clock timings (row and partition counters are always on).
-        ``limits`` attaches the per-query guardrails (timeout, buffered-row
-        budget, cancellation).  ``workers`` overrides the executor's
-        default pool size for this query (1 = serial).  ``cache`` is the
-        statement's :class:`~repro.cache.CacheSession` (None = cache off):
+        """Run the plan as ``settings`` says: ``workers`` threads (1 =
+        serial), batches of ``batch_size`` rows, per-node wall-clock
+        timings when ``analyze`` (row and partition counters are always
+        on).  ``limits`` is the run's guardrail state (cancel token,
+        deadline, buffered-row count); None builds it from
+        ``settings.timeout`` / ``settings.max_rows``.  ``cache_session`` is
+        the statement's :class:`~repro.cache.CacheSession` (None = cache off):
         PartitionSelector iterators replay its remembered OID sets, and on
         a successful cache-miss run the closed channels are harvested into
         a new entry.  ``faults`` overrides the executor-wide injector for
@@ -171,24 +160,16 @@ class MppExecutor:
         :class:`~repro.obs.live.QueryActivity` record (None = not
         registered): the executor attaches the collector to it once, so
         activity snapshots can read rows/partitions-so-far — a pull
-        model, with zero per-row writes.  ``batch_size`` overrides the
-        executor's default batch width for this query (1 = one row per
-        batch)."""
+        model, with zero per-row writes."""
         plan.validate()
-        resolved_workers = self.workers if workers is None else workers
-        if resolved_workers < 1:
-            raise ValueError("workers must be >= 1")
-        resolved_batch = self.batch_size if batch_size is None else batch_size
-        if resolved_batch < 1:
-            raise ValueError("batch_size must be >= 1")
-        metrics = MetricsCollector(self.num_segments, timing=analyze)
+        metrics = MetricsCollector(self.num_segments, timing=settings.analyze)
         metrics.register_plan(plan)
-        metrics.record_workers(resolved_workers)
-        metrics.record_batch_size(resolved_batch)
+        metrics.record_settings(settings)
         if activity is not None:
             activity.attach_metrics(metrics)
-            activity.workers = resolved_workers
-        limits = limits if limits is not None else QueryLimits()
+            activity.workers = settings.workers
+        if limits is None:
+            limits = QueryLimits(settings.timeout, settings.max_rows)
         limits.start()
         started = time.perf_counter()
         ctx = ExecContext(
@@ -199,13 +180,12 @@ class MppExecutor:
             metrics,
             faults=faults if faults is not None else self.faults,
             limits=limits,
-            workers=resolved_workers,
-            cache=cache,
-            batch_size=resolved_batch,
+            settings=settings,
+            cache=cache_session,
         )
         owns_scheduler = scheduler is None
         if scheduler is None:
-            scheduler = SegmentScheduler(resolved_workers)
+            scheduler = SegmentScheduler(settings.workers)
         try:
             # Slice k (k >= 1) is the subtree below the k-th Motion in
             # post-order; slice 0 is the root slice.
@@ -253,20 +233,20 @@ class MppExecutor:
             # leave channels half-filled or outright missing; poison the
             # cache session so neither this frame nor any caller can
             # harvest partial state into the statement cache.
-            if cache is not None:
-                cache.abort()
+            if cache_session is not None:
+                cache_session.abort()
             raise
         finally:
             if owns_scheduler:
                 scheduler.close()
         elapsed = time.perf_counter() - started
-        if cache is not None:
+        if cache_session is not None:
             # Successful run: on a miss, snapshot the closed OID channels
             # into a selection entry (epoch-guarded commit — a DML that
             # raced this execution makes the store a no-op), then attach
             # the schema-v5 "cache" section.
-            cache.harvest(plan.root, ctx.channels.channels())
-            metrics.record_cache(cache.summary())
+            cache_session.harvest(plan.root, ctx.channels.channels())
+            metrics.record_cache(cache_session.summary())
         metrics.record_fault_points(ctx.faults.snapshot())
         metrics.record_segment_health(self.storage.health.status())
         metrics.finish(elapsed)

@@ -1,8 +1,8 @@
 """Volcano-style batch iterators for every physical operator.
 
 :func:`build_batches` turns a plan subtree into a generator of row batches
-(lists of tuples, at most ``ctx.batch_size`` rows each) for one segment.
-There is one pipeline: width 1 is row-at-a-time execution, a one-row batch
+(lists of tuples, at most ``ctx.settings.batch_size`` rows each) for one
+segment.  There is one pipeline: width 1 is row-at-a-time execution, a one-row batch
 having per-row granularity by construction.  Motion nodes are never
 executed here — the executor pre-materializes their output into
 per-segment buffers, and this module simply reads the buffer
@@ -144,7 +144,7 @@ def _scan_batches(op, segment: int, ctx: ExecContext) -> BatchIter:
             segment,
             op.table.oid,
             None if oid is None else [oid],
-            ctx.batch_size,
+            ctx.settings.batch_size,
         ):
             if faults is not None:
                 faults.maybe_fire(SCAN_ROW, segment)
@@ -154,7 +154,9 @@ def _scan_batches(op, segment: int, ctx: ExecContext) -> BatchIter:
 
 
 def _motion_batches(op: phys.Motion, segment: int, ctx: ExecContext) -> BatchIter:
-    return _slice_batches(ctx.motion_rows(id(op), segment), ctx.batch_size)
+    return _slice_batches(
+        ctx.motion_rows(id(op), segment), ctx.settings.batch_size
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +469,7 @@ def _hash_join_batches(
         if limits is not None and added:
             limits.charge_rows_batch(added)  # build side is materialized
 
-    batch_size = ctx.batch_size
+    batch_size = ctx.settings.batch_size
     out: list[tuple] = []
     for batch in build_batches(op.probe, segment, ctx):
         probe(batch, table, out)
@@ -499,7 +501,7 @@ def _nl_join_batches(
         else None
     )
     semi = op.kind == "semi"
-    batch_size = ctx.batch_size
+    batch_size = ctx.settings.batch_size
     out: list[tuple] = []
     for outer_row in outer_rows:
         for inner_row in inner_rows:
@@ -603,7 +605,7 @@ def _hash_agg_batches(
                 key + tuple(acc.result() for acc in accumulators)
                 for key, accumulators in groups.items()
             ],
-            ctx.batch_size,
+            ctx.settings.batch_size,
         )
         return
 
@@ -635,7 +637,7 @@ def _hash_agg_batches(
         if partial or segment == COORDINATOR_SEGMENT:
             yield emit({(): [0, None] * len(aggregates)})
         return
-    yield from _slice_batches(emit(groups), ctx.batch_size)
+    yield from _slice_batches(emit(groups), ctx.settings.batch_size)
 
 
 def _sort_key(keys_asc: list[bool]):
@@ -679,7 +681,7 @@ def _sort_batches(op: phys.Sort, segment: int, ctx: ExecContext) -> BatchIter:
             ),
         )
     )
-    yield from _slice_batches(rows, ctx.batch_size)
+    yield from _slice_batches(rows, ctx.settings.batch_size)
 
 
 def _limit_batches(op: phys.Limit, segment: int, ctx: ExecContext) -> BatchIter:

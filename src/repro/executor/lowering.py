@@ -157,7 +157,7 @@ def _constraints_scan_batches(
         )
         for row in partition_constraints(ctx.catalog, op.table.oid)
     ]
-    return _slice_batches(rows, ctx.batch_size)
+    return _slice_batches(rows, ctx.settings.batch_size)
 
 
 def _propagating_project_batches(

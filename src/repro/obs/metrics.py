@@ -453,14 +453,11 @@ class MetricsCollector:
 
     # -- parallel execution (schema v4) ---------------------------------------
 
-    def record_workers(self, workers: int) -> None:
-        """The worker-pool size the query ran with (1 = serial)."""
-        self.workers = workers
-
-    def record_batch_size(self, batch_size: int) -> None:
-        """The vectorized batch width the query ran with (1 = row-at-a-
-        time; schema v9)."""
-        self.batch_size = batch_size
+    def record_settings(self, settings) -> None:
+        """The worker-pool size (1 = serial) and the batch width (schema
+        v9; 1 = one row per batch) the query ran with."""
+        self.workers = settings.workers
+        self.batch_size = settings.batch_size
 
     def record_instance(
         self, slice_id: int, segment: int, seconds: float

@@ -23,6 +23,7 @@ latency).
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from collections import deque
@@ -30,6 +31,7 @@ from collections import deque
 from ..errors import ReproError, ServerOverloaded
 from ..obs import trace as obs_trace
 from ..resilience.guardrails import CancelToken
+from ..settings import QuerySettings, resolve
 from .admission import AdmissionController, ServingConfig
 from .scheduler import QueryScheduler
 from .session import Session
@@ -125,18 +127,13 @@ class QueryServer:
         session: Session,
         query: str,
         params=None,
-        analyze: bool = False,
-        trace: bool = False,
-        optimizer: str | None = None,
-        timeout: float | None = None,
-        max_rows: int | None = None,
-        workers: int | None = None,
-        cache: str | None = None,
-        batch_size: int | None = None,
+        settings: QuerySettings | None = None,
         cancel: CancelToken | None = None,
-        **options,
+        **overrides,
     ):
-        """Run one statement for ``session`` through admission control.
+        """Run one statement for ``session`` through admission control,
+        as the session's settings say (``settings`` / keyword
+        ``overrides`` apply to this call only).
 
         Raises :class:`~repro.errors.ServerOverloaded` when shed; any
         executor/guardrail error propagates unchanged (typed).  On
@@ -147,10 +144,9 @@ class QueryServer:
             raise ReproError("server is closed")
         if session.closed:
             raise ReproError(f"session {session.name!r} is closed")
+        settings = resolve(session.settings, settings, overrides)
         session.submitted += 1
-        requested = workers if workers is not None else session.workers
-        if requested is None:
-            requested = self.db.executor.workers
+        requested = settings.workers
         started = time.perf_counter()
         # Register with the live activity registry BEFORE admission, so a
         # statement waiting in the run queue is already visible (phase
@@ -175,6 +171,10 @@ class QueryServer:
                 activity.queued_seconds = slot.queued_seconds
                 activity.workers = slot.effective_workers
                 session._register(token)
+                if slot.degraded:
+                    settings = dataclasses.replace(
+                        settings, workers=slot.effective_workers
+                    )
                 segment_scheduler = self.scheduler.segment_scheduler(
                     slot.effective_workers
                 )
@@ -187,36 +187,12 @@ class QueryServer:
                     ):
                         result = self.db.sql(
                             query,
-                            optimizer=(
-                                optimizer
-                                if optimizer is not None
-                                else (session.optimizer or "orca")
-                            ),
                             params=params,
-                            analyze=analyze,
-                            trace=trace,
-                            timeout=(
-                                timeout
-                                if timeout is not None
-                                else session.timeout
-                            ),
-                            max_rows=(
-                                max_rows
-                                if max_rows is not None
-                                else session.max_rows
-                            ),
+                            settings=settings,
                             cancel=token,
-                            workers=slot.effective_workers,
-                            cache=cache if cache is not None else session.cache,
-                            batch_size=(
-                                batch_size
-                                if batch_size is not None
-                                else session.batch_size
-                            ),
                             faults=session.faults,
                             scheduler=segment_scheduler,
                             activity=activity,
-                            **options,
                         )
                 finally:
                     segment_scheduler.close()

@@ -3,8 +3,9 @@
 A :class:`Session` is the unit of isolation in the serving tier.  Each
 one carries:
 
-* its **own defaults** — workers, timeout, max_rows, cache mode,
-  optimizer — applied to every query it submits (overridable per call);
+* its **own defaults** — one :class:`~repro.settings.QuerySettings`
+  value, the Database's with the session's overrides on top — applied to
+  every query it submits (overridable per call);
 * its **own** :class:`~repro.resilience.FaultInjector`, so chaos armed
   by one client never fires inside another client's query;
 * its **own cancel scope** — :meth:`Session.cancel` cancels exactly the
@@ -25,6 +26,7 @@ import threading
 
 from ..resilience.faults import FaultInjector
 from ..resilience.guardrails import CancelToken
+from ..settings import QuerySettings, resolve
 
 __all__ = ["Session"]
 
@@ -37,27 +39,16 @@ class Session:
         server,
         session_id: int,
         name: str | None = None,
-        workers: int | None = None,
-        timeout: float | None = None,
-        max_rows: int | None = None,
-        cache: str | None = None,
-        optimizer: str | None = None,
         fault_seed: int = 0,
-        batch_size: int | None = None,
+        settings: QuerySettings | None = None,
+        **overrides,
     ):
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.server = server
         self.session_id = session_id
         self.name = name if name else f"session-{session_id}"
-        self.workers = workers
-        self.batch_size = batch_size
-        self.timeout = timeout
-        self.max_rows = max_rows
-        self.cache = cache
-        self.optimizer = optimizer
+        #: the defaults of every statement this session submits; an
+        #: invalid override raises here, not at the first query
+        self.settings = resolve(server.db.settings, settings, overrides)
         #: session-scoped chaos: arm via ``session.faults.arm(...)``
         self.faults = FaultInjector(seed=fault_seed)
         self.closed = False
@@ -74,10 +65,10 @@ class Session:
     def sql(self, query: str, **overrides):
         """Submit one statement through the server's admission path.
 
-        Keyword overrides (``params``, ``timeout``, ``max_rows``,
-        ``workers``, ``cache``, ``optimizer``, ``analyze``, ``trace``,
-        ``cancel``, ...) take precedence over the session defaults for
-        this call only.  Raises
+        ``params``, ``cancel`` and ``settings`` pass through; any other
+        keyword (``timeout``, ``workers``, ``cache``, ...; see
+        docs/architecture.md, "Statement settings") overrides the session
+        default for this call only.  Raises
         :class:`~repro.errors.ServerOverloaded` when shed.
         """
         return self.server.submit(self, query, **overrides)
@@ -123,17 +114,6 @@ class Session:
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
-
-    def settings_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "workers": self.workers,
-            "batch_size": self.batch_size,
-            "timeout": self.timeout,
-            "max_rows": self.max_rows,
-            "cache": self.cache,
-            "optimizer": self.optimizer,
-        }
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"

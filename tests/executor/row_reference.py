@@ -42,6 +42,7 @@ from repro.expr.eval import compile_expression, compile_predicate
 from repro.obs.metrics import MetricsCollector
 from repro.physical import ops as phys
 from repro.resilience.faults import CHANNEL_CLOSE, MOTION_SEND, SCAN_ROW, SLICE_START
+from repro.settings import QuerySettings
 from repro.storage.distribution import segment_for, stable_hash
 
 RowIter = Iterator[tuple]
@@ -560,7 +561,7 @@ def run_plan(db, plan, params=None, limits=None):
     metrics.register_plan(plan)
     ctx = ExecContext(
         db.catalog, db.storage, db.num_segments, params, metrics,
-        limits=limits, batch_size=1,
+        limits=limits, settings=QuerySettings(batch_size=1),
     )
     ctx.limits.start()
     motions: list[phys.Motion] = []

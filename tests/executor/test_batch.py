@@ -34,6 +34,7 @@ from repro.errors import (
 from repro.executor.queues import MotionBuffer, TupleQueue
 from repro.obs.metrics import MetricsCollector
 from repro.resilience import CancelToken, QueryLimits
+from repro.settings import QuerySettings
 from tests.conftest import rows_of
 
 from . import row_reference
@@ -454,7 +455,8 @@ def _run_tree(kernel_env, make_tree, width, params=None, max_rows=None):
     limits = QueryLimits(max_rows=max_rows)
     limits.start()
     ctx = ExecContext(
-        catalog, storage, 1, params, limits=limits, batch_size=width or 1
+        catalog, storage, 1, params, limits=limits,
+        settings=QuerySettings(batch_size=width or 1),
     )
     tree = make_tree(tables)
     try:
@@ -743,7 +745,9 @@ def test_delete_using_duplicate_victims_in_two_batches_delete_once(width):
         target,
         "t",
     )
-    ctx = ExecContext(catalog, storage, 1, batch_size=width or 1)
+    ctx = ExecContext(
+        catalog, storage, 1, settings=QuerySettings(batch_size=width or 1)
+    )
     if width is None:
         deleted = list(row_reference.build_iterator(delete, 0, ctx))
     else:

@@ -64,8 +64,11 @@ def test_selector_program_is_built_once_under_contention(orders_db):
     import threading
 
     from repro.executor.context import ExecContext
+    from repro.settings import QuerySettings
 
-    ctx = ExecContext(orders_db.catalog, orders_db.storage, 4, workers=4)
+    ctx = ExecContext(
+        orders_db.catalog, orders_db.storage, 4, settings=QuerySettings(workers=4)
+    )
     builds: list[int] = []
     got: list[object] = []
     start = threading.Barrier(32)

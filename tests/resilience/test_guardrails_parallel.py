@@ -181,10 +181,11 @@ def test_blocked_producer_unblocks_on_timeout():
 
 
 def test_timeout_with_motion_backpressure_leaves_no_parked_producers():
-    """End to end: bounded motion queues + 4 workers + timeout.  The
-    query dies promptly and every producer thread drains out."""
+    """End to end: 4 workers + timeout through Motions.  The query dies
+    promptly and every producer thread drains out.  (The executor's Motion
+    queues are unbounded; a producer parked on a *bounded* queue is the
+    TupleQueue unit tests above.)"""
     db = _db()
-    db.executor.motion_queue_capacity = 8
     db.storage.io_latency_s = 0.002
     before = threading.active_count()
     with pytest.raises((QueryTimeout, Exception)):

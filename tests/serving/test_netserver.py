@@ -75,3 +75,22 @@ def test_netserver_concurrent_clients_are_isolated(fresh_db):
         for client in clients:
             client.close()
     net.server.close()
+
+
+def test_bad_set_answers_an_error_and_the_connection_survives(fresh_db):
+    """``SET max_rows -5`` was acknowledged and the next statement's
+    ``ValueError`` was swallowed by the client thread: the connection
+    dropped with no reply."""
+    with NetServer(fresh_db) as net:
+        client = Client(net.host, net.port)
+        assert client.rpc("SET max_rows -5;") == (
+            "ERROR (sql): max_rows must be >= 0"
+        )
+        assert client.rpc("SET timeout_seconds -1;") == (
+            "ERROR (sql): timeout_seconds must be >= 0"
+        )
+        # the same connection answers the following statement
+        assert "(1 rows)" in client.rpc("SELECT count(order_id) FROM orders;")
+        assert client.rpc("\\q") == "bye"
+        client.close()
+    net.server.close()

@@ -102,3 +102,48 @@ def test_database_session_shortcut_creates_server(fresh_db):
     serving = result.metrics.to_dict()["serving"]
     assert serving["session"] == "direct"
     fresh_db._server.close()
+
+
+# -- the shell's EXPLAIN ANALYZE is a served statement like any other ---------
+
+
+def test_explain_analyze_goes_through_admission(fresh_db):
+    from repro.cli import ReplSession
+
+    session = fresh_db.session(name="shell")
+    shell = ReplSession(fresh_db, serving_session=session)
+    admitted = fresh_db.serve().admission.stats()["admitted"]
+    output = shell.handle_line(f"EXPLAIN ANALYZE {QUERY};")
+    assert "actual rows=" in output
+    assert fresh_db.serve().admission.stats()["admitted"] == admitted + 1
+    assert session.admitted == 1
+    # the session's fault scope applies too, not the database-wide one
+    session.faults.arm(SCAN_ROW, segment=1, transient=True)
+    assert "Resilience:" in shell.handle_line(f"EXPLAIN ANALYZE {QUERY};")
+    assert session.faults.fired_by_point.get(SCAN_ROW, 0) >= 1
+    fresh_db.serve().close()
+
+
+def test_session_cancel_reaches_explain_analyze(fresh_db):
+    from repro.cli import ReplSession
+
+    fresh_db.storage.io_latency_s = 0.005
+    session = fresh_db.session(name="shell")
+    shell = ReplSession(fresh_db, serving_session=session)
+    outputs: list[str] = []
+    thread = threading.Thread(
+        target=lambda: outputs.append(
+            shell.handle_line(f"EXPLAIN ANALYZE {QUERY};")
+        )
+    )
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while session.inflight == 0 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert session.inflight == 1  # it runs inside the session's cancel scope
+    assert session.cancel() == 1
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    assert outputs[0].startswith("ERROR (execution):"), outputs
+    assert "cancel" in outputs[0]
+    fresh_db.serve().close()
