@@ -1,51 +1,35 @@
-"""Fingerprint-keyed partition-selection and result caching.
+"""Fingerprint-keyed result caching.
 
-The paper's core win is pruning partitions at plan/run time; for heavy
-repeated traffic the next lever is not re-deriving that pruning on every
-call.  This package joins the two halves the engine already has — the
-statement fingerprints of :mod:`repro.obs.stats_store` and the partition
-OID sets the executor computes per DynamicScan — into two caches with
-DML-driven, partition-scoped invalidation:
+The paper prunes partitions at run time, from parameters or streamed
+tuples, through one mechanism; selection is an indexed lookup plus one
+kernel call per batch, so there is nothing left worth replaying.  What a
+repeat statement can still skip is execution itself: :class:`ResultCache`
+serves whole result sets of repeat SELECTs (``cache='results'``), with
+DML-driven, partition-scoped invalidation.
 
-* :class:`PartitionSelectionCache` — replays selector OID sets, skipping
-  selector-program evaluation on repeat statements (``cache='partitions'``).
-* :class:`ResultCache` — whole result sets for repeat SELECTs
-  (``cache='results'``).
-
-Both are keyed by :class:`StatementKey` — fingerprint **plus** normalized
-literal and parameter vectors plus plan-shaping options — so a cached OID
-set is never reused across different constants (see keys.py for the
-contract).  :class:`CacheManager` owns both, listens to storage mutations
-and guards in-flight executions with a mutation epoch.  Design notes and
-knobs: ``docs/caching.md``.
+Entries are keyed by :class:`StatementKey` — fingerprint **plus**
+normalized literal and parameter vectors plus plan-shaping options — so a
+cached result is never reused across different constants (see keys.py for
+the contract).  :class:`CacheManager` owns the cache, listens to storage
+mutations and guards in-flight executions with a mutation epoch.  Design
+notes: ``docs/caching.md``.
 """
 
 from ..settings import CACHE_MODES
 from .keys import StatementKey, normalized_literals, statement_key
 from .lru import CacheStats, LruCache
-from .manager import (
-    CacheConfig,
-    CacheManager,
-    CacheSession,
-    classify_plan,
-    result_footprint,
-)
-from .partition_cache import PartitionSelectionCache, SelectionEntry
+from .manager import CacheManager, CacheSession, result_footprint
 from .result_cache import ResultCache, ResultEntry
 
 __all__ = [
     "CACHE_MODES",
-    "CacheConfig",
     "CacheManager",
     "CacheSession",
     "CacheStats",
     "LruCache",
-    "PartitionSelectionCache",
     "ResultCache",
     "ResultEntry",
-    "SelectionEntry",
     "StatementKey",
-    "classify_plan",
     "normalized_literals",
     "result_footprint",
     "statement_key",

@@ -1,9 +1,8 @@
-"""Bounded, thread-safe LRU store shared by both caches.
+"""Bounded, thread-safe LRU store under the result cache.
 
-Both the partition-selection cache and the result cache are maps from
-:class:`~repro.cache.keys.StatementKey` to an immutable entry, bounded two
-ways: a maximum entry count and a maximum byte budget (entries carry their
-own size estimate).  Eviction is least-recently-*used*: a ``get`` hit
+The cache is a map from :class:`~repro.cache.keys.StatementKey` to an
+immutable entry, bounded two ways: a maximum entry count and a maximum
+byte budget (entries carry their own size estimate).  Eviction is least-recently-*used*: a ``get`` hit
 refreshes recency, a ``put`` inserts at the young end and evicts from the
 old end until both bounds hold.
 

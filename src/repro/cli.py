@@ -266,7 +266,7 @@ class ReplSession:
         cache = self.db.cache
         if not argument:
             text = store.render()
-            totals = cache.stats_dict()
+            totals = cache.stats_dict()["results"]
             if totals["hits"] or totals["misses"] or totals["bytes"]:
                 text += (
                     f"\ncache ({self.settings.cache}): {totals['hits']} hits, "

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from .cache import CacheConfig, CacheManager, result_footprint, statement_key
+from .cache import CacheManager, result_footprint, statement_key
 from .catalog import (
     Catalog,
     DistributionPolicy,
@@ -62,7 +62,7 @@ class Database:
         cost_model: CostModel | None = None,
         workers: int | None = None,
         batch_size: int | None = None,
-        cache: str | CacheConfig | CacheManager | None = None,
+        cache: str | CacheManager | None = None,
         data_dir: str | None = None,
         wal_sync: str = "sync",
         checkpoint_interval_s: float | None = None,
@@ -74,17 +74,11 @@ class Database:
         self.catalog = Catalog()
         self.storage = StorageManager(self.catalog, num_segments)
         #: the instance's :class:`~repro.cache.CacheManager`.  ``cache``
-        #: is the default mode ('off' | 'partitions' | 'results'), a full
-        #: config or a prebuilt manager.  Storage mutations feed its
-        #: partition-scoped invalidation whatever the mode.
-        if isinstance(cache, CacheManager):
-            self.cache = cache
-        elif isinstance(cache, CacheConfig):
-            self.cache = CacheManager(cache)
-        else:
-            self.cache = CacheManager(
-                CacheConfig(mode=cache) if cache is not None else None
-            )
+        #: is the default mode ('off' | 'results') or a prebuilt manager.
+        #: Storage mutations feed its partition-scoped invalidation
+        #: whatever the mode.
+        prebuilt = isinstance(cache, CacheManager)
+        self.cache = cache if prebuilt else CacheManager()
         #: the default :class:`~repro.settings.QuerySettings` of every
         #: statement: sessions and ``sql()`` calls override fields of it
         #: (docs/architecture.md, "Statement settings")
@@ -93,7 +87,7 @@ class Database:
             overrides={
                 "workers": workers,
                 "batch_size": batch_size,
-                "cache": self.cache.config.mode,
+                "cache": None if prebuilt else cache,
             },
         )
         self.storage.add_mutation_listener(self.cache.on_mutation)
@@ -184,15 +178,10 @@ class Database:
         live.add_source("pool_busy_fraction", pool_busy)
 
     def _cache_hit_rate(self) -> float | None:
-        """Combined hit rate across both cache stores (None = no lookups
-        yet, so the series records nothing rather than a fake zero)."""
-        stats = self.cache.stats_dict()
-        hits = misses = 0
-        for store in ("partitions", "results"):
-            hits += stats[store]["hits"]
-            misses += stats[store]["misses"]
-        total = hits + misses
-        return hits / total if total else None
+        """The result cache's hit rate (None = no lookups yet, so the
+        series records nothing rather than a fake zero)."""
+        stats = self.cache.results.stats
+        return stats.hit_rate if stats.lookups else None
 
     @property
     def health(self):
@@ -435,13 +424,16 @@ class Database:
                 session = None
                 if settings.cache != "off":
                     key = self._statement_key(query, params, settings)
-                    if settings.cache == "results":
+                    session = self.cache.begin(key, settings.cache)
+                    # EXPLAIN ANALYZE and tracing report an execution, so
+                    # they never read the cache (they may still store)
+                    if not (settings.analyze or settings.trace):
                         entry = self.cache.lookup_result(key)
+                        session.result_outcome = "miss"
                         if entry is not None:
+                            session.result_outcome = "hit"
                             activity.enter_phase("cache_hit")
-                            result = self._cached_result(
-                                key, settings.cache, entry
-                            )
+                            result = self._cached_result(session, entry)
                             result.metrics.record_live(
                                 self.live.complete(activity)
                             )
@@ -450,7 +442,6 @@ class Database:
                             )
                             self.query_stats.record(query, result)
                             return result
-                    session = self.cache.begin(key, settings.cache)
                 tracer = Tracer() if settings.trace else None
                 with obs_trace.activate(tracer):
                     result = self._sql(
@@ -517,13 +508,11 @@ class Database:
         tag = f"{optimizer}|{options!r}" if options else optimizer
         return statement_key(query, params, tag, lowered)
 
-    def _cached_result(self, key, mode: str, entry) -> ExecutionResult:
+    def _cached_result(self, session, entry) -> ExecutionResult:
         """Serve one SELECT from the result cache (no execution)."""
         from .obs import MetricsCollector
 
         metrics = MetricsCollector(self.num_segments)
-        session = self.cache.begin(key, mode, lookup=False)
-        session.result_outcome = "hit"
         metrics.record_cache(session.summary())
         return ExecutionResult(
             list(entry.rows), list(entry.column_names), metrics, 0.0
@@ -576,18 +565,31 @@ class Database:
             )
         plan = self._lower(plan, settings.lower_selectors)
         with obs_trace.span("execute"):
-            # The selection cache applies to an INSERT's source SELECT
-            # too; results are never cached for DML statements.
             result = self.executor.execute(
                 plan,
                 params,
                 settings,
                 limits=limits,
-                cache_session=session,
                 faults=faults,
                 scheduler=scheduler,
                 activity=activity,
             )
+        if session is not None:
+            # A SELECT's result is stored with its invalidation footprint:
+            # the leaf partitions the run actually opened, per root table
+            # (None = whole table for unpartitioned scans).  DML plans
+            # yield no footprint, and an INSERT's source rows are not its
+            # answer: neither is stored.
+            footprint = (
+                result_footprint(plan.root, result.metrics.tracker.partitions)
+                if target is None
+                else None
+            )
+            if footprint is not None:
+                session.commit_result(
+                    result.rows, result.column_names, footprint
+                )
+            result.metrics.record_cache(session.summary())
         if target is not None:
             count = self.insert(target.name, result.rows)
             return ExecutionResult(
@@ -596,20 +598,6 @@ class Database:
                 result.metrics,
                 result.elapsed_seconds,
             )
-        if session is not None and session.results_active:
-            # Commit the result set with its invalidation footprint: the
-            # leaf partitions the run actually opened, per root table
-            # (None = whole-table for unpartitioned scans).  DML plans
-            # yield no footprint and are never cached.
-            footprint = result_footprint(
-                plan.root, result.metrics.tracker.partitions
-            )
-            if footprint is not None:
-                session.result_outcome = "miss"
-                session.commit_result(
-                    result.rows, result.column_names, footprint
-                )
-                result.metrics.record_cache(session.summary())
         return result
 
     def _lower(self, plan: Plan, lower_selectors: bool) -> Plan:

@@ -70,18 +70,18 @@ class OidChannel:
         return self._consumed
 
     def push(self, oid: int) -> None:
-        """partition_propagation: add one partition OID."""
+        """Add one partition OID."""
+        self.push_all((oid,))
+
+    def push_all(self, oids) -> None:
+        """partition_propagation: add partition OIDs, under one lock."""
         with self._lock:
             if self._closed:
                 raise ChannelError(
                     f"push to closed channel (scan {self.part_scan_id}, "
                     f"segment {self.segment})"
                 )
-            self._oids.add(oid)
-
-    def push_all(self, oids) -> None:
-        for oid in oids:
-            self.push(oid)
+            self._oids.update(oids)
 
     def close(self) -> None:
         """Seal the channel.  Closing twice raises: it means two producers

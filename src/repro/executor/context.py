@@ -61,7 +61,6 @@ class ExecContext:
         faults: FaultInjector | None = None,
         limits: QueryLimits | None = None,
         settings: QuerySettings = DEFAULT_SETTINGS,
-        cache=None,
     ):
         self.catalog = catalog
         self.storage = storage
@@ -77,9 +76,6 @@ class ExecContext:
         self.limits = limits if limits is not None else QueryLimits()
         #: how the statement runs: batch width, pool size (1 = serial)
         self.settings = settings
-        #: the statement's :class:`~repro.cache.CacheSession` (None = cache
-        #: off): PartitionSelector iterators ask it for replay OID sets
-        self.cache = cache
         #: part_scan_id -> the statement's compiled selector program
         self._selector_programs: dict[int, Any] = {}
         self._selector_lock = threading.Lock()

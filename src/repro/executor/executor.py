@@ -137,7 +137,6 @@ class MppExecutor:
         params: Sequence[Any] | None = None,
         settings: QuerySettings = DEFAULT_SETTINGS,
         limits: QueryLimits | None = None,
-        cache_session=None,
         faults: FaultInjector | None = None,
         scheduler: SegmentScheduler | None = None,
         activity=None,
@@ -147,12 +146,9 @@ class MppExecutor:
         timings when ``analyze`` (row and partition counters are always
         on).  ``limits`` is the run's guardrail state (cancel token,
         deadline, buffered-row count); None builds it from
-        ``settings.timeout`` / ``settings.max_rows``.  ``cache_session`` is
-        the statement's :class:`~repro.cache.CacheSession` (None = cache off):
-        PartitionSelector iterators replay its remembered OID sets, and on
-        a successful cache-miss run the closed channels are harvested into
-        a new entry.  ``faults`` overrides the executor-wide injector for
-        this query (serving sessions each carry their own).  ``scheduler``
+        ``settings.timeout`` / ``settings.max_rows``.  ``faults``
+        overrides the executor-wide injector for this query (serving
+        sessions each carry their own).  ``scheduler``
         runs the query's segment instances on a caller-owned
         :class:`SegmentScheduler` — the serving layer's shared pool — and
         is left open afterwards; without it a private scheduler is created
@@ -181,7 +177,6 @@ class MppExecutor:
             faults=faults if faults is not None else self.faults,
             limits=limits,
             settings=settings,
-            cache=cache_session,
         )
         owns_scheduler = scheduler is None
         if scheduler is None:
@@ -228,25 +223,10 @@ class MppExecutor:
                 range(self.num_segments),
             )
             limits.check()
-        except BaseException:
-            # A failed run (timeout, cancel, segment death, anything) may
-            # leave channels half-filled or outright missing; poison the
-            # cache session so neither this frame nor any caller can
-            # harvest partial state into the statement cache.
-            if cache_session is not None:
-                cache_session.abort()
-            raise
         finally:
             if owns_scheduler:
                 scheduler.close()
         elapsed = time.perf_counter() - started
-        if cache_session is not None:
-            # Successful run: on a miss, snapshot the closed OID channels
-            # into a selection entry (epoch-guarded commit — a DML that
-            # raced this execution makes the store a no-op), then attach
-            # the schema-v5 "cache" section.
-            cache_session.harvest(plan.root, ctx.channels.channels())
-            metrics.record_cache(cache_session.summary())
         metrics.record_fault_points(ctx.faults.snapshot())
         metrics.record_segment_health(self.storage.health.status())
         metrics.finish(elapsed)
@@ -307,8 +287,8 @@ class MppExecutor:
         """Run one motion slice's producer instances on ``segments``, then
         seal the receive queues so the consuming slice may drain them.  A
         segment that is not dispatched simply has no producer run: every
-        queue still closes, and retry, failover and channel harvest see
-        only the instances that exist."""
+        queue still closes, and retry and failover see only the instances
+        that exist."""
         buffer = ctx.motion_buffer(id(motion))
         hash_fns = None
         if isinstance(motion, phys.RedistributeMotion):

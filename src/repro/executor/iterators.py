@@ -21,14 +21,15 @@ as Section 3.2 requires:
 * constant predicates (including prepared-statement parameters) are
   evaluated once, the selected OIDs pushed, and the channel closed before
   any tuple flows — static elimination;
-* join predicates are evaluated per streamed tuple, pushing the OIDs each
-  tuple selects — dynamic elimination.  The channel closes when the input
+* join predicates are evaluated per streamed batch, pushing the OIDs its
+  tuples select — dynamic elimination.  The channel closes when the input
   is exhausted, which the engine's left-before-right execution order
   guarantees happens before the consuming DynamicScan opens.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Callable, Iterator
 
 from ..catalog import TableDescriptor
@@ -40,8 +41,8 @@ from ..expr.analysis import (
     interval_for_comparison,
     join_comparison_on_key,
 )
-from ..expr.ast import ColumnRef
-from ..expr.eval import RowLayout, compile_expression, compile_predicate
+from ..expr.ast import ColumnRef, Expression
+from ..expr.eval import RowLayout, compile_predicate
 from ..physical import ops as phys
 from ..physical.properties import PartSelectorSpec
 from ..resilience.faults import CHANNEL_CLOSE, SCAN_ROW
@@ -170,15 +171,16 @@ class _SelectorProgram:
     (:meth:`ExecContext.selector_program`).
 
     Splits every level's predicate into a constant part (derived once into
-    an IntervalSet) and streaming comparisons (evaluated per input tuple).
-    Unsupported streaming shapes contribute no restriction — degrading to
-    more partitions, never fewer.
+    an IntervalSet) and streaming comparisons, whose right-hand sides are
+    rendered into one generated kernel (:attr:`values`: a batch's rows ->
+    their streamed value tuples).  Unsupported streaming shapes contribute
+    no restriction — degrading to more partitions, never fewer.
 
-    Per-tuple selection is the hot path of dynamic elimination, so two
-    optimisations apply: results are memoised per distinct streamed value
-    combination, and the common pure-equality case routes with the level's
-    binary search (the ``partition_selection`` built-in's fast path)
-    instead of constructing interval sets.
+    Dynamic selection routes each distinct value tuple, not each row, and
+    :meth:`oids_for` memoises the answer per tuple for the statement; the
+    common pure-equality case routes with the level's binary search (the
+    ``partition_selection`` built-in's fast path) instead of constructing
+    interval sets.
     """
 
     def __init__(
@@ -191,7 +193,9 @@ class _SelectorProgram:
         self.spec = spec
         self.table: TableDescriptor = spec.table
         self.constant_sets: list[IntervalSet | None] = []
-        self.streaming: list[list[tuple[str, Callable[[tuple], Any]]]] = []
+        #: per level, the operator of each streaming comparison
+        self.streaming: list[list[str]] = []
+        rights: list[Expression] = []
         schema = self.table.schema
         for key, predicate in zip(spec.part_keys, spec.part_predicates):
             if predicate is None:
@@ -200,7 +204,7 @@ class _SelectorProgram:
                 continue
             key_type = schema.column(key.name).data_type
             constant_parts = []
-            streaming_parts: list[tuple[str, Callable[[tuple], Any]]] = []
+            streaming_ops: list[str] = []
             for conjunct in conjuncts(predicate):
                 derived = derive_interval_set(
                     conjunct, key, params=params, key_type=key_type
@@ -213,16 +217,18 @@ class _SelectorProgram:
                     normalized = candidate
                     break
                 if normalized is not None and child_layout is not None:
-                    right = compile_expression(
-                        normalized.right, child_layout, params
-                    )
-                    streaming_parts.append((normalized.op, right))
+                    streaming_ops.append(normalized.op)
+                    rights.append(normalized.right)
                 # else: unsupported shape — no restriction.
             constant: IntervalSet | None = None
             for part in constant_parts:
                 constant = part if constant is None else constant.intersect(part)
             self.constant_sets.append(constant)
-            self.streaming.append(streaming_parts)
+            self.streaming.append(streaming_ops)
+        #: rows -> one tuple of streamed values per row, in level order
+        self.values: Callable[[list], list] | None = (
+            project_kernel(rights, child_layout, params) if rights else None
+        )
 
         scheme = self.table.partition_scheme
         assert scheme is not None
@@ -235,8 +241,8 @@ class _SelectorProgram:
             for level, constant in zip(self._levels, self.constant_sets)
         ]
         self._eq_only = [
-            bool(parts) and all(op_name == "=" for op_name, _ in parts)
-            for parts in self.streaming
+            bool(ops) and all(op_name == "=" for op_name in ops)
+            for ops in self.streaming
         ]
         #: shared by every segment instance of the statement; entries are
         #: pure functions of the streamed values, so workers racing on one
@@ -254,7 +260,7 @@ class _SelectorProgram:
 
     @property
     def has_streaming(self) -> bool:
-        return any(self.streaming)
+        return self.values is not None
 
     def _leaves_to_oids(self, slots_per_level: list[list[int]]) -> list[int]:
         leaves: list[tuple[int, ...]] = [()]
@@ -293,7 +299,7 @@ class _SelectorProgram:
                 slots_per_level.append([slot] if slot is not None else [])
                 continue
             level_set = constant
-            for (op_name, _), value in zip(streaming, level_values):
+            for op_name, value in zip(streaming, level_values):
                 comparison_set = interval_for_comparison(op_name, value)
                 level_set = (
                     comparison_set
@@ -303,20 +309,12 @@ class _SelectorProgram:
             slots_per_level.append(level.select(level_set))
         return self._leaves_to_oids(slots_per_level)
 
-    def oids_for_row(self, row: tuple) -> list[int]:
-        values = tuple(
-            right_fn(row)
-            for streaming in self.streaming
-            for _, right_fn in streaming
-        )
-        try:
-            cached = self._memo.get(values)
-        except TypeError:  # unhashable streamed value: compute directly
-            return self._slots_for_values(values)
-        if cached is None:
-            cached = self._slots_for_values(values)
-            self._memo[values] = cached
-        return cached
+    def oids_for(self, values: tuple) -> list[int]:
+        """The leaf OIDs one tuple of streamed values selects."""
+        oids = self._memo.get(values)
+        if oids is None:
+            oids = self._memo[values] = self._slots_for_values(values)
+        return oids
 
 
 def _open_selector(
@@ -324,10 +322,10 @@ def _open_selector(
 ) -> _SelectorProgram | None:
     """What a selector instance does before any tuple flows.
 
-    A cache replay or a static selection pushes its OIDs and closes the
-    channel here, and ``None`` is returned: the child's tuples only pass
-    through.  A streaming selector gets its program back with the channel
-    still open.  The program is the statement's, not the instance's
+    A static selection pushes its OIDs and closes the channel here, and
+    ``None`` is returned: the child's tuples only pass through.  A
+    streaming selector gets its program back with the channel still open.
+    The program is the statement's, not the instance's
     (:meth:`ExecContext.selector_program`): deriving interval sets and
     running ``f*_T`` happen once, and each segment only propagates the
     result into its own channel.
@@ -335,44 +333,23 @@ def _open_selector(
     spec = op.spec
     scan_id = spec.part_scan_id
     ctx.metrics.node(op).part_scan_id = scan_id
-    # Cache replay: the session holds this instance's OID set from an
-    # identical earlier statement (same fingerprint, literals, params and
-    # plan options — see repro.cache.keys), so selection is skipped
-    # entirely.  Child rows still stream unchanged: only selection work is
-    # short-circuited, never data flow.
-    oids = (
-        ctx.cache.cached_oids(scan_id, segment)
-        if ctx.cache is not None
-        else None
+    child_layout = op.children[0].output_layout() if op.children else None
+    program = ctx.selector_program(
+        scan_id,
+        lambda: _SelectorProgram(spec, child_layout, ctx.params, ctx.catalog),
     )
-    program = None
-    if oids is not None:
-        mode = "cached"
-    else:
-        child_layout = op.children[0].output_layout() if op.children else None
-        program = ctx.selector_program(
-            scan_id,
-            lambda: _SelectorProgram(
-                spec, child_layout, ctx.params, ctx.catalog
-            ),
-        )
-        if program.has_streaming:
-            if not op.children:
-                raise ExecutionError(
-                    "streaming PartitionSelector requires an input (join "
-                    "predicate over no tuples)"
-                )
-            ctx.metrics.record_selector(
-                scan_id, "dynamic", spec.table.num_leaves
+    if program.has_streaming:
+        if not op.children:
+            raise ExecutionError(
+                "streaming PartitionSelector requires an input (join "
+                "predicate over no tuples)"
             )
-            return program
-        # Static selection (constant predicates, parameters, or Φ):
-        # propagate and close before any tuple flows.
-        mode = "static"
-        oids = program.static_oids
-    ctx.metrics.record_selector(scan_id, mode, spec.table.num_leaves)
-    for oid in oids:
-        partition_propagation(ctx, scan_id, segment, oid)
+        ctx.metrics.record_selector(scan_id, "dynamic", spec.table.num_leaves)
+        return program
+    # Static selection (constant predicates, parameters, or Φ): propagate
+    # and close before any tuple flows.
+    ctx.metrics.record_selector(scan_id, "static", spec.table.num_leaves)
+    partition_propagation(ctx, scan_id, segment, program.static_oids)
     _close_selector(scan_id, segment, ctx)
     return None
 
@@ -383,7 +360,6 @@ def _close_selector(scan_id: int, segment: int, ctx: ExecContext) -> None:
     ctx.channel(scan_id, segment).close()
 
 
-
 def _partition_selector_batches(
     op: phys.PartitionSelector, segment: int, ctx: ExecContext
 ) -> BatchIter:
@@ -392,13 +368,24 @@ def _partition_selector_batches(
         if op.children:
             yield from build_batches(op.children[0], segment, ctx)
         return
-    # Dynamic selection: apply the selection function per streamed tuple.
+    # Dynamic selection, one batch at a time: each distinct tuple of
+    # streamed values is routed once, only OIDs this instance has not
+    # pushed yet reach the channel, and every (row, OID) pair is counted.
     scan_id = op.spec.part_scan_id
-    oids_for_row = program.oids_for_row
+    values_of, oids_for = program.values, program.oids_for
+    pushed: set[int] = set()
     for batch in build_batches(op.children[0], segment, ctx):
-        for row in batch:
-            for oid in oids_for_row(row):
-                partition_propagation(ctx, scan_id, segment, oid)
+        selected: set[int] = set()
+        pairs = 0
+        for values, times in Counter(values_of(batch)).items():
+            oids = oids_for(values)
+            selected.update(oids)
+            pairs += times * len(oids)
+        if pairs:
+            partition_propagation(
+                ctx, scan_id, segment, selected - pushed, pairs
+            )
+            pushed |= selected
         yield batch
     _close_selector(scan_id, segment, ctx)
 

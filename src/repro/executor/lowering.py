@@ -92,8 +92,8 @@ class ConstraintsFunctionScan(PhysicalOp):
 
 
 class PropagatingProject(PhysicalOp):
-    """Project invoking ``partition_propagation`` per row (both Figure 15
-    shapes).
+    """Project invoking ``partition_propagation`` on its rows (both Figure
+    15 shapes).
 
     ``mode='oids'``: the input rows carry a partition OID column (from a
     filtered ConstraintsFunctionScan); each OID is propagated.
@@ -177,22 +177,26 @@ def _propagating_project_batches(
     if op.mode == "oids":
         oid_index = child.output_layout().resolve(ColumnRef(OID_COLUMN))
 
-        def oid_of(row):
-            return row[oid_index]
+        def oids_of(batch):
+            return [row[oid_index] for row in batch]
 
     else:
         key_fn = compile_expression(
             op.key_expr, child.output_layout(), ctx.params
         )
 
-        def oid_of(row):
-            return partition_selection(ctx.catalog, op.table.oid, key_fn(row))
+        def oids_of(batch):
+            found = (
+                partition_selection(ctx.catalog, op.table.oid, key_fn(row))
+                for row in batch
+            )
+            return [oid for oid in found if oid is not None]
 
+    # one propagation per batch: a row's OID counts once per row
     for batch in build_batches(child, segment, ctx):
-        for row in batch:
-            oid = oid_of(row)
-            if oid is not None:
-                partition_propagation(ctx, scan_id, segment, oid)
+        oids = oids_of(batch)
+        if oids:
+            partition_propagation(ctx, scan_id, segment, oids)
         yield batch
     if ctx.faults.active:
         ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)

@@ -65,7 +65,11 @@ from ..types import DEFAULT_BATCH_SIZE
 #: slices ran on; ``num_segments`` unless a distribution-key predicate
 #: pinned them) — see docs/architecture.md ("Runtime"); every v9 field is
 #: unchanged.
-METRICS_SCHEMA_VERSION = 10
+#: v11: the "cache" section drops "selection", "selectors_served" and
+#: "selectors_evaluated" (the selection-replay tier is gone; the result
+#: cache is the one statement cache) — see docs/caching.md; every other
+#: v10 field is unchanged.
+METRICS_SCHEMA_VERSION = 11
 
 
 class ScanTracker:
@@ -374,18 +378,19 @@ class MetricsCollector:
         self, part_scan_id: int, mode: str, total: int
     ) -> None:
         """Declare a producer's elimination mode: 'static' (computed once,
-        before any tuple flows) or 'dynamic' (per streamed tuple)."""
+        before any tuple flows) or 'dynamic' (from the streamed tuples)."""
         entry = self._selector(part_scan_id)
         entry["mode"] = mode
         entry["total"] = total
 
     def record_propagation(
-        self, part_scan_id: int, segment: int, oid: int
+        self, part_scan_id: int, segment: int, oids, pairs: int
     ) -> None:
-        """One OID pushed through ``partition_propagation`` (Table 1)."""
+        """OIDs pushed through one ``partition_propagation`` call (Table
+        1), standing for ``pairs`` (row, OID) selections."""
         entry = self._selector(part_scan_id)
-        entry["selected"][segment].add(oid)
-        entry["pushed"] += 1
+        entry["selected"][segment].update(oids)
+        entry["pushed"] += pairs
 
     def _selector(self, part_scan_id: int) -> dict:
         entry = self.selectors.get(part_scan_id)
@@ -554,9 +559,8 @@ class MetricsCollector:
 
     def record_cache(self, summary: dict) -> None:
         """Attach the statement's cache-session summary
-        (:meth:`~repro.cache.CacheSession.summary`); the engine re-records
-        after a result-cache commit so the section reflects the final
-        outcome."""
+        (:meth:`~repro.cache.CacheSession.summary`), recorded by the
+        engine once the statement's outcome is final."""
         self.cache_summary = summary
 
     # -- serving (schema v6) ---------------------------------------------------
@@ -758,11 +762,11 @@ class WorkerMetrics:
         node.rows_scanned[segment] += count
 
     def record_propagation(
-        self, part_scan_id: int, segment: int, oid: int
+        self, part_scan_id: int, segment: int, oids, pairs: int
     ) -> None:
         entry = self._base._selector(part_scan_id)
-        entry["selected"][segment].add(oid)
-        self._pushed[part_scan_id] = self._pushed.get(part_scan_id, 0) + 1
+        entry["selected"][segment].update(oids)
+        self._pushed[part_scan_id] = self._pushed.get(part_scan_id, 0) + pairs
 
     def record_motion_batch(
         self, op, kind: str, target_segment: int, rows: list

@@ -11,7 +11,7 @@ Build a :class:`MetricFamily` per metric, add samples, and
 
     family = MetricFamily("repro_cache_hits_total", "counter",
                           "Cache lookup hits")
-    family.add(12, cache="partitions")
+    family.add(12, cache="results")
     text = render([family])
 
 Histograms follow the Prometheus convention — cumulative ``_bucket``

@@ -52,17 +52,9 @@ def render_explain_analyze(metrics: MetricsCollector) -> str:
     if metrics.cache_summary is not None:
         cache = metrics.cache_summary
         line = f"Cache: mode={cache['mode']}"
-        if cache.get("result") is not None:
+        if cache["result"] is not None:
             line += f", result {cache['result']}"
-        else:
-            line += f", selection {cache['selection']}"
-            if cache["selectors_served"] or cache["selectors_evaluated"]:
-                line += (
-                    f" ({cache['selectors_served']} selector instance"
-                    f"{'' if cache['selectors_served'] == 1 else 's'} "
-                    f"served, {cache['selectors_evaluated']} evaluated)"
-                )
-        if cache.get("stored"):
+        if cache["stored"]:
             line += ", stored"
         lines.append(line)
     if metrics.retry_count or metrics.failover_count:

@@ -21,7 +21,7 @@ from .types import DEFAULT_BATCH_SIZE
 
 ORCA = "orca"
 PLANNER = "planner"
-CACHE_MODES = ("off", "partitions", "results")
+CACHE_MODES = ("off", "results")
 
 
 def _at_least(minimum: int, message: str) -> Callable[[Any], None]:
@@ -37,7 +37,7 @@ def _check_optimizer(value) -> None:
         raise ReproError(f"unknown optimizer {value!r}")
 
 
-def check_cache_mode(value) -> None:
+def _check_cache_mode(value) -> None:
     if value not in CACHE_MODES:
         raise ValueError(
             f"unknown cache mode {value!r} (one of: {', '.join(CACHE_MODES)})"
@@ -101,8 +101,8 @@ FIELDS: tuple[Field, ...] = (
     ),
     Field(
         "cache", " | ".join(CACHE_MODES),
-        "replay partition selections, or also serve repeat SELECTs",
-        check=check_cache_mode,
+        "serve repeat SELECTs from cached result sets",
+        check=_check_cache_mode,
         set_name="cache", parse=str.lower, off=("none", "default", ""),
         off_ack="cache follows the database default",
     ),

@@ -1,11 +1,10 @@
-"""Cache-harvest safety under cancellation and timeout.
+"""Result-cache safety under cancellation and timeout.
 
-A query killed mid-execution (QueryCancelled / QueryTimeout) has
-partially-filled partition-OID channels; harvesting them into the
-selection cache would poison later replays with incomplete OID sets.
-The executor aborts the cache session on *any* exception, and the
-session's abort flag makes harvest/commit structural no-ops — these
-tests interleave cancellation at every checkpoint depth to prove no
+A query killed mid-execution (QueryCancelled / QueryTimeout) has no
+answer, only partial state; storing any of it would serve a wrong result
+to every later repeat.  The engine commits a result only after the
+executor returned, so an exception skips the store by construction —
+these tests interleave cancellation at every checkpoint depth to prove no
 partial state is ever stored.
 """
 
@@ -18,8 +17,6 @@ import pytest
 
 from repro import Database
 from repro import types as t
-from repro.cache.manager import CacheManager, CacheSession
-from repro.cache.keys import statement_key
 from repro.catalog import (
     DistributionPolicy,
     PartitionScheme,
@@ -65,27 +62,19 @@ def _db() -> Database:
 
 
 def _cache_totals(db: Database) -> dict:
-    snapshot = db.cache.stats_dict()
-    return {
-        "entries": (
-            snapshot["partitions"]["entries"] + snapshot["results"]["entries"]
-        ),
-        "stores": (
-            snapshot["partitions"]["stores"] + snapshot["results"]["stores"]
-        ),
-    }
+    snapshot = db.cache.stats_dict()["results"]
+    return {"entries": snapshot["entries"], "stores": snapshot["stores"]}
 
 
 def test_cancel_at_every_checkpoint_depth_never_stores_partial_state():
     """Sweep the deterministic cancel hook across checkpoint depths: no
-    matter where mid-execution the query dies, the selection cache stays
-    empty."""
+    matter where mid-execution the query dies, the cache stays empty."""
     db = _db()
     cancelled = 0
     for checks in range(1, 40, 2):
         token = CancelToken(cancel_after_checks=checks)
         try:
-            db.sql(QUERY, cache="partitions", cancel=token)
+            db.sql(QUERY, cache="results", cancel=token)
         except QueryCancelled:
             cancelled += 1
         totals = _cache_totals(db)
@@ -94,8 +83,8 @@ def test_cancel_at_every_checkpoint_depth_never_stores_partial_state():
         )
         assert totals["stores"] == 0
     assert cancelled > 0, "the sweep never actually cancelled a query"
-    # sanity: without a cancel the same query does get harvested
-    db.sql(QUERY, cache="partitions")
+    # sanity: without a cancel the same query does get stored
+    db.sql(QUERY, cache="results")
     assert _cache_totals(db)["stores"] == 1
 
 
@@ -103,7 +92,7 @@ def test_timeout_mid_execution_never_stores_partial_state():
     db = _db()
     db.storage.io_latency_s = 0.002
     with pytest.raises(QueryTimeout):
-        db.sql(QUERY, cache="partitions", timeout=0.0)
+        db.sql(QUERY, cache="results", timeout=0.0)
     totals = _cache_totals(db)
     assert totals["entries"] == 0
     assert totals["stores"] == 0
@@ -123,29 +112,3 @@ def test_cancelled_result_mode_query_never_stores_rows():
     second = db.sql(QUERY, cache="results")
     assert first.rows == second.rows
     assert second.metrics.to_dict()["cache"]["result"] == "hit"
-
-
-def test_aborted_session_refuses_harvest_and_commit_unit():
-    manager = CacheManager()
-    session = CacheSession(
-        manager, statement_key("SELECT 1"), mode="results"
-    )
-    session.abort()
-    assert session.aborted
-    # structural no-ops after abort, whatever the arguments
-    assert session.harvest(None, {}) is False
-    assert session.commit_result([], [], {1: None}) is False
-    snapshot = manager.stats_dict()
-    assert snapshot["partitions"]["stores"] == 0
-    assert snapshot["results"]["stores"] == 0
-
-
-def test_abort_is_idempotent_and_sticky():
-    manager = CacheManager()
-    session = CacheSession(
-        manager, statement_key("SELECT 2"), mode="partitions"
-    )
-    session.abort()
-    session.abort()
-    assert session.aborted
-    assert session.harvest(None, {}) is False

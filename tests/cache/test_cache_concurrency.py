@@ -2,8 +2,7 @@
 
 The no-stale-read contract under threads: once an ``insert()`` call has
 *returned*, every query that starts afterwards must observe its rows —
-whether it is answered by fresh execution, a replayed selection, or a
-cached result.  The writer publishes the row count after each insert
+whether it is answered by fresh execution or by a cached result.  The writer publishes the row count after each insert
 returns; readers snapshot the published floor before issuing each query
 and assert the answer never falls below it.  A stale cache entry serving
 a pre-DML answer after the DML completed would fail the floor check.
@@ -39,7 +38,7 @@ HOT_SQL = (
 
 
 def _build_db() -> Database:
-    db = Database(num_segments=4, cache="partitions")
+    db = Database(num_segments=4, cache="results")
     db.create_table(
         "facts",
         TableSchema.of(("id", t.INT), ("key", t.INT), ("val", t.INT)),
@@ -119,21 +118,19 @@ def test_hot_query_vs_invalidating_dml_serial_readers():
     db = _build_db()
     _stress(
         db,
-        reader_modes=["partitions", "partitions", "results", "results"][
-            :READERS
-        ],
+        reader_modes=["results"] * READERS,
         workers=None,
     )
 
 
 def test_hot_query_vs_invalidating_dml_parallel_readers():
     """Same race with every query on the workers=2 segment scheduler:
-    the selector bypass and harvest must stay sound when each query is
-    itself multi-threaded."""
+    the lookup, the epoch guard and the store must stay sound when each
+    query is itself multi-threaded."""
     db = _build_db()
     _stress(
         db,
-        reader_modes=["partitions", "results"],
+        reader_modes=["results", "results"],
         workers=2,
     )
 
@@ -150,8 +147,8 @@ def test_concurrent_misses_on_distinct_statements():
                 "SELECT count(*) FROM facts "
                 f"WHERE key >= {lo} AND key <= {lo + 50}"
             )
-            first = db.sql(sql, cache="partitions").rows
-            assert db.sql(sql, cache="partitions").rows == first
+            first = db.sql(sql, cache="results").rows
+            assert db.sql(sql, cache="results").rows == first
         except BaseException as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -165,16 +162,16 @@ def test_concurrent_misses_on_distinct_statements():
         thread.join(timeout=JOIN_TIMEOUT)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[0]
-    snap = db.cache.partitions.to_dict()
+    snap = db.cache.results.to_dict()
     assert snap["entries"] == 8
     assert snap["stores"] >= 8
-    # replays answer identically to evaluation for every stored entry
+    # hits answer identically to execution for every stored entry
     for lo in range(0, 800, 100):
         sql = (
             "SELECT count(*) FROM facts "
             f"WHERE key >= {lo} AND key <= {lo + 50}"
         )
         assert (
-            db.sql(sql, cache="partitions").rows
+            db.sql(sql, cache="results").rows
             == db.sql(sql, cache="off").rows
         )

@@ -3,8 +3,7 @@
 The cache may never change an answer.  For random partition predicates,
 random DML interleavings, and any worker count, a cached run must return
 byte-identical rows to a cache-off run at the same data state — and a
-selection-cache run must scan the identical partition set (replaying OIDs
-must not widen or narrow elimination).
+cached run that executed (a miss) must scan the identical partition set.
 
 Extends the serial/parallel suite in
 ``tests/executor/test_parallel_properties.py``: same schema, same idiom,
@@ -66,20 +65,18 @@ _IDS = itertools.count(10_000)  # fresh ids for interleaved inserts
 bounds = st.integers(min_value=-50, max_value=DOMAIN + 50)
 keys = st.integers(min_value=0, max_value=DOMAIN - 1)
 workers_counts = st.sampled_from([1, 2, 4])
-modes = st.sampled_from(["partitions", "results"])
 
 
-def _assert_equivalent(sql: str, mode: str, workers: int) -> None:
+def _assert_equivalent(sql: str, workers: int) -> None:
     """Cached run ≡ cache-off run at the current data state: identical
     rows, and (when the cached run actually executed) identical
     partitions_scanned."""
-    cached = DB.sql(sql, analyze=True, cache=mode, workers=workers)
-    plain = DB.sql(sql, analyze=True, cache="off")
+    cached = DB.sql(sql, cache="results", workers=workers)
+    plain = DB.sql(sql, cache="off")
     assert cached.rows == plain.rows
     summary = cached.metrics.cache_summary
-    assert summary is not None and summary["mode"] == mode
-    if summary.get("result") != "hit":
-        # replayed selections must scan exactly what evaluation scans
+    assert summary is not None and summary["mode"] == "results"
+    if summary["result"] != "hit":
         assert (
             cached.metrics.partitions_scanned()
             == plain.metrics.partitions_scanned()
@@ -91,17 +88,17 @@ def _assert_equivalent(sql: str, mode: str, workers: int) -> None:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(lo=bounds, hi=bounds, workers=workers_counts, mode=modes)
-def test_random_range_predicates_are_cache_invariant(lo, hi, workers, mode):
+@given(lo=bounds, hi=bounds, workers=workers_counts)
+def test_random_range_predicates_are_cache_invariant(lo, hi, workers):
     """Random range predicate on the partition key: warm then repeat —
-    both the storing run and the replaying run answer exactly like
+    both the storing run and the serving run answer exactly like
     cache-off, at every worker setting."""
     sql = (
         "SELECT id, key, val FROM facts "
         f"WHERE key >= {lo} AND key <= {hi}"
     )
-    _assert_equivalent(sql, mode, workers)  # cold (stores)
-    _assert_equivalent(sql, mode, workers)  # warm (replays)
+    _assert_equivalent(sql, workers)  # cold (stores)
+    _assert_equivalent(sql, workers)  # warm (a hit)
 
 
 @settings(
@@ -113,11 +110,10 @@ def test_random_range_predicates_are_cache_invariant(lo, hi, workers, mode):
     in_keys=st.lists(keys, min_size=1, max_size=6, unique=True),
     dml_key=keys,
     workers=workers_counts,
-    mode=modes,
 )
-def test_dml_interleaving_is_cache_invariant(in_keys, dml_key, workers, mode):
+def test_dml_interleaving_is_cache_invariant(in_keys, dml_key, workers):
     """Warm the cache, mutate a random partition (which may or may not
-    intersect the cached OID set), and re-compare: the cached run must
+    intersect the cached footprint), and re-compare: the cached run must
     reflect the post-DML state exactly — invalidation can be a hit or a
     miss, but never a stale answer."""
     in_list = ", ".join(str(k) for k in sorted(in_keys))
@@ -125,10 +121,10 @@ def test_dml_interleaving_is_cache_invariant(in_keys, dml_key, workers, mode):
         "SELECT count(*), sum(val), min(id), max(id) FROM facts "
         f"WHERE key IN ({in_list})"
     )
-    _assert_equivalent(sql, mode, workers)  # warm at the current state
+    _assert_equivalent(sql, workers)  # warm at the current state
     DB.insert("facts", [(next(_IDS), dml_key, 7)])
-    _assert_equivalent(sql, mode, workers)  # post-DML: no stale replay
-    _assert_equivalent(sql, mode, workers)  # and the refreshed entry holds
+    _assert_equivalent(sql, workers)  # post-DML: no stale hit
+    _assert_equivalent(sql, workers)  # and the refreshed entry holds
 
 
 @settings(
@@ -145,12 +141,12 @@ def test_join_elimination_with_dim_dml_is_cache_invariant(
     grp, dim_key, workers
 ):
     """Join-driven (dynamic) partition elimination: the dimension side's
-    rows decide the selection, so dim DML must drop the entry — replaying
-    a pre-DML OID set would scan the wrong partitions."""
+    rows decide the selection, so dim DML must drop the entry — serving
+    the pre-DML answer would miss the partitions the new row selects."""
     sql = (
         "SELECT count(*), sum(f.val) FROM facts f, dim d "
         f"WHERE f.key = d.key AND d.grp = {grp}"
     )
-    _assert_equivalent(sql, "partitions", workers)
+    _assert_equivalent(sql, workers)
     DB.insert("dim", [(dim_key, grp)])
-    _assert_equivalent(sql, "partitions", workers)
+    _assert_equivalent(sql, workers)

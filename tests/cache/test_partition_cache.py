@@ -1,15 +1,14 @@
-"""The partition-selection cache: entries, LRU/byte bounds, invalidation,
-and the engine-level selector bypass."""
+"""Partition-scoped caching: the LRU and byte bounds of the statement
+cache, its partition-intersection invalidation rule, and the engine cases
+the selection-replay tier was tested on, run against the result cache
+that replaced it.  A selection entry never outlived the result entry with
+the same key: each DML below that dropped one drops the other."""
 
 from __future__ import annotations
 
 from repro import Database
 from repro import types as t
-from repro.cache import (
-    PartitionSelectionCache,
-    SelectionEntry,
-    statement_key,
-)
+from repro.cache import ResultCache, ResultEntry, statement_key
 from repro.catalog import (
     DistributionPolicy,
     PartitionScheme,
@@ -22,51 +21,10 @@ def _key(i: int):
     return statement_key(f"SELECT * FROM t WHERE a = {i}")
 
 
-def _entry(i: int, oids=(101, 102), scoped_oid=50, volatile=()):
-    return SelectionEntry(
-        _key(i),
-        selections={7: {0: tuple(oids), 1: tuple(oids)}},
-        scoped={scoped_oid: frozenset(oids)},
-        volatile=frozenset(volatile),
+def _entry(i: int, rows=((1,), (2,)), footprint_oid=50, leaves=(101, 102)):
+    return ResultEntry(
+        _key(i), list(rows), ["n"], {footprint_oid: frozenset(leaves)}
     )
-
-
-# ---------------------------------------------------------------------------
-# SelectionEntry semantics
-# ---------------------------------------------------------------------------
-
-
-def test_entry_replays_per_selector_instance():
-    entry = _entry(1, oids=(101, 103))
-    assert entry.oids(7, 0) == (101, 103)
-    assert entry.oids(7, 1) == (101, 103)
-    assert entry.oids(7, 2) is None  # unknown segment: evaluate normally
-    assert entry.oids(9, 0) is None  # unknown selector: evaluate normally
-    assert entry.tables() == frozenset({50})
-
-
-def test_scoped_invalidation_is_partition_intersecting():
-    entry = _entry(1, oids=(101, 102), scoped_oid=50)
-    # DML into a cached partition stales the entry...
-    assert entry.stale_after(50, frozenset({102}))
-    # ...DML into an unselected partition of the same table does not...
-    assert not entry.stale_after(50, frozenset({104}))
-    # ...whole-table events (truncate, drop) always stale it...
-    assert entry.stale_after(50, None)
-    # ...and other tables never do.
-    assert not entry.stale_after(60, frozenset({102}))
-
-
-def test_volatile_tables_stale_unconditionally():
-    entry = _entry(1, volatile=(60,))
-    assert entry.stale_after(60, frozenset({999}))
-    assert entry.stale_after(60, None)
-
-
-def test_entry_size_counts_oids():
-    small = _entry(1, oids=(101,))
-    big = _entry(2, oids=tuple(range(100, 164)))
-    assert big.size_bytes > small.size_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +33,7 @@ def test_entry_size_counts_oids():
 
 
 def test_lru_entry_bound_evicts_oldest():
-    cache = PartitionSelectionCache(max_entries=2, max_bytes=1 << 20)
+    cache = ResultCache(max_entries=2, max_bytes=1 << 20)
     cache.store(_entry(1))
     cache.store(_entry(2))
     cache.store(_entry(3))
@@ -86,7 +44,7 @@ def test_lru_entry_bound_evicts_oldest():
 
 
 def test_lru_get_refreshes_recency():
-    cache = PartitionSelectionCache(max_entries=2, max_bytes=1 << 20)
+    cache = ResultCache(max_entries=2, max_bytes=1 << 20)
     cache.store(_entry(1))
     cache.store(_entry(2))
     assert cache.get(_key(1)) is not None  # 1 becomes the young entry
@@ -97,9 +55,7 @@ def test_lru_get_refreshes_recency():
 
 def test_byte_bound_evicts_until_it_fits():
     one = _entry(1)
-    cache = PartitionSelectionCache(
-        max_entries=100, max_bytes=one.size_bytes * 2 + 1
-    )
+    cache = ResultCache(max_entries=100, max_bytes=one.size_bytes * 2 + 1)
     cache.store(_entry(1))
     cache.store(_entry(2))
     cache.store(_entry(3))
@@ -108,25 +64,25 @@ def test_byte_bound_evicts_until_it_fits():
 
 
 def test_oversized_entry_does_not_wedge_the_cache():
-    tiny = PartitionSelectionCache(max_entries=100, max_bytes=64)
-    tiny.store(_entry(1, oids=tuple(range(100, 200))))
+    tiny = ResultCache(max_entries=100, max_bytes=64)
+    tiny.store(_entry(1, rows=[(n,) for n in range(100)]))
     assert len(tiny) == 0  # refused by eviction, not stored forever
     assert tiny.bytes_used == 0
 
 
 def test_restore_same_key_replaces_without_leaking_bytes():
-    cache = PartitionSelectionCache(max_entries=4, max_bytes=1 << 20)
-    cache.store(_entry(1, oids=tuple(range(100, 150))))
-    cache.store(_entry(1, oids=(101,)))
+    cache = ResultCache(max_entries=4, max_bytes=1 << 20)
+    cache.store(_entry(1, rows=[(n,) for n in range(50)]))
+    cache.store(_entry(1, rows=[(1,)]))
     assert len(cache) == 1
-    assert cache.bytes_used == _entry(1, oids=(101,)).size_bytes
+    assert cache.bytes_used == _entry(1, rows=[(1,)]).size_bytes
 
 
 def test_invalidate_drops_only_matching_entries():
-    cache = PartitionSelectionCache(max_entries=10, max_bytes=1 << 20)
-    cache.store(_entry(1, oids=(101,), scoped_oid=50))
-    cache.store(_entry(2, oids=(102,), scoped_oid=50))
-    cache.store(_entry(3, oids=(101,), scoped_oid=60))
+    cache = ResultCache(max_entries=10, max_bytes=1 << 20)
+    cache.store(_entry(1, leaves=(101,), footprint_oid=50))
+    cache.store(_entry(2, leaves=(102,), footprint_oid=50))
+    cache.store(_entry(3, leaves=(101,), footprint_oid=60))
     dropped = cache.invalidate(50, frozenset({101}))
     assert dropped == 1
     assert cache.peek(_key(1)) is None
@@ -136,7 +92,7 @@ def test_invalidate_drops_only_matching_entries():
 
 
 def test_hit_miss_counters():
-    cache = PartitionSelectionCache(max_entries=4, max_bytes=1 << 20)
+    cache = ResultCache(max_entries=4, max_bytes=1 << 20)
     cache.store(_entry(1))
     assert cache.get(_key(1)) is not None
     assert cache.get(_key(2)) is None
@@ -147,14 +103,14 @@ def test_hit_miss_counters():
 
 
 # ---------------------------------------------------------------------------
-# engine-level: the selector bypass end to end
+# engine level: what a repeat is served, and what DML drops
 # ---------------------------------------------------------------------------
 
 DOMAIN, PARTS = 100, 4
 
 
 def _build_db() -> Database:
-    db = Database(num_segments=2, cache="partitions")
+    db = Database(num_segments=2, cache="results")
     db.create_table(
         "facts",
         TableSchema.of(("id", t.INT), ("key", t.INT), ("val", t.INT)),
@@ -175,70 +131,70 @@ def _build_db() -> Database:
 
 
 HOT = "SELECT count(*), sum(val) FROM facts WHERE key >= 0 AND key <= 20"
+JOIN = "SELECT count(*) FROM facts f, dim d WHERE f.key = d.key AND d.grp = 3"
 
 
-def test_repeat_query_replays_selection():
+def _only_entry(db: Database) -> ResultEntry:
+    [(_, entry)] = db.cache.results.items()
+    return entry
+
+
+def test_scoped_invalidation_is_partition_intersecting():
+    """A selector's target table is scoped to the leaves the run opened."""
     db = _build_db()
-    first = db.sql(HOT, analyze=True)
-    second = db.sql(HOT, analyze=True)
-    assert first.metrics.cache_summary["selection"] == "miss"
-    assert first.metrics.cache_summary["stored"] is True
-    assert second.metrics.cache_summary["selection"] == "hit"
-    assert second.metrics.cache_summary["selectors_served"] > 0
-    assert second.metrics.cache_summary["selectors_evaluated"] == 0
-    # the replayed selection answers identically and scans the same leaves
-    assert second.rows == first.rows
-    assert (
-        second.metrics.partitions_scanned()
-        == first.metrics.partitions_scanned()
-    )
+    first = db.sql(HOT)
+    facts = db.catalog.table("facts")
+    opened = first.metrics.tracker.partitions["facts"]
+    entry = _only_entry(db)
+    assert entry.footprint == {facts.oid: frozenset(opened)}
+    assert len(opened) == 1  # keys 0..20 live in the first of four leaves
+    unopened = set(facts.all_leaf_oids()) - opened
+    assert entry.stale_after(facts.oid, frozenset(opened))
+    assert not entry.stale_after(facts.oid, frozenset(unopened))
+    assert entry.stale_after(facts.oid, None)  # truncate, drop
+
+
+def test_volatile_tables_stale_unconditionally():
+    """The table whose rows drive a join's selection is read whole, so
+    any DML on it stales the entry."""
+    db = _build_db()
+    db.sql(JOIN)
+    dim = db.catalog.table("dim")
+    entry = _only_entry(db)
+    assert entry.footprint[dim.oid] is None
+    assert entry.stale_after(dim.oid, frozenset({999}))
+    assert entry.stale_after(dim.oid, None)
 
 
 def test_dml_into_selected_partition_invalidates():
     db = _build_db()
-    db.sql(HOT)
-    assert db.sql(HOT).metrics.cache_summary["selection"] == "hit"
-    db.insert("facts", [(9001, 10, 5)])  # key=10 is inside the cached range
+    baseline = db.sql(HOT)
+    assert db.sql(HOT).metrics.cache_summary["result"] == "hit"
+    # key=10 is inside the selected range: rows i=10 and i=110
+    db.sql("UPDATE facts SET val = val + 1 WHERE key = 10")
     after = db.sql(HOT)
-    assert after.metrics.cache_summary["selection"] == "miss"
-    # the re-run sees the inserted row: keys 0..20 appear twice in the
-    # seed data (i and i+100), plus the one just inserted
-    assert after.rows[0][0] == 21 * 2 + 1
+    assert after.metrics.cache_summary["result"] == "miss"
+    assert after.rows[0] == (baseline.rows[0][0], baseline.rows[0][1] + 2)
 
 
 def test_dml_outside_selection_preserves_entry():
     db = _build_db()
     baseline = db.sql(HOT)
-    db.insert("facts", [(9002, 90, 5)])  # partition outside [0, 20]
+    assert db.sql("DELETE FROM facts WHERE key = 90").rows == [(2,)]
     after = db.sql(HOT)
-    assert after.metrics.cache_summary["selection"] == "hit"
+    assert after.metrics.cache_summary["result"] == "hit"
     assert after.rows == baseline.rows
 
 
 def test_dml_on_volatile_join_side_invalidates():
     db = _build_db()
-    sql = (
-        "SELECT count(*) FROM facts f, dim d "
-        "WHERE f.key = d.key AND d.grp = 3"
-    )
-    db.sql(sql)
-    assert db.sql(sql).metrics.cache_summary["selection"] == "hit"
+    baseline = db.sql(JOIN)
+    assert db.sql(JOIN).metrics.cache_summary["result"] == "hit"
     # dim's rows drive the dynamic selection: any dim DML drops the entry
-    db.insert("dim", [(1000, 3)])
-    assert db.sql(sql).metrics.cache_summary["selection"] == "miss"
-
-
-def test_lowered_plans_are_never_cached():
-    db = _build_db()
-    first = db.sql(HOT, lower_selectors=True)
-    second = db.sql(HOT, lower_selectors=True)
-    assert first.metrics.cache_summary["stored"] is False
-    assert second.metrics.cache_summary["selection"] == "miss"
-    # and the lowered key never collides with the normal-path entry
-    db.sql(HOT)
-    assert db.sql(HOT, lower_selectors=True).metrics.cache_summary[
-        "selection"
-    ] == "miss"
+    db.sql("UPDATE dim SET grp = 3 WHERE key = 1")
+    after = db.sql(JOIN)
+    assert after.metrics.cache_summary["result"] == "miss"
+    assert after.rows[0][0] == baseline.rows[0][0] + 2  # facts 1 and 101
 
 
 def test_different_literals_get_distinct_entries():
@@ -247,10 +203,10 @@ def test_different_literals_get_distinct_entries():
     b = "SELECT count(*) FROM facts WHERE key >= 80 AND key <= 99"
     db.sql(a)
     db.sql(b)
-    assert len(db.cache.partitions) == 2
+    assert len(db.cache.results) == 2
     ra, rb = db.sql(a), db.sql(b)
-    assert ra.metrics.cache_summary["selection"] == "hit"
-    assert rb.metrics.cache_summary["selection"] == "hit"
+    assert ra.metrics.cache_summary["result"] == "hit"
+    assert rb.metrics.cache_summary["result"] == "hit"
     assert ra.rows != rb.rows
 
 
@@ -258,11 +214,14 @@ def test_cache_off_mode_bypasses_everything():
     db = _build_db()
     result = db.sql(HOT, cache="off")
     assert result.metrics.cache_summary is None
-    assert len(db.cache.partitions) == 0
+    assert len(db.cache.results) == 0
+    assert db.cache.results.stats.lookups == 0
 
 
 def test_explain_analyze_shows_cache_line():
     db = _build_db()
     db.sql(HOT)
     text = db.sql(HOT, analyze=True).explain_analyze()
-    assert "Cache: mode=partitions, selection hit" in text
+    # measured runs execute (no lookup) and store what they computed
+    assert "Cache: mode=results, stored" in text
+    assert "partitions: 1/4" in text

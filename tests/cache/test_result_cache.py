@@ -4,6 +4,8 @@ could have changed)."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro import Database
 from repro import types as t
 from repro.cache import ResultCache, ResultEntry, statement_key
@@ -170,14 +172,38 @@ def test_served_rows_are_fresh_copies():
     assert ("tampered",) not in again.rows
 
 
-def test_results_mode_also_populates_selection_cache():
-    """'results' is a superset of 'partitions': after a result entry is
-    invalidated, the surviving selection entry still short-circuits the
-    selectors on the recomputation."""
+def test_explain_analyze_and_trace_execute_instead_of_hitting():
+    """A statement run to be measured reports an execution: with an
+    entry cached, EXPLAIN ANALYZE still shows the plan and its actuals,
+    and ``trace=True`` still returns the trace."""
     db = _build_db()
     db.sql(HOT)
-    db.insert("facts", [(9003, 90, 7)])  # outside both footprints
-    db.cache.results.clear()  # force a result miss, keep selections
-    recompute = db.sql(HOT)
-    assert recompute.metrics.cache_summary["result"] == "miss"
-    assert recompute.metrics.cache_summary["selection"] == "hit"
+    assert db.sql(HOT).metrics.cache_summary["result"] == "hit"
+    text = db.explain_analyze(HOT)
+    assert "DynamicScan" in text and "actual rows=" in text
+    assert "result hit" not in text
+    traced = db.sql(HOT, trace=True)
+    assert traced.trace is not None
+    assert traced.metrics.to_dict()["trace"] is not None
+    assert traced.metrics.cache_summary["result"] is None  # no lookup
+    # measuring never costs the plain repeat its hit
+    assert db.sql(HOT).metrics.cache_summary["result"] == "hit"
+
+
+def test_partitions_mode_is_a_typed_error():
+    """Only 'off' and 'results' exist: the settings table rejects the
+    removed selection-replay mode wherever a mode is given."""
+    from repro.cli import ReplSession
+
+    db = _build_db()
+    for attempt in (
+        lambda: Database(cache="partitions"),
+        lambda: db.sql(HOT, cache="partitions"),
+        lambda: db.session(cache="partitions"),
+    ):
+        with pytest.raises(ValueError, match=r"one of: off, results"):
+            attempt()
+    shell = ReplSession(db)
+    assert shell.handle_line("SET cache partitions;") == (
+        "ERROR (sql): unknown cache mode 'partitions' (one of: off, results)"
+    )

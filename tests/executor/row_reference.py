@@ -122,11 +122,12 @@ def _partition_selector_iter(
         if op.children:
             yield from build_iterator(op.children[0], segment, ctx)
         return
-    # Dynamic selection: apply the selection function per streamed tuple.
+    # Dynamic selection: apply the selection function per streamed tuple,
+    # each row propagating every OID it selects.
     scan_id = op.spec.part_scan_id
     for row in build_iterator(op.children[0], segment, ctx):
-        for oid in program.oids_for_row(row):
-            partition_propagation(ctx, scan_id, segment, oid)
+        [values] = program.values([row])
+        partition_propagation(ctx, scan_id, segment, program.oids_for(values))
         yield row
     _close_selector(scan_id, segment, ctx)
 
@@ -165,14 +166,14 @@ def _propagating_project_iter(op: PropagatingProject, segment: int, ctx: ExecCon
         layout = child.output_layout()
         oid_index = layout.resolve(ColumnRef(OID_COLUMN))
         for row in build_iterator(child, segment, ctx):
-            partition_propagation(ctx, scan_id, segment, row[oid_index])
+            partition_propagation(ctx, scan_id, segment, [row[oid_index]])
             yield row
     else:
         key_fn = compile_expression(op.key_expr, child.output_layout(), ctx.params)
         for row in build_iterator(child, segment, ctx):
             oid = partition_selection(ctx.catalog, op.table.oid, key_fn(row))
             if oid is not None:
-                partition_propagation(ctx, scan_id, segment, oid)
+                partition_propagation(ctx, scan_id, segment, [oid])
             yield row
     if ctx.faults.active:
         ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)

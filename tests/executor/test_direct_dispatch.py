@@ -120,7 +120,7 @@ def assert_same_answer(result, reference):
 
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("batch_size", [1, 1024])
-@pytest.mark.parametrize("cache", ["off", "partitions", "results"])
+@pytest.mark.parametrize("cache", ["off", "results"])
 def test_dispatched_shapes_equal_the_all_segments_answer(
     db, workers, batch_size, cache
 ):
@@ -197,7 +197,7 @@ def test_dml_is_not_dispatched(db):
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-@pytest.mark.parametrize("cache", ["partitions", "results"])
+@pytest.mark.parametrize("cache", ["results"])
 def test_cached_statement_replays_with_a_different_key(db, workers, cache):
     """Cold run, another key (another segment), then both again from the
     cache: each execution sees only its own key's segment."""
@@ -223,7 +223,7 @@ def test_cached_statement_replays_with_a_different_key(db, workers, cache):
 
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("batch_size", [1, 1024])
-@pytest.mark.parametrize("cache", ["off", "partitions", "results"])
+@pytest.mark.parametrize("cache", ["off", "results"])
 @pytest.mark.parametrize("transient", [False, True])
 def test_faults_act_on_the_dispatched_segment_only(
     db, workers, batch_size, cache, transient

@@ -94,7 +94,7 @@ def test_partition_propagation(env):
     storage = StorageManager(catalog, 2)
     ctx = ExecContext(catalog, storage, num_segments=2)
     target = single.all_leaf_oids()[0]
-    partition_propagation(ctx, 7, 1, target)
+    partition_propagation(ctx, 7, 1, [target])
     channel = ctx.channel(7, 1)
     channel.close()
     assert channel.consume() == [target]

@@ -23,7 +23,7 @@ from repro.catalog import (
 from repro.obs.metrics import METRICS_SCHEMA_VERSION
 
 #: the version the golden key sets below describe
-GOLDEN_VERSION = 10
+GOLDEN_VERSION = 11
 
 TOP_LEVEL = {
     "schema_version", "elapsed_seconds", "num_segments", "timing_collected",
@@ -66,8 +66,8 @@ GOLDEN = {
         "instance_busy_seconds", "overlap",
     },
     "cache": {
-        "mode", "selection", "selectors_served", "selectors_evaluated",
-        "result", "stored", "hits", "misses", "invalidations", "bytes",
+        "mode", "result", "stored", "hits", "misses", "invalidations",
+        "bytes",
     },
     "serving": {
         "session", "queued_seconds", "requested_workers",
@@ -99,7 +99,7 @@ MOTION_NODE = {"kind", "rows_moved", "rows_by_target", "bytes_moved"}
 @pytest.fixture
 def exported(tmp_path):
     """One statement run with every opt-in section switched on: durable
-    instance, serving session, tracing, partition cache, timing."""
+    instance, serving session, tracing, result cache, timing."""
     db = Database(num_segments=4, data_dir=str(tmp_path))
     db.create_table(
         "t",
@@ -112,7 +112,7 @@ def exported(tmp_path):
     result = db.session(name="contract").sql(
         "SELECT count(*) FROM t WHERE k < 30",
         trace=True,
-        cache="partitions",
+        cache="results",
         analyze=True,
     )
     yield json.loads(result.metrics.to_json())

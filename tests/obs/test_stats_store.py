@@ -77,14 +77,14 @@ def test_cache_key_still_aggregates_under_the_fingerprint(orders_db):
     orders_db.cache.clear()
     a = "SELECT count(*) FROM orders WHERE date = '05-15-2013'"
     b = "SELECT count(*) FROM orders WHERE date = '07-04-2012'"
-    orders_db.sql(a, cache="partitions")
-    orders_db.sql(b, cache="partitions")
+    orders_db.sql(a, cache="results")
+    orders_db.sql(b, cache="results")
     assert len(store) == 1  # \stats aggregates the shape
-    assert len(orders_db.cache.partitions) == 2  # the cache does not
-    # and the two entries cache different partition OID sets — reusing
-    # one for the other would scan the wrong month
-    entries = [entry for _, entry in orders_db.cache.partitions.items()]
-    assert entries[0].scoped != entries[1].scoped
+    assert len(orders_db.cache.results) == 2  # the cache does not
+    # and the two entries were read from different partitions — reusing
+    # one for the other would answer from the wrong month
+    entries = [entry for _, entry in orders_db.cache.results.items()]
+    assert entries[0].footprint != entries[1].footprint
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 
 from repro import Database
 from repro import types as t
+from repro.cache import CacheManager
 from repro.cache.keys import statement_key
 from repro.catalog import TableSchema
 from repro.cli import ReplSession
@@ -134,7 +135,10 @@ def test_database_constructor_keywords(db):
     assert tuned.settings == QuerySettings(
         workers=3, batch_size=7, cache="results"
     )
-    assert tuned.cache.config.mode == "results"
+    shared = CacheManager()
+    # a prebuilt manager carries no mode: that lives in the settings only
+    assert Database(num_segments=2, cache=shared).cache is shared
+    assert tuned.cache is not shared
 
 
 def test_resolution_is_free_when_nothing_is_overridden(db, seen):
@@ -252,7 +256,7 @@ def test_set_acknowledgements_are_pinned(db):
         (
             "SET cache sideways;",
             "ERROR (sql): unknown cache mode 'sideways' "
-            "(one of: off, partitions, results)",
+            "(one of: off, results)",
         ),
         ("SET timeout_seconds 0.5;", "timeout_seconds is 0.5"),
         ("SET timeout_seconds = 30;", "timeout_seconds is 30.0"),

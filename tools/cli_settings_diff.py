@@ -3,16 +3,18 @@
 
 Runs the same scripted shell sessions through ``python -m repro`` under
 different ``SET`` preambles and diffs every transcript against the run
-with no preamble.  Worker count, batch width and selection caching must
+with no preamble.  Worker count, batch width and result caching must
 be *invisible* in what the shell prints: same rows, same
 partitions-scanned lines, byte for byte.
 
 * **workers** — ``SET workers 4``;
 * **batch width** — ``SET batch_size 1 | 7 | 1024``, and 1024 under
   ``SET workers 4``;
-* **cache** — ``SET cache partitions`` over a script that repeats every
-  statement (the repeat replays cached selector OID sets) with a DML in
-  between (invalidation).
+* **cache** — ``SET cache results`` over a script that repeats every
+  statement (a repeat is a result hit) with a DML in between (the repeat
+  after it is a post-invalidation miss).  A hit executes nothing, so it
+  prints no ``partitions scanned`` footer: exactly as many footers as
+  predicted hits go missing, and nothing else may differ.
 
 The acknowledgement lines a preamble produces are predicted from the
 settings table (``repro.settings.SET_FIELDS``), checked, and stripped.
@@ -42,9 +44,12 @@ DIM = "SELECT count(*) FROM date_dim;"
 POINT = "SELECT avg(amount) FROM orders WHERE date = '05-15-2013';"
 INSERT = "INSERT INTO orders VALUES (99001, 10.0, '05-15-2013');"
 
-#: (what must be invisible, the script, the SET preambles to run it under)
+FOOTER = "partitions scanned: "
+
+#: (what must be invisible, the script, the SET preambles to run it under,
+#: how many statements the preambles answer from the result cache)
 CASES = [
-    ("workers", [RANGE, JOIN], [[("workers", "4")]]),
+    ("workers", [RANGE, JOIN], [[("workers", "4")]], 0),
     (
         "batch width",
         [RANGE, JOIN, DIM],
@@ -54,13 +59,19 @@ CASES = [
             [("batch_size", "1024")],
             [("workers", "4"), ("batch_size", "1024")],
         ],
+        0,
     ),
     (
-        "selection cache",
+        "result cache",
         [RANGE, RANGE, POINT, INSERT, POINT],
-        [[("cache", "partitions")]],
+        [[("cache", "results")]],
+        1,  # the second RANGE; the INSERT lands in POINT's partition
     ),
 ]
+
+
+def footers(lines: list[str]) -> int:
+    return sum(line.startswith(FOOTER) for line in lines)
 
 
 def transcript(script: list[str], preamble=()) -> list[str]:
@@ -96,17 +107,22 @@ def transcript(script: list[str], preamble=()) -> list[str]:
 
 def main() -> int:
     failures = 0
-    for label, script, preambles in CASES:
+    for label, script, preambles, hits in CASES:
         reference = transcript(script)
         for preamble in preambles:
             name = "; ".join(f"SET {n} {v}" for n, v in preamble)
+            expected, got = reference, transcript(script, preamble)
+            if hits:
+                if footers(expected) - footers(got) != hits:
+                    failures += 1
+                    print(f"{label}: expected {hits} cache hit(s) under {name}")
+                expected, got = (
+                    [line for line in lines if not line.startswith(FOOTER)]
+                    for lines in (expected, got)
+                )
             diff = list(
                 difflib.unified_diff(
-                    reference,
-                    transcript(script, preamble),
-                    "no preamble",
-                    name,
-                    lineterm="",
+                    expected, got, "no preamble", name, lineterm=""
                 )
             )
             if diff:
@@ -119,7 +135,7 @@ def main() -> int:
         print(f"CLI settings diff: FAILED — {failures} transcript(s) differ")
         return 1
     print(
-        "CLI settings diff: OK — workers, batch width and selection "
+        "CLI settings diff: OK — workers, batch width and result "
         "caching are invisible in the shell's output"
     )
     return 0
