@@ -32,15 +32,6 @@ def table_counters(result, table: str) -> dict:
     )
 
 
-def motion_counters(result) -> dict:
-    """Measured aggregate Motion traffic: ``motion_rows``/``motion_bytes``."""
-    totals = measured_counters(result)["totals"]
-    return {
-        "rows_moved": totals["motion_rows"],
-        "bytes_moved": totals["motion_bytes"],
-    }
-
-
 def emit(name: str, lines: list[str]) -> None:
     """Print an experiment's regenerated table and persist it."""
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -85,6 +85,10 @@ class TableDescriptor:
         self._leaf_by_oid: dict[int, LeafId] = {
             v: k for k, v in self._leaf_oids.items()
         }
+        self._all_leaf_oids = [
+            self._leaf_oids[leaf]
+            for leaf in (partition_scheme.leaf_ids() if partition_scheme else ())
+        ]
 
     @property
     def is_partitioned(self) -> bool:
@@ -118,11 +122,9 @@ class TableDescriptor:
 
     def all_leaf_oids(self) -> list[int]:
         """OIDs of all leaf partitions, in leaf-id order (paper's
-        ``partition_expansion``)."""
+        ``partition_expansion``), expanded once when the table is made."""
         assert self.partition_scheme is not None
-        return [
-            self._leaf_oids[leaf] for leaf in self.partition_scheme.leaf_ids()
-        ]
+        return list(self._all_leaf_oids)
 
     def route_row(self, row: tuple) -> LeafId | None:
         """``f_T`` applied to a full row of this table."""

@@ -59,8 +59,10 @@ from ..resilience.guardrails import QueryLimits, RetryPolicy
 from ..settings import DEFAULT_SETTINGS, QuerySettings
 from ..storage import StorageManager
 from ..storage.distribution import segment_for, stable_hash
+from ..types import TEXT, DataType
 from .context import COORDINATOR_SEGMENT, ExecContext
 from .iterators import build_batches, drain
+from .kernels import row_bytes_kernel
 from .queues import MotionBuffer
 from .scheduler import SegmentScheduler
 
@@ -290,17 +292,10 @@ class MppExecutor:
         queue still closes, and retry and failover see only the instances
         that exist."""
         buffer = ctx.motion_buffer(id(motion))
-        hash_fns = None
-        if isinstance(motion, phys.RedistributeMotion):
-            layout = motion.children[0].output_layout()
-            hash_fns = [
-                compile_expression(expr, layout, ctx.params)
-                for expr in motion.hash_exprs
-            ]
 
         def instance(segment: int) -> Callable[[], None]:
             def work(view: ExecContext) -> None:
-                self._send_segment(motion, view, segment, buffer, hash_fns)
+                self._send_segment(motion, view, segment, buffer)
 
             return lambda: self._run_instance_with_retry(
                 ctx,
@@ -402,16 +397,16 @@ class MppExecutor:
         view: ExecContext,
         segment: int,
         buffer: MotionBuffer,
-        hash_fns,
     ) -> None:
         """One producer instance: run the motion's child subtree on
         ``segment`` and route every batch into the receive queues, tagged
         with this segment as the producer (the deterministic-merge key).
-        A batch takes one lock acquisition per target queue; the
-        ``motion_send`` fault point fires once per batch, and the
-        buffered-row charges stop at the first one that crosses
-        ``max_rows``, whatever the width."""
+        A batch takes one lock acquisition per target queue and is sized
+        once per target list; the ``motion_send`` fault point fires once
+        per batch, and the buffered-row charges stop at the first one that
+        crosses ``max_rows``, whatever the width."""
         child = motion.children[0]
+        size, hash_fns = view.kernel(motion, lambda: _motion_kernels(motion, view.params))
         record = view.metrics.record_motion_batch
         faults = view.faults if view.faults.active else None
         limits = view.limits if view.limits.active else None
@@ -424,13 +419,14 @@ class MppExecutor:
                 faults.maybe_fire(MOTION_SEND, segment)
             if gather:
                 buffer.send_batch(COORDINATOR_SEGMENT, batch, segment)
-                record(motion, "gather", COORDINATOR_SEGMENT, batch)
+                record(motion, "gather", COORDINATOR_SEGMENT, len(batch), size(batch))
                 if limits is not None:
                     limits.charge_rows_batch(len(batch))
             elif broadcast:
+                nbytes = size(batch)
                 for target in range(self.num_segments):
                     buffer.send_batch(target, batch, segment)
-                    record(motion, "broadcast", target, batch)
+                    record(motion, "broadcast", target, len(batch), nbytes)
                 if limits is not None:
                     limits.charge_rows_batch(
                         len(batch), per_row=self.num_segments
@@ -450,7 +446,7 @@ class MppExecutor:
                 for target in sorted(by_target):
                     rows = by_target[target]
                     buffer.send_batch(target, rows, segment)
-                    record(motion, "redistribute", target, rows)
+                    record(motion, "redistribute", target, len(rows), size(rows))
                 if limits is not None:
                     limits.charge_rows_batch(len(batch))
 
@@ -459,16 +455,35 @@ class MppExecutor:
         the buffer (used by benchmarks that drive a single Motion by
         hand)."""
         buffer = ctx.motion_buffer(id(motion))
-        hash_fns = None
-        if isinstance(motion, phys.RedistributeMotion):
-            layout = motion.children[0].output_layout()
-            hash_fns = [
-                compile_expression(expr, layout, ctx.params)
-                for expr in motion.hash_exprs
-            ]
         for segment in range(self.num_segments):
-            self._send_segment(motion, ctx, segment, buffer, hash_fns)
+            self._send_segment(motion, ctx, segment, buffer)
         buffer.close()
+
+
+def motion_sizer(motion: phys.Motion) -> Callable[[list], int]:
+    """``rows -> bytes`` of ``motion``'s rows by the Motion byte measure
+    (docs/observability.md).  A slot is fixed-width when it is a non-TEXT
+    column of the table a scan below reads under the slot's qualifier;
+    any other slot is sized per value."""
+    types: dict[tuple[str | None, str], DataType | None] = {}
+    for op in motion.walk():
+        if isinstance(op, (phys.Scan, phys.LeafScan, phys.DynamicScan, phys.EmptyScan)):
+            for column in op.table.schema:
+                key, kind = (op.alias, column.name), column.data_type
+                # one alias naming two tables: that slot is sized per value
+                types[key] = kind if types.get(key, kind) is kind else None
+    slots = motion.output_layout().slots
+    return row_bytes_kernel([types.get(slot) not in (None, TEXT) for slot in slots])
+
+
+def _motion_kernels(motion: phys.Motion, params) -> tuple[Callable, list | None]:
+    """What every producer instance of ``motion`` shares in one statement:
+    the sizing kernel of its rows and a Redistribute's hash functions."""
+    hash_fns = None
+    if isinstance(motion, phys.RedistributeMotion):
+        layout = motion.children[0].output_layout()
+        hash_fns = [compile_expression(e, layout, params) for e in motion.hash_exprs]
+    return motion_sizer(motion), hash_fns
 
 
 def _motions_deepest_first(root: phys.PhysicalOp) -> list[phys.Motion]:

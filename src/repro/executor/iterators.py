@@ -8,6 +8,11 @@ executed here — the executor pre-materializes their output into
 per-segment buffers, and this module simply reads the buffer
 (slice-at-a-time execution).
 
+An operator never mutates a batch it receives: it builds a new list, or
+passes the one it got on unchanged (a Project of its input's own slots
+returns its input).  So a batch may be shared by several operators, Motion
+queues included, with no copy.
+
 Accounting is exact at every width: metrics charge ``len(batch)`` per
 node, guardrail ticks advance by ``len(batch)``, ``max_rows`` charges stop
 at the first crossing charge, and Limit truncates its final batch.  The
@@ -116,8 +121,14 @@ def _slice_batches(rows: list, batch_size: int) -> BatchIter:
 
 def _scan_batches(op, segment: int, ctx: ExecContext) -> BatchIter:
     """The scan loop of Scan, LeafScan and DynamicScan, which differ only
-    in the leaves they open: the whole table (``None``: no leaf is
-    recorded), one guarded leaf, or the OIDs the channel delivers."""
+    in the leaves they open: the whole table (an unpartitioned table's
+    rows live under its root OID), one guarded leaf, or the OIDs the
+    channel delivers.
+
+    Storage fills every batch to the width across leaves.  Each batch is
+    recorded as it is emitted, with the leaves opened to fill it, so the
+    live activity registry sees rows-so-far advance mid-scan at one call
+    per batch, never per leaf or row."""
     if isinstance(op, phys.DynamicScan):
         ctx.metrics.node(op).part_scan_id = op.part_scan_id
         leaves = ctx.channel(op.part_scan_id, segment).consume()
@@ -131,27 +142,26 @@ def _scan_batches(op, segment: int, ctx: ExecContext) -> BatchIter:
             return
         leaves = [op.leaf_oid]
     else:
-        leaves = [None]
+        leaves = whole_table(op.table)
     faults = ctx.faults if ctx.faults.active else None
-    scan = ctx.storage.scan_table_batches
-    for oid in leaves:
-        if oid is not None:
-            ctx.metrics.record_leaf(op, op.table, oid, segment)
-        # rows are recorded per *leaf* (not per scan) so the live activity
-        # registry sees rows-so-far advance while a long scan runs; still
-        # one recording call per partition, never per row
-        count = 0
-        for batch in scan(
-            segment,
-            op.table.oid,
-            None if oid is None else [oid],
-            ctx.settings.batch_size,
-        ):
-            if faults is not None:
-                faults.maybe_fire(SCAN_ROW, segment)
-            count += len(batch)
-            yield batch
-        ctx.metrics.record_scan_rows(op, op.table, segment, count)
+    record = ctx.metrics.record_scan
+    opened: list[int] = []  # filled by storage, emptied per batch here
+    for batch in ctx.storage.scan_table_batches(
+        segment, op.table.oid, leaves, ctx.settings.batch_size, opened
+    ):
+        if faults is not None:
+            faults.maybe_fire(SCAN_ROW, segment)
+        record(op, op.table, segment, opened, len(batch))
+        opened.clear()
+        yield batch
+    if opened:
+        record(op, op.table, segment, opened, 0)
+
+
+def whole_table(table: TableDescriptor) -> list[int]:
+    """The OIDs a scan of all of ``table`` opens: its leaves, or the root
+    OID of an unpartitioned table."""
+    return table.all_leaf_oids() if table.is_partitioned else [table.oid]
 
 
 def _motion_batches(op: phys.Motion, segment: int, ctx: ExecContext) -> BatchIter:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from itertools import chain
 from typing import Any
 
 from ..types import DEFAULT_BATCH_SIZE
@@ -84,11 +83,15 @@ class ScanTracker:
         self.partitions: dict[str, set[int]] = {}
         self.rows_scanned = 0
 
-    def record_leaf(self, table_name: str, leaf_oid: int) -> None:
-        self.partitions.setdefault(table_name, set()).add(leaf_oid)
+    def record(self, table_name: str, leaf_oids, rows: int) -> None:
+        if leaf_oids:
+            self.partitions.setdefault(table_name, set()).update(leaf_oids)
+        self.rows_scanned += rows
 
-    def record_rows(self, count: int) -> None:
-        self.rows_scanned += count
+    def merge(self, other: "ScanTracker") -> None:
+        for table_name, leaf_oids in other.partitions.items():
+            self.record(table_name, leaf_oids, 0)
+        self.rows_scanned += other.rows_scanned
 
     def partitions_scanned(self, table_name: str) -> int:
         return len(self.partitions.get(table_name, ()))
@@ -355,22 +358,11 @@ class MetricsCollector:
 
     # -- scans --------------------------------------------------------------
 
-    def record_leaf(self, op, table, leaf_oid: int, segment: int) -> None:
-        """One leaf partition opened by a (Dynamic/Leaf)Scan."""
-        self.tracker.record_leaf(table.name, leaf_oid)
-        node = self.node(op)
-        node.table_name = table.name
-        if node.partitions_total is None:
-            node.partitions_total = table.num_leaves
-            self._table_totals[table.name] = table.num_leaves
-        node.partitions[segment].add(leaf_oid)
-
-    def record_scan_rows(self, op, table, segment: int, count: int) -> None:
-        """Raw rows read from storage by a scan node."""
-        self.tracker.record_rows(count)
-        node = self.node(op)
-        node.table_name = table.name
-        node.rows_scanned[segment] += count
+    def record_scan(self, op, table, segment: int, leaf_oids, rows: int) -> None:
+        """One batch a (Dynamic/Leaf)Scan emitted: its ``rows`` and the
+        leaf OIDs opened to fill it, empty leaves included (``rows=0``:
+        empty leaves opened after the last batch)."""
+        _count_scan(self, self.tracker, op, table, segment, leaf_oids, rows)
 
     # -- partition selection ------------------------------------------------
 
@@ -425,14 +417,11 @@ class MetricsCollector:
     # -- motions ------------------------------------------------------------
 
     def record_motion_batch(
-        self, op, kind: str, target_segment: int, rows: list
+        self, op, kind: str, target_segment: int, rows: int, nbytes: int
     ) -> None:
-        """A batch of rows routed by a Motion to ``target_segment``: one
-        row and its serialized size each."""
-        node = self.node(op)
-        node.motion_kind = kind
-        node.rows_by_target[target_segment] += len(rows)
-        node.bytes_moved += _batch_bytes(rows)
+        """``rows`` rows routed by a Motion to ``target_segment``, sized
+        ``nbytes`` by the Motion byte measure (docs/observability.md)."""
+        _count_motion(self.node(op), kind, target_segment, rows, nbytes)
 
     # -- slices -------------------------------------------------------------
 
@@ -731,13 +720,12 @@ class WorkerMetrics:
     def __init__(self, base: MetricsCollector, segment: int):
         self._base = base
         self.segment = segment
-        self._rows_scanned = 0
-        #: (table name, leaf oid) pairs for the aggregate ScanTracker
-        self._leaves: list[tuple[str, int]] = []
+        #: this instance's share of the aggregate ScanTracker
+        self._scans = ScanTracker()
         #: part_scan_id -> OIDs pushed by this instance
         self._pushed: dict[int, int] = {}
-        #: id(op) -> [op, kind, rows per target segment, bytes moved]
-        self._motions: dict[int, list] = {}
+        #: id(op) -> (op, this instance's Motion counters for it)
+        self._motions: dict[int, tuple[Any, NodeMetrics]] = {}
 
     def __getattr__(self, name: str):
         # everything not intercepted (instrument_batches, node,
@@ -746,20 +734,8 @@ class WorkerMetrics:
 
     # -- intercepted recorders (contended counters buffered locally) ---------
 
-    def record_leaf(self, op, table, leaf_oid: int, segment: int) -> None:
-        self._leaves.append((table.name, leaf_oid))
-        node = self._base.node(op)
-        node.table_name = table.name
-        if node.partitions_total is None:
-            node.partitions_total = table.num_leaves
-            self._base._table_totals[table.name] = table.num_leaves
-        node.partitions[segment].add(leaf_oid)
-
-    def record_scan_rows(self, op, table, segment: int, count: int) -> None:
-        self._rows_scanned += count
-        node = self._base.node(op)
-        node.table_name = table.name
-        node.rows_scanned[segment] += count
+    def record_scan(self, op, table, segment: int, leaf_oids, rows: int) -> None:
+        _count_scan(self._base, self._scans, op, table, segment, leaf_oids, rows)
 
     def record_propagation(
         self, part_scan_id: int, segment: int, oids, pairs: int
@@ -769,14 +745,13 @@ class WorkerMetrics:
         self._pushed[part_scan_id] = self._pushed.get(part_scan_id, 0) + pairs
 
     def record_motion_batch(
-        self, op, kind: str, target_segment: int, rows: list
+        self, op, kind: str, target_segment: int, rows: int, nbytes: int
     ) -> None:
         entry = self._motions.get(id(op))
         if entry is None:
-            entry = [op, kind, [0] * self._base.num_segments, 0]
-            self._motions[id(op)] = entry
-        entry[2][target_segment] += len(rows)
-        entry[3] += _batch_bytes(rows)
+            tally = NodeMetrics(-1, "", self._base.num_segments)
+            entry = self._motions[id(op)] = (op, tally)
+        _count_motion(entry[1], kind, target_segment, rows, nbytes)
 
     # -- fold-back -----------------------------------------------------------
 
@@ -785,21 +760,43 @@ class WorkerMetrics:
         acquisition per instance, not per row) and reset them."""
         base = self._base
         with base._lock:
-            base.tracker.record_rows(self._rows_scanned)
-            for table_name, leaf_oid in self._leaves:
-                base.tracker.record_leaf(table_name, leaf_oid)
+            base.tracker.merge(self._scans)
             for part_scan_id, count in self._pushed.items():
                 base._selector(part_scan_id)["pushed"] += count
-            for op, kind, by_target, bytes_moved in self._motions.values():
+            for op, tally in self._motions.values():
                 node = base.node(op)
-                node.motion_kind = kind
-                for target, count in enumerate(by_target):
-                    node.rows_by_target[target] += count
-                node.bytes_moved += bytes_moved
-        self._rows_scanned = 0
-        self._leaves = []
+                for target, rows in enumerate(tally.rows_by_target):
+                    _count_motion(node, tally.motion_kind, target, rows, 0)
+                node.bytes_moved += tally.bytes_moved
+        self._scans = ScanTracker()
         self._pushed = {}
         self._motions = {}
+
+
+def _count_scan(
+    base: MetricsCollector, tracker: ScanTracker, op, table, segment: int, leaf_oids, rows: int
+) -> None:
+    """One scan batch, into ``tracker`` (the collector's, or a worker's to
+    merge later) and the node's per-segment slots, which only this
+    instance writes.  An unpartitioned table's root OID is no leaf."""
+    leaves = leaf_oids if table.is_partitioned else ()
+    tracker.record(table.name, leaves, rows)
+    node = base.node(op)
+    node.table_name = table.name
+    node.rows_scanned[segment] += rows
+    if leaves:
+        if node.partitions_total is None:
+            node.partitions_total = table.num_leaves
+            base._table_totals[table.name] = table.num_leaves
+        node.partitions[segment].update(leaves)
+
+
+def _count_motion(
+    node: NodeMetrics, kind: str, target_segment: int, rows: int, nbytes: int
+) -> None:
+    node.motion_kind = kind
+    node.rows_by_target[target_segment] += rows
+    node.bytes_moved += nbytes
 
 
 def _counted_batch_iter(node: NodeMetrics, segment: int, inner):
@@ -823,12 +820,3 @@ def _timed_batch_iter(node: NodeMetrics, segment: int, inner):
         time_s[segment] += perf() - start
         rows_out[segment] += len(batch)
         yield batch
-
-
-def _batch_bytes(rows: list) -> int:
-    """Cheap serialized-size estimate of a batch, the basis of the
-    bytes-moved counters: per tuple, the repr length of every field plus a
-    fixed 8-byte framing overhead each.  Flattened into two C-level
-    ``map`` passes, no per-row generator frames."""
-    flat = list(chain.from_iterable(rows))
-    return sum(map(len, map(repr, flat))) + 8 * len(flat)

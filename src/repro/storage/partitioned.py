@@ -9,7 +9,6 @@ OID to its owning table's store.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Iterator, Sequence
 
 from ..catalog import Catalog, TableDescriptor
@@ -59,12 +58,12 @@ class StorageManager:
         #: mutation subscribers ``fn(root_oid, leaf_oids | None)`` — every
         #: table's writes fan out here (the cache layer's invalidation feed)
         self._mutation_listeners: list = []
-        #: simulated per-read I/O latency in seconds (0.0 = off).  Each
-        #: ``scan_table_batches``/``scan_leaf`` call sleeps this long before its
-        #: first row — modelling the seek a real segment pays per
-        #: partition file.  The sleep releases the GIL, so it is also what
-        #: the parallel scheduler genuinely overlaps across segment worker
-        #: threads (the fig19 benchmark's speedup source).
+        #: simulated per-read I/O latency in seconds (0.0 = off).  A scan
+        #: sleeps this long for each leaf it opens, when it reaches it —
+        #: modelling the seek a real segment pays per partition file.  The
+        #: sleep releases the GIL, so it is also what the parallel scheduler
+        #: genuinely overlaps across segment worker threads (fig19's speedup
+        #: source).
         self.io_latency_s = 0.0
 
     def register(self, descriptor: TableDescriptor) -> TableStore:
@@ -152,10 +151,8 @@ class StorageManager:
     def scan_leaf(self, segment: int, leaf_oid: int) -> Iterator[tuple]:
         """Scan one leaf partition on one segment, addressed purely by OID."""
         owner = self.catalog.owner_of_leaf(leaf_oid)
-        inner = self.store(owner.oid).scan_segment(segment, [leaf_oid])
-        if self.io_latency_s > 0:
-            return self._delayed(inner)
-        return inner
+        for batch in self.scan_table_batches(segment, owner.oid, [leaf_oid]):
+            yield from batch
 
     def scan_table_batches(
         self,
@@ -163,20 +160,12 @@ class StorageManager:
         root_oid: int,
         oids: Sequence[int] | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
+        opened: list[int] | None = None,
     ) -> Iterator[list[tuple]]:
         """Scan a table's rows on one segment (``oids=None``: every leaf)
-        as row batches sliced straight out of the heap lists.  The
-        simulated I/O latency is one sleep per scan call."""
-        inner = self.store(root_oid).scan_segment_batches(
-            segment, oids, batch_size
+        as full row batches spanning leaves, reporting the leaves opened
+        into ``opened`` (:meth:`TableStore.scan_segment_batches`).  The
+        simulated I/O latency is one sleep per leaf opened."""
+        return self.store(root_oid).scan_segment_batches(
+            segment, oids, batch_size, opened, self.io_latency_s
         )
-        if self.io_latency_s > 0:
-            return self._delayed(inner)
-        return inner
-
-    def _delayed(self, inner: Iterator[tuple]) -> Iterator[tuple]:
-        """Pay the simulated I/O latency lazily, on the consumer's first
-        ``next()`` — i.e. on the worker thread that actually runs the
-        scan, not on the thread that built the iterator."""
-        time.sleep(self.io_latency_s)
-        yield from inner

@@ -31,6 +31,7 @@ same critical section.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Iterable, Iterator, Sequence
 
 from ..catalog import DistributionPolicy, TableDescriptor
@@ -273,25 +274,51 @@ class TableStore:
         segment: int,
         oids: Sequence[int] | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
+        opened: list[int] | None = None,
+        io_latency_s: float = 0.0,
     ) -> Iterator[list[tuple]]:
         """Like :meth:`scan_segment`, but yields row batches sliced
         straight out of the heap lists — no per-row Python calls.
 
-        Batches never span leaf buckets, so a batch at a partition
-        boundary may be shorter than ``batch_size``; the concatenation of
-        all batches is exactly the :meth:`scan_segment` row order.
+        Batches span leaf buckets: every batch but the last holds
+        ``batch_size`` rows, and the concatenation of all batches is
+        exactly the :meth:`scan_segment` row order.  Each batch is read
+        from the copy the health gate names when it starts filling.  Every
+        leaf the scan reaches, empty or not, costs one ``io_latency_s``
+        sleep and is appended to ``opened``: what the caller takes out of
+        ``opened`` after a batch is what that batch opened, and what is
+        left at the end are empty leaves after the last row.
         """
         buckets = self._segment_buckets(segment)
-        if oids is None:
-            keys: Iterable[int] = sorted(buckets)
-        else:
-            keys = oids
-        for oid in keys:
+        batch: list[tuple] = []
+        for oid in sorted(buckets) if oids is None else oids:
+            if opened is not None:
+                opened.append(oid)
+            if io_latency_s:
+                time.sleep(io_latency_s)
             bucket = buckets.get(oid)
             if not bucket:
                 continue
-            for start in range(0, len(bucket), batch_size):
-                yield bucket[start : start + batch_size]
+            if len(batch) + len(bucket) < batch_size:  # the whole leaf fits
+                batch += bucket
+                continue
+            start = 0
+            # the batch fills here; sized from the batch itself, so a bucket
+            # that shrank while the consumer held the last batch cannot
+            # overfill the next one
+            while len(batch) + len(bucket) - start >= batch_size:
+                end = start + batch_size - len(batch)
+                if batch:
+                    batch += bucket[start:end]
+                else:
+                    batch = bucket[start:end]
+                yield batch
+                batch, start = [], end
+                buckets = self._segment_buckets(segment)
+                bucket = buckets.get(oid, ())
+            batch += bucket[start:]
+        if batch:
+            yield batch
 
     def scan_all(self, oids: Sequence[int] | None = None) -> Iterator[tuple]:
         """Rows from every segment (for reference evaluation in tests).

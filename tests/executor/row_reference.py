@@ -21,11 +21,13 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import ExecutionError
 from repro.executor.context import COORDINATOR_SEGMENT, ExecContext
+from repro.executor.executor import motion_sizer
 from repro.executor.iterators import (
     _close_selector,
     _delete_rows,
     _open_selector,
     _sort_key,
+    whole_table,
 )
 from repro.executor.lowering import (
     OID_COLUMN,
@@ -80,18 +82,26 @@ def _guarded_iter(limits, inner: RowIter) -> RowIter:
 
 
 def _scan_rows(op, segment: int, ctx: ExecContext, oids) -> RowIter:
+    """Each row is recorded as it is emitted, with the leaves opened since
+    the row before it; empty leaves after the last row are recorded at the
+    end (the pipeline's scan accounting at width 1)."""
     faults = ctx.faults if ctx.faults.active else None
-    count = 0
-    for row in ctx.storage.store(op.table.oid).scan_segment(segment, oids):
-        if faults is not None:
-            faults.maybe_fire(SCAN_ROW, segment)
-        count += 1
-        yield row
-    ctx.metrics.record_scan_rows(op, op.table, segment, count)
+    store = ctx.storage.store(op.table.oid)
+    opened: list[int] = []
+    for oid in oids:
+        opened.append(oid)
+        for row in store.scan_segment(segment, [oid]):
+            if faults is not None:
+                faults.maybe_fire(SCAN_ROW, segment)
+            ctx.metrics.record_scan(op, op.table, segment, opened, 1)
+            opened = []
+            yield row
+    if opened:
+        ctx.metrics.record_scan(op, op.table, segment, opened, 0)
 
 
 def _scan_iter(op: phys.Scan, segment: int, ctx: ExecContext) -> RowIter:
-    return _scan_rows(op, segment, ctx, None)
+    return _scan_rows(op, segment, ctx, whole_table(op.table))
 
 
 def _leaf_scan_iter(op: phys.LeafScan, segment: int, ctx: ExecContext) -> RowIter:
@@ -100,15 +110,12 @@ def _leaf_scan_iter(op: phys.LeafScan, segment: int, ctx: ExecContext) -> RowIte
         selected = ctx.channel(op.guard_scan_id, segment).peek()
         if op.leaf_oid not in selected:
             return
-    ctx.metrics.record_leaf(op, op.table, op.leaf_oid, segment)
     yield from _scan_rows(op, segment, ctx, [op.leaf_oid])
 
 
 def _dynamic_scan_iter(op: phys.DynamicScan, segment: int, ctx: ExecContext) -> RowIter:
     ctx.metrics.node(op).part_scan_id = op.part_scan_id
-    for oid in ctx.channel(op.part_scan_id, segment).consume():
-        ctx.metrics.record_leaf(op, op.table, oid, segment)
-        yield from _scan_rows(op, segment, ctx, [oid])
+    yield from _scan_rows(op, segment, ctx, ctx.channel(op.part_scan_id, segment).consume())
 
 
 # -- selectors -----------------------------------------------------------------
@@ -521,6 +528,7 @@ def _send_rows(motion: phys.Motion, segment: int, ctx: ExecContext) -> None:
     recorded and charged on its own."""
     buffer = ctx.motion_buffer(id(motion))
     record = ctx.metrics.record_motion_batch
+    size = motion_sizer(motion)
     faults = ctx.faults if ctx.faults.active else None
     charge = ctx.limits.charge_rows if ctx.limits.active else None
     segments = range(ctx.num_segments)
@@ -548,7 +556,7 @@ def _send_rows(motion: phys.Motion, segment: int, ctx: ExecContext) -> None:
             kind, targets = "redistribute", [target]
         for target in targets:
             buffer.queue(target).put(row, segment)
-            record(motion, kind, target, [row])
+            record(motion, kind, target, 1, size([row]))
         if charge is not None:
             charge(len(targets))
 

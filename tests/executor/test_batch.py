@@ -20,6 +20,9 @@ LIMIT semantics.  These tests pin the exact accounting rules:
 
 from __future__ import annotations
 
+import datetime
+import math
+
 import pytest
 
 from repro import Database
@@ -31,6 +34,7 @@ from repro.errors import (
     QueryTimeout,
     ResourceLimitExceeded,
 )
+from repro.executor.executor import motion_sizer
 from repro.executor.queues import MotionBuffer, TupleQueue
 from repro.obs.metrics import MetricsCollector
 from repro.resilience import CancelToken, QueryLimits
@@ -202,14 +206,42 @@ def test_send_batch_of_n_equals_n_sends_of_one():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_record_motion_batch_of_n_equals_n_records_of_one(workers):
-    rows = [(i, None, 0.5 * i, "it's") for i in range(9)]
-    motion = object()
+    """The Motion byte measure over a real layout: INT / FLOAT / DATE base
+    columns are 8 bytes each (NULL too), the TEXT column and the computed
+    ``max(s)`` slot cost ``len`` of a string and 8 of NULL, plus 8 bytes of
+    framing per row.  A batch of n rows sizes and records as n rows of one."""
+    table = Catalog().create_table(
+        "m",
+        TableSchema.of(("i", t.INT), ("f", t.FLOAT), ("d", t.DATE), ("s", t.TEXT)),
+        distribution=DistributionPolicy.hashed("i"),
+    )
+    keys = [_col(name, "x") for name in ("i", "f", "d", "s")]
+    motion = GatherMotion(
+        HashAgg(Scan(table, "x"), keys, [(AggCall("max", keys[3]), "top")])
+    )
+    rows = [
+        (
+            None if i == 3 else i,
+            None if i % 4 else 0.5 * i,
+            None if i == 5 else datetime.date(2013, 1, 1 + i),
+            None if i % 3 == 0 else "x" * i,
+            None if i == 7 else "it's"[: i % 5],
+        )
+        for i in range(9)
+    ]
+    size = motion_sizer(motion)
+
+    def text(value):
+        return len(value) if isinstance(value, str) else 8
+
+    expected = sum(8 + 3 * 8 + text(row[3]) + text(row[4]) for row in rows)
+    assert size(rows) == sum(size([row]) for row in rows) == expected
 
     def recorded(batches):
         collector = MetricsCollector(2)
         sink = collector.worker(0) if workers > 1 else collector
         for batch in batches:
-            sink.record_motion_batch(motion, "gather", 1, batch)
+            sink.record_motion_batch(motion, "gather", 1, len(batch), size(batch))
         if workers > 1:
             sink.merge()
         node = collector.node(motion)
@@ -217,8 +249,7 @@ def test_record_motion_batch_of_n_equals_n_records_of_one(workers):
 
     whole = recorded([rows])
     assert whole == recorded([[row] for row in rows])
-    assert whole[:2] == ("gather", [0, 9])
-    assert whole[2] == sum(len(repr(v)) + 8 for row in rows for v in row)
+    assert whole == ("gather", [0, 9], expected)
 
 
 # -- engine level: result equivalence ---------------------------------------
@@ -385,6 +416,7 @@ from repro.catalog import Catalog  # noqa: E402
 from repro.errors import ExecutionError  # noqa: E402
 from repro.executor.context import ExecContext  # noqa: E402
 from repro.executor.iterators import build_batches  # noqa: E402
+from repro.executor.kernels import project_kernel  # noqa: E402
 from repro.expr.ast import (  # noqa: E402
     AggCall,
     Arithmetic,
@@ -398,6 +430,7 @@ from repro.physical.ops import (  # noqa: E402
     Delete,
     EmptyScan,
     Filter,
+    GatherMotion,
     HashAgg,
     HashJoin,
     Limit,
@@ -647,6 +680,30 @@ def test_filter_and_project_kernels_match_the_row_path(kernel_env, width):
 
 
 @pytest.mark.parametrize("width", BATCH_SIZES)
+def test_identity_project_returns_its_input_batch(kernel_env, width):
+    """A Project of its input's slots in order runs no per-row loop: the
+    kernel hands back the very list it got.  A reordering or a subset is
+    projected, and every shape equals the row reference."""
+    _, _, tables = kernel_env
+    layout = Scan(tables["l"], "x").output_layout()
+    columns = [_col(name, "x") for name in ("k", "g", "v")]
+    batch = list(L_ROWS)
+    assert project_kernel(columns, layout, None)(batch) is batch
+    shapes = {"identity": columns, "reordered": columns[::-1],
+              "prefix": columns[:2], "suffix": columns[1:]}
+    for name, exprs in shapes.items():
+        projected = project_kernel(exprs, layout, None)(batch)
+        assert (projected is batch) == (name == "identity")
+        make = lambda tables, exprs=exprs: Project(  # noqa: E731
+            Scan(tables["l"], "x"), [(e, e.name) for e in exprs]
+        )
+        reference = _run_tree(kernel_env, make, None)
+        assert _run_tree(kernel_env, make, width) == reference
+        slots = [layout.resolve(e) for e in exprs]
+        assert reference[0] == [tuple(row[i] for i in slots) for row in L_ROWS]
+
+
+@pytest.mark.parametrize("width", BATCH_SIZES)
 @pytest.mark.parametrize("budget", [0, 1, 5, 20, KEYED - 1, KEYED])
 def test_max_rows_trips_inside_a_build_side_identically(kernel_env, budget, width):
     """Only build rows with a key are buffered: budgets below their count
@@ -871,3 +928,121 @@ def test_not_in_with_a_null_member_returns_no_rows(optimizer, batch_size):
     assert hits.partitions_scanned() == plain.partitions_scanned() == 1
     projected = db.sql("SELECT v IN (10, NULL) FROM t WHERE k = 11", **settings)
     assert projected.rows == [(None,)]  # a miss is unknown, not FALSE
+
+
+# -- DynamicScan batches span leaves -------------------------------------------
+
+from repro.errors import SegmentFailure  # noqa: E402
+from repro.resilience import SCAN_ROW, FaultInjector  # noqa: E402
+from repro.storage import table as table_module  # noqa: E402
+from repro.workloads.tpch import build_lineitem_database  # noqa: E402
+
+FULL_SCAN = "SELECT * FROM lineitem"
+
+
+@pytest.fixture(scope="module")
+def lineitem_361():
+    """Table 2's largest scenario: 6,000 rows over 361 weekly partitions
+    and 4 segments, about four rows per (leaf, segment) bucket."""
+    return build_lineitem_database(361, row_count=6000, num_segments=4)
+
+
+def _below_gather(db, sql):
+    gather = next(op for op in db.plan(sql).root.walk() if isinstance(op, GatherMotion))
+    return gather.children[0]
+
+
+def _context(db, width, faults=None):
+    return ExecContext(
+        db.catalog, db.storage, db.num_segments, faults=faults,
+        settings=QuerySettings(batch_size=width),
+    )
+
+
+def test_dynamic_scan_emits_full_width_batches(lineitem_361):
+    """361 leaves, width 1024: a segment's rows leave its DynamicScan in
+    ceil(rows / 1024) batches (one per non-empty leaf, ~360, when batches
+    stopped at leaf boundaries), in leaf order, each leaf counted once."""
+    db = lineitem_361
+    below = _below_gather(db, FULL_SCAN)
+    store = db.storage.store_by_name("lineitem")
+    leaves = db.catalog.table("lineitem").all_leaf_oids()
+    ctx = _context(db, 1024)
+    for segment in range(db.num_segments):
+        batches = list(build_batches(below, segment, ctx))
+        rows = store.segment_row_count(segment)
+        assert rows > 1024
+        assert len(batches) == math.ceil(rows / 1024)
+        assert all(len(batch) == 1024 for batch in batches[:-1])
+        assert [row for batch in batches for row in batch] == list(
+            store.scan_segment(segment, leaves)
+        )
+    scan = next(n for n in ctx.metrics.nodes if n.op == "DynamicScan")
+    assert scan.partitions == [set(leaves)] * db.num_segments
+    assert scan.rows_scanned == [store.segment_row_count(s) for s in range(4)]
+
+
+def test_io_latency_is_one_sleep_per_opened_leaf(lineitem_361, monkeypatch):
+    """The simulated seek is paid per leaf a scan opens, empty ones
+    included, however many leaves one batch spans."""
+    db = lineitem_361
+    slept: list[float] = []
+    monkeypatch.setattr(table_module, "time", type("clock", (), {"sleep": slept.append}))
+    monkeypatch.setattr(db.storage, "io_latency_s", 0.001)
+    result = db.sql(
+        "SELECT count(*) FROM lineitem WHERE l_shipdate < '1993-07-01'", analyze=True
+    )
+    scan = next(n for n in result.metrics.nodes if n.op == "DynamicScan")
+    opened = sum(len(leaves) for leaves in scan.partitions)
+    assert opened == db.num_segments * result.partitions_scanned("lineitem") > 0
+    assert slept == [0.001] * opened
+
+
+@pytest.mark.parametrize("skip", [0, 3, 250])
+def test_scan_row_fault_at_width_1_fires_on_the_same_row(lineitem_361, skip):
+    """At width 1 every batch is one row, so an armed ``scan_row`` fault
+    fires on the row it fired on when batches stopped at leaf boundaries:
+    the row reference's ``skip + 1``-th."""
+    db = lineitem_361
+    below = _below_gather(db, FULL_SCAN)
+
+    def rows_before_fault(reference):
+        faults = FaultInjector()
+        faults.arm(SCAN_ROW, segment=2, skip=skip)
+        ctx = _context(db, 1, faults)
+        if reference:
+            rows = row_reference.build_iterator(below, 2, ctx)
+        else:
+            rows = (row for batch in build_batches(below, 2, ctx) for row in batch)
+        seen = []
+        with pytest.raises(SegmentFailure):
+            for row in rows:
+                seen.append(row)
+        return seen
+
+    assert rows_before_fault(False) == rows_before_fault(True)
+    assert len(rows_before_fault(False)) == skip
+
+
+@pytest.mark.parametrize("width", BATCH_SIZES)
+def test_empty_leaves_after_the_last_row_are_counted(width):
+    """Leaves 5-9 of ``t`` hold no rows: a full-width batch ends before
+    them, and they are still opened and counted on every segment, as the
+    row reference counts them."""
+    db = Database(num_segments=3)
+    db.create_table(
+        "t",
+        TableSchema.of(("a", t.INT), ("k", t.INT)),
+        distribution=DistributionPolicy.hashed("a"),
+        partition_scheme=PartitionScheme([uniform_int_level("k", 0, 100, 10)]),
+    )
+    db.insert("t", [(a, a % 50) for a in range(200)])
+    rows, ctx = _row_reference(db, "SELECT a, k FROM t")
+    result = db.sql("SELECT a, k FROM t", batch_size=width)
+    assert result.rows == rows
+    scans = [
+        next(n for n in metrics.nodes if n.op == "DynamicScan")
+        for metrics in (result.metrics, ctx.metrics)
+    ]
+    assert scans[0].partitions == scans[1].partitions == [set(db.catalog.table("t").all_leaf_oids())] * 3
+    assert scans[0].rows_scanned == scans[1].rows_scanned

@@ -92,6 +92,30 @@ def test_delete_from_leaf():
     assert store.row_count() == 0
 
 
+def test_batches_stay_within_the_width_when_a_bucket_shrinks_mid_scan():
+    """Reads take no lock, so a delete between two batches can shrink the
+    bucket being scanned below the scan's position.  The batches after it
+    still hold at most the width, and only the last is short."""
+    catalog = Catalog()
+    desc = catalog.create_table(
+        "p",
+        SCHEMA,
+        distribution=DistributionPolicy.hashed("a"),
+        partition_scheme=PartitionScheme([uniform_int_level("b", 0, 100, 4)]),
+    )
+    store = TableStore(desc, num_segments=1)
+    first = [(a, 5) for a in range(100)]
+    second = [(a, 30) for a in range(30)]
+    store.insert_many(first + second)
+    scan = store.scan_segment_batches(0, desc.all_leaf_oids(), batch_size=16)
+    batches = [next(scan)]
+    store.delete_from_leaf(0, desc.leaf_oid((0,)), first[10:])
+    batches.extend(scan)
+    assert [len(batch) for batch in batches] == [16, 16, 14]
+    assert batches[0] == first[:16]
+    assert batches[1] + batches[2] == second
+
+
 def test_storage_manager_scan_leaf():
     catalog = Catalog()
     manager = StorageManager(catalog, num_segments=3)
