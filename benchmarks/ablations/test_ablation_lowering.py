@@ -7,8 +7,8 @@ ablation quantifies the (small) runtime delta of the function-based form.
 
 from __future__ import annotations
 
-from repro.executor.lowering import lower_partition_selectors
 from repro.workloads.tpch import build_lineitem_database, shipdate_for_fraction
+from tests.oracles.lowering import lower_partition_selectors
 
 from .._helpers import emit, format_table, timed
 

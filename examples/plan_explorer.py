@@ -1,5 +1,5 @@
-"""Plan exploration tour: Memo internals, plan validation, plan size, and
-the Section 3.2 lowering — the machinery behind the paper's Figures 12-15.
+"""Plan exploration tour: Memo internals, plan validation and plan size —
+the machinery behind the paper's Figures 12-14.
 
 Run with:  python examples/plan_explorer.py
 """
@@ -15,7 +15,6 @@ from repro.catalog import (
     uniform_int_level,
 )
 from repro.errors import InvalidPlanError
-from repro.executor.lowering import lower_partition_selectors
 from repro.physical.ops import BroadcastMotion, DynamicScan, PartitionSelector
 from repro.physical.plan import Plan
 
@@ -71,18 +70,6 @@ def main() -> None:
         bad.validate()
     except InvalidPlanError as exc:
         print(f"rejected as expected: {exc}")
-
-    # -- 4. Section 3.2 lowering -------------------------------------------
-    print("\n=== Lowered form (Table 1 built-ins, Figure 15) ===")
-    static_sql = "SELECT count(*) FROM r WHERE pk < 300"
-    lowered = lower_partition_selectors(db.plan(static_sql))
-    print(lowered.explain())
-    native_result = db.sql(static_sql)
-    lowered_result = db.execute_plan(lowered)
-    print(f"\nnative:  {native_result.rows} "
-          f"({native_result.partitions_scanned('r')} parts)")
-    print(f"lowered: {lowered_result.rows} "
-          f"({lowered_result.partitions_scanned('r')} parts)")
 
 
 def _bad_plan(spec, table):

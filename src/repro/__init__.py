@@ -3,10 +3,9 @@ in MPP Systems" (Antova et al., SIGMOD 2014).
 
 The package provides a complete, pure-Python MPP database simulator built
 around the paper's contribution: a unified PartitionSelector/DynamicScan
-query model for partitioned tables, placement algorithms for static and
-dynamic partition elimination, and an Orca-style Cascades optimizer that
-models partition selection as an enforced physical property alongside data
-distribution.
+query model for partitioned tables, and an Orca-style Cascades optimizer
+that models partition selection — static and dynamic elimination — as an
+enforced physical property alongside data distribution.
 
 Quickstart::
 

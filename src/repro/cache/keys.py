@@ -7,7 +7,7 @@ that identification: the two statements select different partition OID
 sets and return different rows.  The cache-key contract is therefore
 
     **fingerprint + normalized literal vector + parameter vector
-    + plan-shaping options (optimizer, selector lowering)**
+    + plan-shaping options (the optimizer and its options)**
 
 realised by :class:`StatementKey`.  Two statements share a key iff they
 lex to the same token shape *and* every literal and parameter value is
@@ -39,6 +39,8 @@ class StatementKey(NamedTuple):
     literals: tuple[str, ...]
     params: tuple[str, ...]
     optimizer: str
+    #: always ``False`` from the engine, which no longer lowers selectors;
+    #: kept because benchmark code builds keys with four arguments
     lowered: bool
 
     def describe(self) -> str:

@@ -504,9 +504,9 @@ class Database:
         ``settings.plan_key``.  Optimizer options change plan shape (and
         with it part_scan_id assignment), so they fold into the key's
         optimizer tag."""
-        optimizer, options, lowered = settings.plan_key
+        optimizer, options = settings.plan_key
         tag = f"{optimizer}|{options!r}" if options else optimizer
-        return statement_key(query, params, tag, lowered)
+        return statement_key(query, params, tag)
 
     def _cached_result(self, session, entry) -> ExecutionResult:
         """Serve one SELECT from the result cache (no execution)."""
@@ -563,7 +563,6 @@ class Database:
                 f"{len(plan.root.output_layout())} columns, table "
                 f"has {len(target.schema)}"
             )
-        plan = self._lower(plan, settings.lower_selectors)
         with obs_trace.span("execute"):
             result = self.executor.execute(
                 plan,
@@ -599,18 +598,6 @@ class Database:
                 result.elapsed_seconds,
             )
         return result
-
-    def _lower(self, plan: Plan, lower_selectors: bool) -> Plan:
-        """The lower lifecycle phase: finalize the plan into its
-        executable form — optionally rewriting PartitionSelectors via the
-        Section 3.2 lowering — and re-validate it."""
-        with obs_trace.span("lower", selectors_lowered=lower_selectors):
-            if lower_selectors:
-                from .executor.lowering import lower_partition_selectors
-
-                plan = lower_partition_selectors(plan)
-            plan.validate()
-        return plan
 
     def execute_plan(
         self,

@@ -53,7 +53,7 @@ from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsCollector
 from ..obs.render import render_explain_analyze
 from ..physical import ops as phys
-from ..physical.plan import Plan
+from ..physical.plan import Plan, _producer_id
 from ..resilience.faults import MOTION_SEND, SLICE_START, FaultInjector
 from ..resilience.guardrails import QueryLimits, RetryPolicy
 from ..settings import DEFAULT_SETTINGS, QuerySettings
@@ -509,17 +509,14 @@ def _slice_part_scan_ids(root: phys.PhysicalOp) -> set[int]:
     channels an instance retry must discard and rebuild (scoped to the
     failed segment).
     """
-    from .lowering import PropagatingProject
-
     ids: set[int] = set()
 
     def visit(op: phys.PhysicalOp) -> None:
-        if isinstance(op, phys.PartitionSelector):
-            ids.add(op.spec.part_scan_id)
+        produced = _producer_id(op)
+        if produced is not None:
+            ids.add(produced)
         elif isinstance(op, phys.DynamicScan):
             ids.add(op.part_scan_id)
-        elif isinstance(op, PropagatingProject):
-            ids.add(op.produces_part_scan_id)
         elif (
             isinstance(op, phys.LeafScan) and op.guard_scan_id is not None
         ):
@@ -528,9 +525,7 @@ def _slice_part_scan_ids(root: phys.PhysicalOp) -> set[int]:
             if not isinstance(child, phys.Motion):
                 visit(child)
 
+    # A Motion as slice root reads its buffer only; no channels.
     if not isinstance(root, phys.Motion):
         visit(root)
-    else:
-        # A Motion as slice root reads its buffer only; no channels.
-        pass
     return ids

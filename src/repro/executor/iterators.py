@@ -67,8 +67,9 @@ BatchIter = Iterator[list]
 
 #: the operator registry: operator type -> iterator factory
 #: ``(op, segment, ctx)``.  The built-in operators are listed at the end of
-#: this module; :mod:`repro.executor.lowering` adds the Section 3.2
-#: function-based operators (it imports this module, not the reverse).
+#: this module; a module outside it may register more (the Section 3.2
+#: lowering oracle in ``tests/oracles`` adds its two function-based
+#: operators), importing this module, not the reverse.
 OPERATORS: dict[type, Callable[..., BatchIter]] = {}
 
 

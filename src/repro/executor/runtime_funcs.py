@@ -1,9 +1,9 @@
 """The built-in partition selection functions of the paper's Table 1.
 
 These are the run-time face of the partitioning metadata; the
-PartitionSelector iterator is implemented on top of them, and the
-Section 3.2 lowering (:mod:`repro.executor.lowering`) exposes them as
-explicit plan operators.
+PartitionSelector iterator is implemented on top of them.  GPDB's
+Section 3.2 lowering exposes them as explicit plan operators instead
+(Figure 15); that form is a test oracle, ``tests/oracles/lowering.py``.
 
 ===========================  ====================================================
 function                     description (paper Table 1)
@@ -116,8 +116,8 @@ def partition_propagation(
 ) -> None:
     """Push ``oids`` to the DynamicScan with ``part_scan_id`` on ``segment``.
 
-    Every selected partition — static or dynamic, native selector or the
-    Section 3.2 lowered form — flows through here, which makes it the one
+    Every selected partition — static or dynamic, native selector or a
+    lowered Figure 15 operator — flows through here, which makes it the one
     place the per-DynamicScan partition-selection counters are recorded.
     ``pairs`` is the number of (row, OID) selections the call stands for:
     one per OID by default, which is what a static selector or a single

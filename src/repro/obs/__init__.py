@@ -12,8 +12,8 @@ time.  This package makes those observables first class:
 * :func:`render_explain_analyze` — the physical plan annotated with
   actuals next to the optimizer's estimates (``EXPLAIN ANALYZE``).
 * :mod:`repro.obs.trace` — span-based query-lifecycle tracing
-  (parse → bind → optimize → place_partition_selectors → lower →
-  execute, with per-slice child spans), off by default and free when off.
+  (parse → bind → optimize → place_partition_selectors → execute, with
+  per-slice child spans), off by default and free when off.
 * :mod:`repro.obs.opt_events` — typed Cascades search events (groups,
   rule firings, enforcer decisions, costed winners) emitted by the
   optimizer into the active trace; rendered by ``EXPLAIN (TRACE)``.

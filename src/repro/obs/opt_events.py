@@ -1,6 +1,6 @@
 """Typed optimizer search events — the trace's view inside the Memo.
 
-The Cascades search (`repro.optimizer.orca` / `memo.py` / `placement.py`)
+The Cascades search (`repro.optimizer.orca` / `memo.py`)
 emits one event per interesting step into the active tracer's
 :class:`OptimizerEventLog`:
 

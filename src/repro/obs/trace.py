@@ -2,7 +2,7 @@
 
 One :class:`Tracer` covers one traced query from parse to execution.  The
 engine opens a span per lifecycle phase (``parse`` → ``bind`` →
-``optimize`` → ``place_partition_selectors`` → ``lower`` → ``execute``),
+``optimize`` → ``place_partition_selectors`` → ``execute``),
 the executor adds one child span per slice, and the optimizer pours typed
 search events into the tracer's :class:`~repro.obs.opt_events
 .OptimizerEventLog` — Orca's minidump idea scaled to this engine.

@@ -1,9 +1,10 @@
-"""Query optimization: placement algorithms, statistics, cost model, the
-Orca-style Cascades engine, and the legacy Planner baseline."""
+"""Query optimization: statistics, cost model, the Orca-style Cascades
+engine (PartitionSelectors placed as Memo enforcers, Section 3.1), and the
+legacy Planner baseline.  The paper's standalone placement Algorithms 1-4
+(Section 2.3) are a test oracle, ``tests/oracles/placement.py``."""
 
 from .cost import CostModel
 from .orca import OrcaOptimizer
-from .placement import initial_specs, place_part_selectors
 from .planner import PlannerOptimizer
 from .stats import StatsRegistry, TableStats, collect_stats
 
@@ -14,6 +15,4 @@ __all__ = [
     "StatsRegistry",
     "TableStats",
     "collect_stats",
-    "initial_specs",
-    "place_part_selectors",
 ]

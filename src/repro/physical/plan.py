@@ -53,8 +53,10 @@ from .properties import DispatchSpec, PartSelectorSpec
 def _producer_id(op: PhysicalOp) -> int | None:
     """The part scan id this operator produces OIDs for, if any.
 
-    PartitionSelector is the canonical producer; the Section 3.2 lowering
-    operators expose ``produces_part_scan_id`` instead.
+    PartitionSelector is the engine's producer; any other operator that
+    feeds an OID channel (the Section 3.2 lowering oracle's) exposes
+    ``produces_part_scan_id`` instead.  Plan validation and the executor's
+    retry scoping both ask here.
     """
     if isinstance(op, PartitionSelector):
         return op.part_scan_id
@@ -148,7 +150,7 @@ class Plan:
         self.root = root
         self.parameter_count = parameter_count
         # Direct dispatch is read off the finished tree, so every producer
-        # of plans (Orca, the Planner, the Section 3.2 lowering, a test's
+        # of plans (Orca, the Planner, a test oracle's rewrite or
         # hand-built tree) gets it the same way.  DML dispatches everywhere.
         ops = list(self.walk())
         is_dml = any(isinstance(op, (Update, Delete)) for op in ops)

@@ -22,6 +22,21 @@ from .types import DEFAULT_BATCH_SIZE
 ORCA = "orca"
 PLANNER = "planner"
 CACHE_MODES = ("off", "results")
+#: the constructor keywords each optimizer takes from ``optimizer_options``
+#: (the engine passes the rest: catalog, statistics, cost model, segments)
+OPTIMIZER_OPTIONS = {
+    ORCA: (
+        "enable_partition_elimination",
+        "enable_join_dpe",
+        "enable_two_stage_agg",
+        "enable_top_n",
+    ),
+    PLANNER: (
+        "enable_static_elimination",
+        "enable_param_dpe",
+        "enable_partition_wise_join",
+    ),
+}
 
 
 def _at_least(minimum: int, message: str) -> Callable[[Any], None]:
@@ -81,11 +96,6 @@ FIELDS: tuple[Field, ...] = (
         plan_shaping=True,
     ),
     Field(
-        "lower_selectors", "bool",
-        "apply the Section 3.2 lowering of PartitionSelectors",
-        plan_shaping=True,
-    ),
-    Field(
         "workers", ">= 1",
         "threads running a slice's segment instances (1 = serial)",
         check=_at_least(1, "workers must be >= 1"),
@@ -137,12 +147,12 @@ SET_FIELDS = {field.set_name: field for field in FIELDS if field.set_name}
 @dataclasses.dataclass(frozen=True)
 class QuerySettings:
     """How one statement runs.  Frozen and hashable; every check on a
-    value lives in :data:`FIELDS` and runs here, so an instance that
-    exists is valid."""
+    value lives in :data:`FIELDS` (option names in
+    :data:`OPTIMIZER_OPTIONS`) and runs here, so an instance that exists
+    is valid."""
 
     optimizer: str = ORCA
     optimizer_options: tuple = ()
-    lower_selectors: bool = False
     workers: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
     cache: str = "off"
@@ -157,10 +167,17 @@ class QuerySettings:
         for field in FIELDS:
             if field.check is not None:
                 field.check(getattr(self, field.name))
+        accepted = OPTIMIZER_OPTIONS[self.optimizer]
+        for name, _ in options:
+            if name not in accepted:
+                raise ReproError(
+                    f"unknown keyword {name!r} for optimizer "
+                    f"{self.optimizer!r} (one of: {', '.join(accepted)})"
+                )
 
     @cached_property
     def plan_key(self) -> tuple:
-        """``(optimizer, options, lowered)``: the plan is a function of
+        """``(optimizer, options)``: the plan is a function of
         the statement and this value, and of no other setting."""
         return tuple(
             getattr(self, field.name) for field in FIELDS if field.plan_shaping

@@ -29,11 +29,6 @@ from repro.executor.iterators import (
     _sort_key,
     whole_table,
 )
-from repro.executor.lowering import (
-    OID_COLUMN,
-    ConstraintsFunctionScan,
-    PropagatingProject,
-)
 from repro.executor.runtime_funcs import (
     partition_constraints,
     partition_propagation,
@@ -46,6 +41,11 @@ from repro.physical import ops as phys
 from repro.resilience.faults import CHANNEL_CLOSE, MOTION_SEND, SCAN_ROW, SLICE_START
 from repro.settings import QuerySettings
 from repro.storage.distribution import segment_for, stable_hash
+from tests.oracles.lowering import (
+    OID_COLUMN,
+    ConstraintsFunctionScan,
+    PropagatingProject,
+)
 
 RowIter = Iterator[tuple]
 

@@ -2,12 +2,12 @@
 built-ins must behave exactly like the native operator (Figure 15)."""
 
 
-from repro.executor.lowering import (
+from repro.physical.ops import PartitionSelector
+from tests.oracles.lowering import (
     ConstraintsFunctionScan,
     PropagatingProject,
     lower_partition_selectors,
 )
-from repro.physical.ops import PartitionSelector
 
 from . import row_reference
 

@@ -31,6 +31,7 @@ from repro.expr.ast import (
     Literal,
     Parameter,
 )
+from repro.expr import codegen
 from repro.expr.codegen import KERNEL_CACHE_SIZE, KernelSource, cached_shapes
 from repro.expr.eval import RowLayout, compile_expression, compile_predicate
 
@@ -374,7 +375,11 @@ def test_source_is_kept_and_tracebacks_can_read_it():
 # -- the shape cache ---------------------------------------------------------
 
 
-def test_statements_differing_only_in_literals_share_one_entry():
+def _assert_literals_share_one_entry():
+    """A literal-only difference reuses one compiled factory; a NULL
+    literal is a new shape.  Holds however full the process-wide cache
+    already is: a full cache evicts one entry for the new shape."""
+
     def compiled(bound, member):
         expr = BoolExpr(
             "AND",
@@ -394,8 +399,27 @@ def test_statements_differing_only_in_literals_share_one_entry():
     row = (None, None, 50.0, None, "zebra", None, None, None, None)
     assert (first(row), second(row)) == (False, True)
     # a NULL literal is a different shape: it renders as None
-    compile_predicate(Comparison("<", ColumnRef("f1", "t"), Literal(None)), LAYOUT)
-    assert cached_shapes() == shapes + 1
+    before = set(codegen._factories)
+    null = compile_predicate(
+        Comparison("<", ColumnRef("f1", "t"), Literal(None)), LAYOUT
+    )
+    assert null.__source__ not in before
+    assert null.__source__ in codegen._factories
+    assert null.__code__ is not first.__code__
+    assert cached_shapes() == min(shapes + 1, KERNEL_CACHE_SIZE)
+
+
+def test_statements_differing_only_in_literals_share_one_entry():
+    _assert_literals_share_one_entry()
+
+
+def test_literal_sharing_holds_with_a_full_cache():
+    """The cache is process-wide: earlier tests may have filled it."""
+    filler = RowLayout([("w", f"c{i}") for i in range(KERNEL_CACHE_SIZE)])
+    for i in range(KERNEL_CACHE_SIZE):
+        compile_predicate(IsNull(ColumnRef(f"c{i}", "w")), filler)
+    assert cached_shapes() == KERNEL_CACHE_SIZE
+    _assert_literals_share_one_entry()
 
 
 def test_cache_stays_within_its_bound_over_ten_thousand_shapes():

@@ -11,6 +11,7 @@ from repro.catalog import (
     uniform_int_level,
 )
 from repro.errors import CatalogError
+from repro.physical.plan import Plan
 
 
 @pytest.fixture()
@@ -60,8 +61,28 @@ def test_unknown_optimizer(db):
 
 
 def test_unknown_option_rejected(db):
-    with pytest.raises(TypeError):
+    with pytest.raises(ReproError, match="'enable_warp_drive'"):
         db.sql("SELECT * FROM t", enable_warp_drive=True)
+
+
+@pytest.mark.parametrize("optimizer", ["orca", "planner"])
+def test_a_select_validates_its_plan_twice(db, monkeypatch, optimizer):
+    """Once where the optimizer returns it, once where the executor runs
+    it: no plan reaches execution unvalidated, and none is checked a
+    third time in between."""
+    db.sql("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
+    calls = []
+    validate = Plan.validate
+
+    def counted(plan):
+        calls.append(plan)
+        return validate(plan)
+
+    monkeypatch.setattr(Plan, "validate", counted)
+    assert db.sql("SELECT b FROM t WHERE a = 2", optimizer=optimizer).rows == [
+        ("y",)
+    ]
+    assert len(calls) == 2 and calls[0] is calls[1]
 
 
 def test_plan_is_reusable_and_side_effect_free(db):

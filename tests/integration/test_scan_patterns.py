@@ -18,7 +18,6 @@ from repro.catalog import (
     range_level,
 )
 from repro.expr.ast import BoolExpr, ColumnRef, Comparison, Literal
-from repro.optimizer.placement import place_part_selectors
 from repro.physical.ops import (
     DynamicScan,
     Filter,
@@ -28,6 +27,7 @@ from repro.physical.ops import (
     Sequence,
 )
 from repro.physical.plan import Plan
+from tests.oracles.placement import place_part_selectors
 
 
 @pytest.fixture(scope="module")

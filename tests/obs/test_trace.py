@@ -2,9 +2,10 @@
 
 The acceptance scenario is a fixed two-table partitioned join (orders_fk
 ⋈ date_dim, the paper's Figure 3 shape): tracing it must yield all six
-lifecycle phases in order, a populated optimizer search summary with at
-least one PartitionSelector enforcer event, and a renderable
-EXPLAIN (TRACE).
+lifecycle phases in order (parse, bind, optimize with
+place_partition_selectors nested, execute, and one span per slice), a
+populated optimizer search summary with at least one PartitionSelector
+enforcer event, and a renderable EXPLAIN (TRACE).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ LIFECYCLE = [
     "bind",
     "optimize",
     "place_partition_selectors",
-    "lower",
     "execute",
 ]
 
@@ -145,6 +145,8 @@ def test_traced_join_covers_the_six_lifecycle_phases(orders_db):
     # place_partition_selectors nests inside optimize
     placement = tracer.find("place_partition_selectors")
     assert placement.parent_id == tracer.find("optimize").span_id
+    # the plan goes from optimize straight to execute
+    assert tracer.find("lower") is None
 
 
 def test_traced_join_optimizer_summary(orders_db):
@@ -169,7 +171,7 @@ def test_traced_metrics_export_carries_trace_sections(orders_db):
     # top-level phases (nested spans such as place_partition_selectors and
     # the slices live in the span list, under their parents)
     assert _is_subsequence(
-        ["parse", "bind", "optimize", "lower", "execute"],
+        ["parse", "bind", "optimize", "execute"],
         data["trace"]["phases"],
     )
     names = [s["name"] for s in data["trace"]["spans"]]

@@ -13,7 +13,6 @@ from repro.catalog import (
     uniform_int_level,
 )
 from repro.expr.ast import BoolExpr, ColumnRef, Comparison, Literal
-from repro.optimizer.placement import initial_specs, place_part_selectors
 from repro.physical.ops import (
     DynamicScan,
     Filter,
@@ -23,6 +22,7 @@ from repro.physical.ops import (
     Sequence,
 )
 from repro.physical.plan import Plan
+from tests.oracles.placement import initial_specs, place_part_selectors
 
 
 @pytest.fixture(scope="module")

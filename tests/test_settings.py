@@ -29,6 +29,7 @@ from repro.serving import QueryServer, Session
 from repro.settings import (
     DEFAULT_SETTINGS,
     FIELDS,
+    OPTIMIZER_OPTIONS,
     SET_FIELDS,
     QuerySettings,
     resolve,
@@ -155,11 +156,26 @@ def test_resolution_is_free_when_nothing_is_overridden(db, seen):
     db.serve().close()
 
 
-def test_unknown_keyword_still_raises_type_error(db):
-    with pytest.raises(TypeError):
-        db.sql(QUERY, enable_warp_drive=True)
-    with pytest.raises(TypeError):
-        db.plan(QUERY, enable_warp_drive=True)
+@pytest.mark.parametrize("optimizer", ["orca", "planner"])
+def test_unknown_keyword_raises_a_typed_error(db, seen, optimizer):
+    """A keyword that is neither a field nor an option of the optimizer
+    raises a ``ReproError`` naming it, before the statement runs."""
+    for call in (db.sql, db.plan, db.session().sql):
+        with pytest.raises(ReproError, match="'enable_warp_drive'"):
+            call(QUERY, optimizer=optimizer, enable_warp_drive=True)
+    with pytest.raises(ReproError, match="'enable_warp_drive'"):
+        db.session(optimizer=optimizer, enable_warp_drive=True)
+    # nothing was registered, let alone executed
+    assert seen == [] and (db.live.completed, db.live.failed) == (0, 0)
+    db.serve().close()
+
+
+def test_option_table_matches_the_optimizer_constructors(db):
+    for name, accepted in OPTIMIZER_OPTIONS.items():
+        constructor = type(db.make_optimizer(name)).__init__
+        parameters = set(inspect.signature(constructor).parameters)
+        engine_given = {"self", "catalog", "stats", "cost_model", "num_segments"}
+        assert parameters - engine_given == set(accepted), name
 
 
 # -- satellite: every layer rejects what sql() rejects, where it is given ----
@@ -299,10 +315,17 @@ def test_help_lists_every_settable_field(db):
 
 
 def test_settings_are_a_hashable_value():
-    one = QuerySettings(workers=4, optimizer_options={"b": 1, "a": 2})
-    two = QuerySettings(workers=4, optimizer_options=(("a", 2), ("b", 1)))
+    one = QuerySettings(
+        workers=4, optimizer_options={"enable_top_n": 1, "enable_join_dpe": 2}
+    )
+    two = QuerySettings(
+        workers=4, optimizer_options=(("enable_join_dpe", 2), ("enable_top_n", 1))
+    )
     assert one == two and hash(one) == hash(two)
-    assert one.optimizer_options == (("a", 2), ("b", 1))  # sorted tuple
+    assert one.optimizer_options == (  # sorted tuple
+        ("enable_join_dpe", 2),
+        ("enable_top_n", 1),
+    )
     assert len({one, two, QuerySettings()}) == 2
     assert one.plan_key == two.plan_key
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -323,7 +346,7 @@ def test_plan_key_moves_with_plan_shaping_fields_only(field):
     changed = dataclasses.replace(base, **{field.name: other})
     assert changed != base
     assert (changed.plan_key != base.plan_key) == field.plan_shaping
-    assert base.plan_key == ("orca", (), False)
+    assert base.plan_key == ("orca", ())
 
 
 def test_default_statement_key_is_the_plain_one(db):
@@ -333,7 +356,6 @@ def test_default_statement_key_is_the_plain_one(db):
     assert db._statement_key(QUERY, [1], QuerySettings(workers=4)) == plain
     for shaping in (
         {"optimizer": "planner"},
-        {"lower_selectors": True},
         {"optimizer_options": {"enable_top_n": False}},
     ):
         shaped = QuerySettings(**shaping)
