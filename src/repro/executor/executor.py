@@ -59,10 +59,8 @@ from ..resilience.guardrails import QueryLimits, RetryPolicy
 from ..settings import DEFAULT_SETTINGS, QuerySettings
 from ..storage import StorageManager
 from ..storage.distribution import segment_for, stable_hash
-from ..types import TEXT, DataType
 from .context import COORDINATOR_SEGMENT, ExecContext
 from .iterators import build_batches, drain
-from .kernels import row_bytes_kernel
 from .queues import MotionBuffer
 from .scheduler import SegmentScheduler
 
@@ -259,10 +257,12 @@ class MppExecutor:
                 ctx, scheduler, 0, segment, scan_ids, None, slice_span, work
             )
 
-        per_segment = scheduler.run_slice(
+        rows: list[tuple] = []
+        for seg_rows in scheduler.run_slice(
             [instance(segment) for segment in range(self.num_segments)]
-        )
-        return [row for seg_rows in per_segment for row in seg_rows]
+        ):
+            rows += seg_rows
+        return rows
 
     def _dispatched_segments(
         self, motion: phys.Motion, ctx: ExecContext
@@ -402,11 +402,12 @@ class MppExecutor:
         ``segment`` and route every batch into the receive queues, tagged
         with this segment as the producer (the deterministic-merge key).
         A batch takes one lock acquisition per target queue and is sized
-        once per target list; the ``motion_send`` fault point fires once
+        from the layout alone; the ``motion_send`` fault point fires once
         per batch, and the buffered-row charges stop at the first one that
         crosses ``max_rows``, whatever the width."""
         child = motion.children[0]
-        size, hash_fns = view.kernel(motion, lambda: _motion_kernels(motion, view.params))
+        row_bytes = motion_row_bytes(motion)
+        hash_fns = view.kernel(motion, lambda: _motion_kernels(motion, view.params))
         record = view.metrics.record_motion_batch
         faults = view.faults if view.faults.active else None
         limits = view.limits if view.limits.active else None
@@ -419,11 +420,12 @@ class MppExecutor:
                 faults.maybe_fire(MOTION_SEND, segment)
             if gather:
                 buffer.send_batch(COORDINATOR_SEGMENT, batch, segment)
-                record(motion, "gather", COORDINATOR_SEGMENT, len(batch), size(batch))
+                nbytes = row_bytes * len(batch)
+                record(motion, "gather", COORDINATOR_SEGMENT, len(batch), nbytes)
                 if limits is not None:
                     limits.charge_rows_batch(len(batch))
             elif broadcast:
-                nbytes = size(batch)
+                nbytes = row_bytes * len(batch)
                 for target in range(self.num_segments):
                     buffer.send_batch(target, batch, segment)
                     record(motion, "broadcast", target, len(batch), nbytes)
@@ -446,7 +448,7 @@ class MppExecutor:
                 for target in sorted(by_target):
                     rows = by_target[target]
                     buffer.send_batch(target, rows, segment)
-                    record(motion, "redistribute", target, len(rows), size(rows))
+                    record(motion, "redistribute", target, len(rows), row_bytes * len(rows))
                 if limits is not None:
                     limits.charge_rows_batch(len(batch))
 
@@ -460,30 +462,20 @@ class MppExecutor:
         buffer.close()
 
 
-def motion_sizer(motion: phys.Motion) -> Callable[[list], int]:
-    """``rows -> bytes`` of ``motion``'s rows by the Motion byte measure
-    (docs/observability.md).  A slot is fixed-width when it is a non-TEXT
-    column of the table a scan below reads under the slot's qualifier;
-    any other slot is sized per value."""
-    types: dict[tuple[str | None, str], DataType | None] = {}
-    for op in motion.walk():
-        if isinstance(op, (phys.Scan, phys.LeafScan, phys.DynamicScan, phys.EmptyScan)):
-            for column in op.table.schema:
-                key, kind = (op.alias, column.name), column.data_type
-                # one alias naming two tables: that slot is sized per value
-                types[key] = kind if types.get(key, kind) is kind else None
-    slots = motion.output_layout().slots
-    return row_bytes_kernel([types.get(slot) not in (None, TEXT) for slot in slots])
+def motion_row_bytes(motion: phys.Motion) -> int:
+    """Bytes one row of ``motion`` moves by the Motion byte measure
+    (docs/observability.md): 8 of framing and 8 per slot, whatever its
+    type or value."""
+    return 8 + 8 * len(motion.output_layout())
 
 
-def _motion_kernels(motion: phys.Motion, params) -> tuple[Callable, list | None]:
-    """What every producer instance of ``motion`` shares in one statement:
-    the sizing kernel of its rows and a Redistribute's hash functions."""
-    hash_fns = None
-    if isinstance(motion, phys.RedistributeMotion):
-        layout = motion.children[0].output_layout()
-        hash_fns = [compile_expression(e, layout, params) for e in motion.hash_exprs]
-    return motion_sizer(motion), hash_fns
+def _motion_kernels(motion: phys.Motion, params) -> list[Callable] | None:
+    """A Redistribute's hash functions, which every producer instance of
+    ``motion`` shares in one statement (None for any other Motion)."""
+    if not isinstance(motion, phys.RedistributeMotion):
+        return None
+    layout = motion.children[0].output_layout()
+    return [compile_expression(e, layout, params) for e in motion.hash_exprs]
 
 
 def _motions_deepest_first(root: phys.PhysicalOp) -> list[phys.Motion]:

@@ -11,7 +11,6 @@ kernel is compiled once per shape.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from ..expr.ast import AggCall, Expression
@@ -45,25 +44,6 @@ def project_kernel(
     identity = "(" + "".join(f"r[{i}], " for i in range(len(layout))) + ")"
     rows = "rows" if row == identity else f"[{row} for r in rows]"
     return source.build(["def k(rows):", f"    return {rows}", "return k"])
-
-
-def row_bytes_kernel(fixed: Sequence[bool]) -> Callable[[list], int]:
-    """``rows -> bytes`` by the Motion byte measure: per row, 8 bytes of
-    framing and 8 per fixed-width slot (``fixed[i]``); any other slot
-    counts ``len`` of a string value and 8 of anything else, NULL
-    included.  The measure is additive per row."""
-    source = KernelSource()
-    body = ["def k(rows):", f"    n = {source.const(8 + 8 * sum(fixed))} * len(rows)"]
-    for i, width_is_fixed in enumerate(fixed):
-        if not width_is_fixed:
-            values = f"map({source.const(itemgetter(i))}, rows)"
-            body += [
-                "    try:  # all strings: one C-level pass",
-                f'        n += len("".join({values}))',
-                "    except TypeError:",
-                f"        n += sum([len(v) if v.__class__ is str else 8 for v in {values}])",
-            ]
-    return source.build([*body, "    return n", "return k"])
 
 
 def sort_key_kernel(

@@ -179,11 +179,10 @@ class TupleQueue:
                     "motion queue was already drained by a streaming consumer"
                 )
             if self._merged is None:
-                self._merged = [
-                    row
-                    for producer in sorted(self._runs)
-                    for row in self._runs[producer]
-                ]
+                merged: list[tuple] = []
+                for producer in sorted(self._runs):
+                    merged += self._runs[producer]
+                self._merged = merged
             return self._merged
 
     def stream(self) -> Iterator[tuple]:

@@ -420,7 +420,8 @@ class MetricsCollector:
         self, op, kind: str, target_segment: int, rows: int, nbytes: int
     ) -> None:
         """``rows`` rows routed by a Motion to ``target_segment``, sized
-        ``nbytes`` by the Motion byte measure (docs/observability.md)."""
+        ``nbytes`` by the Motion byte measure (docs/observability.md):
+        ``rows`` times the bytes of one row of the Motion's layout."""
         _count_motion(self.node(op), kind, target_segment, rows, nbytes)
 
     # -- slices -------------------------------------------------------------

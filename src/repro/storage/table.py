@@ -32,6 +32,10 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left, bisect_right
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import iadd
 from typing import Iterable, Iterator, Sequence
 
 from ..catalog import DistributionPolicy, TableDescriptor
@@ -285,40 +289,60 @@ class TableStore:
         exactly the :meth:`scan_segment` row order.  Each batch is read
         from the copy the health gate names when it starts filling.  Every
         leaf the scan reaches, empty or not, costs one ``io_latency_s``
-        sleep and is appended to ``opened``: what the caller takes out of
-        ``opened`` after a batch is what that batch opened, and what is
-        left at the end are empty leaves after the last row.
+        sleep and is reported once, in ``opened``: each batch extends it
+        by the slice of the OID list it reached, so what the caller takes
+        out of ``opened`` after a batch is what that batch opened, and
+        what is left at the end are empty leaves after the last row.
+
+        The work per leaf runs in C: the bucket lists are looked up once
+        (again only after a failover), their row counts accumulated into
+        leaf bounds, and a batch is found by bisecting those bounds.  A
+        batch whose length disagrees with the bounds (a bucket changed
+        while the consumer held the previous batch) is re-cut from fresh
+        bounds, so it never holds more than ``batch_size`` rows.
         """
         buckets = self._segment_buckets(segment)
-        batch: list[tuple] = []
-        for oid in sorted(buckets) if oids is None else oids:
-            if opened is not None:
-                opened.append(oid)
-            if io_latency_s:
-                time.sleep(io_latency_s)
-            bucket = buckets.get(oid)
-            if not bucket:
-                continue
-            if len(batch) + len(bucket) < batch_size:  # the whole leaf fits
-                batch += bucket
-                continue
-            start = 0
-            # the batch fills here; sized from the batch itself, so a bucket
-            # that shrank while the consumer held the last batch cannot
-            # overfill the next one
-            while len(batch) + len(bucket) - start >= batch_size:
-                end = start + batch_size - len(batch)
-                if batch:
-                    batch += bucket[start:end]
+        keys = sorted(buckets) if oids is None else oids
+        lists = list(map(buckets.get, keys, repeat(())))
+        # leaf i holds scan rows bounds[i]:bounds[i + 1]
+        bounds = list(accumulate(map(len, lists), initial=0))
+        # the next row is row ``start`` of leaf ``leaf``; keys[:reached] are opened
+        leaf = start = reached = 0
+        while keys:
+            begin = min(bounds[leaf] + start, bounds[leaf + 1])
+            stop = begin + batch_size
+            full = stop <= bounds[-1]
+            last = bisect_left(bounds, stop) - 1 if full else len(keys) - 1
+            stop = min(stop, bounds[-1])
+            batch: list[tuple] = []
+            if begin < stop:
+                first = bisect_right(bounds, begin) - 1
+                offset, end = begin - bounds[first], stop - bounds[last]
+                if first == last:
+                    batch = lists[first][offset:end]
                 else:
-                    batch = bucket[start:end]
+                    batch = lists[first][offset:]
+                    reduce(iadd, lists[first + 1 : last], batch)
+                    batch += lists[last][:end]
+                if len(batch) != stop - begin:
+                    bounds = list(accumulate(map(len, lists), initial=0))
+                    continue
+            reaching = keys[reached : last + 1]
+            if opened is not None:
+                opened += reaching
+            if io_latency_s:
+                for _ in reaching:
+                    time.sleep(io_latency_s)
+            leaf, start, reached = last, stop - bounds[last], last + 1
+            if batch:
                 yield batch
-                batch, start = [], end
-                buckets = self._segment_buckets(segment)
-                bucket = buckets.get(oid, ())
-            batch += bucket[start:]
-        if batch:
-            yield batch
+            if not full:
+                return
+            gated = self._segment_buckets(segment)
+            if gated is not buckets:
+                buckets = gated
+                lists = list(map(buckets.get, keys, repeat(())))
+                bounds = list(accumulate(map(len, lists), initial=0))
 
     def scan_all(self, oids: Sequence[int] | None = None) -> Iterator[tuple]:
         """Rows from every segment (for reference evaluation in tests).

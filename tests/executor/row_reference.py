@@ -21,7 +21,6 @@ from typing import Any, Callable, Iterator
 
 from repro.errors import ExecutionError
 from repro.executor.context import COORDINATOR_SEGMENT, ExecContext
-from repro.executor.executor import motion_sizer
 from repro.executor.iterators import (
     _close_selector,
     _delete_rows,
@@ -528,7 +527,7 @@ def _send_rows(motion: phys.Motion, segment: int, ctx: ExecContext) -> None:
     recorded and charged on its own."""
     buffer = ctx.motion_buffer(id(motion))
     record = ctx.metrics.record_motion_batch
-    size = motion_sizer(motion)
+    row_bytes = 8 + 8 * len(motion.output_layout())  # the Motion byte measure
     faults = ctx.faults if ctx.faults.active else None
     charge = ctx.limits.charge_rows if ctx.limits.active else None
     segments = range(ctx.num_segments)
@@ -556,7 +555,7 @@ def _send_rows(motion: phys.Motion, segment: int, ctx: ExecContext) -> None:
             kind, targets = "redistribute", [target]
         for target in targets:
             buffer.queue(target).put(row, segment)
-            record(motion, kind, target, 1, size([row]))
+            record(motion, kind, target, 1, row_bytes)
         if charge is not None:
             charge(len(targets))
 

@@ -34,7 +34,7 @@ from repro.errors import (
     QueryTimeout,
     ResourceLimitExceeded,
 )
-from repro.executor.executor import motion_sizer
+from repro.executor.executor import motion_row_bytes
 from repro.executor.queues import MotionBuffer, TupleQueue
 from repro.obs.metrics import MetricsCollector
 from repro.resilience import CancelToken, QueryLimits
@@ -206,10 +206,10 @@ def test_send_batch_of_n_equals_n_sends_of_one():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_record_motion_batch_of_n_equals_n_records_of_one(workers):
-    """The Motion byte measure over a real layout: INT / FLOAT / DATE base
-    columns are 8 bytes each (NULL too), the TEXT column and the computed
-    ``max(s)`` slot cost ``len`` of a string and 8 of NULL, plus 8 bytes of
-    framing per row.  A batch of n rows sizes and records as n rows of one."""
+    """The Motion byte measure over a real layout: 8 bytes of framing per
+    row and 8 per slot, whatever its type or value: the INT / FLOAT / DATE
+    base columns, the TEXT column and the computed ``max(s)`` slot, NULL
+    included.  A batch of n rows sizes and records as n rows of one."""
     table = Catalog().create_table(
         "m",
         TableSchema.of(("i", t.INT), ("f", t.FLOAT), ("d", t.DATE), ("s", t.TEXT)),
@@ -229,12 +229,12 @@ def test_record_motion_batch_of_n_equals_n_records_of_one(workers):
         )
         for i in range(9)
     ]
-    size = motion_sizer(motion)
+    row_bytes = motion_row_bytes(motion)
 
-    def text(value):
-        return len(value) if isinstance(value, str) else 8
+    def size(batch):
+        return row_bytes * len(batch)
 
-    expected = sum(8 + 3 * 8 + text(row[3]) + text(row[4]) for row in rows)
+    expected = len(rows) * (8 + 5 * 8)
     assert size(rows) == sum(size([row]) for row in rows) == expected
 
     def recorded(batches):

@@ -11,6 +11,7 @@ from repro.catalog import (
     uniform_int_level,
 )
 from repro.errors import PartitionError
+from repro.resilience import SegmentHealth
 from repro.storage import StorageManager, TableStore
 
 SCHEMA = TableSchema.of(("a", t.INT), ("b", t.INT))
@@ -114,6 +115,34 @@ def test_batches_stay_within_the_width_when_a_bucket_shrinks_mid_scan():
     assert [len(batch) for batch in batches] == [16, 16, 14]
     assert batches[0] == first[:16]
     assert batches[1] + batches[2] == second
+
+
+def test_a_failover_between_batches_reads_the_rest_from_the_mirror():
+    """Each batch asks the health gate again when it starts filling: a
+    primary marked down after the first batch hands the rest of the scan
+    to the mirror, with no row lost or repeated."""
+    catalog = Catalog()
+    desc = catalog.create_table(
+        "p",
+        SCHEMA,
+        distribution=DistributionPolicy.hashed("a"),
+        partition_scheme=PartitionScheme([uniform_int_level("b", 0, 100, 4)]),
+    )
+    health = SegmentHealth(1)
+    store = TableStore(desc, num_segments=1, health=health)
+    store.insert_many([(a, a % 100) for a in range(200)])
+    leaves = desc.all_leaf_oids()
+    expected = list(store.scan_segment(0, leaves))
+    scan = store.scan_segment_batches(0, leaves, batch_size=16)
+    batches = [next(scan)]
+    health.failover(0, "primary lost mid-scan")
+    for bucket in store.primary_buckets(0).values():
+        bucket.clear()  # the primary answers nothing from here on
+    batches.extend(scan)
+    assert [row for batch in batches for row in batch] == expected
+    assert [len(batch) for batch in batches] == [16] * 12 + [8]
+    # the first batch came from the primary, each later one from the mirror
+    assert health.mirror_reads == [len(batches) - 1]
 
 
 def test_storage_manager_scan_leaf():
