@@ -440,7 +440,9 @@ class Database:
                             result.metrics.record_durability(
                                 self._durability_summary()
                             )
-                            self.query_stats.record(query, result)
+                            self.query_stats.record_fingerprint(
+                                activity.fingerprint, result
+                            )
                             return result
                 tracer = Tracer() if settings.trace else None
                 with obs_trace.activate(tracer):
@@ -463,7 +465,7 @@ class Database:
             result.metrics.record_optimizer(tracer.optimizer.summary())
         result.metrics.record_live(self.live.complete(activity))
         result.metrics.record_durability(self._durability_summary())
-        self.query_stats.record(query, result)
+        self.query_stats.record_fingerprint(activity.fingerprint, result)
         return result
 
     def _durability_summary(self) -> dict:

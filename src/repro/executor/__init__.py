@@ -2,7 +2,7 @@
 partition-selection built-in functions of the paper's Table 1."""
 
 from .channels import ChannelRegistry, OidChannel
-from .context import COORDINATOR_SEGMENT, ExecContext, ScanTracker
+from .context import COORDINATOR_SEGMENT, ExecContext
 from .executor import ExecutionResult, MppExecutor
 from .runtime_funcs import (
     PartitionConstraint,
@@ -20,7 +20,6 @@ __all__ = [
     "MppExecutor",
     "OidChannel",
     "PartitionConstraint",
-    "ScanTracker",
     "partition_constraints",
     "partition_expansion",
     "partition_propagation",

@@ -13,16 +13,18 @@ The MPP simulator's conventions:
   the queues merge rows in producer-segment order so the drained sequence
   matches a serial run exactly.
 * Partition-OID channels are per (part scan id, segment).
-* The context records which leaf partitions every scan touched — the
-  measurement behind the paper's Figure 16 and Table 3.
+* The context's :class:`~repro.obs.metrics.MetricsCollector` records
+  which leaf partitions every scan touched — the measurement behind the
+  paper's Figure 16 and Table 3.  Serial and parallel instances record
+  into the same collector through the same methods: each counter slot
+  belongs to one (slice, segment) instance, so there is nothing to merge.
 * The context carries the run's :class:`~repro.resilience.FaultInjector`
   and :class:`~repro.resilience.QueryLimits`; iterators consult both on
   their hot paths (guarded by cheap ``active`` flags).
 * The context carries the statement's
   :class:`~repro.settings.QuerySettings`; operators read the batch width
-  from it.  When ``settings.workers > 1`` worker threads see the context
-  through :meth:`worker_view`, which swaps in a per-worker metrics facade
-  and leaves everything else shared.
+  from it.  Worker threads (``settings.workers > 1``) share the one
+  context.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import threading
 from typing import Any, Sequence
 
 from ..catalog import Catalog
-from ..obs.metrics import MetricsCollector, ScanTracker
+from ..obs.metrics import MetricsCollector
 from ..resilience.faults import FaultInjector
 from ..resilience.guardrails import QueryLimits
 from ..settings import DEFAULT_SETTINGS, QuerySettings
@@ -39,11 +41,7 @@ from ..storage import StorageManager
 from .channels import ChannelRegistry, OidChannel
 from .queues import MotionBuffer
 
-__all__ = [
-    "COORDINATOR_SEGMENT",
-    "ExecContext",
-    "ScanTracker",  # re-exported for backward compatibility
-]
+__all__ = ["COORDINATOR_SEGMENT", "ExecContext"]
 
 COORDINATOR_SEGMENT = 0
 
@@ -81,11 +79,6 @@ class ExecContext:
         self._selector_lock = threading.Lock()
         #: id(operator) -> the statement's generated kernel(s) for it
         self._kernels: dict[int, Any] = {}
-
-    @property
-    def tracker(self) -> ScanTracker:
-        """Deprecated aggregate view; prefer :attr:`metrics`."""
-        return self.metrics.tracker
 
     def cancel(self) -> None:
         """Cooperatively cancel this execution: the next guardrail
@@ -141,18 +134,6 @@ class ExecContext:
         buffer — the ChannelError contract)."""
         return self.motion_buffer(motion_id).rows(segment)
 
-    def worker_view(self, segment: int) -> "ExecContext":
-        """The context one (slice, segment) instance executes against.
-
-        Serial mode returns the context itself; parallel mode returns a
-        facade whose ``metrics`` is a per-worker
-        :class:`~repro.obs.metrics.WorkerMetrics` accumulator (merged by
-        the executor when the instance ends) and everything else is the
-        shared state."""
-        if self.settings.workers <= 1:
-            return self
-        return _WorkerView(self, segment)
-
     def reset_slice(self, part_scan_ids, motion_id: int | None = None) -> None:
         """Discard one slice's local state before a whole-slice retry: its
         partition-OID channels (rebuilt locally on the re-run — the
@@ -179,20 +160,3 @@ class ExecContext:
             if buffer is not None:
                 buffer.discard_producer(segment)
 
-
-class _WorkerView:
-    """One worker thread's view of the shared :class:`ExecContext`.
-
-    Everything delegates to the base context except ``metrics``, which is
-    a per-worker accumulator so contended counters never take a lock on
-    the per-row path."""
-
-    __slots__ = ("_base", "segment", "metrics")
-
-    def __init__(self, base: ExecContext, segment: int):
-        self._base = base
-        self.segment = segment
-        self.metrics = base.metrics.worker(segment)
-
-    def __getattr__(self, name: str):
-        return getattr(self._base, name)

@@ -247,11 +247,11 @@ class MppExecutor:
         their rows in segment order (the Gather contract)."""
 
         def instance(segment: int) -> Callable[[], list[tuple]]:
-            def work(view: ExecContext) -> list[tuple]:
-                faults = view.faults if view.faults.active else None
+            def work() -> list[tuple]:
+                faults = ctx.faults if ctx.faults.active else None
                 if faults is not None:
                     faults.maybe_fire(SLICE_START, segment)
-                return drain(root, segment, view)
+                return drain(root, segment, ctx)
 
             return lambda: self._run_instance_with_retry(
                 ctx, scheduler, 0, segment, scan_ids, None, slice_span, work
@@ -294,9 +294,6 @@ class MppExecutor:
         buffer = ctx.motion_buffer(id(motion))
 
         def instance(segment: int) -> Callable[[], None]:
-            def work(view: ExecContext) -> None:
-                self._send_segment(motion, view, segment, buffer)
-
             return lambda: self._run_instance_with_retry(
                 ctx,
                 scheduler,
@@ -305,7 +302,7 @@ class MppExecutor:
                 scan_ids,
                 id(motion),
                 slice_span,
-                work,
+                lambda: self._send_segment(motion, ctx, segment, buffer),
             )
 
         scheduler.run_slice([instance(segment) for segment in segments])
@@ -320,7 +317,7 @@ class MppExecutor:
         scan_ids: set[int],
         motion_id: int | None,
         slice_span,
-        work: Callable[[ExecContext], Any],
+        work: Callable[[], Any],
     ) -> Any:
         """Run one (slice, segment) instance, retrying it — and only it —
         on :class:`SegmentFailure`.
@@ -331,15 +328,14 @@ class MppExecutor:
         segment's OID channels (instance-local by the Figure 12 invariant)
         and its producer run in the Motion send queues.  Other segments'
         instances — possibly still running on sibling workers — are
-        untouched.  Per-worker metric accumulators merge on success *and*
-        failure so counters stay cumulative across attempts."""
+        untouched.  Counters stay cumulative across attempts: a retry
+        records into the same slots as the attempt it replaces."""
         policy = self.retry_policy
         attempt = 0
         slept: float | None = None
         started = time.perf_counter()
         try:
             while True:
-                view = ctx.worker_view(segment)
                 span = (
                     obs_trace.worker_span(
                         slice_span, f"segment:{segment}", slice=slice_id
@@ -349,13 +345,8 @@ class MppExecutor:
                 )
                 try:
                     with span:
-                        result = work(view)
-                    if view is not ctx:
-                        view.metrics.merge()
-                    return result
+                        return work()
                 except SegmentFailure as failure:
-                    if view is not ctx:
-                        view.metrics.merge()
                     attempt += 1
                     if attempt > policy.max_retries:
                         raise
@@ -394,7 +385,7 @@ class MppExecutor:
     def _send_segment(
         self,
         motion: phys.Motion,
-        view: ExecContext,
+        ctx: ExecContext,
         segment: int,
         buffer: MotionBuffer,
     ) -> None:
@@ -407,28 +398,28 @@ class MppExecutor:
         crosses ``max_rows``, whatever the width."""
         child = motion.children[0]
         row_bytes = motion_row_bytes(motion)
-        hash_fns = view.kernel(motion, lambda: _motion_kernels(motion, view.params))
-        record = view.metrics.record_motion_batch
-        faults = view.faults if view.faults.active else None
-        limits = view.limits if view.limits.active else None
+        hash_fns = ctx.kernel(motion, lambda: _motion_kernels(motion, ctx.params))
+        record = ctx.metrics.record_motion_batch
+        faults = ctx.faults if ctx.faults.active else None
+        limits = ctx.limits if ctx.limits.active else None
         gather = isinstance(motion, phys.GatherMotion)
         broadcast = isinstance(motion, phys.BroadcastMotion)
         if faults is not None:
             faults.maybe_fire(SLICE_START, segment)
-        for batch in build_batches(child, segment, view):
+        for batch in build_batches(child, segment, ctx):
             if faults is not None:
                 faults.maybe_fire(MOTION_SEND, segment)
             if gather:
                 buffer.send_batch(COORDINATOR_SEGMENT, batch, segment)
                 nbytes = row_bytes * len(batch)
-                record(motion, "gather", COORDINATOR_SEGMENT, len(batch), nbytes)
+                record(motion, "gather", segment, COORDINATOR_SEGMENT, len(batch), nbytes)
                 if limits is not None:
                     limits.charge_rows_batch(len(batch))
             elif broadcast:
                 nbytes = row_bytes * len(batch)
                 for target in range(self.num_segments):
                     buffer.send_batch(target, batch, segment)
-                    record(motion, "broadcast", target, len(batch), nbytes)
+                    record(motion, "broadcast", segment, target, len(batch), nbytes)
                 if limits is not None:
                     limits.charge_rows_batch(
                         len(batch), per_row=self.num_segments
@@ -448,7 +439,8 @@ class MppExecutor:
                 for target in sorted(by_target):
                     rows = by_target[target]
                     buffer.send_batch(target, rows, segment)
-                    record(motion, "redistribute", target, len(rows), row_bytes * len(rows))
+                    nbytes = row_bytes * len(rows)
+                    record(motion, "redistribute", segment, target, len(rows), nbytes)
                 if limits is not None:
                     limits.charge_rows_batch(len(batch))
 

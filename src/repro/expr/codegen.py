@@ -224,13 +224,15 @@ class RowScope:
     def operand(self, expr: Expression) -> tuple[str, str | None]:
         """``(use, probe)``: ``probe is None`` tests the operand for NULL
         (and binds it when it is complex), after which ``use`` reads it.
-        ``probe`` is ``None`` for an operand that is never NULL."""
+        ``probe`` is ``None`` for an operand that is never NULL and cannot
+        raise: one that may raise is bound, so a guard that must evaluate
+        every operand reaches it."""
         text = self.value(expr)
         if isinstance(expr, (Literal, Parameter)):
             return text, (text if text == "None" else None)
         if isinstance(expr, ColumnRef):
             return text, text
-        if isinstance(expr, IsNull):
+        if isinstance(expr, IsNull) and not _raises(expr):
             return text, None
         name = self.source.temp()
         return name, f"({name} := {text})"

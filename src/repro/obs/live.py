@@ -312,11 +312,10 @@ class QueryActivity:
         if metrics is not None:
             if metrics.nodes:
                 rows_produced = metrics.nodes[0].actual_rows
-            rows_scanned = metrics.total_rows_scanned
-            partitions_scanned = metrics.partitions_scanned()
-            for stats in metrics.table_stats().values():
-                if stats.get("partitions_total"):
-                    partitions_eligible += stats["partitions_total"]
+            scans = metrics.tracker
+            rows_scanned = scans.rows_scanned
+            partitions_scanned = scans.total_partitions_scanned()
+            partitions_eligible = scans.partitions_eligible
         query = self.query
         if len(query) > _SNAPSHOT_QUERY_CHARS:
             query = query[: _SNAPSHOT_QUERY_CHARS - 3] + "..."

@@ -4,8 +4,16 @@ One :class:`MetricsCollector` lives for one query execution.  It is
 deliberately decoupled from the physical operator classes: the executor
 registers the plan tree up front (capturing names, details and estimates),
 and the iterators report into it through a handful of typed recording
-methods.  All counters are scoped per (node, segment); slice wall times
-are scoped per slice.  Aggregates are computed on demand.
+methods.  Slice wall times are scoped per slice.
+
+Every counter slot has exactly one writer, the (slice, segment) instance
+it belongs to: rows out, loops, wall time, leaves opened and rows scanned
+per (node, segment); Motion rows per (node, producer, target) and Motion
+bytes per (node, producer); selector pushes per (selector, segment).  So
+serial and parallel runs record through the same methods, lock-free, and
+nothing is merged.  Totals are sums over slots, computed on read; the
+per-table scan summary (:class:`ScanTracker`) is derived from the scan
+nodes once, when the statement finishes.
 
 Row counting is always on (one generator frame and one integer increment
 per row per node); per-node wall-clock timing is collected only when the
@@ -72,26 +80,33 @@ METRICS_SCHEMA_VERSION = 11
 
 
 class ScanTracker:
-    """Aggregate per-query record of partitions and rows touched by scans.
+    """The statement's per-table scan summary, derived from the scan nodes'
+    per-segment slots (see :attr:`MetricsCollector.tracker`).  Read-only:
+    scans record into their node only.
 
-    Kept as the backward-compatible summary view (``result.tracker``); the
-    per-node detail lives in :class:`NodeMetrics`.
+    ``partitions`` maps each table that opened a leaf to the leaf OIDs
+    opened, ``partitions_total`` maps it to its leaf count, and ``rows``
+    maps every scanned table to the rows read from it.
     """
 
-    def __init__(self) -> None:
-        #: table name -> set of leaf OIDs actually scanned
+    def __init__(self, nodes) -> None:
         self.partitions: dict[str, set[int]] = {}
-        self.rows_scanned = 0
-
-    def record(self, table_name: str, leaf_oids, rows: int) -> None:
-        if leaf_oids:
-            self.partitions.setdefault(table_name, set()).update(leaf_oids)
-        self.rows_scanned += rows
-
-    def merge(self, other: "ScanTracker") -> None:
-        for table_name, leaf_oids in other.partitions.items():
-            self.record(table_name, leaf_oids, 0)
-        self.rows_scanned += other.rows_scanned
+        self.partitions_total: dict[str, int] = {}
+        self.rows: dict[str, int] = {}
+        # C-level reads only (sum, set.update), so a read racing the
+        # statement's own scans sees each slot whole
+        for node in nodes:
+            name = node.table_name
+            if name is None:
+                continue
+            self.rows[name] = self.rows.get(name, 0) + sum(node.rows_scanned)
+            if node.partitions_total is not None:
+                self.partitions_total[name] = node.partitions_total
+                self.partitions.setdefault(name, set()).update(*node.partitions)
+        self.rows_scanned = sum(self.rows.values())
+        #: leaves of the partitioned tables that opened any: what the scans
+        #: would open without elimination
+        self.partitions_eligible = sum(self.partitions_total.values())
 
     def partitions_scanned(self, table_name: str) -> int:
         return len(self.partitions.get(table_name, ()))
@@ -119,8 +134,8 @@ class NodeMetrics:
         "partitions_total",
         "rows_scanned",
         "motion_kind",
-        "rows_by_target",
-        "bytes_moved",
+        "rows_sent",
+        "bytes_sent",
         "part_scan_id",
     )
 
@@ -157,8 +172,10 @@ class NodeMetrics:
         self.rows_scanned = [0] * num_segments
         # motion-specific
         self.motion_kind: str | None = None
-        self.rows_by_target = [0] * num_segments
-        self.bytes_moved = 0
+        #: rows routed, per (producer, target): ``producer * n + target``
+        self.rows_sent = [0] * (num_segments * num_segments)
+        #: bytes sent, per producer
+        self.bytes_sent = [0] * num_segments
         # selector / dynamic-scan linkage
         self.part_scan_id: int | None = None
 
@@ -178,7 +195,7 @@ class NodeMetrics:
 
     @property
     def partitions_scanned(self) -> int:
-        return len(set().union(*self.partitions)) if self.partitions else 0
+        return len(set().union(*self.partitions))
 
     @property
     def total_rows_scanned(self) -> int:
@@ -186,7 +203,16 @@ class NodeMetrics:
 
     @property
     def rows_moved(self) -> int:
-        return sum(self.rows_by_target)
+        return sum(self.rows_sent)
+
+    @property
+    def rows_by_target(self) -> list[int]:
+        n = len(self.bytes_sent)
+        return [sum(self.rows_sent[target::n]) for target in range(n)]
+
+    @property
+    def bytes_moved(self) -> int:
+        return sum(self.bytes_sent)
 
     @property
     def is_scan(self) -> bool:
@@ -215,16 +241,14 @@ class NodeMetrics:
                 "partitions_scanned": self.partitions_scanned,
                 "partitions_total": self.partitions_total,
                 # sorted so golden-file comparisons are stable (v3)
-                "partition_oids": sorted(set().union(*self.partitions))
-                if self.partitions
-                else [],
+                "partition_oids": sorted(set().union(*self.partitions)),
                 "rows_scanned": self.total_rows_scanned,
             }
         if self.is_motion:
             node["motion"] = {
                 "kind": self.motion_kind,
                 "rows_moved": self.rows_moved,
-                "rows_by_target": list(self.rows_by_target),
+                "rows_by_target": self.rows_by_target,
                 "bytes_moved": self.bytes_moved,
             }
         if self.part_scan_id is not None:
@@ -243,13 +267,12 @@ class MetricsCollector:
     def __init__(self, num_segments: int, timing: bool = False):
         self.num_segments = num_segments
         self.timing = timing
-        self.tracker = ScanTracker()
         self.nodes: list[NodeMetrics] = []
         self.elapsed_seconds = 0.0
         #: guards shared-structure mutation from worker threads (node and
-        #: selector creation, retry/failover/instance logs, worker merges);
-        #: per-(node, segment) counter slots are touched by exactly one
-        #: (slice, segment) instance at a time and stay lock-free
+        #: selector creation, the slice/instance/retry/failover logs); a
+        #: counter slot has one writer, the (slice, segment) instance it
+        #: belongs to, and stays lock-free
         self._lock = threading.RLock()
         # parallel execution (schema v4)
         #: worker-pool size the query ran with (1 = serial)
@@ -265,8 +288,8 @@ class MetricsCollector:
         self.slices: list[dict] = []
         #: segments that ran an instance of any sending slice (schema v10)
         self._dispatched_segments: set[int] = set()
-        #: table name -> total leaf count (for k/N reporting)
-        self._table_totals: dict[str, int] = {}
+        #: the per-table scan summary, derived once by :meth:`finish`
+        self._scans: ScanTracker | None = None
         self._by_op: dict[int, NodeMetrics] = {}
         self._plan = None  # pinned so id(op) keys stay unique
         # resilience (schema v2)
@@ -361,8 +384,15 @@ class MetricsCollector:
     def record_scan(self, op, table, segment: int, leaf_oids, rows: int) -> None:
         """One batch a (Dynamic/Leaf)Scan emitted: its ``rows`` and the
         leaf OIDs opened to fill it, empty leaves included (``rows=0``:
-        empty leaves opened after the last batch)."""
-        _count_scan(self, self.tracker, op, table, segment, leaf_oids, rows)
+        empty leaves opened after the last batch).  An unpartitioned
+        table's root OID is no leaf."""
+        node = self.node(op)
+        node.table_name = table.name
+        node.rows_scanned[segment] += rows
+        if leaf_oids and table.is_partitioned:
+            if node.partitions_total is None:
+                node.partitions_total = table.num_leaves
+            node.partitions[segment].update(leaf_oids)
 
     # -- partition selection ------------------------------------------------
 
@@ -382,7 +412,7 @@ class MetricsCollector:
         1), standing for ``pairs`` (row, OID) selections."""
         entry = self._selector(part_scan_id)
         entry["selected"][segment].update(oids)
-        entry["pushed"] += pairs
+        entry["pushed"][segment] += pairs
 
     def _selector(self, part_scan_id: int) -> dict:
         entry = self.selectors.get(part_scan_id)
@@ -396,7 +426,7 @@ class MetricsCollector:
                         "selected": [
                             set() for _ in range(self.num_segments)
                         ],
-                        "pushed": 0,
+                        "pushed": [0] * self.num_segments,
                     }
                     self.selectors[part_scan_id] = entry
         return entry
@@ -411,18 +441,22 @@ class MetricsCollector:
             "mode": entry["mode"],
             "partitions_selected": len(selected),
             "partitions_total": entry["total"],
-            "oids_pushed": entry["pushed"],
+            "oids_pushed": sum(entry["pushed"]),
         }
 
     # -- motions ------------------------------------------------------------
 
     def record_motion_batch(
-        self, op, kind: str, target_segment: int, rows: int, nbytes: int
+        self, op, kind: str, segment: int, target: int, rows: int, nbytes: int
     ) -> None:
-        """``rows`` rows routed by a Motion to ``target_segment``, sized
-        ``nbytes`` by the Motion byte measure (docs/observability.md):
-        ``rows`` times the bytes of one row of the Motion's layout."""
-        _count_motion(self.node(op), kind, target_segment, rows, nbytes)
+        """``rows`` rows the producer on ``segment`` routed by a Motion to
+        segment ``target``, sized ``nbytes`` by the Motion byte measure
+        (docs/observability.md): ``rows`` times the bytes of one row of
+        the Motion's layout."""
+        node = self.node(op)
+        node.motion_kind = kind
+        node.rows_sent[segment * self.num_segments + target] += rows
+        node.bytes_sent[segment] += nbytes
 
     # -- slices -------------------------------------------------------------
 
@@ -444,7 +478,10 @@ class MetricsCollector:
                 self._dispatched_segments.update(segments)
 
     def finish(self, elapsed_seconds: float) -> None:
+        """The statement ran to the end: derive its per-table scan
+        summary, once."""
         self.elapsed_seconds = elapsed_seconds
+        self._scans = ScanTracker(self.nodes)
 
     # -- parallel execution (schema v4) ---------------------------------------
 
@@ -462,14 +499,6 @@ class MetricsCollector:
             self.instances.append(
                 {"slice_id": slice_id, "segment": segment, "seconds": seconds}
             )
-
-    def worker(self, segment: int) -> "WorkerMetrics":
-        """A per-worker recording view for one (slice, segment) instance.
-
-        Contended counters accumulate locally in the view and fold back in
-        one :meth:`WorkerMetrics.merge` call under the collector lock, so
-        the per-row recording path never takes a lock."""
-        return WorkerMetrics(self, segment)
 
     def parallel_stats(self) -> dict:
         """The schema-v4 "parallel" section: worker count, per-instance
@@ -601,8 +630,21 @@ class MetricsCollector:
     # -- aggregate views -----------------------------------------------------
 
     @property
+    def tracker(self) -> ScanTracker:
+        """The per-table scan summary: derived once by :meth:`finish`, and
+        on each read before that (an in-flight ``/activity`` read)."""
+        scans = self._scans
+        return scans if scans is not None else ScanTracker(self.nodes)
+
+    @property
     def total_rows_scanned(self) -> int:
         return self.tracker.rows_scanned
+
+    @property
+    def partitions_eligible(self) -> int:
+        """Leaves of the partitioned tables the statement opened any of:
+        what its scans would open without elimination."""
+        return self.tracker.partitions_eligible
 
     @property
     def segments_dispatched(self) -> int:
@@ -621,30 +663,17 @@ class MetricsCollector:
         """Per-table scan summary: partitions scanned / total, sorted OID
         list, rows read.  Keys are sorted by table name so the export is
         stable across runs (v3)."""
+        scans = self.tracker
         stats: dict[str, dict] = {}
-        for name, oids in self.tracker.partitions.items():
+        for name, rows in sorted(scans.rows.items()):
+            oids = scans.partitions.get(name, ())
             stats[name] = {
                 "partitions_scanned": len(oids),
-                "partitions_total": self._table_totals.get(name),
+                "partitions_total": scans.partitions_total.get(name),
                 "partition_oids": sorted(oids),
-                "rows_scanned": 0,
+                "rows_scanned": rows,
             }
-        for node in self.nodes:
-            if node.table_name is None:
-                continue
-            entry = stats.setdefault(
-                node.table_name,
-                {
-                    "partitions_scanned": 0,
-                    "partitions_total": self._table_totals.get(
-                        node.table_name
-                    ),
-                    "partition_oids": [],
-                    "rows_scanned": 0,
-                },
-            )
-            entry["rows_scanned"] += node.total_rows_scanned
-        return dict(sorted(stats.items()))
+        return stats
 
     def motion_stats(self) -> dict:
         """Aggregate Motion traffic, total and per kind."""
@@ -698,106 +727,6 @@ class MetricsCollector:
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, default=str)
-
-
-class WorkerMetrics:
-    """Per-worker recording view of one (slice, segment) instance.
-
-    The parallel scheduler hands each instance this thin facade instead of
-    the shared :class:`MetricsCollector`.  Counters that are slotted per
-    segment (``rows_out``, ``loops``, ``time_s``, per-segment partition
-    sets) are touched by exactly one instance per slice, so those calls
-    delegate straight to the collector, lock-free.  The counters that
-    *would* be contended across workers — ``ScanTracker`` totals, Motion
-    ``rows_by_target``/``bytes_moved`` (many producers, one target), and
-    selector ``pushed`` counts — accumulate locally and fold back in a
-    single :meth:`merge` under the collector lock when the instance ends.
-
-    ``merge`` runs on success *and* failure (before an instance retry), so
-    parallel counters stay cumulative across attempts exactly like the
-    serial executor's.
-    """
-
-    def __init__(self, base: MetricsCollector, segment: int):
-        self._base = base
-        self.segment = segment
-        #: this instance's share of the aggregate ScanTracker
-        self._scans = ScanTracker()
-        #: part_scan_id -> OIDs pushed by this instance
-        self._pushed: dict[int, int] = {}
-        #: id(op) -> (op, this instance's Motion counters for it)
-        self._motions: dict[int, tuple[Any, NodeMetrics]] = {}
-
-    def __getattr__(self, name: str):
-        # everything not intercepted (instrument_batches, node,
-        # record_slice, ...) behaves exactly as on the shared collector
-        return getattr(self._base, name)
-
-    # -- intercepted recorders (contended counters buffered locally) ---------
-
-    def record_scan(self, op, table, segment: int, leaf_oids, rows: int) -> None:
-        _count_scan(self._base, self._scans, op, table, segment, leaf_oids, rows)
-
-    def record_propagation(
-        self, part_scan_id: int, segment: int, oids, pairs: int
-    ) -> None:
-        entry = self._base._selector(part_scan_id)
-        entry["selected"][segment].update(oids)
-        self._pushed[part_scan_id] = self._pushed.get(part_scan_id, 0) + pairs
-
-    def record_motion_batch(
-        self, op, kind: str, target_segment: int, rows: int, nbytes: int
-    ) -> None:
-        entry = self._motions.get(id(op))
-        if entry is None:
-            tally = NodeMetrics(-1, "", self._base.num_segments)
-            entry = self._motions[id(op)] = (op, tally)
-        _count_motion(entry[1], kind, target_segment, rows, nbytes)
-
-    # -- fold-back -----------------------------------------------------------
-
-    def merge(self) -> None:
-        """Fold the local accumulators into the shared collector (one lock
-        acquisition per instance, not per row) and reset them."""
-        base = self._base
-        with base._lock:
-            base.tracker.merge(self._scans)
-            for part_scan_id, count in self._pushed.items():
-                base._selector(part_scan_id)["pushed"] += count
-            for op, tally in self._motions.values():
-                node = base.node(op)
-                for target, rows in enumerate(tally.rows_by_target):
-                    _count_motion(node, tally.motion_kind, target, rows, 0)
-                node.bytes_moved += tally.bytes_moved
-        self._scans = ScanTracker()
-        self._pushed = {}
-        self._motions = {}
-
-
-def _count_scan(
-    base: MetricsCollector, tracker: ScanTracker, op, table, segment: int, leaf_oids, rows: int
-) -> None:
-    """One scan batch, into ``tracker`` (the collector's, or a worker's to
-    merge later) and the node's per-segment slots, which only this
-    instance writes.  An unpartitioned table's root OID is no leaf."""
-    leaves = leaf_oids if table.is_partitioned else ()
-    tracker.record(table.name, leaves, rows)
-    node = base.node(op)
-    node.table_name = table.name
-    node.rows_scanned[segment] += rows
-    if leaves:
-        if node.partitions_total is None:
-            node.partitions_total = table.num_leaves
-            base._table_totals[table.name] = table.num_leaves
-        node.partitions[segment].update(leaves)
-
-
-def _count_motion(
-    node: NodeMetrics, kind: str, target_segment: int, rows: int, nbytes: int
-) -> None:
-    node.motion_kind = kind
-    node.rows_by_target[target_segment] += rows
-    node.bytes_moved += nbytes
 
 
 def _counted_batch_iter(node: NodeMetrics, segment: int, inner):

@@ -116,8 +116,14 @@ class QueryStatsStore:
 
     def record(self, query: str, result) -> QueryStats:
         """Fold one :class:`~repro.executor.executor.ExecutionResult` into
-        the store; returns the updated entry."""
-        fp = fingerprint(query)
+        the store under ``query``'s fingerprint; returns the updated
+        entry."""
+        return self.record_fingerprint(fingerprint(query), result)
+
+    def record_fingerprint(self, fp: str, result) -> QueryStats:
+        """:meth:`record` for a statement already fingerprinted: the
+        engine passes its live activity's, so observing a statement lexes
+        it once."""
         metrics = result.metrics
         elapsed = result.elapsed_seconds
         with self._lock:
@@ -131,9 +137,7 @@ class QueryStatsStore:
             entry.rows += len(result.rows)
             entry.rows_scanned += metrics.total_rows_scanned
             entry.partitions_scanned += metrics.partitions_scanned()
-            for stats in metrics.table_stats().values():
-                if stats.get("partitions_total"):
-                    entry.partitions_eligible += stats["partitions_total"]
+            entry.partitions_eligible += metrics.partitions_eligible
             entry.retries += metrics.retry_count
             entry.failovers += metrics.failover_count
         return entry

@@ -555,7 +555,7 @@ def _send_rows(motion: phys.Motion, segment: int, ctx: ExecContext) -> None:
             kind, targets = "redistribute", [target]
         for target in targets:
             buffer.queue(target).put(row, segment)
-            record(motion, kind, target, 1, row_bytes)
+            record(motion, kind, segment, target, 1, row_bytes)
         if charge is not None:
             charge(len(targets))
 

@@ -204,12 +204,13 @@ def test_send_batch_of_n_equals_n_sends_of_one():
     assert whole.rows(0) == single.rows(0) == []
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_record_motion_batch_of_n_equals_n_records_of_one(workers):
+@pytest.mark.parametrize("producers", [1, 2])
+def test_record_motion_batch_of_n_equals_n_records_of_one(producers):
     """The Motion byte measure over a real layout: 8 bytes of framing per
     row and 8 per slot, whatever its type or value: the INT / FLOAT / DATE
     base columns, the TEXT column and the computed ``max(s)`` slot, NULL
-    included.  A batch of n rows sizes and records as n rows of one."""
+    included.  A batch of n rows sizes and records as n rows of one, and
+    batches sent from ``producers`` segments add up as from one."""
     table = Catalog().create_table(
         "m",
         TableSchema.of(("i", t.INT), ("f", t.FLOAT), ("d", t.DATE), ("s", t.TEXT)),
@@ -239,11 +240,10 @@ def test_record_motion_batch_of_n_equals_n_records_of_one(workers):
 
     def recorded(batches):
         collector = MetricsCollector(2)
-        sink = collector.worker(0) if workers > 1 else collector
-        for batch in batches:
-            sink.record_motion_batch(motion, "gather", 1, len(batch), size(batch))
-        if workers > 1:
-            sink.merge()
+        for i, batch in enumerate(batches):
+            collector.record_motion_batch(
+                motion, "gather", i % producers, 1, len(batch), size(batch)
+            )
         node = collector.node(motion)
         return node.motion_kind, node.rows_by_target, node.bytes_moved
 

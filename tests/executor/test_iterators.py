@@ -119,7 +119,7 @@ def test_static_selector_prunes(env):
     ctx = ExecContext(catalog, storage, SEGMENTS)
     rows = rows_of(plan, 0, ctx)
     assert sorted(r[0] for r in rows) == [0, 5, 10, 15, 20]
-    assert ctx.tracker.partitions_scanned("part") == 1
+    assert ctx.metrics.partitions_scanned("part") == 1
 
 
 def test_parameter_selector_prunes_at_runtime(env):
@@ -133,7 +133,7 @@ def test_parameter_selector_prunes_at_runtime(env):
     ctx = ExecContext(catalog, storage, SEGMENTS, params=[30])
     rows = rows_of(plan, 0, ctx)
     assert all(25 <= r[0] < 50 for r in rows)
-    assert ctx.tracker.partitions_scanned("part") == 1
+    assert ctx.metrics.partitions_scanned("part") == 1
 
 
 def test_streaming_selector_selects_per_tuple(env):
@@ -152,7 +152,7 @@ def test_streaming_selector_selects_per_tuple(env):
     ctx = ExecContext(catalog, storage, SEGMENTS)
     rows_of(join, 0, ctx)
     # values 1,2,3 (and NULL) all fall in the first partition only
-    assert ctx.tracker.partitions_scanned("part") == 1
+    assert ctx.metrics.partitions_scanned("part") == 1
 
 
 def test_hash_join_inner_and_null_keys(env):
@@ -291,4 +291,4 @@ def test_append_and_guarded_leaf_scan(env):
     channel.close()
     rows = rows_of(append, 0, ctx)
     assert all(25 <= r[0] < 50 for r in rows)
-    assert ctx.tracker.partitions_scanned("part") == 1
+    assert ctx.metrics.partitions_scanned("part") == 1

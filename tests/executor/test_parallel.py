@@ -40,6 +40,12 @@ SCAN_SQL = (
     "SELECT count(*) FROM orders "
     "WHERE date BETWEEN '03-01-2013' AND '08-31-2013'"
 )
+#: join on the partition key: a dynamic selector pushes OIDs per streamed
+#: row, beside a static one
+DPE_SQL = (
+    "SELECT count(*) FROM orders o, orders p "
+    "WHERE o.date = p.date AND p.id < 40"
+)
 
 
 @pytest.fixture(scope="module")
@@ -233,23 +239,31 @@ def test_scheduler_rejects_zero_workers():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("sql", [JOIN_SQL, SCAN_SQL])
+def _counters(metrics) -> dict:
+    """Every counter of the export: per node rows by segment, loops, the
+    scan's OIDs and rows and the Motion's rows by target and bytes; per
+    selector its OIDs pushed; per table; and the totals."""
+    data = metrics.to_dict()
+    return {
+        "nodes": [
+            (n["op"], n["rows_by_segment"], n["loops"], n.get("scan"), n.get("motion"))
+            for n in data["nodes"]
+        ],
+        "selectors": data["partition_selectors"],
+        "tables": data["tables"],
+        "totals": data["totals"],
+    }
+
+
+@pytest.mark.parametrize("sql", [JOIN_SQL, SCAN_SQL, DPE_SQL])
 @pytest.mark.parametrize("workers", [2, 4])
 def test_parallel_rows_and_counters_match_serial(pdb, sql, workers):
     serial = pdb.sql(sql, analyze=True)
     parallel = pdb.sql(sql, analyze=True, workers=workers)
     assert parallel.rows == serial.rows
-    assert (
-        parallel.metrics.partitions_scanned()
-        == serial.metrics.partitions_scanned()
-    )
-    serial_motion = [
-        (n.op, n.rows_moved) for n in serial.metrics.nodes if n.is_motion
-    ]
-    parallel_motion = [
-        (n.op, n.rows_moved) for n in parallel.metrics.nodes if n.is_motion
-    ]
-    assert parallel_motion == serial_motion
+    assert _counters(parallel.metrics) == _counters(serial.metrics)
+    assert parallel.metrics.partitions_scanned() > 0
+    assert any(n.rows_moved for n in parallel.metrics.nodes if n.is_motion)
 
 
 def test_default_execution_stays_serial(pdb):
@@ -357,8 +371,14 @@ def test_parallel_failover_retries_only_failed_instance(pdb):
 def test_parallel_transient_retry_matches_serial_counters(pdb):
     baseline = pdb.sql(JOIN_SQL).rows
     pdb.faults.arm(MOTION_SEND, segment=1, mode=FAIL_ONCE, transient=True)
+    serial = pdb.sql(JOIN_SQL)
+    assert serial.metrics.retry_count == 1
+    pdb.faults.reset()
+    pdb.faults.arm(MOTION_SEND, segment=1, mode=FAIL_ONCE, transient=True)
     result = pdb.sql(JOIN_SQL, workers=4)
     assert result.rows == baseline
     assert result.metrics.retry_count == 1
     assert result.metrics.failover_count == 0
     assert pdb.health.is_up(1)
+    # the failed attempt's counts stay in both runs, slot for slot
+    assert _counters(result.metrics) == _counters(serial.metrics)

@@ -79,8 +79,7 @@ def test_selector_program_is_built_once_under_contention(orders_db):
 
     def worker(scan_id):
         start.wait(timeout=10)
-        view = ctx.worker_view(scan_id % 4)
-        got.append((scan_id, view.selector_program(scan_id, lambda: build(scan_id))))
+        got.append((scan_id, ctx.selector_program(scan_id, lambda: build(scan_id))))
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -306,6 +306,8 @@ def test_a_skippable_operand_that_divides_by_zero_still_raises():
         Comparison("<", i1, Arithmetic("%", Literal(1), i2)),
         Arithmetic("+", i1, Arithmetic("/", Literal(1), i2)),
         Between(i1, Literal(0), Arithmetic("/", Literal(1), i2)),
+        # an IS NULL operand is never NULL itself, yet may divide
+        Comparison("=", i1, IsNull(Arithmetic("/", Literal(1), i2), True)),
     ):
         with pytest.raises(ExecutionError, match="division by zero"):
             oracle(expr, LAYOUT)(row)

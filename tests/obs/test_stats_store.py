@@ -112,6 +112,26 @@ def test_store_aggregates_same_shape_queries(orders_db):
     assert entry.retries == 0 and entry.failovers == 0
 
 
+def test_observers_lex_a_statement_once(orders_db, monkeypatch):
+    """The stats store takes the live activity's fingerprint, so with the
+    cache off a SELECT is lexed once for observation (the parser imports
+    ``tokenize`` itself, so its own lex is not counted here)."""
+    from repro.sql import lexer
+
+    lexed: list[str] = []
+    real = lexer.tokenize
+
+    def counting(text):
+        lexed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(lexer, "tokenize", counting)
+    sql = "SELECT count(*) FROM orders WHERE date = '03-03-2013'"
+    orders_db.sql(sql, cache="off")
+    assert lexed == [sql]
+    assert orders_db.stats().get(fingerprint(sql)).calls >= 1
+
+
 def test_store_records_every_statement_kind(orders_db):
     store = orders_db.stats()
     store.reset()
@@ -200,16 +220,13 @@ def test_prometheus_label_escaping():
 
         class metrics:
             total_rows_scanned = 0
+            partitions_eligible = 0
             retry_count = 0
             failover_count = 0
 
             @staticmethod
             def partitions_scanned():
                 return 0
-
-            @staticmethod
-            def table_stats():
-                return {}
 
     store.record('SELECT "weird\\name" FROM t', _Result())
     text = store.to_prometheus()
