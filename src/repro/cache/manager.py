@@ -24,6 +24,10 @@ The mode is a statement setting (``settings.cache``), not manager state:
 * ``results`` — whole result sets of SELECT statements; a hit skips
   execution entirely.  A statement run with ``analyze`` or ``trace``
   reports an execution, so it skips the lookup (it may still store).
+
+The counters export as :meth:`CacheManager.stats_dict`; the
+``repro_cache_*`` Prometheus families (:data:`repro.obs.prom.FAMILIES`,
+``\\cache prometheus``) read that dict.
 """
 
 from __future__ import annotations
@@ -98,42 +102,6 @@ class CacheManager:
 
     def stats_dict(self) -> dict:
         return {"epoch": self.epoch, "results": self.results.to_dict()}
-
-    def prom_families(self) -> list:
-        """The ``repro_cache_*`` families, one ``cache``-labelled sample
-        each, for the shared exporter (:mod:`repro.obs.prom`)."""
-        from ..obs.prom import MetricFamily
-
-        snapshot = self.results.to_dict()
-        metrics = [
-            ("repro_cache_hits_total", "counter", "Cache lookup hits",
-             "hits"),
-            ("repro_cache_misses_total", "counter", "Cache lookup misses",
-             "misses"),
-            ("repro_cache_invalidations_total", "counter",
-             "Entries dropped by DML invalidation", "invalidations"),
-            ("repro_cache_evictions_total", "counter",
-             "Entries evicted by LRU bounds", "evictions"),
-            ("repro_cache_stores_total", "counter",
-             "Entries stored", "stores"),
-            ("repro_cache_entries", "gauge", "Entries currently cached",
-             "entries"),
-            ("repro_cache_bytes", "gauge", "Estimated bytes cached",
-             "bytes"),
-        ]
-        families = []
-        for name, kind, help_text, field in metrics:
-            family = MetricFamily(name, kind, help_text)
-            family.add(snapshot[field], cache="results")
-            families.append(family)
-        return families
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition for the cache (matches the
-        stats-store exporter's format)."""
-        from ..obs.prom import render
-
-        return render(self.prom_families())
 
     def render(self) -> str:
         """The ``\\cache`` table: counters plus cached keys."""

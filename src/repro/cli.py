@@ -27,6 +27,7 @@ import textwrap
 
 from .engine import Database
 from .errors import ReproError
+from .obs.prom import export_prometheus
 from .resilience import INJECTION_POINTS, TRIGGER_MODES
 from .settings import SET_FIELDS, apply_set
 
@@ -281,8 +282,6 @@ class ReplSession:
         if argument.lower() == "prometheus":
             # the one consolidated scrape body (identical to GET /metrics):
             # query stats, cache, serving (while a server runs), live
-            from .obs.prom import export_prometheus
-
             return export_prometheus(self.db)
         return "usage: \\stats [reset | prometheus]"
 
@@ -334,7 +333,7 @@ class ReplSession:
             dropped = manager.clear()
             return f"cache cleared ({dropped} entries dropped)"
         if argument.lower() == "prometheus":
-            return manager.to_prometheus()
+            return export_prometheus(self.db, "cache")
         return "usage: \\cache [clear | prometheus]"
 
     def _describe(self, name: str) -> str:

@@ -33,6 +33,7 @@ from .executor.executor import ExecutionResult, MppExecutor
 from .logical.ops import LogicalOp
 from .obs import trace as obs_trace
 from .obs.live import LiveTelemetry
+from .obs.metrics import MetricsCollector
 from .obs.render import render_explain_trace
 from .obs.stats_store import QueryStatsStore
 from .obs.trace import Tracer
@@ -284,8 +285,12 @@ class Database:
     def stats(self) -> QueryStatsStore:
         """The cumulative query statistics store (pg_stat_statements-style):
         per-fingerprint calls, timings, rows, partitions scanned vs.
-        eligible, retries/failovers.  Export with ``.to_json()`` or
-        ``.to_prometheus()``; reset with ``.reset()``."""
+        eligible, retries/failovers.  Each entry's time is the statements'
+        end-to-end wall time (the live latency histogram's), less any
+        admission queue wait.  Export with ``.to_json()``; the
+        ``repro_query_*`` Prometheus families are in
+        :func:`~repro.obs.prom.export_prometheus`; reset with
+        ``.reset()``."""
         return self.query_stats
 
     # -- optimizers ---------------------------------------------------------------
@@ -405,67 +410,55 @@ class Database:
 
         Every call registers with the live activity registry
         (``db.live``): the statement is visible in ``db.activity()`` /
-        ``\\activity`` while it runs, and its completion feeds the latency
-        histograms, the slow-query log and the metrics export's ``live``
-        section.  ``activity`` passes a pre-registered
+        ``\\activity`` while it runs.  A cache hit and an execution end in
+        one place: :meth:`LiveTelemetry.complete` fixes the finished record,
+        and the latency histograms, the slow-query log, the metrics
+        export's ``live`` section and the stats store read it.
+        ``activity`` passes a pre-registered
         :class:`~repro.obs.live.QueryActivity` (the serving layer
         registers before admission so queued statements are visible);
         None registers a fresh record.
         """
         settings = resolve(self.settings, settings, overrides)
+        limits = QueryLimits(settings.timeout, settings.max_rows, cancel)
         if activity is None:
             activity = self.live.begin(
                 query, workers=settings.workers, cancel=cancel
             )
         else:
             activity.adopt_cancel(cancel)
+        tracer = Tracer() if settings.trace else None
         try:
             with obs_trace.feed_phases(activity.enter_phase):
-                session = None
-                if settings.cache != "off":
-                    key = self._statement_key(query, params, settings)
-                    session = self.cache.begin(key, settings.cache)
-                    # EXPLAIN ANALYZE and tracing report an execution, so
-                    # they never read the cache (they may still store)
-                    if not (settings.analyze or settings.trace):
-                        entry = self.cache.lookup_result(key)
-                        session.result_outcome = "miss"
-                        if entry is not None:
-                            session.result_outcome = "hit"
-                            activity.enter_phase("cache_hit")
-                            result = self._cached_result(session, entry)
-                            result.metrics.record_live(
-                                self.live.complete(activity)
-                            )
-                            result.metrics.record_durability(
-                                self._durability_summary()
-                            )
-                            self.query_stats.record_fingerprint(
-                                activity.fingerprint, result
-                            )
-                            return result
-                tracer = Tracer() if settings.trace else None
-                with obs_trace.activate(tracer):
-                    result = self._sql(
-                        query,
-                        params,
-                        settings,
-                        QueryLimits(settings.timeout, settings.max_rows, cancel),
-                        session,
-                        faults,
-                        scheduler,
-                        activity,
-                    )
+                session, result = self._lookup_result(
+                    query, params, settings, activity
+                )
+                if result is None:
+                    with obs_trace.activate(tracer):
+                        result = self._sql(
+                            query,
+                            params,
+                            settings,
+                            limits,
+                            session,
+                            faults,
+                            scheduler,
+                            activity,
+                        )
         except BaseException as error:
             self.live.complete(activity, error=error)
             raise
+        # one completion path for a cache hit and an execution
+        metrics = result.metrics
         if tracer is not None:
             result.trace = tracer
-            result.metrics.record_trace(tracer.to_dict())
-            result.metrics.record_optimizer(tracer.optimizer.summary())
-        result.metrics.record_live(self.live.complete(activity))
-        result.metrics.record_durability(self._durability_summary())
-        self.query_stats.record_fingerprint(activity.fingerprint, result)
+            metrics.trace_summary = tracer.to_dict()
+            metrics.optimizer_summary = tracer.optimizer.summary()
+        metrics.live_summary = self.live.complete(
+            activity, rows=len(result.rows)
+        )
+        metrics.durability_summary = self._durability_summary()
+        self.query_stats.record_activity(activity)
         return result
 
     def _durability_summary(self) -> dict:
@@ -510,13 +503,32 @@ class Database:
         tag = f"{optimizer}|{options!r}" if options else optimizer
         return statement_key(query, params, tag)
 
-    def _cached_result(self, session, entry) -> ExecutionResult:
-        """Serve one SELECT from the result cache (no execution)."""
-        from .obs import MetricsCollector
-
+    def _lookup_result(
+        self,
+        query: str,
+        params: Sequence[Any] | None,
+        settings: QuerySettings,
+        activity,
+    ):
+        """``(cache session, result)`` for one statement: no session with
+        the cache off, and a result only for a hit, served from the result
+        cache without executing."""
+        if settings.cache == "off":
+            return None, None
+        key = self._statement_key(query, params, settings)
+        session = self.cache.begin(key, settings.cache)
+        # EXPLAIN ANALYZE and tracing report an execution, so they never
+        # read the cache (they may still store)
+        if settings.analyze or settings.trace:
+            return session, None
+        entry = self.cache.lookup_result(key)
+        session.result_outcome = "miss" if entry is None else "hit"
+        if entry is None:
+            return session, None
+        activity.enter_phase("cache_hit")
         metrics = MetricsCollector(self.num_segments)
-        metrics.record_cache(session.summary())
-        return ExecutionResult(
+        metrics.cache_summary = session.summary()
+        return session, ExecutionResult(
             list(entry.rows), list(entry.column_names), metrics, 0.0
         )
 
@@ -537,8 +549,6 @@ class Database:
         target = None
         if isinstance(statement, InsertStmt):
             if statement.select is None:
-                from .obs import MetricsCollector
-
                 with obs_trace.span("bind"):
                     table, rows = self.binder.bind_insert_rows(statement)
                 count = self.insert(table, rows)
@@ -590,7 +600,7 @@ class Database:
                 session.commit_result(
                     result.rows, result.column_names, footprint
                 )
-            result.metrics.record_cache(session.summary())
+            result.metrics.cache_summary = session.summary()
         if target is not None:
             count = self.insert(target.name, result.rows)
             return ExecutionResult(

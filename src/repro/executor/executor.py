@@ -162,7 +162,7 @@ class MppExecutor:
         metrics.register_plan(plan)
         metrics.record_settings(settings)
         if activity is not None:
-            activity.attach_metrics(metrics)
+            activity.metrics = metrics
             activity.workers = settings.workers
         if limits is None:
             limits = QueryLimits(settings.timeout, settings.max_rows)
@@ -227,8 +227,8 @@ class MppExecutor:
             if owns_scheduler:
                 scheduler.close()
         elapsed = time.perf_counter() - started
-        metrics.record_fault_points(ctx.faults.snapshot())
-        metrics.record_segment_health(self.storage.health.status())
+        metrics.fault_points = ctx.faults.snapshot()
+        metrics.segment_health = self.storage.health.status()
         metrics.finish(elapsed)
         names = [name for _, name in plan.root.output_layout().slots]
         return ExecutionResult(rows, names, metrics, elapsed)
@@ -443,15 +443,6 @@ class MppExecutor:
                     record(motion, "redistribute", segment, target, len(rows), nbytes)
                 if limits is not None:
                     limits.charge_rows_batch(len(batch))
-
-    def _run_motion(self, motion: phys.Motion, ctx: ExecContext) -> None:
-        """Serial compat path: run every producer instance inline and seal
-        the buffer (used by benchmarks that drive a single Motion by
-        hand)."""
-        buffer = ctx.motion_buffer(id(motion))
-        for segment in range(self.num_segments):
-            self._send_segment(motion, ctx, segment, buffer)
-        buffer.close()
 
 
 def motion_row_bytes(motion: phys.Motion) -> int:

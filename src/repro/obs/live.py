@@ -22,10 +22,16 @@ do?"; this module answers the two operational questions they cannot:
   ticker thread.  All state is O(buckets + ring capacity): the hub's
   memory never grows with query count.
 
-:class:`LiveTelemetry` ties both together, owns the
-:class:`~repro.obs.slowlog.SlowQueryLog`, and exports everything as the
-``repro_live_*`` Prometheus families and the ``/activity`` JSON body.
-One hub lives on each :class:`~repro.engine.Database` (``db.live``).
+:class:`LiveTelemetry` ties both together and owns the
+:class:`~repro.obs.slowlog.SlowQueryLog`.  :meth:`LiveTelemetry.complete`
+is where a statement ends: it fixes the finished :class:`QueryActivity`
+once (elapsed time, error, rows, partitions scanned and eligible), and
+the histograms, the slow log, the cumulative stats store and the metrics
+export's ``live`` section all read those values.  Everything exports as
+:meth:`LiveTelemetry.to_dict` — the ``/activity`` JSON body, which the
+``repro_live_*`` Prometheus families (:data:`repro.obs.prom.FAMILIES`)
+read.  One hub lives on each :class:`~repro.engine.Database`
+(``db.live``).
 """
 
 from __future__ import annotations
@@ -40,8 +46,8 @@ from collections import deque
 from typing import Callable
 
 from ..resilience.guardrails import CancelToken
-from .prom import MetricFamily, histogram_family
 from .slowlog import SlowQueryLog
+from .stats_store import COUNTERS, fingerprint
 
 __all__ = [
     "ActivityRegistry",
@@ -212,6 +218,8 @@ class QueryActivity:
     executor attaches its :class:`~repro.obs.metrics.MetricsCollector`
     once, and everything else — rows produced, partitions opened,
     elapsed time — is computed from those at :meth:`snapshot` time.
+    :meth:`finish` fixes those values once the statement ends, and the
+    finished record is what every completion consumer reads.
     """
 
     __slots__ = (
@@ -227,6 +235,8 @@ class QueryActivity:
         "started",
         "started_at",
         "error",
+        *COUNTERS,
+        "_elapsed",
         "_fingerprint",
     )
 
@@ -252,6 +262,10 @@ class QueryActivity:
         self.started = time.perf_counter()
         self.started_at = datetime.datetime.now(datetime.timezone.utc)
         self.error: str | None = None
+        #: the outcome (``rows`` = rows returned), fixed by :meth:`finish`
+        for name in COUNTERS:
+            setattr(self, name, 0)
+        self._elapsed: float | None = None
         self._fingerprint: str | None = None
 
     # -- hooks (engine / executor / serving) ----------------------------------
@@ -265,25 +279,59 @@ class QueryActivity:
                 (time.perf_counter() - self.started, name)
             )
 
-    def attach_metrics(self, metrics) -> None:
-        self.metrics = metrics
-
     def adopt_cancel(self, token: CancelToken | None) -> None:
         if token is not None:
             self.cancel_token = token
+
+    def finish(
+        self, error: BaseException | str | None, rows: int | None
+    ) -> None:
+        """Fix the finished record once: elapsed time, error and the
+        progress counters as they ended (``rows`` = rows returned, when
+        the statement produced a result)."""
+        elapsed = time.perf_counter() - self.started
+        for name, value in self._progress().items():
+            setattr(self, name, value)
+        if rows is not None:
+            self.rows = rows
+        self._elapsed = elapsed
+        self.error = (
+            error
+            if isinstance(error, str) or error is None
+            else type(error).__name__
+        )
+        self.phase = "failed" if error is not None else "done"
 
     # -- reads ----------------------------------------------------------------
 
     @property
     def elapsed_seconds(self) -> float:
+        """Wall time so far; fixed once the record is finished."""
+        if self._elapsed is not None:
+            return self._elapsed
         return time.perf_counter() - self.started
+
+    def _progress(self) -> dict[str, int]:
+        """The :data:`~repro.obs.stats_store.COUNTERS` so far (``rows`` =
+        rows produced): fixed once finished, else pulled from the running
+        query's collector."""
+        metrics = self.metrics
+        if self._elapsed is not None or metrics is None:
+            return {name: getattr(self, name) for name in COUNTERS}
+        scans = metrics.tracker
+        return {
+            "rows": metrics.nodes[0].actual_rows if metrics.nodes else 0,
+            "rows_scanned": scans.rows_scanned,
+            "partitions_scanned": scans.total_partitions_scanned(),
+            "partitions_eligible": scans.partitions_eligible,
+            "retries": metrics.retry_count,
+            "failovers": metrics.failover_count,
+        }
 
     @property
     def fingerprint(self) -> str:
         """Computed lazily (a lexer pass) so registration stays cheap."""
         if self._fingerprint is None:
-            from .stats_store import fingerprint
-
             self._fingerprint = fingerprint(self.query)
         return self._fingerprint
 
@@ -304,18 +352,7 @@ class QueryActivity:
 
     def snapshot(self) -> dict:
         """The ``/activity`` row: identity, phase, progress-so-far."""
-        metrics = self.metrics
-        rows_produced = 0
-        rows_scanned = 0
-        partitions_scanned = 0
-        partitions_eligible = 0
-        if metrics is not None:
-            if metrics.nodes:
-                rows_produced = metrics.nodes[0].actual_rows
-            scans = metrics.tracker
-            rows_scanned = scans.rows_scanned
-            partitions_scanned = scans.total_partitions_scanned()
-            partitions_eligible = scans.partitions_eligible
+        progress = self._progress()
         query = self.query
         if len(query) > _SNAPSHOT_QUERY_CHARS:
             query = query[: _SNAPSHOT_QUERY_CHARS - 3] + "..."
@@ -332,10 +369,10 @@ class QueryActivity:
                 else None
             ),
             "workers": self.workers,
-            "rows_produced": rows_produced,
-            "rows_scanned": rows_scanned,
-            "partitions_scanned": partitions_scanned,
-            "partitions_eligible": partitions_eligible,
+            "rows_produced": progress["rows"],
+            "rows_scanned": progress["rows_scanned"],
+            "partitions_scanned": progress["partitions_scanned"],
+            "partitions_eligible": progress["partitions_eligible"],
             "started_at": self.started_at.isoformat(),
             "cancellable": self.cancel_token is not None,
         }
@@ -471,27 +508,25 @@ class LiveTelemetry:
         )
 
     def complete(
-        self, activity: QueryActivity, error: BaseException | str | None = None
+        self,
+        activity: QueryActivity,
+        error: BaseException | str | None = None,
+        rows: int | None = None,
     ) -> dict:
-        """Unregister a statement, fold its outcome into the histograms
-        and (maybe) the slow log; returns the metrics-export ``live``
-        section for the statement."""
-        elapsed = activity.elapsed_seconds
-        activity.error = (
-            error
-            if isinstance(error, str) or error is None
-            else type(error).__name__
-        )
-        activity.phase = "failed" if error is not None else "done"
+        """End a statement: unregister it, fix its finished record
+        (:meth:`QueryActivity.finish`; ``rows`` = rows returned), and fold
+        that record into the histograms and (maybe) the slow log; returns
+        the metrics-export ``live`` section for the statement."""
+        activity.finish(error, rows)
         self.activity.finish(activity)
+        elapsed = activity.elapsed_seconds
+        queued = activity.queued_seconds
         self.query_seconds.observe(elapsed)
-        if activity.queued_seconds is not None:
-            self.queue_seconds.observe(activity.queued_seconds)
-        snapshot = activity.snapshot()
-        if snapshot["partitions_eligible"]:
+        if queued is not None:
+            self.queue_seconds.observe(queued)
+        if activity.partitions_eligible:
             self.scan_ratio.observe(
-                snapshot["partitions_scanned"]
-                / snapshot["partitions_eligible"]
+                activity.partitions_scanned / activity.partitions_eligible
             )
         with self._lock:
             if error is not None:
@@ -499,15 +534,14 @@ class LiveTelemetry:
             else:
                 self.completed += 1
         if self.slow_log.enabled:
-            record = dict(snapshot)
-            record["elapsed_s"] = round(elapsed, 6)
+            record = activity.snapshot()
             record["error"] = activity.error
             record["phase_timings"] = activity.phase_timings()
             self.slow_log.maybe_record(elapsed, record)
         return {
             "query_id": activity.query_id,
             "session": activity.session,
-            "queued_seconds": snapshot["queued_s"],
+            "queued_seconds": None if queued is None else round(queued, 6),
             "elapsed_seconds": round(elapsed, 6),
             "phases": [name for _, name in activity.phase_log],
         }
@@ -602,72 +636,3 @@ class LiveTelemetry:
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, default=str)
-
-    def prom_families(self) -> list[MetricFamily]:
-        """The ``repro_live_*`` families for the consolidated exporter."""
-        families = [
-            MetricFamily(
-                "repro_live_queries", "gauge", "Queries currently in flight"
-            ).add(len(self.activity)),
-            MetricFamily(
-                "repro_live_queries_completed_total",
-                "counter",
-                "Statements completed successfully",
-            ).add(self.completed),
-            MetricFamily(
-                "repro_live_queries_failed_total",
-                "counter",
-                "Statements that raised",
-            ).add(self.failed),
-            MetricFamily(
-                "repro_live_slow_queries_total",
-                "counter",
-                "Statements recorded by the slow-query log",
-            ).add(self.slow_log.records_written),
-        ]
-        for name, histogram, help_text in (
-            (
-                "repro_live_query_seconds",
-                self.query_seconds,
-                "End-to-end statement latency",
-            ),
-            (
-                "repro_live_queue_seconds",
-                self.queue_seconds,
-                "Admission queue wait (serving queries)",
-            ),
-            (
-                "repro_live_partition_scan_ratio",
-                self.scan_ratio,
-                "Per-query partitions scanned / eligible",
-            ),
-        ):
-            counts = histogram.bucket_counts()
-            families.append(
-                histogram_family(
-                    name,
-                    help_text,
-                    histogram.bounds,
-                    counts,
-                    histogram.sum,
-                    histogram.count,
-                )
-            )
-        with self._lock:
-            series_names = sorted(self.series)
-        sampled = MetricFamily(
-            "repro_live_sample",
-            "gauge",
-            "Most recent value of each sampled gauge series",
-        )
-        for name in series_names:
-            last = self.series[name].last
-            if last is not None:
-                sampled.add(last, series=name)
-        families.append(sampled)
-        return families
-
-    def to_prometheus(self) -> str:
-        from .prom import render
-
-        return render(self.prom_families())

@@ -555,57 +555,6 @@ class MetricsCollector:
         with self._lock:
             self.failovers.append({"segment": segment, "reason": reason})
 
-    def record_fault_points(self, snapshot: dict[str, dict]) -> None:
-        """Final per-injection-point hit/fired counters for the query."""
-        self.fault_points = dict(snapshot)
-
-    def record_segment_health(self, status: dict) -> None:
-        """Final :meth:`SegmentHealth.status` snapshot for the query."""
-        self.segment_health = status
-
-    # -- tracing (schema v3) ---------------------------------------------------
-
-    def record_trace(self, summary: dict) -> None:
-        """Attach a traced run's span summary (:meth:`Tracer.to_dict`)."""
-        self.trace_summary = summary
-
-    def record_optimizer(self, summary: dict) -> None:
-        """Attach the optimizer search summary
-        (:meth:`OptimizerEventLog.summary`)."""
-        self.optimizer_summary = summary
-
-    # -- caching (schema v5) ---------------------------------------------------
-
-    def record_cache(self, summary: dict) -> None:
-        """Attach the statement's cache-session summary
-        (:meth:`~repro.cache.CacheSession.summary`), recorded by the
-        engine once the statement's outcome is final."""
-        self.cache_summary = summary
-
-    # -- serving (schema v6) ---------------------------------------------------
-
-    def record_serving(self, summary: dict) -> None:
-        """Attach the grant summary of a serving-session execution
-        (session name, queue wait, requested vs. effective workers, and
-        the admission counters at completion)."""
-        self.serving_summary = summary
-
-    # -- live telemetry (schema v7) --------------------------------------------
-
-    def record_live(self, summary: dict) -> None:
-        """Attach the statement's live-activity summary
-        (:meth:`~repro.obs.live.LiveTelemetry.complete`): query id,
-        session, queue wait, elapsed time and the lifecycle phase log."""
-        self.live_summary = summary
-
-    # -- durability (schema v8) ------------------------------------------------
-
-    def record_durability(self, summary: dict) -> None:
-        """Attach the instance's durability counters at query end
-        (:meth:`~repro.durability.DurabilityManager.stats_dict` plus the
-        live resync state; ``{"enabled": False}`` when volatile)."""
-        self.durability_summary = summary
-
     @property
     def retry_count(self) -> int:
         return len(self.retries)

@@ -1,36 +1,33 @@
-"""The shared Prometheus text-exposition exporter.
+"""The Prometheus text exposition: the format and every family.
 
-Three subsystems grew hand-rolled Prometheus emitters (the query-stats
-store, the statement cache, the serving tier) and the live-telemetry hub
-adds a fourth; this module is the one place that knows the text format
-(0.0.4) so every family renders identically: a ``# HELP``/``# TYPE``
-header pair, then one sample per line with sorted, escaped labels.
+This module is the one place that knows the text format (0.0.4) and the
+one place a family is named.  :data:`FAMILIES` is a declarative table,
+one row per family: name, kind, source, help text and a reader that
+turns the source — a subsystem's existing JSON export — into samples.
+Add a family by adding a row; no subsystem keeps a Prometheus method.
+:func:`export_prometheus` renders the rows in order, reading each source
+once: the scrape body that ``\\stats prometheus`` and ``/metrics`` serve,
+or named sources only (``\\cache prometheus`` is the ``cache`` rows).
 
-Build a :class:`MetricFamily` per metric, add samples, and
-:func:`render` the lot::
+Every family renders identically: a ``# HELP``/``# TYPE`` header pair,
+then one sample per line with sorted, escaped labels::
 
-    family = MetricFamily("repro_cache_hits_total", "counter",
-                          "Cache lookup hits")
-    family.add(12, cache="results")
+    family = MetricFamily("jobs_total", "counter", "Jobs run")
+    family.add(12, queue="default")
     text = render([family])
 
 Histograms follow the Prometheus convention — cumulative ``_bucket``
 samples with an ``le`` label (monotonically non-decreasing, ending in
 ``le="+Inf"``), plus ``_sum`` and ``_count`` — via
 :func:`histogram_family`.
-
-:func:`export_prometheus` is the consolidated scrape body: every family
-the engine exports (``repro_query_*``, ``repro_cache_*``,
-``repro_serving_*`` when a server runs, ``repro_live_*``) in one
-deterministic document.  The CLI's ``\\stats prometheus`` and the
-``/metrics`` scrape endpoint both serve exactly this.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
+    "FAMILIES",
     "MetricFamily",
     "escape_help",
     "escape_label_value",
@@ -169,66 +166,203 @@ def render(families: Iterable[MetricFamily]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_prometheus(db) -> str:
-    """Every Prometheus family the engine exports, in one scrape body.
+# -- the family table ------------------------------------------------------
 
-    Order is fixed — query-stats, cache, serving (only while a server is
-    open), live, durability (only with a ``data_dir``) — so consecutive
-    scrapes of an idle instance are byte-identical.
+#: a reader's output: ``(labels | None, value)`` samples, or for a
+#: histogram the arguments :func:`histogram_family` takes after the help
+Reader = Callable[[dict], object]
+
+
+def _at(export: dict, path: tuple[str, ...]):
+    for key in path:
+        export = export[key]
+    return export
+
+
+def _value(*path: str, of: Callable = lambda value: value) -> Reader:
+    """One unlabelled sample: ``of`` the export's value at ``path``."""
+    return lambda export: [(None, of(_at(export, path)))]
+
+
+def _by(label: str, *path: str, field: str | None = None) -> Reader:
+    """One ``label``-labelled sample per key of the dict at ``path`` (its
+    ``field``, for a dict of dicts), key-sorted; a None value is left out."""
+
+    def read(export: dict):
+        items = sorted(_at(export, path).items())
+        if field is not None:
+            items = [(name, value[field]) for name, value in items]
+        return [({label: name}, v) for name, v in items if v is not None]
+
+    return read
+
+
+def _per_query(field: str) -> Reader:
+    return lambda export: [
+        ({"query": entry["fingerprint"]}, entry[field])
+        for entry in export["queries"]
+    ]
+
+
+def _cache(field: str) -> Reader:
+    return lambda export: [({"cache": "results"}, export["results"][field])]
+
+
+def _histogram(key: str) -> Reader:
+    """``histogram_family``'s bounds, bucket counts, sum and count."""
+
+    def read(export: dict):
+        summary = export["histograms"][key]
+        return summary["bounds"], summary["counts"], summary["sum"], summary["count"]
+
+    return read
+
+
+def _session_latency(export: dict):
+    return [
+        ({"session": name, "quantile": quantile}, summary[key])
+        for name, summary in export["latency"].items()
+        for quantile, key in (("0.5", "p50_s"), ("0.99", "p99_s"))
+    ]
+
+
+#: (name, kind, source, help, reader), in scrape order.  Sources:
+#: ``query`` = ``db.query_stats.to_dict()``, ``cache`` =
+#: ``db.cache.stats_dict()``, ``serving`` = ``server.stats_dict()`` (while
+#: a server is open), ``live`` = ``db.live.to_dict()``, ``durability`` =
+#: the metrics ``durability`` section (with a ``data_dir`` only).
+FAMILIES: tuple[tuple[str, str, str, str, Reader], ...] = (
+    ("repro_query_calls_total", "counter", "query",
+     "Executions per query fingerprint", _per_query("calls")),
+    ("repro_query_seconds_total", "counter", "query",
+     "Cumulative wall time per query fingerprint", _per_query("total_seconds")),
+    ("repro_query_seconds_max", "gauge", "query",
+     "Longest single execution per query fingerprint", _per_query("max_seconds")),
+    ("repro_query_rows_total", "counter", "query",
+     "Rows returned per query fingerprint", _per_query("rows")),
+    ("repro_query_rows_scanned_total", "counter", "query",
+     "Rows read from storage per query fingerprint", _per_query("rows_scanned")),
+    ("repro_query_partitions_scanned_total", "counter", "query",
+     "Leaf partitions opened per query fingerprint", _per_query("partitions_scanned")),
+    ("repro_query_partitions_eligible_total", "counter", "query",
+     "Leaf partitions that would be opened without elimination",
+     _per_query("partitions_eligible")),
+    ("repro_query_retries_total", "counter", "query",
+     "Slice retries per query fingerprint", _per_query("retries")),
+    ("repro_query_failovers_total", "counter", "query",
+     "Segment failovers per query fingerprint", _per_query("failovers")),
+    ("repro_cache_hits_total", "counter", "cache",
+     "Cache lookup hits", _cache("hits")),
+    ("repro_cache_misses_total", "counter", "cache",
+     "Cache lookup misses", _cache("misses")),
+    ("repro_cache_invalidations_total", "counter", "cache",
+     "Entries dropped by DML invalidation", _cache("invalidations")),
+    ("repro_cache_evictions_total", "counter", "cache",
+     "Entries evicted by LRU bounds", _cache("evictions")),
+    ("repro_cache_stores_total", "counter", "cache",
+     "Entries stored", _cache("stores")),
+    ("repro_cache_entries", "gauge", "cache",
+     "Entries currently cached", _cache("entries")),
+    ("repro_cache_bytes", "gauge", "cache",
+     "Estimated bytes cached", _cache("bytes")),
+    ("repro_serving_admitted_total", "counter", "serving",
+     "Queries admitted past admission control", _value("admission", "admitted")),
+    ("repro_serving_rejected_total", "counter", "serving",
+     "Queries shed by admission control", _by("reason", "admission", "rejected")),
+    ("repro_serving_degraded_total", "counter", "serving",
+     "Grants clamped below their requested worker width", _value("admission", "degraded_grants")),
+    ("repro_serving_queued_seconds_total", "counter", "serving",
+     "Total time admitted queries waited in the run queue",
+     _value("admission", "queued_seconds_total", of=lambda s: round(s, 6))),
+    ("repro_serving_queue_depth", "gauge", "serving",
+     "Queries currently waiting in the run queue", _value("admission", "queue_depth")),
+    ("repro_serving_inflight", "gauge", "serving",
+     "Queries currently executing", _value("admission", "inflight")),
+    ("repro_serving_pool_workers", "gauge", "serving",
+     "Width of the shared segment-worker pool", _value("pool_workers")),
+    ("repro_serving_sessions_open", "gauge", "serving",
+     "Serving sessions currently open", _value("sessions_open")),
+    ("repro_serving_session_inflight", "gauge", "serving",
+     "Queries in flight per session", _by("session", "open_sessions", field="inflight")),
+    ("repro_serving_session_latency_seconds", "gauge", "serving",
+     "Per-session query latency quantiles", _session_latency),
+    ("repro_live_queries", "gauge", "live",
+     "Queries currently in flight", _value("in_flight", of=len)),
+    ("repro_live_queries_completed_total", "counter", "live",
+     "Statements completed successfully", _value("completed")),
+    ("repro_live_queries_failed_total", "counter", "live",
+     "Statements that raised", _value("failed")),
+    ("repro_live_slow_queries_total", "counter", "live",
+     "Statements recorded by the slow-query log", _value("slow_log", "records_written")),
+    ("repro_live_query_seconds", "histogram", "live",
+     "End-to-end statement latency", _histogram("query_seconds")),
+    ("repro_live_queue_seconds", "histogram", "live",
+     "Admission queue wait (serving queries)", _histogram("queue_seconds")),
+    ("repro_live_partition_scan_ratio", "histogram", "live",
+     "Per-query partitions scanned / eligible", _histogram("partition_scan_ratio")),
+    ("repro_live_sample", "gauge", "live",
+     "Most recent value of each sampled gauge series", _by("series", "series", field="last")),
+    ("repro_durability_wal_records_total", "counter", "durability",
+     "WAL records appended.", _value("wal_records")),
+    ("repro_durability_wal_bytes_total", "counter", "durability",
+     "WAL bytes appended.", _value("wal_bytes")),
+    ("repro_durability_wal_fsyncs_total", "counter", "durability",
+     "WAL fsync calls.", _value("wal_fsyncs")),
+    ("repro_durability_checkpoints_total", "counter", "durability",
+     "Checkpoints taken.", _value("checkpoints")),
+    ("repro_durability_checkpoint_seconds_total", "counter", "durability",
+     "Wall seconds spent checkpointing.", _value("checkpoint_seconds_total")),
+    ("repro_durability_wal_truncations_total", "counter", "durability",
+     "WAL truncations after checkpoints.", _value("wal_truncations")),
+    ("repro_durability_recovery_replayed_total", "counter", "durability",
+     "WAL records replayed during restart recovery.", _value("recovery_replayed_records")),
+    ("repro_durability_resync_replayed_total", "counter", "durability",
+     "WAL records replayed into rejoining copies.", _value("resync_replayed_records")),
+    ("repro_durability_resyncing_segments", "gauge", "durability",
+     "Segments currently replaying missed mutations.",
+     _value("resyncing_segments", of=len)),
+)
+
+
+def _sources(db) -> dict[str, Callable[[], dict] | None]:
+    """Source name -> the subsystem export its rows read (None = the
+    subsystem is absent, and its rows are left out)."""
+    server = db._server
+    serving = server is not None and not server.closed
+    return {
+        "query": db.query_stats.to_dict,
+        "cache": db.cache.stats_dict,
+        "serving": server.stats_dict if serving else None,
+        "live": db.live.to_dict,
+        "durability": (
+            db._durability_summary if db.durability is not None else None
+        ),
+    }
+
+
+def export_prometheus(db, *sources: str) -> str:
+    """The :data:`FAMILIES` rows of ``sources`` (every source when none
+    are named) as one scrape body.
+
+    Each source's export is read once per call.  Order is the table's —
+    query-stats, cache, serving (only while a server is open), live,
+    durability (only with a ``data_dir``) — so consecutive scrapes of an
+    idle instance are byte-identical.
     """
-    families = list(db.query_stats.prom_families())
-    families.extend(db.cache.prom_families())
-    server = getattr(db, "_server", None)
-    if server is not None and not server.closed:
-        families.extend(server.prom_families())
-    families.extend(db.live.prom_families())
-    if getattr(db, "durability", None) is not None:
-        families.extend(durability_families(db))
+    available = _sources(db)
+    exports: dict[str, dict] = {}
+    families: list[MetricFamily] = []
+    for name, kind, source, help_text, read in FAMILIES:
+        if available[source] is None or (sources and source not in sources):
+            continue
+        if source not in exports:
+            exports[source] = available[source]()
+        samples = read(exports[source])
+        if kind == "histogram":
+            family = histogram_family(name, help_text, *samples)
+        else:
+            family = MetricFamily(name, kind, help_text)
+            for labels, value in samples:
+                family.add_sample(value, labels)
+        families.append(family)
     return render(families)
-
-
-def durability_families(db) -> list[MetricFamily]:
-    """``repro_durability_*``: WAL, checkpoint, recovery and resync
-    counters plus the number of segments currently resyncing."""
-    stats = db.durability.stats_dict()
-    out: list[MetricFamily] = []
-
-    def counter(name: str, help_text: str, value) -> None:
-        family = MetricFamily(
-            f"repro_durability_{name}", "counter", help_text
-        )
-        family.add(value)
-        out.append(family)
-
-    counter("wal_records_total", "WAL records appended.", stats["wal_records"])
-    counter("wal_bytes_total", "WAL bytes appended.", stats["wal_bytes"])
-    counter("wal_fsyncs_total", "WAL fsync calls.", stats["wal_fsyncs"])
-    counter("checkpoints_total", "Checkpoints taken.", stats["checkpoints"])
-    counter(
-        "checkpoint_seconds_total",
-        "Wall seconds spent checkpointing.",
-        stats["checkpoint_seconds_total"],
-    )
-    counter(
-        "wal_truncations_total",
-        "WAL truncations after checkpoints.",
-        stats["wal_truncations"],
-    )
-    counter(
-        "recovery_replayed_total",
-        "WAL records replayed during restart recovery.",
-        stats["recovery_replayed_records"],
-    )
-    counter(
-        "resync_replayed_total",
-        "WAL records replayed into rejoining copies.",
-        stats["resync_replayed_records"],
-    )
-    gauge = MetricFamily(
-        "repro_durability_resyncing_segments",
-        "gauge",
-        "Segments currently replaying missed mutations.",
-    )
-    gauge.add(len(db.health.resyncing_segments))
-    out.append(gauge)
-    return out

@@ -10,15 +10,16 @@ entry, exactly like ``pg_stat_statements``.
 
 Per entry: calls, total/mean/max wall time, rows returned, partitions
 scanned vs. eligible (the paper's elimination effectiveness, cumulative),
-and resilience counters (slice retries, failovers).
+and resilience counters (slice retries, failovers).  The engine folds
+each finished statement's :class:`~repro.obs.live.QueryActivity`, so an
+entry's time is the time the live latency histogram observed for its
+statements, less any admission queue wait.
 
 Exports:
 
 * :meth:`QueryStatsStore.to_dict` / :meth:`to_json` — stable JSON, entries
-  key-sorted by fingerprint;
-* :meth:`QueryStatsStore.to_prometheus` — Prometheus text exposition
-  (``# HELP`` / ``# TYPE`` headers, one metric per line, fingerprint as
-  the ``query`` label);
+  key-sorted by fingerprint; the ``repro_query_*`` Prometheus families
+  (:data:`repro.obs.prom.FAMILIES`) read this dict;
 * :meth:`QueryStatsStore.render` — the ``\\stats`` CLI table.
 """
 
@@ -54,20 +55,23 @@ def fingerprint(query: str) -> str:
     return " ".join(parts)
 
 
+#: the per-statement counters an entry sums, in export order (a finished
+#: :class:`~repro.obs.live.QueryActivity` carries the same fields)
+COUNTERS = (
+    "rows",
+    "rows_scanned",
+    "partitions_scanned",
+    "partitions_eligible",
+    "retries",
+    "failovers",
+)
+
+
 class QueryStats:
     """Cumulative counters for one query fingerprint."""
 
     __slots__ = (
-        "fingerprint",
-        "calls",
-        "total_seconds",
-        "max_seconds",
-        "rows",
-        "rows_scanned",
-        "partitions_scanned",
-        "partitions_eligible",
-        "retries",
-        "failovers",
+        "fingerprint", "calls", "total_seconds", "max_seconds", *COUNTERS
     )
 
     def __init__(self, fp: str):
@@ -75,12 +79,8 @@ class QueryStats:
         self.calls = 0
         self.total_seconds = 0.0
         self.max_seconds = 0.0
-        self.rows = 0
-        self.rows_scanned = 0
-        self.partitions_scanned = 0
-        self.partitions_eligible = 0
-        self.retries = 0
-        self.failovers = 0
+        for name in COUNTERS:
+            setattr(self, name, 0)
 
     @property
     def mean_seconds(self) -> float:
@@ -93,12 +93,7 @@ class QueryStats:
             "total_seconds": self.total_seconds,
             "mean_seconds": self.mean_seconds,
             "max_seconds": self.max_seconds,
-            "rows": self.rows,
-            "rows_scanned": self.rows_scanned,
-            "partitions_scanned": self.partitions_scanned,
-            "partitions_eligible": self.partitions_eligible,
-            "retries": self.retries,
-            "failovers": self.failovers,
+            **{name: getattr(self, name) for name in COUNTERS},
         }
 
 
@@ -116,30 +111,39 @@ class QueryStatsStore:
 
     def record(self, query: str, result) -> QueryStats:
         """Fold one :class:`~repro.executor.executor.ExecutionResult` into
-        the store under ``query``'s fingerprint; returns the updated
-        entry."""
-        return self.record_fingerprint(fingerprint(query), result)
-
-    def record_fingerprint(self, fp: str, result) -> QueryStats:
-        """:meth:`record` for a statement already fingerprinted: the
-        engine passes its live activity's, so observing a statement lexes
-        it once."""
+        the store under ``query``'s fingerprint, timed by its executor
+        time; returns the updated entry."""
         metrics = result.metrics
-        elapsed = result.elapsed_seconds
+        counts = (
+            len(result.rows),
+            metrics.total_rows_scanned,
+            metrics.partitions_scanned(),
+            metrics.partitions_eligible,
+            metrics.retry_count,
+            metrics.failover_count,
+        )
+        return self._fold(fingerprint(query), result.elapsed_seconds, counts)
+
+    def record_activity(self, activity) -> QueryStats:
+        """Fold one finished :class:`~repro.obs.live.QueryActivity` (the
+        engine's path): the values :meth:`LiveTelemetry.complete` fixed on
+        it, timed as the live histogram observed it less its queue wait."""
+        seconds = activity.elapsed_seconds - (activity.queued_seconds or 0.0)
+        counts = [getattr(activity, name) for name in COUNTERS]
+        return self._fold(activity.fingerprint, seconds, counts)
+
+    def _fold(self, fp: str, seconds: float, counts) -> QueryStats:
+        """One call of ``fp`` taking ``seconds``; ``counts`` line up with
+        :data:`COUNTERS`."""
         with self._lock:
             entry = self._entries.get(fp)
             if entry is None:
-                entry = QueryStats(fp)
-                self._entries[fp] = entry
+                entry = self._entries[fp] = QueryStats(fp)
             entry.calls += 1
-            entry.total_seconds += elapsed
-            entry.max_seconds = max(entry.max_seconds, elapsed)
-            entry.rows += len(result.rows)
-            entry.rows_scanned += metrics.total_rows_scanned
-            entry.partitions_scanned += metrics.partitions_scanned()
-            entry.partitions_eligible += metrics.partitions_eligible
-            entry.retries += metrics.retry_count
-            entry.failovers += metrics.failover_count
+            entry.total_seconds += seconds
+            entry.max_seconds = max(entry.max_seconds, seconds)
+            for name, count in zip(COUNTERS, counts):
+                setattr(entry, name, getattr(entry, name) + count)
         return entry
 
     def get(self, query_or_fingerprint: str) -> QueryStats | None:
@@ -166,56 +170,6 @@ class QueryStatsStore:
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, default=str)
-
-    def prom_families(self) -> list:
-        """The ``repro_query_*`` families (one sample per fingerprint)
-        for the shared exporter (:mod:`repro.obs.prom`)."""
-        from .prom import MetricFamily
-
-        metrics = [
-            ("repro_query_calls_total", "counter",
-             "Executions per query fingerprint",
-             lambda e: e.calls),
-            ("repro_query_seconds_total", "counter",
-             "Cumulative wall time per query fingerprint",
-             lambda e: e.total_seconds),
-            ("repro_query_seconds_max", "gauge",
-             "Longest single execution per query fingerprint",
-             lambda e: e.max_seconds),
-            ("repro_query_rows_total", "counter",
-             "Rows returned per query fingerprint",
-             lambda e: e.rows),
-            ("repro_query_rows_scanned_total", "counter",
-             "Rows read from storage per query fingerprint",
-             lambda e: e.rows_scanned),
-            ("repro_query_partitions_scanned_total", "counter",
-             "Leaf partitions opened per query fingerprint",
-             lambda e: e.partitions_scanned),
-            ("repro_query_partitions_eligible_total", "counter",
-             "Leaf partitions that would be opened without elimination",
-             lambda e: e.partitions_eligible),
-            ("repro_query_retries_total", "counter",
-             "Slice retries per query fingerprint",
-             lambda e: e.retries),
-            ("repro_query_failovers_total", "counter",
-             "Segment failovers per query fingerprint",
-             lambda e: e.failovers),
-        ]
-        entries = self.entries()
-        families = []
-        for name, kind, help_text, value_of in metrics:
-            family = MetricFamily(name, kind, help_text)
-            for entry in entries:
-                family.add(value_of(entry), query=entry.fingerprint)
-            families.append(family)
-        return families
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (0.0.4): ``# HELP``/``# TYPE``
-        headers, one sample per line, the fingerprint as ``query`` label."""
-        from .prom import render
-
-        return render(self.prom_families())
 
     def render(self, limit: int = 50) -> str:
         """The ``\\stats`` table: entries by cumulative time, descending."""

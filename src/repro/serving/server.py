@@ -15,10 +15,10 @@
    serving summary is recorded into its metrics export (schema v6
    ``serving`` section) plus the server-wide :class:`ServingStats`.
 
-Everything the tier does is observable: ``stats_dict()`` for one
-structured snapshot, ``to_prometheus()`` for ``repro_serving_*``
-families (admission counters, queue/inflight gauges, per-session p50/p99
-latency).
+Everything the tier does is observable through ``stats_dict()``, one
+structured snapshot: admission counters, queue/inflight gauges,
+per-session counters and p50/p99 latency.  The ``repro_serving_*``
+Prometheus families (:data:`repro.obs.prom.FAMILIES`) read that dict.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ __all__ = ["QueryServer", "ServingStats"]
 
 #: per-session latency reservoir size (newest samples win)
 _RESERVOIR = 1024
+#: the per-session counters ``stats_dict()["open_sessions"]`` sums by name
+_SESSION_COUNTERS = ("submitted", "admitted", "rejected", "inflight")
 
 
 def _percentile(sorted_values: list[float], fraction: float) -> float:
@@ -208,122 +210,44 @@ class QueryServer:
         session.admitted += 1
         self.stats.record(session.name, latency)
         snapshot = self.admission.stats()
-        result.metrics.record_serving(
-            {
-                "session": session.name,
-                "queued_seconds": round(slot.queued_seconds, 6),
-                "requested_workers": slot.requested_workers,
-                "effective_workers": slot.effective_workers,
-                "degraded": slot.degraded,
-                "queue_depth": snapshot["queue_depth"],
-                "inflight": snapshot["inflight"],
-                "admitted_total": snapshot["admitted"],
-                "rejected_total": sum(snapshot["rejected"].values()),
-            }
-        )
+        result.metrics.serving_summary = {
+            "session": session.name,
+            "queued_seconds": round(slot.queued_seconds, 6),
+            "requested_workers": slot.requested_workers,
+            "effective_workers": slot.effective_workers,
+            "degraded": slot.degraded,
+            "queue_depth": snapshot["queue_depth"],
+            "inflight": snapshot["inflight"],
+            "admitted_total": snapshot["admitted"],
+            "rejected_total": sum(snapshot["rejected"].values()),
+        }
         return result
 
     # -- observability --------------------------------------------------------
 
     def stats_dict(self) -> dict:
-        """One structured snapshot of the whole serving tier."""
+        """One structured snapshot of the whole serving tier.  Open
+        sessions' counters are summed per session name, the key the
+        per-session latency uses; ``sessions_open`` counts sessions."""
         snapshot = self.admission.stats()
         with self._lock:
-            open_sessions = {
-                s.name: {
-                    "submitted": s.submitted,
-                    "admitted": s.admitted,
-                    "rejected": s.rejected,
-                    "inflight": s.inflight,
-                }
-                for s in self._sessions.values()
-            }
+            sessions = list(self._sessions.values())
+        open_sessions: dict[str, dict] = {}
+        for session in sessions:
+            counters = open_sessions.setdefault(
+                session.name, dict.fromkeys(_SESSION_COUNTERS, 0)
+            )
+            for field in _SESSION_COUNTERS:
+                counters[field] += getattr(session, field)
         return {
             "config": self.config.to_dict(),
             "admission": snapshot,
             "open_sessions": open_sessions,
+            "sessions_open": len(sessions),
             "latency": self.stats.to_dict(),
             "pool_workers": self.scheduler.pool_workers,
             "closed": self._closed,
         }
-
-    def prom_families(self) -> list:
-        """The ``repro_serving_*`` families for the shared exporter
-        (:mod:`repro.obs.prom`)."""
-        from ..obs.prom import MetricFamily
-
-        snapshot = self.admission.stats()
-        rejected = MetricFamily(
-            "repro_serving_rejected_total",
-            "counter",
-            "Queries shed by admission control",
-        )
-        for reason in sorted(snapshot["rejected"]):
-            rejected.add(snapshot["rejected"][reason], reason=reason)
-        with self._lock:
-            sessions = list(self._sessions.values())
-        session_inflight = MetricFamily(
-            "repro_serving_session_inflight",
-            "gauge",
-            "Queries in flight per session",
-        )
-        for session in sorted(sessions, key=lambda s: s.name):
-            session_inflight.add(session.inflight, session=session.name)
-        latency = MetricFamily(
-            "repro_serving_session_latency_seconds",
-            "gauge",
-            "Per-session query latency quantiles",
-        )
-        for name, summary in self.stats.to_dict().items():
-            for quantile, key in (("0.5", "p50_s"), ("0.99", "p99_s")):
-                latency.add(summary[key], session=name, quantile=quantile)
-        return [
-            MetricFamily(
-                "repro_serving_admitted_total",
-                "counter",
-                "Queries admitted past admission control",
-            ).add(snapshot["admitted"]),
-            rejected,
-            MetricFamily(
-                "repro_serving_degraded_total",
-                "counter",
-                "Grants clamped below their requested worker width",
-            ).add(snapshot["degraded_grants"]),
-            MetricFamily(
-                "repro_serving_queued_seconds_total",
-                "counter",
-                "Total time admitted queries waited in the run queue",
-            ).add(round(snapshot["queued_seconds_total"], 6)),
-            MetricFamily(
-                "repro_serving_queue_depth",
-                "gauge",
-                "Queries currently waiting in the run queue",
-            ).add(snapshot["queue_depth"]),
-            MetricFamily(
-                "repro_serving_inflight",
-                "gauge",
-                "Queries currently executing",
-            ).add(snapshot["inflight"]),
-            MetricFamily(
-                "repro_serving_pool_workers",
-                "gauge",
-                "Width of the shared segment-worker pool",
-            ).add(self.scheduler.pool_workers),
-            MetricFamily(
-                "repro_serving_sessions_open",
-                "gauge",
-                "Serving sessions currently open",
-            ).add(len(sessions)),
-            session_inflight,
-            latency,
-        ]
-
-    def to_prometheus(self) -> str:
-        """``repro_serving_*`` families (same text-exposition style as
-        the stats-store and cache exporters)."""
-        from ..obs.prom import render
-
-        return render(self.prom_families())
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -6,6 +6,7 @@ from repro import types as t
 from repro.catalog import DistributionPolicy, TableSchema
 from repro.engine import Database
 from repro.executor.context import COORDINATOR_SEGMENT, ExecContext
+from repro.executor.scheduler import SegmentScheduler
 from repro.expr.ast import ColumnRef
 from repro.physical.ops import (
     BroadcastMotion,
@@ -33,7 +34,10 @@ def db() -> Database:
 def _buffered_rows(db, motion):
     plan = Plan(motion)
     ctx = ExecContext(db.catalog, db.storage, db.num_segments)
-    db.executor._run_motion(motion, ctx)
+    # one motion slice on every segment, run serially: the statement path
+    db.executor._run_motion_slice(
+        motion, ctx, SegmentScheduler(), 1, set(), None, range(db.num_segments)
+    )
     return [
         rows_of(motion, segment, ctx)
         for segment in range(db.num_segments)

@@ -160,9 +160,8 @@ def test_export_prometheus_includes_serving_when_server_open(orders_db):
 
 
 def test_subsystem_to_prometheus_uses_shared_renderer(orders_db):
-    # the per-subsystem exports are the same families the consolidated
-    # body renders, byte for byte
+    # each source's rows render byte for byte as in the consolidated body
     body = export_prometheus(orders_db)
-    assert orders_db.query_stats.to_prometheus() in body
-    assert orders_db.cache.to_prometheus() in body
-    assert orders_db.live.to_prometheus() in body
+    assert export_prometheus(orders_db, "query") in body
+    assert export_prometheus(orders_db, "cache") in body
+    assert export_prometheus(orders_db, "live") in body

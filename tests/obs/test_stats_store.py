@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import re
 
+from repro import Database
+from repro import types as t
 from repro.cache import statement_key
-from repro.obs import QueryStatsStore, fingerprint
+from repro.catalog import TableSchema
+from repro.obs import QueryStatsStore, export_prometheus, fingerprint
 
 # one sample line: name{query="..."} value
 _SAMPLE_RE = re.compile(r'^[a-z_:][a-z0-9_:]*\{query="(?:[^"\\]|\\.)*"\} -?[0-9.e+-]+$')
@@ -150,6 +153,25 @@ def test_store_reset(orders_db):
     assert store.render() == "query statistics: empty (no statements recorded)"
 
 
+def test_store_time_is_the_live_histogram_time():
+    # a cache hit and an INSERT ... VALUES run no executor, yet they take
+    # wall time: the store folds the time the live histogram observed
+    db = Database(num_segments=2)
+    db.create_table("kv", TableSchema.of(("k", t.INT), ("v", t.INT)))
+    db.sql("INSERT INTO kv VALUES (1, 10)")
+    for _ in range(3):  # one miss, then two hits
+        db.sql("SELECT sum(v) FROM kv", cache="results")
+    db.sql("SELECT count(*) FROM kv WHERE k = 1")
+    entries = db.stats().entries()
+    assert sum(entry.calls for entry in entries) == 5
+    assert db.cache.stats_dict()["results"]["hits"] == 2
+    assert all(entry.total_seconds > 0 for entry in entries)
+    assert abs(
+        sum(entry.total_seconds for entry in entries)
+        - db.live.query_seconds.sum
+    ) <= 1e-9
+
+
 def test_db_stats_returns_the_store(orders_db):
     assert orders_db.stats() is orders_db.query_stats
     assert isinstance(orders_db.stats(), QueryStatsStore)
@@ -189,7 +211,7 @@ def test_prometheus_export_parses(orders_db):
     store.reset()
     orders_db.sql("SELECT count(*) FROM orders WHERE date = '05-15-2013'")
     orders_db.sql("SELECT count(*) FROM date_dim")
-    text = store.to_prometheus()
+    text = export_prometheus(orders_db, "query")
     assert text.endswith("\n")
     typed: set[str] = set()
     sampled: set[str] = set()
@@ -212,7 +234,8 @@ def test_prometheus_export_parses(orders_db):
 
 
 def test_prometheus_label_escaping():
-    store = QueryStatsStore()
+    db = Database(num_segments=1)
+    store = db.query_stats
 
     class _Result:
         rows = []
@@ -229,7 +252,7 @@ def test_prometheus_label_escaping():
                 return 0
 
     store.record('SELECT "weird\\name" FROM t', _Result())
-    text = store.to_prometheus()
+    text = export_prometheus(db, "query")
     assert '\\\\' in text  # backslash escaped
     assert '\\"' in text  # quote escaped
 

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.errors import ReproError, ServerOverloaded
+from repro.obs.prom import export_prometheus
 from repro.serving import ServingConfig
 
 QUERY = "SELECT avg(amount) FROM orders"
@@ -132,7 +133,7 @@ def test_prometheus_families(fresh_db):
     server = fresh_db.serve()
     session = server.session(name="prom")
     session.sql(COUNT)
-    body = server.to_prometheus()
+    body = export_prometheus(fresh_db, "serving")
     for family in (
         "repro_serving_admitted_total",
         "repro_serving_rejected_total",
@@ -150,6 +151,28 @@ def test_prometheus_families(fresh_db):
     # the shared exporter renders labels key-sorted
     assert 'quantile="0.5",session="prom"' in body
     server.close()
+
+
+def test_sessions_sharing_a_name_export_one_series(fresh_db):
+    # Prometheus rejects a scrape that repeats a series, so two open
+    # sessions with one name are summed under that name
+    first = fresh_db.session(name="app")
+    second = fresh_db.session(name="app")
+    first.sql(COUNT)
+    second.sql(COUNT)
+    snapshot = fresh_db.serve().stats_dict()
+    assert snapshot["open_sessions"]["app"]["admitted"] == 2
+    assert snapshot["sessions_open"] == 2
+    body = export_prometheus(fresh_db)
+    series = [
+        line.rsplit(" ", 1)[0]
+        for line in body.splitlines()
+        if not line.startswith("#")
+    ]
+    assert len(series) == len(set(series))
+    assert 'repro_serving_session_inflight{session="app"} 0' in body
+    assert "repro_serving_sessions_open 2" in body
+    fresh_db.serve().close()
 
 
 def test_server_lifecycle_and_reconfiguration(fresh_db):
