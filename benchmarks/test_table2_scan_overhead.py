@@ -12,10 +12,10 @@ partition count and equal the unpartitioned scan's.
 
 The percentage is reported, not asserted, and at this size it is not
 reproduced.  The statement's per-partition work (storage slicing 361 small
-buckets per segment, exact partition OID sets in the metrics, the export
-the checks read) is a fixed cost of about half a millisecond at 361
-partitions, and the whole unpartitioned statement takes under a
-millisecond, so the percentage grows with the partition count.  A bound
+buckets per segment, the export's OID list the checks read) is a fixed
+cost of about half a millisecond at 361 partitions, and the whole
+unpartitioned statement takes under a millisecond, so the percentage
+grows with the partition count.  A bound
 of ``overhead < 60%`` held in 1 of 20 runs (EXPERIMENTS.md).
 """
 
@@ -60,9 +60,9 @@ def _scan_counts(db) -> dict[str, list[int]]:
     calls = [0] * db.num_segments
     record_scan = ctx.metrics.record_scan
 
-    def counted(op, table, segment, leaf_oids, rows):
+    def counted(op, table, segment, opened, rows):
         calls[segment] += 1
-        record_scan(op, table, segment, leaf_oids, rows)
+        record_scan(op, table, segment, opened, rows)
 
     ctx.metrics.record_scan = counted
     batches = [

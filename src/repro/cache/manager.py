@@ -7,8 +7,9 @@ The manager ties the pieces together:
 * It subscribes to storage mutations
   (:meth:`~repro.storage.StorageManager.add_mutation_listener`): every
   INSERT/UPDATE/DELETE/TRUNCATE event carries the target root OID and the
-  touched leaf OIDs, bumps the global **mutation epoch**, and drops exactly
-  the entries the event stales (the partition-intersection rule).
+  leaf mask of the touched partitions, bumps the global **mutation
+  epoch**, and drops exactly the entries the event stales (the
+  partition-intersection rule).
 * Each statement runs against a :class:`CacheSession` that captures the
   epoch at statement start.  A result is committed only if the epoch is
   unchanged — a DML racing the execution silently turns the store into a
@@ -60,16 +61,14 @@ class CacheManager:
 
     # -- mutation path -------------------------------------------------------
 
-    def on_mutation(
-        self, root_oid: int, leaf_oids: frozenset[int] | None
-    ) -> None:
-        """One DML/TRUNCATE event: ``leaf_oids`` are the touched leaf
-        partitions, ``None`` means the whole table (truncate, drop,
-        unpartitioned target).  Bumps the epoch *first* so in-flight
+    def on_mutation(self, root_oid: int, leaves: int | None) -> None:
+        """One DML/TRUNCATE event: ``leaves`` is the leaf mask of the
+        touched partitions, ``None`` means the whole table (truncate,
+        drop, unpartitioned target).  Bumps the epoch *first* so in-flight
         sessions refuse to commit, then drops stale entries."""
         with self._lock:
             self._epoch += 1
-        self.results.invalidate(root_oid, leaf_oids)
+        self.results.invalidate(root_oid, leaves)
 
     def clear(self) -> int:
         """Drop everything (``\\cache clear``); returns entries dropped."""
@@ -140,7 +139,7 @@ class CacheSession:
         self,
         rows: Sequence[tuple],
         column_names: Sequence[str],
-        footprint: Mapping[int, frozenset[int] | None],
+        footprint: Mapping[int, int | None],
     ) -> bool:
         entry = ResultEntry(self.key, rows, column_names, footprint)
         self.stored = self.manager.commit_result(self, entry)
@@ -163,14 +162,14 @@ class CacheSession:
 
 def result_footprint(
     plan_root: phys.PhysicalOp,
-    scanned_leaves: Mapping[str, set[int]],
-) -> dict[int, frozenset[int] | None] | None:
+    scanned_leaves: Mapping[str, int],
+) -> dict[int, int | None] | None:
     """The invalidation footprint of one executed SELECT: every table the
-    plan references, mapped to the leaf OIDs actually opened (from the
+    plan references, mapped to the leaf mask actually opened (from the
     scan tracker, keyed by table name) or ``None`` for whole-table
     sensitivity (unpartitioned scans).  Returns ``None`` — do not cache —
     for DML plans."""
-    footprint: dict[int, frozenset[int] | None] = {}
+    footprint: dict[int, int | None] = {}
     for op in plan_root.walk():
         if isinstance(op, (phys.Delete, phys.Update)):
             return None
@@ -179,9 +178,6 @@ def result_footprint(
         elif isinstance(
             op, (phys.DynamicScan, phys.LeafScan, phys.EmptyScan)
         ):
-            oid = op.table.oid
-            if oid in footprint and footprint[oid] is None:
-                continue  # already whole-table sensitive (self-join w/ Scan)
-            opened = frozenset(scanned_leaves.get(op.table.name, ()))
-            footprint[oid] = frozenset(footprint.get(oid) or ()) | opened
+            # a Scan of the same table (self-join) keeps it whole-table
+            footprint.setdefault(op.table.oid, scanned_leaves.get(op.table.name, 0))
     return footprint

@@ -2,12 +2,13 @@
 
 A :class:`ResultEntry` stores the rows and column names one SELECT
 produced, plus the **footprint** that makes invalidation sound: for every
-table the plan referenced, the set of leaf partition OIDs the execution
-actually opened — or ``None`` meaning the whole table (unpartitioned
-scans, full scans, or any case where per-partition attribution is not
-available).  DML into partition ``P`` of table ``T`` drops exactly the
-entries whose footprint for ``T`` is ``None`` or intersects ``P``; DML on
-a table outside the footprint leaves the entry alone.
+table the plan referenced, the leaf mask (:mod:`repro.catalog.catalog`)
+of the partitions the execution actually opened — or ``None`` meaning the
+whole table (unpartitioned scans, or any case where per-partition
+attribution is not available).  DML touching the leaf mask ``P`` of table
+``T`` drops exactly the entries whose footprint for ``T`` is ``None`` or
+shares a bit with ``P``; DML on a table outside the footprint leaves the
+entry alone.
 
 The footprint over-approximates sensitivity in one direction only (an
 empty-but-selected partition is *in* the footprint, because the
@@ -44,27 +45,22 @@ class ResultEntry:
         key: StatementKey,
         rows: Sequence[tuple],
         column_names: Sequence[str],
-        footprint: Mapping[int, frozenset[int] | None],
+        footprint: Mapping[int, int | None],
     ):
         self.key = key
         self.rows: tuple[tuple, ...] = tuple(tuple(row) for row in rows)
         self.column_names = tuple(column_names)
-        #: root OID -> opened leaf OIDs, or None = whole-table sensitivity
-        self.footprint: dict[int, frozenset[int] | None] = {
-            oid: (None if leaves is None else frozenset(leaves))
-            for oid, leaves in footprint.items()
-        }
+        #: root OID -> leaf mask opened, or None = whole-table sensitivity
+        self.footprint: dict[int, int | None] = dict(footprint)
         self.size_bytes = _ENTRY_OVERHEAD + _rows_bytes(self.rows)
 
-    def stale_after(
-        self, root_oid: int, leaf_oids: frozenset[int] | None
-    ) -> bool:
+    def stale_after(self, root_oid: int, leaves: int | None) -> bool:
         if root_oid not in self.footprint:
             return False
         scoped = self.footprint[root_oid]
-        if scoped is None or leaf_oids is None:
+        if scoped is None or leaves is None:
             return True
-        return bool(scoped & leaf_oids)
+        return bool(scoped & leaves)
 
     def __repr__(self) -> str:
         return (
@@ -83,9 +79,7 @@ class ResultCache(LruCache[ResultEntry]):
     def store(self, entry: ResultEntry) -> None:
         self.put(entry.key, entry)
 
-    def invalidate(
-        self, root_oid: int, leaf_oids: frozenset[int] | None
-    ) -> int:
+    def invalidate(self, root_oid: int, leaves: int | None) -> int:
         return self.invalidate_where(
-            lambda entry: entry.stale_after(root_oid, leaf_oids)
+            lambda entry: entry.stale_after(root_oid, leaves)
         )

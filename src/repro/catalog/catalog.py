@@ -6,11 +6,17 @@ check constraint of the form ``pk ∈ ∪(a, b)``.  The catalog maps a *root*
 OID to its :class:`~repro.catalog.partition.PartitionScheme` and to the leaf
 OIDs; the runtime's built-in functions (paper Table 1) are thin wrappers
 around these lookups.
+
+A table's leaf OIDs follow its root OID in leaf-id order: leaf *ordinal*
+*i* has OID ``root + 1 + i``.  Any set of one table's leaves the runtime
+passes around is a **leaf mask**, an ``int`` whose bit *i* is leaf ordinal
+*i*; :class:`TableDescriptor` alone converts between OIDs and bits.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from itertools import compress
+from typing import Iterable, Iterator, Mapping
 
 from ..errors import CatalogError, PartitionError
 from .constraints import IntervalSet
@@ -64,6 +70,10 @@ class DistributionPolicy:
         return hash((self.kind, self.column))
 
 
+#: maps the digits of ``bin(mask)`` to bytes that are false/true
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class TableDescriptor:
     """Catalog entry for one (possibly partitioned) table."""
 
@@ -82,13 +92,13 @@ class TableDescriptor:
         self.distribution = distribution
         self.partition_scheme = partition_scheme
         self._leaf_oids: dict[LeafId, int] = dict(leaf_oids or {})
-        self._leaf_by_oid: dict[int, LeafId] = {
-            v: k for k, v in self._leaf_oids.items()
-        }
-        self._all_leaf_oids = [
-            self._leaf_oids[leaf]
-            for leaf in (partition_scheme.leaf_ids() if partition_scheme else ())
-        ]
+        #: leaf ids in ordinal order
+        self._leaf_ids = list(partition_scheme.leaf_ids() if partition_scheme else ())
+        self._all_leaf_oids = [self._leaf_oids[leaf] for leaf in self._leaf_ids]
+        if self._all_leaf_oids != list(range(oid + 1, oid + 1 + self.num_leaves)):
+            raise CatalogError(f"leaf OIDs of {name!r} do not follow its OID")
+        #: the leaf mask of every leaf (0 for an unpartitioned table)
+        self.all_leaves = (1 << self.num_leaves) - 1
 
     @property
     def is_partitioned(self) -> bool:
@@ -102,7 +112,7 @@ class TableDescriptor:
 
     @property
     def num_leaves(self) -> int:
-        return len(self._leaf_oids)
+        return len(self._leaf_ids)
 
     def leaf_oid(self, leaf: LeafId) -> int:
         try:
@@ -112,13 +122,31 @@ class TableDescriptor:
                 f"table {self.name!r} has no leaf partition {leaf!r}"
             ) from None
 
-    def leaf_id(self, oid: int) -> LeafId:
-        try:
-            return self._leaf_by_oid[oid]
-        except KeyError:
+    def _ordinal(self, oid: int) -> int:
+        ordinal = oid - self.oid - 1
+        if not 0 <= ordinal < self.num_leaves:
             raise PartitionError(
                 f"OID {oid} is not a leaf partition of table {self.name!r}"
-            ) from None
+            )
+        return ordinal
+
+    def leaf_id(self, oid: int) -> LeafId:
+        return self._leaf_ids[self._ordinal(oid)]
+
+    def leaf_mask(self, oids: Iterable[int]) -> int:
+        """The leaf mask of the given leaf OIDs."""
+        return sum({1 << self._ordinal(oid) for oid in oids})
+
+    def leaf_oids(self, mask: int) -> list[int]:
+        """The OIDs of a leaf mask's leaves, ascending (leaf-id order)."""
+        # the bits as bytes 0/1, lowest first, select OIDs in C
+        bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+        return list(compress(self._all_leaf_oids, bits))
+
+    def leaves_through(self, oid: int) -> int:
+        """The mask of the leaves up to leaf ``oid`` inclusive (none for
+        the root OID): what a scan has opened once it reached ``oid``."""
+        return (1 << (oid - self.oid)) - 1
 
     def all_leaf_oids(self) -> list[int]:
         """OIDs of all leaf partitions, in leaf-id order (paper's
@@ -160,7 +188,6 @@ class Catalog:
     def __init__(self) -> None:
         self._tables_by_name: dict[str, TableDescriptor] = {}
         self._tables_by_oid: dict[int, TableDescriptor] = {}
-        self._leaf_owner: dict[int, TableDescriptor] = {}
         self._next_oid = 16384  # first user OID, Postgres tradition
 
     def _allocate_oid(self) -> int:
@@ -206,9 +233,6 @@ class Catalog:
         )
         self._tables_by_name[name] = desc
         self._tables_by_oid[oid] = desc
-        if leaf_oids:
-            for leaf_oid in leaf_oids.values():
-                self._leaf_owner[leaf_oid] = desc
         return desc
 
     def register_descriptor(self, desc: TableDescriptor) -> TableDescriptor:
@@ -221,21 +245,13 @@ class Catalog:
             raise CatalogError(f"OID {desc.oid} already in use")
         self._tables_by_name[desc.name] = desc
         self._tables_by_oid[desc.oid] = desc
-        top = desc.oid
-        if desc.is_partitioned:
-            for leaf_oid in desc.all_leaf_oids():
-                self._leaf_owner[leaf_oid] = desc
-                top = max(top, leaf_oid)
-        self._next_oid = max(self._next_oid, top + 1)
+        self._next_oid = max(self._next_oid, desc.oid + desc.num_leaves + 1)
         return desc
 
     def drop_table(self, name: str) -> None:
         desc = self.table(name)
         del self._tables_by_name[name]
         del self._tables_by_oid[desc.oid]
-        if desc.is_partitioned:
-            for leaf_oid in desc.all_leaf_oids():
-                del self._leaf_owner[leaf_oid]
 
     def table(self, name: str) -> TableDescriptor:
         try:
@@ -251,12 +267,6 @@ class Catalog:
             return self._tables_by_oid[oid]
         except KeyError:
             raise CatalogError(f"no table with OID {oid}") from None
-
-    def owner_of_leaf(self, leaf_oid: int) -> TableDescriptor:
-        try:
-            return self._leaf_owner[leaf_oid]
-        except KeyError:
-            raise CatalogError(f"OID {leaf_oid} is not a leaf partition") from None
 
     def tables(self) -> Iterator[TableDescriptor]:
         return iter(self._tables_by_name.values())

@@ -253,6 +253,16 @@ class PartitionScheme:
             leaves = [leaf + (idx,) for leaf in leaves for idx in indices]
         return leaves
 
+    def slots_mask(self, slots_per_level: Sequence[Sequence[int]]) -> int:
+        """The leaf mask (bit *i*: leaf *i* of :meth:`leaf_ids`) of the
+        leaves whose slot at each level is in that level's list: a leaf's
+        ordinal is its slot indices read as a mixed-radix number."""
+        mask, width = 1, 1
+        for level, slots in zip(reversed(self.levels), reversed(slots_per_level)):
+            mask = sum(mask << (slot * width) for slot in slots)  # distinct slots
+            width *= len(level)
+        return mask
+
     def compatible_with(self, other: "PartitionScheme") -> bool:
         """Whether two schemes partition identically level by level
         (constraint-equal slots) — tables so partitioned can be joined

@@ -1,9 +1,9 @@
-"""Partition-OID channels: the producer/consumer shared memory of
-Section 2.2.
+"""Partition channels: the producer/consumer shared memory of Section 2.2.
 
-A PartitionSelector pushes the OIDs of partitions that must be scanned into
-the channel identified by its ``partScanId``; the DynamicScan with the same
-id consumes them.  Channels are **segment-local** (keyed by
+A PartitionSelector pushes the partitions that must be scanned into the
+channel identified by its ``partScanId``; the DynamicScan with the same id
+consumes them, as one **leaf mask** (:mod:`repro.catalog.catalog`) that
+each push ORs into.  Channels are **segment-local** (keyed by
 ``(part_scan_id, segment)``) — in a real MPP system the pair communicates
 through process-local shared memory, which is why no Motion may separate
 them (Section 3.1).
@@ -16,8 +16,8 @@ The channel enforces the full producer/consumer protocol, raising
 * ``close()`` twice — two producers racing to close the same channel is a
   real coordination bug, so the second close raises instead of being
   silently absorbed;
-* ``consume()`` twice — the OID set is handed over exactly once; guards
-  that only need to *read* the set (Planner's guarded LeafScans share one
+* ``consume()`` twice — the mask is handed over exactly once; guards
+  that only need to *read* it (Planner's guarded LeafScans share one
   channel across many scans) use the non-destructive :meth:`peek`.
 
 Under the parallel scheduler every (slice, segment) instance runs on its
@@ -47,7 +47,7 @@ class OidChannel:
     __slots__ = (
         "part_scan_id",
         "segment",
-        "_oids",
+        "_mask",
         "_closed",
         "_consumed",
         "_lock",
@@ -56,32 +56,20 @@ class OidChannel:
     def __init__(self, part_scan_id: int, segment: int):
         self.part_scan_id = part_scan_id
         self.segment = segment
-        self._oids: set[int] = set()
+        self._mask = 0
         self._closed = False
         self._consumed = False
         self._lock = threading.Lock()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def consumed(self) -> bool:
-        return self._consumed
-
-    def push(self, oid: int) -> None:
-        """Add one partition OID."""
-        self.push_all((oid,))
-
-    def push_all(self, oids) -> None:
-        """partition_propagation: add partition OIDs, under one lock."""
+    def push(self, mask: int) -> None:
+        """partition_propagation: add the leaves of ``mask``."""
         with self._lock:
             if self._closed:
                 raise ChannelError(
                     f"push to closed channel (scan {self.part_scan_id}, "
                     f"segment {self.segment})"
                 )
-            self._oids.update(oids)
+            self._mask |= mask
 
     def close(self) -> None:
         """Seal the channel.  Closing twice raises: it means two producers
@@ -94,8 +82,8 @@ class OidChannel:
                 )
             self._closed = True
 
-    def consume(self) -> list[int]:
-        """OIDs for the DynamicScan, in deterministic order — exactly once.
+    def consume(self) -> int:
+        """The leaf mask for the DynamicScan — exactly once.
 
         Raises :class:`ChannelError` when the producer has not finished
         (the execution-order invariant the plan validator guarantees) and
@@ -114,9 +102,9 @@ class OidChannel:
                     f"{self.segment}) consumed twice"
                 )
             self._consumed = True
-            return sorted(self._oids)
+            return self._mask
 
-    def peek(self) -> list[int]:
+    def peek(self) -> int:
         """Non-destructive read for guard consumers (several LeafScans may
         share one guard channel).  Still requires the producer to have
         closed the channel first."""
@@ -126,7 +114,7 @@ class OidChannel:
                     f"guard on channel (scan {self.part_scan_id}, segment "
                     f"{self.segment}) read before its producer finished"
                 )
-            return sorted(self._oids)
+            return self._mask
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
@@ -134,7 +122,7 @@ class OidChannel:
             state = "consumed"
         return (
             f"OidChannel(scan={self.part_scan_id}, seg={self.segment}, "
-            f"{len(self._oids)} oids, {state})"
+            f"{self._mask.bit_count()} leaves, {state})"
         )
 
 

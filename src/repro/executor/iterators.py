@@ -24,9 +24,9 @@ The PartitionSelector iterator realises both selection modes uniformly,
 as Section 3.2 requires:
 
 * constant predicates (including prepared-statement parameters) are
-  evaluated once, the selected OIDs pushed, and the channel closed before
+  evaluated once, the selected leaves pushed, and the channel closed before
   any tuple flows — static elimination;
-* join predicates are evaluated per streamed batch, pushing the OIDs its
+* join predicates are evaluated per streamed batch, pushing the leaves its
   tuples select — dynamic elimination.  The channel closes when the input
   is exhausted, which the engine's left-before-right execution order
   guarantees happens before the consuming DynamicScan opens.
@@ -60,7 +60,7 @@ from .kernels import (
     project_kernel,
     sort_key_kernel,
 )
-from .runtime_funcs import partition_expansion, partition_propagation
+from .runtime_funcs import partition_propagation
 
 #: what every operator yields: lists of row tuples
 BatchIter = Iterator[list]
@@ -122,47 +122,45 @@ def _slice_batches(rows: list, batch_size: int) -> BatchIter:
 
 def _scan_batches(op, segment: int, ctx: ExecContext) -> BatchIter:
     """The scan loop of Scan, LeafScan and DynamicScan, which differ only
-    in the leaves they open: the whole table (an unpartitioned table's
-    rows live under its root OID), one guarded leaf, or the OIDs the
-    channel delivers.
+    in the leaf mask they open: every leaf (an unpartitioned table's rows
+    live under its root OID), one guarded leaf, or the channel's mask,
+    expanded here into the OIDs storage reads, in ascending order.
 
     Storage fills every batch to the width across leaves.  Each batch is
-    recorded as it is emitted, with the leaves opened to fill it, so the
-    live activity registry sees rows-so-far advance mid-scan at one call
-    per batch, never per leaf or row."""
+    recorded as it is emitted, with the mask's leaves up to the last one
+    opened to fill it, so the live activity registry sees rows-so-far
+    advance mid-scan at one call per batch, never per leaf or row."""
+    table = op.table
     if isinstance(op, phys.DynamicScan):
         ctx.metrics.node(op).part_scan_id = op.part_scan_id
-        leaves = ctx.channel(op.part_scan_id, segment).consume()
+        mask = ctx.channel(op.part_scan_id, segment).consume()
     elif isinstance(op, phys.LeafScan):
+        mask = table.leaf_mask((op.leaf_oid,))
         # Several LeafScans share one guard channel — read, don't consume.
         if (
             op.guard_scan_id is not None
-            and op.leaf_oid
-            not in ctx.channel(op.guard_scan_id, segment).peek()
+            and not mask & ctx.channel(op.guard_scan_id, segment).peek()
         ):
             return
-        leaves = [op.leaf_oid]
     else:
-        leaves = whole_table(op.table)
+        mask = table.all_leaves
+    oids = table.leaf_oids(mask) if table.is_partitioned else [table.oid]
     faults = ctx.faults if ctx.faults.active else None
     record = ctx.metrics.record_scan
     opened: list[int] = []  # filled by storage, emptied per batch here
+    seen = 0
     for batch in ctx.storage.scan_table_batches(
-        segment, op.table.oid, leaves, ctx.settings.batch_size, opened
+        segment, table.oid, oids, ctx.settings.batch_size, opened
     ):
         if faults is not None:
             faults.maybe_fire(SCAN_ROW, segment)
-        record(op, op.table, segment, opened, len(batch))
-        opened.clear()
+        if opened:
+            seen = mask & table.leaves_through(opened[-1])
+            opened.clear()
+        record(op, table, segment, seen, len(batch))
         yield batch
     if opened:
-        record(op, op.table, segment, opened, 0)
-
-
-def whole_table(table: TableDescriptor) -> list[int]:
-    """The OIDs a scan of all of ``table`` opens: its leaves, or the root
-    OID of an unpartitioned table."""
-    return table.all_leaf_oids() if table.is_partitioned else [table.oid]
+        record(op, table, segment, mask, 0)
 
 
 def _motion_batches(op: phys.Motion, segment: int, ctx: ExecContext) -> BatchIter:
@@ -187,8 +185,9 @@ class _SelectorProgram:
     their streamed value tuples).  Unsupported streaming shapes contribute
     no restriction — degrading to more partitions, never fewer.
 
-    Dynamic selection routes each distinct value tuple, not each row, and
-    :meth:`oids_for` memoises the answer per tuple for the statement; the
+    A selection is a leaf mask (:mod:`repro.catalog.catalog`).  Dynamic
+    selection routes each distinct value tuple, not each row, and
+    :meth:`mask_for` memoises the answer per tuple for the statement; the
     common pure-equality case routes with the level's binary search (the
     ``partition_selection`` built-in's fast path) instead of constructing
     interval sets.
@@ -199,7 +198,6 @@ class _SelectorProgram:
         spec: PartSelectorSpec,
         child_layout: RowLayout | None,
         params,
-        catalog,
     ):
         self.spec = spec
         self.table: TableDescriptor = spec.table
@@ -257,32 +255,25 @@ class _SelectorProgram:
         ]
         #: shared by every segment instance of the statement; entries are
         #: pure functions of the streamed values, so workers racing on one
-        #: key store the same list
-        self._memo: dict[tuple, list[int]] = {}
-        #: what a selector with no streaming part selects — the same list
+        #: key store the same mask
+        self._memo: dict[tuple, int] = {}
+        #: what a selector with no streaming part selects — the same mask
         #: on every segment, built once here; instances only propagate it
-        self.static_oids: list[int] | None = None
+        self.static_mask: int | None = None
         if not self.has_streaming:
-            self.static_oids = (
-                self._leaves_to_oids(self._constant_slots)
+            self.static_mask = (
+                scheme.slots_mask(self._constant_slots)
                 if spec.has_predicates
-                else partition_expansion(catalog, self.table.oid)
+                else self.table.all_leaves
             )
 
     @property
     def has_streaming(self) -> bool:
         return self.values is not None
 
-    def _leaves_to_oids(self, slots_per_level: list[list[int]]) -> list[int]:
-        leaves: list[tuple[int, ...]] = [()]
-        for slots in slots_per_level:
-            if not slots:
-                return []
-            leaves = [leaf + (slot,) for leaf in leaves for slot in slots]
-        return [self.table.leaf_oid(leaf) for leaf in leaves]
-
-    def _slots_for_values(self, values: tuple) -> list[int]:
-        """Slot lists per level for one streamed value combination."""
+    def _select(self, values: tuple) -> int:
+        """The leaf mask of one streamed value combination's slot lists
+        per level."""
         slots_per_level: list[list[int]] = []
         cursor = 0
         for index, streaming in enumerate(self.streaming):
@@ -318,14 +309,14 @@ class _SelectorProgram:
                     else level_set.intersect(comparison_set)
                 )
             slots_per_level.append(level.select(level_set))
-        return self._leaves_to_oids(slots_per_level)
+        return self.table.partition_scheme.slots_mask(slots_per_level)
 
-    def oids_for(self, values: tuple) -> list[int]:
-        """The leaf OIDs one tuple of streamed values selects."""
-        oids = self._memo.get(values)
-        if oids is None:
-            oids = self._memo[values] = self._slots_for_values(values)
-        return oids
+    def mask_for(self, values: tuple) -> int:
+        """The leaf mask one tuple of streamed values selects."""
+        mask = self._memo.get(values)
+        if mask is None:
+            mask = self._memo[values] = self._select(values)
+        return mask
 
 
 def _open_selector(
@@ -333,7 +324,7 @@ def _open_selector(
 ) -> _SelectorProgram | None:
     """What a selector instance does before any tuple flows.
 
-    A static selection pushes its OIDs and closes the channel here, and
+    A static selection pushes its leaves and closes the channel here, and
     ``None`` is returned: the child's tuples only pass through.  A
     streaming selector gets its program back with the channel still open.
     The program is the statement's, not the instance's
@@ -347,7 +338,7 @@ def _open_selector(
     child_layout = op.children[0].output_layout() if op.children else None
     program = ctx.selector_program(
         scan_id,
-        lambda: _SelectorProgram(spec, child_layout, ctx.params, ctx.catalog),
+        lambda: _SelectorProgram(spec, child_layout, ctx.params),
     )
     if program.has_streaming:
         if not op.children:
@@ -360,7 +351,7 @@ def _open_selector(
     # Static selection (constant predicates, parameters, or Φ): propagate
     # and close before any tuple flows.
     ctx.metrics.record_selector(scan_id, "static", spec.table.num_leaves)
-    partition_propagation(ctx, scan_id, segment, program.static_oids)
+    partition_propagation(ctx, scan_id, segment, program.static_mask)
     _close_selector(scan_id, segment, ctx)
     return None
 
@@ -380,21 +371,20 @@ def _partition_selector_batches(
             yield from build_batches(op.children[0], segment, ctx)
         return
     # Dynamic selection, one batch at a time: each distinct tuple of
-    # streamed values is routed once, only OIDs this instance has not
-    # pushed yet reach the channel, and every (row, OID) pair is counted.
+    # streamed values is routed once, only leaves this instance has not
+    # pushed yet reach the channel, and every (row, leaf) pair is counted.
     scan_id = op.spec.part_scan_id
-    values_of, oids_for = program.values, program.oids_for
-    pushed: set[int] = set()
+    values_of, mask_for = program.values, program.mask_for
+    pushed = 0
     for batch in build_batches(op.children[0], segment, ctx):
-        selected: set[int] = set()
-        pairs = 0
+        selected = pairs = 0
         for values, times in Counter(values_of(batch)).items():
-            oids = oids_for(values)
-            selected.update(oids)
-            pairs += times * len(oids)
+            mask = mask_for(values)
+            selected |= mask
+            pairs += times * mask.bit_count()
         if pairs:
             partition_propagation(
-                ctx, scan_id, segment, selected - pushed, pairs
+                ctx, scan_id, segment, selected & ~pushed, pairs
             )
             pushed |= selected
         yield batch

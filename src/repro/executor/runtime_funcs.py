@@ -12,14 +12,14 @@ function                     description (paper Table 1)
 ``partition_selection``      OID of the child partition containing the given
                              value(s) for the partitioning key(s)
 ``partition_constraints``    child partition OIDs with their range constraints
-``partition_propagation``    push partition OIDs to the DynamicScan with the
-                             given id
+``partition_propagation``    push a leaf mask (:mod:`repro.catalog.catalog`)
+                             to the DynamicScan with the given id
 ===========================  ====================================================
 """
 
 from __future__ import annotations
 
-from typing import Any, Collection, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from ..catalog import Catalog
 from ..errors import PartitionError
@@ -111,20 +111,21 @@ def partition_propagation(
     ctx: ExecContext,
     part_scan_id: int,
     segment: int,
-    oids: Collection[int],
+    mask: int,
     pairs: int | None = None,
 ) -> None:
-    """Push ``oids`` to the DynamicScan with ``part_scan_id`` on ``segment``.
+    """Push the leaves of ``mask`` to the DynamicScan with ``part_scan_id``
+    on ``segment``.
 
     Every selected partition — static or dynamic, native selector or a
     lowered Figure 15 operator — flows through here, which makes it the one
     place the per-DynamicScan partition-selection counters are recorded.
-    ``pairs`` is the number of (row, OID) selections the call stands for:
-    one per OID by default, which is what a static selector or a single
-    row pushes; a batch of streamed rows pushes each new OID once and
-    counts every pair.
+    ``pairs`` is the number of (row, partition) selections the call stands
+    for: one per leaf by default, which is what a static selector or a
+    single row pushes; a batch of streamed rows pushes each new leaf once
+    and counts every pair.
     """
-    ctx.metrics.record_propagation(
-        part_scan_id, segment, oids, len(oids) if pairs is None else pairs
-    )
-    ctx.channel(part_scan_id, segment).push_all(oids)
+    if pairs is None:
+        pairs = mask.bit_count()
+    ctx.metrics.record_propagation(part_scan_id, segment, mask, pairs)
+    ctx.channel(part_scan_id, segment).push(mask)

@@ -31,6 +31,8 @@ from __future__ import annotations
 import json
 import threading
 import time
+from functools import reduce
+from operator import or_
 from typing import Any
 
 from ..types import DEFAULT_BATCH_SIZE
@@ -84,35 +86,35 @@ class ScanTracker:
     per-segment slots (see :attr:`MetricsCollector.tracker`).  Read-only:
     scans record into their node only.
 
-    ``partitions`` maps each table that opened a leaf to the leaf OIDs
-    opened, ``partitions_total`` maps it to its leaf count, and ``rows``
-    maps every scanned table to the rows read from it.
+    ``tables`` maps every scanned table's name to its descriptor, ``rows``
+    to the rows read from it, and ``partitions`` to the leaf mask of the
+    leaves opened (0 for an unpartitioned table).
     """
 
     def __init__(self, nodes) -> None:
-        self.partitions: dict[str, set[int]] = {}
-        self.partitions_total: dict[str, int] = {}
+        self.tables: dict[str, Any] = {}
+        self.partitions: dict[str, int] = {}
         self.rows: dict[str, int] = {}
-        # C-level reads only (sum, set.update), so a read racing the
+        # C-level reads only (sum, reduce), so a read racing the
         # statement's own scans sees each slot whole
         for node in nodes:
-            name = node.table_name
-            if name is None:
+            table = node.table
+            if table is None:
                 continue
+            name = table.name
+            self.tables[name] = table
             self.rows[name] = self.rows.get(name, 0) + sum(node.rows_scanned)
-            if node.partitions_total is not None:
-                self.partitions_total[name] = node.partitions_total
-                self.partitions.setdefault(name, set()).update(*node.partitions)
+            self.partitions[name] = self.partitions.get(name, 0) | node.opened
         self.rows_scanned = sum(self.rows.values())
-        #: leaves of the partitioned tables that opened any: what the scans
-        #: would open without elimination
-        self.partitions_eligible = sum(self.partitions_total.values())
+        #: leaves of the scanned tables (an unpartitioned one has none):
+        #: what the scans would open without elimination
+        self.partitions_eligible = sum(table.num_leaves for table in self.tables.values())
 
     def partitions_scanned(self, table_name: str) -> int:
-        return len(self.partitions.get(table_name, ()))
+        return self.partitions.get(table_name, 0).bit_count()
 
     def total_partitions_scanned(self) -> int:
-        return sum(len(oids) for oids in self.partitions.values())
+        return sum(mask.bit_count() for mask in self.partitions.values())
 
 
 class NodeMetrics:
@@ -129,9 +131,8 @@ class NodeMetrics:
         "rows_out",
         "loops",
         "time_s",
-        "table_name",
+        "table",
         "partitions",
-        "partitions_total",
         "rows_scanned",
         "motion_kind",
         "rows_sent",
@@ -165,10 +166,10 @@ class NodeMetrics:
         #: when timing collection is enabled
         self.time_s = [0.0] * num_segments
         # scan-specific
-        self.table_name: str | None = None
-        #: leaf OIDs scanned, per segment
-        self.partitions: list[set[int]] = [set() for _ in range(num_segments)]
-        self.partitions_total: int | None = None
+        self.table = None
+        #: leaf mask of the leaves scanned (:mod:`repro.catalog.catalog`),
+        #: per segment
+        self.partitions = [0] * num_segments
         self.rows_scanned = [0] * num_segments
         # motion-specific
         self.motion_kind: str | None = None
@@ -194,8 +195,22 @@ class NodeMetrics:
         return sum(self.time_s)
 
     @property
+    def table_name(self) -> str | None:
+        return None if self.table is None else self.table.name
+
+    @property
+    def opened(self) -> int:
+        """The leaf mask of the leaves scanned on any segment."""
+        return reduce(or_, self.partitions)
+
+    @property
     def partitions_scanned(self) -> int:
-        return len(set().union(*self.partitions))
+        return self.opened.bit_count()
+
+    @property
+    def partitions_total(self) -> int | None:
+        table = self.table
+        return table.num_leaves if table is not None and table.is_partitioned else None
 
     @property
     def total_rows_scanned(self) -> int:
@@ -241,7 +256,7 @@ class NodeMetrics:
                 "partitions_scanned": self.partitions_scanned,
                 "partitions_total": self.partitions_total,
                 # sorted so golden-file comparisons are stable (v3)
-                "partition_oids": sorted(set().union(*self.partitions)),
+                "partition_oids": self.table.leaf_oids(self.opened),
                 "rows_scanned": self.total_rows_scanned,
             }
         if self.is_motion:
@@ -281,7 +296,8 @@ class MetricsCollector:
         self.batch_size = DEFAULT_BATCH_SIZE
         #: one entry per (slice, segment) instance: wall seconds on its worker
         self.instances: list[dict] = []
-        #: part_scan_id -> {"mode", "total", "selected" per-segment sets}
+        #: part_scan_id -> {"mode", "total", "selected" per-segment leaf
+        #: masks, "pushed" per-segment pair counts}
         self.selectors: dict[int, dict] = {}
         #: one entry per slice: {"id", "label", "seconds",
         #: "segments_dispatched"}
@@ -381,18 +397,15 @@ class MetricsCollector:
 
     # -- scans --------------------------------------------------------------
 
-    def record_scan(self, op, table, segment: int, leaf_oids, rows: int) -> None:
+    def record_scan(self, op, table, segment: int, opened: int, rows: int) -> None:
         """One batch a (Dynamic/Leaf)Scan emitted: its ``rows`` and the
-        leaf OIDs opened to fill it, empty leaves included (``rows=0``:
-        empty leaves opened after the last batch).  An unpartitioned
-        table's root OID is no leaf."""
+        leaf mask of leaves opened so far, empty leaves included
+        (``rows=0``: empty leaves opened after the last batch).  An
+        unpartitioned table opens no leaf (mask 0)."""
         node = self.node(op)
-        node.table_name = table.name
+        node.table = table
         node.rows_scanned[segment] += rows
-        if leaf_oids and table.is_partitioned:
-            if node.partitions_total is None:
-                node.partitions_total = table.num_leaves
-            node.partitions[segment].update(leaf_oids)
+        node.partitions[segment] |= opened
 
     # -- partition selection ------------------------------------------------
 
@@ -406,12 +419,12 @@ class MetricsCollector:
         entry["total"] = total
 
     def record_propagation(
-        self, part_scan_id: int, segment: int, oids, pairs: int
+        self, part_scan_id: int, segment: int, mask: int, pairs: int
     ) -> None:
-        """OIDs pushed through one ``partition_propagation`` call (Table
-        1), standing for ``pairs`` (row, OID) selections."""
+        """The leaf mask pushed through one ``partition_propagation`` call
+        (Table 1), standing for ``pairs`` (row, leaf) selections."""
         entry = self._selector(part_scan_id)
-        entry["selected"][segment].update(oids)
+        entry["selected"][segment] |= mask
         entry["pushed"][segment] += pairs
 
     def _selector(self, part_scan_id: int) -> dict:
@@ -423,9 +436,7 @@ class MetricsCollector:
                     entry = {
                         "mode": None,
                         "total": None,
-                        "selected": [
-                            set() for _ in range(self.num_segments)
-                        ],
+                        "selected": [0] * self.num_segments,
                         "pushed": [0] * self.num_segments,
                     }
                     self.selectors[part_scan_id] = entry
@@ -435,11 +446,10 @@ class MetricsCollector:
         entry = self.selectors.get(part_scan_id)
         if entry is None:
             return None
-        selected: set[int] = set().union(*entry["selected"])
         return {
             "part_scan_id": part_scan_id,
             "mode": entry["mode"],
-            "partitions_selected": len(selected),
+            "partitions_selected": reduce(or_, entry["selected"]).bit_count(),
             "partitions_total": entry["total"],
             "oids_pushed": sum(entry["pushed"]),
         }
@@ -615,11 +625,11 @@ class MetricsCollector:
         scans = self.tracker
         stats: dict[str, dict] = {}
         for name, rows in sorted(scans.rows.items()):
-            oids = scans.partitions.get(name, ())
+            table, mask = scans.tables[name], scans.partitions[name]
             stats[name] = {
-                "partitions_scanned": len(oids),
-                "partitions_total": scans.partitions_total.get(name),
-                "partition_oids": sorted(oids),
+                "partitions_scanned": mask.bit_count(),
+                "partitions_total": table.num_leaves if table.is_partitioned else None,
+                "partition_oids": table.leaf_oids(mask),
                 "rows_scanned": rows,
             }
         return stats

@@ -332,19 +332,14 @@ class PlannerOptimizer:
             ):
                 return None
 
-        left_leaves = {
-            left_get.table.leaf_id(oid): oid
-            for oid in self._statically_selected_oids(
-                left_get.table, left_get.alias, left_pred
-            )
-        }
-        right_leaves = {
-            right_get.table.leaf_id(oid): oid
-            for oid in self._statically_selected_oids(
-                right_get.table, right_get.alias, right_pred
-            )
-        }
-        surviving = sorted(set(left_leaves) & set(right_leaves))
+        # Compatible schemes number their leaves alike: a pair survives
+        # where both sides' leaf masks have its bit.
+        left_table, right_table = left_get.table, right_get.table
+        surviving = left_table.leaf_mask(
+            self._statically_selected_oids(left_table, left_get.alias, left_pred)
+        ) & right_table.leaf_mask(
+            self._statically_selected_oids(right_table, right_get.alias, right_pred)
+        )
         if not surviving:
             empty: phys.PhysicalOp = phys.EmptyScan(left_get.table, left_get.alias)
             dist = self._natural(left_get.table, left_get.alias)
@@ -357,14 +352,16 @@ class PlannerOptimizer:
             join.distribution = dist
             return join, dist
         pair_joins: list[phys.PhysicalOp] = []
-        for leaf in surviving:
+        for left_oid, right_oid in zip(
+            left_table.leaf_oids(surviving), right_table.leaf_oids(surviving)
+        ):
             left_scan: phys.PhysicalOp = phys.LeafScan(
-                left_get.table, left_get.alias, left_leaves[leaf]
+                left_table, left_get.alias, left_oid
             )
             if left_pred is not None:
                 left_scan = phys.Filter(left_scan, left_pred)
             right_scan: phys.PhysicalOp = phys.LeafScan(
-                right_get.table, right_get.alias, right_leaves[leaf]
+                right_table, right_get.alias, right_oid
             )
             if right_pred is not None:
                 right_scan = phys.Filter(right_scan, right_pred)

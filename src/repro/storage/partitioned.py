@@ -2,8 +2,8 @@
 
 The paper assumes "given a logical partition OID the storage layer can
 locate and retrieve the tuples belonging to that partition" (Section 2.1);
-:meth:`StorageManager.scan_leaf` is exactly that contract, resolving a leaf
-OID to its owning table's store.
+:meth:`StorageManager.scan_table_batches` is that contract: a table's root
+OID names its store, and the leaf OIDs name the buckets read.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ class StorageManager:
         #: the instance's DurabilityManager (None = volatile storage)
         self.durability = None
         self._stores: dict[int, TableStore] = {}
-        #: mutation subscribers ``fn(root_oid, leaf_oids | None)`` — every
-        #: table's writes fan out here (the cache layer's invalidation feed)
+        #: mutation subscribers ``fn(root_oid, leaves | None)`` — every
+        #: table's writes fan out here with the leaf mask they touched (the
+        #: cache layer's invalidation feed)
         self._mutation_listeners: list = []
         #: simulated per-read I/O latency in seconds (0.0 = off).  A scan
         #: sleeps this long for each leaf it opens, when it reaches it —
@@ -127,13 +128,14 @@ class StorageManager:
                     store._mirror[segment] = rebuilt
 
     def add_mutation_listener(self, listener) -> None:
-        """Subscribe ``fn(root_oid, leaf_oids | None)`` to every write on
-        every registered table (``leaf_oids=None`` = whole table)."""
+        """Subscribe ``fn(root_oid, leaves | None)`` to every write on
+        every registered table: ``leaves`` is the leaf mask touched
+        (``None`` = whole table)."""
         self._mutation_listeners.append(listener)
 
-    def _notify_mutation(self, root_oid: int, leaf_oids) -> None:
+    def _notify_mutation(self, root_oid: int, leaves: int | None) -> None:
         for listener in self._mutation_listeners:
-            listener(root_oid, leaf_oids)
+            listener(root_oid, leaves)
 
     def store(self, root_oid: int) -> TableStore:
         try:
@@ -147,12 +149,6 @@ class StorageManager:
     def stores(self) -> Iterator[TableStore]:
         """Every registered store (checkpoint snapshots iterate this)."""
         return iter(self._stores.values())
-
-    def scan_leaf(self, segment: int, leaf_oid: int) -> Iterator[tuple]:
-        """Scan one leaf partition on one segment, addressed purely by OID."""
-        owner = self.catalog.owner_of_leaf(leaf_oid)
-        for batch in self.scan_table_batches(segment, owner.oid, [leaf_oid]):
-            yield from batch
 
     def scan_table_batches(
         self,

@@ -78,10 +78,11 @@ class TableStore:
         self._mirror: list[dict[int, list[tuple]]] = [
             {} for _ in range(num_segments)
         ]
-        #: mutation hook ``fn(root_oid, leaf_oids | None)`` — set by the
-        #: StorageManager; fires after every write with the touched leaf
-        #: OIDs (``None`` = whole table: truncate, unpartitioned target).
-        #: The cache layer's partition-scoped invalidation hangs off this.
+        #: mutation hook ``fn(root_oid, leaves | None)`` — set by the
+        #: StorageManager; fires after every write, failed ones included,
+        #: with the leaf mask of the leaves it touched or may have touched
+        #: (``None`` = whole table: truncate, unpartitioned target).  The
+        #: cache layer's partition-scoped invalidation hangs off this.
         self.on_mutation = None
 
     # -- writes -----------------------------------------------------------
@@ -92,33 +93,26 @@ class TableStore:
         Raises :class:`PartitionError` when the row maps to the invalid
         partition ⊥ — no partition accepts its key values.
         """
-        with self.write_lock:
-            txn = self._begin()
-            try:
-                oid = self._insert_row(row, txn)
-            finally:
-                self._commit(txn)
-        self._notify(frozenset((oid,)) if self.descriptor.is_partitioned else None)
+        self.insert_many((row,))
 
     def insert_many(self, rows: Iterable[Sequence]) -> int:
         """Bulk insert, batching the mutation notification: one event
-        carrying every touched leaf, not one per row."""
+        carrying every leaf a row was routed to, not one per row.  A row
+        that fails part-way (a segment failing after others stored it)
+        is in the event too: invalidating an unchanged leaf is sound."""
         count = 0
-        touched: set[int] = set()
-        partitioned = self.descriptor.is_partitioned
+        routed: set[int] = set()
         with self.write_lock:
             txn = self._begin()
             try:
                 for row in rows:
-                    touched.add(self._insert_row(row, txn))
+                    self._insert_row(row, txn, routed)
                     count += 1
             finally:
                 # the WAL commit covers exactly the applied prefix: a
                 # mid-batch validation failure leaves rows 0..k applied in
                 # memory, and recovery must reproduce the same state
-                self._commit(txn)
-                if count:
-                    self._notify(frozenset(touched) if partitioned else None)
+                self._commit(txn, routed)
         return count
 
     def _begin(self):
@@ -126,9 +120,15 @@ class TableStore:
             return None
         return self.durability.begin(self.descriptor.oid)
 
-    def _commit(self, txn) -> None:
-        if txn is not None:
-            self.durability.commit(txn)
+    def _commit(self, txn, oids: Iterable[int] | None) -> None:
+        """Commit ``txn`` and report the write to ``oids`` (see
+        :meth:`_notify`), also when the commit raises: memory already
+        holds the write."""
+        try:
+            if txn is not None:
+                self.durability.commit(txn)
+        finally:
+            self._notify(oids)
 
     def _writable_copies(self, segment: int) -> tuple[bool, bool]:
         if self.health is None:
@@ -146,7 +146,9 @@ class TableStore:
         if not mirror:
             self.health.record_missed(segment, MIRROR)
 
-    def _insert_row(self, row: Sequence, txn=None) -> int:
+    def _insert_row(self, row: Sequence, txn, routed: set[int]) -> None:
+        """Validate, route and store one row, adding its bucket's OID to
+        ``routed`` before any copy takes it."""
         desc = self.descriptor
         validated = desc.schema.validate_row(row)
         if desc.is_partitioned:
@@ -159,6 +161,7 @@ class TableStore:
             oid = desc.leaf_oid(leaf)
         else:
             oid = desc.oid
+        routed.add(oid)
         for seg in self._target_segments(validated):
             if self.faults is not None and self.faults.active:
                 self.faults.maybe_fire(INSERT_ROW, seg)
@@ -171,11 +174,14 @@ class TableStore:
                 txn.add_insert(seg, oid, validated, primary, mirror)
             else:
                 self._record_missed(seg, primary, mirror)
-        return oid
 
-    def _notify(self, leaf_oids: frozenset | None) -> None:
-        if self.on_mutation is not None:
-            self.on_mutation(self.descriptor.oid, leaf_oids)
+    def _notify(self, oids: Iterable[int] | None) -> None:
+        """Report a write to the buckets ``oids`` (``None``: all of them;
+        empty: none, so no event)."""
+        desc = self.descriptor
+        if self.on_mutation is not None and (oids is None or oids):
+            scoped = oids is not None and desc.is_partitioned
+            self.on_mutation(desc.oid, desc.leaf_mask(oids) if scoped else None)
 
     def _target_segments(self, row: tuple) -> range | list[int]:
         dist = self.descriptor.distribution
@@ -199,8 +205,7 @@ class TableStore:
                     else:
                         self._record_missed(seg, primary, mirror)
             finally:
-                self._commit(txn)
-        self._notify(None)
+                self._commit(txn, None)
 
     def delete_from_leaf(self, segment: int, oid: int, rows: list[tuple]) -> None:
         """Remove specific rows (used by UPDATE's delete-then-insert)."""
@@ -226,10 +231,8 @@ class TableStore:
                 else:
                     self._record_missed(segment, primary, mirror)
             finally:
-                self._commit(txn)
-        self._notify(
-            frozenset((oid,)) if self.descriptor.is_partitioned else None
-        )
+                # a removal that raised part-way may have changed the leaf
+                self._commit(txn, (oid,))
 
     # -- recovery back door --------------------------------------------------
 

@@ -21,10 +21,10 @@ def _key(i: int):
     return statement_key(f"SELECT * FROM t WHERE a = {i}")
 
 
-def _entry(i: int, rows=((1,), (2,)), footprint_oid=50, leaves=(101, 102)):
-    return ResultEntry(
-        _key(i), list(rows), ["n"], {footprint_oid: frozenset(leaves)}
-    )
+def _entry(i: int, rows=((1,), (2,)), footprint_oid=50, leaves=(1, 2)):
+    """An entry whose footprint is the leaf mask of ordinals ``leaves``."""
+    mask = sum(1 << leaf for leaf in leaves)
+    return ResultEntry(_key(i), list(rows), ["n"], {footprint_oid: mask})
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +80,10 @@ def test_restore_same_key_replaces_without_leaking_bytes():
 
 def test_invalidate_drops_only_matching_entries():
     cache = ResultCache(max_entries=10, max_bytes=1 << 20)
-    cache.store(_entry(1, leaves=(101,), footprint_oid=50))
-    cache.store(_entry(2, leaves=(102,), footprint_oid=50))
-    cache.store(_entry(3, leaves=(101,), footprint_oid=60))
-    dropped = cache.invalidate(50, frozenset({101}))
+    cache.store(_entry(1, leaves=(1,), footprint_oid=50))
+    cache.store(_entry(2, leaves=(2,), footprint_oid=50))
+    cache.store(_entry(3, leaves=(1,), footprint_oid=60))
+    dropped = cache.invalidate(50, 1 << 1)
     assert dropped == 1
     assert cache.peek(_key(1)) is None
     assert cache.peek(_key(2)) is not None
@@ -146,11 +146,12 @@ def test_scoped_invalidation_is_partition_intersecting():
     facts = db.catalog.table("facts")
     opened = first.metrics.tracker.partitions["facts"]
     entry = _only_entry(db)
-    assert entry.footprint == {facts.oid: frozenset(opened)}
-    assert len(opened) == 1  # keys 0..20 live in the first of four leaves
-    unopened = set(facts.all_leaf_oids()) - opened
-    assert entry.stale_after(facts.oid, frozenset(opened))
-    assert not entry.stale_after(facts.oid, frozenset(unopened))
+    assert entry.footprint == {facts.oid: opened}
+    # keys 0..20 live in the first of four leaves
+    assert facts.leaf_oids(opened) == facts.all_leaf_oids()[:1]
+    unopened = facts.all_leaves & ~opened
+    assert entry.stale_after(facts.oid, opened)
+    assert not entry.stale_after(facts.oid, unopened)
     assert entry.stale_after(facts.oid, None)  # truncate, drop
 
 
@@ -162,7 +163,7 @@ def test_volatile_tables_stale_unconditionally():
     dim = db.catalog.table("dim")
     entry = _only_entry(db)
     assert entry.footprint[dim.oid] is None
-    assert entry.stale_after(dim.oid, frozenset({999}))
+    assert entry.stale_after(dim.oid, 1 << 3)
     assert entry.stale_after(dim.oid, None)
 
 

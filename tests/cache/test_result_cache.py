@@ -15,6 +15,7 @@ from repro.catalog import (
     TableSchema,
     uniform_int_level,
 )
+from repro.errors import SegmentFailure
 
 
 def _key(i: int):
@@ -22,6 +23,7 @@ def _key(i: int):
 
 
 def _entry(i: int, footprint):
+    """An entry whose footprint maps root OIDs to leaf masks."""
     return ResultEntry(
         _key(i), [(1, "a"), (2, "b")], ["n", "s"], footprint
     )
@@ -33,7 +35,7 @@ def _entry(i: int, footprint):
 
 
 def test_rows_are_frozen():
-    entry = _entry(1, {50: frozenset({101})})
+    entry = _entry(1, {50: 1 << 1})
     assert entry.rows == ((1, "a"), (2, "b"))
     assert isinstance(entry.rows, tuple)
     assert all(isinstance(row, tuple) for row in entry.rows)
@@ -41,30 +43,30 @@ def test_rows_are_frozen():
 
 
 def test_partitioned_footprint_intersects():
-    entry = _entry(1, {50: frozenset({101, 102})})
-    assert entry.stale_after(50, frozenset({102}))
-    assert not entry.stale_after(50, frozenset({103}))
+    entry = _entry(1, {50: 1 << 1 | 1 << 2})
+    assert entry.stale_after(50, 1 << 2)
+    assert not entry.stale_after(50, 1 << 3)
     assert entry.stale_after(50, None)  # truncate/drop
-    assert not entry.stale_after(60, frozenset({102}))  # other table
+    assert not entry.stale_after(60, 1 << 2)  # other table
 
 
 def test_whole_table_footprint_is_always_sensitive():
     entry = _entry(1, {50: None})
-    assert entry.stale_after(50, frozenset({999}))
+    assert entry.stale_after(50, 1 << 9)
     assert entry.stale_after(50, None)
 
 
 def test_multi_table_footprint():
-    entry = _entry(1, {50: frozenset({101}), 60: None})
-    assert entry.stale_after(60, frozenset({7}))
-    assert not entry.stale_after(50, frozenset({7}))
+    entry = _entry(1, {50: 1 << 1, 60: None})
+    assert entry.stale_after(60, 1 << 7)
+    assert not entry.stale_after(50, 1 << 7)
 
 
 def test_result_cache_invalidate_counts():
     cache = ResultCache(max_entries=10, max_bytes=1 << 20)
-    cache.store(_entry(1, {50: frozenset({101})}))
-    cache.store(_entry(2, {50: frozenset({102})}))
-    assert cache.invalidate(50, frozenset({101})) == 1
+    cache.store(_entry(1, {50: 1 << 1}))
+    cache.store(_entry(2, {50: 1 << 2}))
+    assert cache.invalidate(50, 1 << 1) == 1
     assert len(cache) == 1
     assert cache.peek(_key(2)) is not None
 
@@ -153,6 +155,42 @@ def test_join_footprint_covers_both_sides():
     assert db.sql(sql).metrics.cache_summary["result"] == "hit"
     db.insert("dim", [(1001, 3)])  # dim side: whole-table sensitivity
     assert db.sql(sql).metrics.cache_summary["result"] == "miss"
+
+
+@pytest.mark.parametrize(
+    "point, values, skip, segment, durable",
+    [
+        ("insert_row", "(55, 55)", 2, 2, False),
+        ("insert_row", "(3, 3), (55, 55)", 6, 2, False),
+        ("wal_append", "(55, 55)", 0, 0, True),
+        ("wal_fsync", "(55, 55)", 0, -1, True),
+    ],
+)
+def test_an_insert_failing_part_way_invalidates_its_rows_leaves(
+    tmp_path, point, values, skip, segment, durable
+):
+    """A replicated row stored on segments 0 and 1 before segment 2 fails
+    changed its leaf, and so did one every copy took before its WAL
+    append or fsync failed: the failed INSERT still drops the results
+    that leaf feeds, so a cached read answers what an uncached one does."""
+    db = Database(num_segments=4, data_dir=str(tmp_path) if durable else None)
+    db.create_table(
+        "r",
+        TableSchema.of(("id", t.INT), ("k", t.INT)),
+        distribution=DistributionPolicy.replicated(),
+        partition_scheme=PartitionScheme([uniform_int_level("k", 0, 100, 10)]),
+    )
+    db.insert("r", [(i, i) for i in range(20)])
+    sql = "SELECT count(*) FROM r WHERE k >= 50"
+    assert db.sql(sql, cache="results").rows == [(0,)]
+    assert db.sql(sql, cache="results").metrics.cache_summary["result"] == "hit"
+    db.faults.arm(point, mode="fail_once", skip=skip)
+    with pytest.raises(SegmentFailure, match=f"{point} on segment {segment} "):
+        db.sql(f"INSERT INTO r VALUES {values}")
+    db.faults.reset()
+    assert db.sql(sql, cache="results").rows == db.sql(sql, cache="off").rows
+    if durable:
+        db.durability.close()
 
 
 def test_dml_statements_are_never_result_cached():

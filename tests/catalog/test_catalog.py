@@ -7,6 +7,7 @@ from repro.catalog import (
     Catalog,
     DistributionPolicy,
     PartitionScheme,
+    TableDescriptor,
     TableSchema,
     uniform_int_level,
 )
@@ -59,7 +60,6 @@ def test_partitioned_table_gets_leaf_oids(catalog):
     assert len(set(oids)) == 5
     assert desc.oid not in oids
     for oid in oids:
-        assert catalog.owner_of_leaf(oid) is desc
         assert desc.leaf_oid(desc.leaf_id(oid)) == oid
 
 
@@ -111,16 +111,13 @@ def test_select_leaf_oids_unrestricted(catalog):
 
 
 def test_drop_table_releases_leaves(catalog):
-    desc = catalog.create_table(
+    catalog.create_table(
         "p",
         SCHEMA,
         partition_scheme=PartitionScheme([uniform_int_level("b", 0, 100, 5)]),
     )
-    leaf = desc.all_leaf_oids()[0]
     catalog.drop_table("p")
     assert not catalog.has_table("p")
-    with pytest.raises(CatalogError):
-        catalog.owner_of_leaf(leaf)
 
 
 def test_leaf_lookup_errors(catalog):
@@ -133,6 +130,40 @@ def test_leaf_lookup_errors(catalog):
         desc.leaf_oid((99,))
     with pytest.raises(PartitionError):
         desc.leaf_id(desc.oid)
+
+
+def test_leaf_masks_number_leaves_from_the_root_oid(catalog):
+    """Leaf ordinal i has OID root + 1 + i: bit i of a leaf mask."""
+    scheme = PartitionScheme(
+        [uniform_int_level("a", 0, 10, 2), uniform_int_level("b", 0, 100, 3)]
+    )
+    desc = catalog.create_table("p", SCHEMA, partition_scheme=scheme)
+    oids = desc.all_leaf_oids()
+    assert oids == list(range(desc.oid + 1, desc.oid + 7))
+    assert desc.all_leaves == 0b111111
+    assert desc.leaf_mask([oids[4], oids[1], oids[4]]) == 0b10010
+    assert desc.leaf_oids(0b10010) == [oids[1], oids[4]]
+    assert desc.leaves_through(oids[2]) == 0b111
+    # slots {1} x {0, 2}: leaves (1, 0) and (1, 2), ordinals 3 and 5
+    assert scheme.slots_mask([[1], [0, 2]]) == 0b101000
+    assert scheme.slots_mask([[0, 1], []]) == 0
+    with pytest.raises(PartitionError):
+        desc.leaf_mask([desc.oid])
+    plain = catalog.create_table("t", SCHEMA)
+    assert plain.all_leaves == plain.leaves_through(plain.oid) == 0
+    assert plain.leaf_oids(0) == []
+
+
+@pytest.mark.parametrize("oids", [(11, 13, 14), (12, 11, 13), (12, 13, 14)])
+def test_leaf_oids_must_follow_the_root_in_leaf_order(oids):
+    """A recovered descriptor is rebuilt from the OIDs on disk; ones that
+    do not number the leaves root + 1, root + 2, ... are refused."""
+    scheme = PartitionScheme([uniform_int_level("b", 0, 100, 3)])
+    leaves = list(scheme.leaf_ids())
+    policy = DistributionPolicy.hashed("a")
+    TableDescriptor(10, "p", SCHEMA, policy, scheme, dict(zip(leaves, (11, 12, 13))))
+    with pytest.raises(CatalogError, match="do not follow"):
+        TableDescriptor(10, "p", SCHEMA, policy, scheme, dict(zip(leaves, oids)))
 
 
 def test_schema_validation():

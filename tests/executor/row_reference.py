@@ -26,7 +26,6 @@ from repro.executor.iterators import (
     _delete_rows,
     _open_selector,
     _sort_key,
-    whole_table,
 )
 from repro.executor.runtime_funcs import (
     partition_constraints,
@@ -80,36 +79,42 @@ def _guarded_iter(limits, inner: RowIter) -> RowIter:
 # -- scans ---------------------------------------------------------------------
 
 
-def _scan_rows(op, segment: int, ctx: ExecContext, oids) -> RowIter:
+def _scan_rows(op, segment: int, ctx: ExecContext, mask: int) -> RowIter:
     """Each row is recorded as it is emitted, with the leaves opened since
     the row before it; empty leaves after the last row are recorded at the
     end (the pipeline's scan accounting at width 1)."""
     faults = ctx.faults if ctx.faults.active else None
-    store = ctx.storage.store(op.table.oid)
+    table = op.table
+    store = ctx.storage.store(table.oid)
+    if table.is_partitioned:
+        oids, leaf_mask = table.leaf_oids(mask), table.leaf_mask
+    else:  # the root OID holds the rows and is no leaf
+        oids, leaf_mask = [table.oid], lambda opened: 0
     opened: list[int] = []
     for oid in oids:
         opened.append(oid)
         for row in store.scan_segment(segment, [oid]):
             if faults is not None:
                 faults.maybe_fire(SCAN_ROW, segment)
-            ctx.metrics.record_scan(op, op.table, segment, opened, 1)
+            ctx.metrics.record_scan(op, table, segment, leaf_mask(opened), 1)
             opened = []
             yield row
     if opened:
-        ctx.metrics.record_scan(op, op.table, segment, opened, 0)
+        ctx.metrics.record_scan(op, table, segment, leaf_mask(opened), 0)
 
 
 def _scan_iter(op: phys.Scan, segment: int, ctx: ExecContext) -> RowIter:
-    return _scan_rows(op, segment, ctx, whole_table(op.table))
+    return _scan_rows(op, segment, ctx, op.table.all_leaves)
 
 
 def _leaf_scan_iter(op: phys.LeafScan, segment: int, ctx: ExecContext) -> RowIter:
+    mask = op.table.leaf_mask((op.leaf_oid,))
     if op.guard_scan_id is not None:
         # Several LeafScans share one guard channel — read, don't consume.
         selected = ctx.channel(op.guard_scan_id, segment).peek()
-        if op.leaf_oid not in selected:
+        if not mask & selected:
             return
-    yield from _scan_rows(op, segment, ctx, [op.leaf_oid])
+    yield from _scan_rows(op, segment, ctx, mask)
 
 
 def _dynamic_scan_iter(op: phys.DynamicScan, segment: int, ctx: ExecContext) -> RowIter:
@@ -133,7 +138,7 @@ def _partition_selector_iter(
     scan_id = op.spec.part_scan_id
     for row in build_iterator(op.children[0], segment, ctx):
         [values] = program.values([row])
-        partition_propagation(ctx, scan_id, segment, program.oids_for(values))
+        partition_propagation(ctx, scan_id, segment, program.mask_for(values))
         yield row
     _close_selector(scan_id, segment, ctx)
 
@@ -172,14 +177,14 @@ def _propagating_project_iter(op: PropagatingProject, segment: int, ctx: ExecCon
         layout = child.output_layout()
         oid_index = layout.resolve(ColumnRef(OID_COLUMN))
         for row in build_iterator(child, segment, ctx):
-            partition_propagation(ctx, scan_id, segment, [row[oid_index]])
+            partition_propagation(ctx, scan_id, segment, op.table.leaf_mask([row[oid_index]]))
             yield row
     else:
         key_fn = compile_expression(op.key_expr, child.output_layout(), ctx.params)
         for row in build_iterator(child, segment, ctx):
             oid = partition_selection(ctx.catalog, op.table.oid, key_fn(row))
             if oid is not None:
-                partition_propagation(ctx, scan_id, segment, [oid])
+                partition_propagation(ctx, scan_id, segment, op.table.leaf_mask([oid]))
             yield row
     if ctx.faults.active:
         ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)

@@ -428,6 +428,7 @@ from repro.expr.ast import (  # noqa: E402
 )
 from repro.physical.ops import (  # noqa: E402
     Delete,
+    DynamicScan,
     EmptyScan,
     Filter,
     GatherMotion,
@@ -435,10 +436,13 @@ from repro.physical.ops import (  # noqa: E402
     HashJoin,
     Limit,
     NLJoin,
+    PartitionSelector,
     Project,
     Scan,
+    Sequence,
     Sort,
 )
+from repro.physical.properties import PartSelectorSpec  # noqa: E402
 from repro.storage import StorageManager  # noqa: E402
 
 #: l(k, g, v) and r(k, g, w): NULLs in every column, duplicate keys on both
@@ -455,6 +459,9 @@ R_ROWS = [
 
 #: build rows of ``l`` that have a join key
 KEYED = sum(1 for row in L_ROWS if row[0] is not None)
+#: parts(k, g, v): ten leaves on ``k``, four rows in each
+PARTS_SCHEME = PartitionScheme([uniform_int_level("k", 0, 10, 10)])
+PARTS_ROWS = [(i % 10, i % 3, 0.1 * i) for i in range(40)]
 
 
 @pytest.fixture(scope="module")
@@ -467,9 +474,11 @@ def kernel_env():
         ("r", (("k", t.INT), ("g", t.INT), ("w", t.INT)), R_ROWS),
         ("nulls", (("k", t.INT), ("g", t.INT), ("v", t.FLOAT)),
          [(None, 1, None), (None, 1, None), (None, 2, None)]),
+        ("parts", (("k", t.INT), ("g", t.INT), ("v", t.FLOAT)), PARTS_ROWS),
     ):
         table = catalog.create_table(
-            name, TableSchema.of(*columns), distribution=DistributionPolicy.replicated()
+            name, TableSchema.of(*columns), distribution=DistributionPolicy.replicated(),
+            partition_scheme=PARTS_SCHEME if name == "parts" else None,
         )
         storage.register(table)
         storage.store(table.oid).insert_many(rows)
@@ -875,6 +884,14 @@ ABANDONED = {
         JOINS["inner-single-key"](tables), [(_col("k", "b"), "k")]
     )),
     "nl-join": ("NLJoin", _nl_join("inner")),
+    # a static PartitionSelector fills the channel of leaves 3-9 of parts
+    "dynamic-scan": ("Sequence", lambda tables: Sequence([
+        PartitionSelector(PartSelectorSpec(
+            1, tables["parts"], [_col("k", "x")],
+            [Comparison(">=", _col("k", "x"), Literal(3))],
+        )),
+        DynamicScan(tables["parts"], "x", 1),
+    ])),
 }
 
 
@@ -902,6 +919,39 @@ def test_limit_contract_below_an_abandoned_child(kernel_env, shape, count, width
             assert out == out1 == [count]
         if op == child:
             assert out[0] <= out1[0] + width - 1
+
+
+def _scan_leaves(kernel_env, make_tree, width):
+    """The leaf OIDs the DynamicScan of a fresh tree counted, run through
+    the row reference (``width=None``) or the pipeline."""
+    catalog, storage, tables = kernel_env
+    ctx = ExecContext(
+        catalog, storage, 1, settings=QuerySettings(batch_size=width or 1)
+    )
+    tree = make_tree(tables)
+    if width is None:
+        list(row_reference.build_iterator(tree, 0, ctx))
+    else:
+        list(build_batches(tree, 0, ctx))
+    [scan] = [node for node in ctx.metrics.nodes if node.op == "DynamicScan"]
+    return scan.to_dict()["scan"]["partition_oids"]
+
+
+@pytest.mark.parametrize("count", [1, 5, 20])
+def test_an_abandoned_partitioned_scan_counts_the_leaves_it_emitted(kernel_env, count):
+    """docs/observability.md, "Width invariance": an abandoned scan has
+    counted exactly the leaves of the batches it emitted.  At width 1 those
+    are the row reference's; a wider batch may reach further, never less
+    far, and always along the selected leaves in OID order."""
+    make = _limited(count, ABANDONED["dynamic-scan"][1])
+    selected = kernel_env[2]["parts"].all_leaf_oids()[3:]
+    narrow = _scan_leaves(kernel_env, make, 1)
+    assert narrow == _scan_leaves(kernel_env, make, None)
+    assert narrow == selected[: -(-count // 4)]  # four rows per leaf
+    for width in (7, 1024):
+        wide = _scan_leaves(kernel_env, make, width)
+        assert set(narrow) <= set(wide)
+        assert wide == selected[: len(wide)]
 
 
 # -- SQL level: the two fixed answers at both optimizers and widths ----------
@@ -978,7 +1028,8 @@ def test_dynamic_scan_emits_full_width_batches(lineitem_361):
             store.scan_segment(segment, leaves)
         )
     scan = next(n for n in ctx.metrics.nodes if n.op == "DynamicScan")
-    assert scan.partitions == [set(leaves)] * db.num_segments
+    table = db.catalog.table("lineitem")
+    assert [table.leaf_oids(mask) for mask in scan.partitions] == [leaves] * db.num_segments
     assert scan.rows_scanned == [store.segment_row_count(s) for s in range(4)]
 
 
@@ -993,7 +1044,7 @@ def test_io_latency_is_one_sleep_per_opened_leaf(lineitem_361, monkeypatch):
         "SELECT count(*) FROM lineitem WHERE l_shipdate < '1993-07-01'", analyze=True
     )
     scan = next(n for n in result.metrics.nodes if n.op == "DynamicScan")
-    opened = sum(len(leaves) for leaves in scan.partitions)
+    opened = sum(mask.bit_count() for mask in scan.partitions)
     assert opened == db.num_segments * result.partitions_scanned("lineitem") > 0
     assert slept == [0.001] * opened
 
@@ -1044,5 +1095,6 @@ def test_empty_leaves_after_the_last_row_are_counted(width):
         next(n for n in metrics.nodes if n.op == "DynamicScan")
         for metrics in (result.metrics, ctx.metrics)
     ]
-    assert scans[0].partitions == scans[1].partitions == [set(db.catalog.table("t").all_leaf_oids())] * 3
+    table = db.catalog.table("t")
+    assert scans[0].partitions == scans[1].partitions == [table.all_leaves] * 3
     assert scans[0].rows_scanned == scans[1].rows_scanned

@@ -1,4 +1,5 @@
-"""OID channel protocol: producer-before-consumer enforcement."""
+"""Partition channel protocol: producer-before-consumer enforcement.  A
+channel carries a leaf mask (bit *i* = leaf ordinal *i*)."""
 
 import pytest
 
@@ -8,16 +9,16 @@ from repro.executor.channels import ChannelRegistry, OidChannel
 
 def test_push_consume_roundtrip():
     channel = OidChannel(1, 0)
-    channel.push(30)
-    channel.push(10)
-    channel.push(30)  # duplicates collapse
+    channel.push(1 << 3)
+    channel.push(1 << 1)
+    channel.push(1 << 3)  # duplicates collapse
     channel.close()
-    assert channel.consume() == [10, 30]
+    assert channel.consume() == 0b1010
 
 
 def test_consume_before_close_raises():
     channel = OidChannel(1, 0)
-    channel.push(10)
+    channel.push(1 << 1)
     with pytest.raises(ChannelError, match="before its PartitionSelector"):
         channel.consume()
 
@@ -26,13 +27,13 @@ def test_push_after_close_raises():
     channel = OidChannel(1, 0)
     channel.close()
     with pytest.raises(ChannelError, match="closed"):
-        channel.push(10)
+        channel.push(1 << 1)
 
 
 def test_empty_selection_is_valid():
     channel = OidChannel(1, 0)
     channel.close()
-    assert channel.consume() == []
+    assert channel.consume() == 0
 
 
 def test_registry_keys_by_scan_and_segment():
@@ -52,7 +53,7 @@ def test_registry_keys_by_scan_and_segment():
 
 def test_double_close_raises():
     channel = OidChannel(1, 0)
-    channel.push(10)
+    channel.push(1 << 1)
     channel.close()
     with pytest.raises(ChannelError, match="double close"):
         channel.close()
@@ -60,26 +61,26 @@ def test_double_close_raises():
 
 def test_double_consume_raises():
     channel = OidChannel(1, 0)
-    channel.push(10)
+    channel.push(1 << 1)
     channel.close()
-    assert channel.consume() == [10]
+    assert channel.consume() == 1 << 1
     with pytest.raises(ChannelError, match="consumed twice"):
         channel.consume()
 
 
 def test_peek_is_non_destructive():
     channel = OidChannel(1, 0)
-    channel.push(10)
-    channel.push(20)
+    channel.push(1 << 1)
+    channel.push(1 << 2)
     channel.close()
-    assert channel.peek() == [10, 20]
-    assert channel.peek() == [10, 20]  # repeatable, unlike consume()
-    assert channel.consume() == [10, 20]
+    assert channel.peek() == 0b110
+    assert channel.peek() == 0b110  # repeatable, unlike consume()
+    assert channel.consume() == 0b110
 
 
 def test_peek_before_close_raises():
     channel = OidChannel(1, 0)
-    channel.push(10)
+    channel.push(1 << 1)
     with pytest.raises(ChannelError, match="before its producer"):
         channel.peek()
 
@@ -94,9 +95,9 @@ def test_registry_discard_drops_all_segments():
     assert len(registry.channels()) == 1
     # A fresh channel replaces the discarded one (retry path).
     fresh = registry.channel(1, 0)
-    fresh.push(5)
+    fresh.push(1 << 5)
     fresh.close()
-    assert fresh.consume() == [5]
+    assert fresh.consume() == 1 << 5
 
 
 def test_registry_discard_scoped_to_one_segment():
@@ -104,7 +105,7 @@ def test_registry_discard_scoped_to_one_segment():
     healthy segments' filled-and-closed channels must survive."""
     registry = ChannelRegistry()
     survivor = registry.channel(1, 0)
-    survivor.push(7)
+    survivor.push(1 << 7)
     survivor.close()
     registry.channel(1, 2)
     registry.channel(2, 2)
@@ -112,4 +113,4 @@ def test_registry_discard_scoped_to_one_segment():
     assert removed == 2
     assert registry.channels() == [survivor]
     # The untouched channel is still drainable by its consumer.
-    assert survivor.consume() == [7]
+    assert survivor.consume() == 1 << 7

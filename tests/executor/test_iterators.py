@@ -287,7 +287,7 @@ def test_append_and_guarded_leaf_scan(env):
     )
     ctx = ExecContext(catalog, storage, SEGMENTS)
     channel = ctx.channel(9, 0)
-    channel.push(oids[1])
+    channel.push(part.leaf_mask([oids[1]]))
     channel.close()
     rows = rows_of(append, 0, ctx)
     assert all(25 <= r[0] < 50 for r in rows)

@@ -94,10 +94,10 @@ def test_partition_propagation(env):
     storage = StorageManager(catalog, 2)
     ctx = ExecContext(catalog, storage, num_segments=2)
     target = single.all_leaf_oids()[0]
-    partition_propagation(ctx, 7, 1, [target])
+    partition_propagation(ctx, 7, 1, single.leaf_mask([target]))
     channel = ctx.channel(7, 1)
     channel.close()
-    assert channel.consume() == [target]
+    assert single.leaf_oids(channel.consume()) == [target]
     # other segment's channel is unaffected
     other = ctx.channel(7, 0)
     with pytest.raises(ChannelError):

@@ -196,7 +196,9 @@ def _propagating_project_batches(
     for batch in build_batches(child, segment, ctx):
         oids = oids_of(batch)
         if oids:
-            partition_propagation(ctx, scan_id, segment, oids)
+            partition_propagation(
+                ctx, scan_id, segment, op.table.leaf_mask(oids), len(oids)
+            )
         yield batch
     if ctx.faults.active:
         ctx.faults.maybe_fire(CHANNEL_CLOSE, segment)

@@ -159,7 +159,8 @@ def test_storage_manager_scan_leaf():
     oid = desc.leaf_oid((0,))
     rows = []
     for segment in range(3):
-        rows.extend(manager.scan_leaf(segment, oid))
+        for batch in manager.scan_table_batches(segment, desc.oid, [oid]):
+            rows.extend(batch)
     assert rows == [(1, 5)]
 
 
