@@ -18,7 +18,7 @@ def test_ablation_planner_param_dpe(benchmark):
 def _report():
     db = build_rs_database(num_parts=20, rows_per_table=400)
     # Concentrate the driving side so skipping is observable.
-    db.storage.store_by_name("r").truncate()
+    db.sql("DELETE FROM r")
     db.insert("r", [(i, i % 1000) for i in range(400)])
     db.analyze("r")
 

@@ -6,7 +6,7 @@ The manager ties the pieces together:
   :data:`RESULT_MAX_ENTRIES` and :data:`RESULT_MAX_BYTES`.
 * It subscribes to storage mutations
   (:meth:`~repro.storage.StorageManager.add_mutation_listener`): every
-  INSERT/UPDATE/DELETE/TRUNCATE event carries the target root OID and the
+  INSERT/UPDATE/DELETE event carries the target root OID and the
   leaf mask of the touched partitions, bumps the global **mutation
   epoch**, and drops exactly the entries the event stales (the
   partition-intersection rule).
@@ -62,9 +62,9 @@ class CacheManager:
     # -- mutation path -------------------------------------------------------
 
     def on_mutation(self, root_oid: int, leaves: int | None) -> None:
-        """One DML/TRUNCATE event: ``leaves`` is the leaf mask of the
-        touched partitions, ``None`` means the whole table (truncate,
-        drop, unpartitioned target).  Bumps the epoch *first* so in-flight
+        """One DML event: ``leaves`` is the leaf mask of the touched
+        partitions, ``None`` means the whole table (drop, unpartitioned
+        target).  Bumps the epoch *first* so in-flight
         sessions refuse to commit, then drops stale entries."""
         with self._lock:
             self._epoch += 1

@@ -5,25 +5,28 @@ under ``data_dir``::
 
     data_dir/
       wal/
-        seg0.wal .. segN.wal   per-segment data records (insert/delete/
-                               truncate), JSONL, CRC-stamped, LSN-ordered
+        seg0.wal .. segN.wal   per-segment data records (insert/delete),
+                               JSONL, CRC-stamped, LSN-ordered
         catalog.wal            DDL records (create_table / drop_table)
         commit.wal             commit markers: {"xid", "lsns": [...]}
       checkpoint/              last complete snapshot (manifest.json +
                                one seg<N>.json per segment)
       checkpoint.old/          previous snapshot, kept during the swap
 
-**Logging.**  The storage layer applies a statement's mutations under
-the storage-wide write lock, buffering one WAL record per touched
-(segment, copies) group in a :class:`WalTransaction`; :meth:`commit`
-then assigns LSNs, appends the data records to their per-segment files,
-appends one commit marker, and fsyncs when ``wal_sync == 'sync'``.
-Recovery replays only LSNs named by a valid commit marker, so a crash
-mid-statement can never resurrect half a statement — the torn tail of
-any file is dropped wholesale.
+**Logging.**  The storage layer stages a statement's whole write set
+under the storage-wide write lock, buffering one delete record per
+touched bucket and one insert record per (segment, copies) group in a
+:class:`WalTransaction`; :meth:`commit` then assigns LSNs, appends the
+data records to their per-segment files, appends one commit marker, and
+fsyncs when ``wal_sync == 'sync'``.  Only after the commit returns does
+storage publish the write.  Recovery replays only LSNs named by a valid
+commit marker, so a crash mid-statement can never resurrect half a
+statement — the torn tail of any file is dropped wholesale — and a
+commit that raises is cut out of ``commit.wal``.
 
 **Missed-write tracking.**  A record whose target segment had a copy
-down is still logged (the survivor applied it); its LSN is reported to
+down is still logged (the survivor takes it); once its commit marker is
+durable, its LSN is reported to
 :class:`~repro.resilience.SegmentHealth` as *missed* by that copy, and
 :meth:`resync_replay` — installed as the health resync handler — later
 replays exactly those LSNs from the segment's WAL into the rejoining
@@ -124,16 +127,6 @@ class WalTransaction:
                 "segment": segment,
                 "leaf": leaf_oid,
                 "rows": [encode_row(row) for row in rows],
-                "copies": [primary, mirror],
-            }
-        )
-
-    def add_truncate(self, segment: int, primary: bool, mirror: bool) -> None:
-        self.ops.append(
-            {
-                "type": "truncate",
-                "table": self.table_oid,
-                "segment": segment,
                 "copies": [primary, mirror],
             }
         )
@@ -301,7 +294,11 @@ class DurabilityManager:
 
     def commit(self, txn: WalTransaction) -> None:
         """Assign LSNs, append the buffered records + a commit marker,
-        fsync in ``sync`` mode, and report missed LSNs to health."""
+        fsync in ``sync`` mode, and then report missed LSNs to health.
+
+        A commit that raises is never recovered: its data records carry
+        no marker, and a failure after the marker's append cuts
+        ``commit.wal`` back to its size before the marker."""
         if not txn.ops:
             return
         with self._lock:
@@ -312,25 +309,30 @@ class DurabilityManager:
                 self._next_lsn += 1
                 op["xid"] = txn.xid
                 lsns.append(op["lsn"])
-                segment = op["segment"]
-                self._fire(WAL_APPEND, segment)
-                wal = self._segment_wals[segment]
+                self._fire(WAL_APPEND, op["segment"])
+                wal = self._segment_wals[op["segment"]]
                 self._count_record(wal.append(op))
                 if wal not in synced:
                     synced.append(wal)
-                primary, mirror = op["copies"]
-                if not primary:
-                    self.health.record_missed(segment, PRIMARY, [op["lsn"]])
-                if not mirror:
-                    self.health.record_missed(segment, MIRROR, [op["lsn"]])
             if self.wal_sync == SYNC:
                 for wal in synced:
                     self._fsync(wal)
             self._fire(WAL_APPEND, SHARED_SEGMENT)
             marker = {"type": "commit", "xid": txn.xid, "lsns": lsns}
+            before = self._commit_wal.size()
             self._count_record(self._commit_wal.append(marker))
             if self.wal_sync == SYNC:
-                self._fsync(self._commit_wal)
+                try:
+                    self._fsync(self._commit_wal)
+                except BaseException:
+                    self._commit_wal.reset(before)
+                    raise
+            for op in txn.ops:
+                primary, mirror = op["copies"]
+                if not primary:
+                    self.health.record_missed(op["segment"], PRIMARY, [op["lsn"]])
+                if not mirror:
+                    self.health.record_missed(op["segment"], MIRROR, [op["lsn"]])
 
     def log_create_table(self, descriptor) -> None:
         self._log_ddl(
@@ -567,8 +569,8 @@ class DurabilityManager:
 
     @staticmethod
     def _apply_data_record(store, record: dict, copies: tuple) -> None:
-        """Apply one insert/delete/truncate record to the named copies of
-        its segment, bypassing logging and health gates."""
+        """Apply one insert/delete record to the named copies of its
+        segment, bypassing logging and health gates."""
         segment = record["segment"]
         kind = record["type"]
         schema = store.descriptor.schema
@@ -593,8 +595,6 @@ class DurabilityManager:
                         bucket.remove(validated)
                     except ValueError:
                         pass  # this copy never had the row (missed insert)
-            elif kind == "truncate":
-                buckets.clear()
 
     # -- online resync (the SegmentHealth resync handler) ---------------------
 

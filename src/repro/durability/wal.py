@@ -141,11 +141,12 @@ class WalFile:
     def size(self) -> int:
         return self.path.stat().st_size if self.path.exists() else 0
 
-    def reset(self) -> None:
-        """Truncate to empty (checkpoint log truncation)."""
+    def reset(self, size: int = 0) -> None:
+        """Truncate to ``size`` bytes: empty for checkpoint log truncation,
+        the size before a commit marker whose commit failed."""
         fh = self._ensure_open()
-        fh.truncate(0)
-        fh.seek(0)
+        fh.truncate(size)
+        fh.seek(size)
 
     def close(self) -> None:
         if self._fh is not None:

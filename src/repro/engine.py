@@ -269,8 +269,9 @@ class Database:
         return self.durability.checkpoint()
 
     def insert(self, table: str, rows) -> int:
-        """Bulk-load rows (faster than SQL INSERT for generators)."""
-        return self.storage.store_by_name(table).insert_many(rows)
+        """Bulk-load rows (faster than SQL INSERT for generators) as
+        one write: all of them, or none when one fails."""
+        return self.storage.store_by_name(table).write(rows)
 
     def analyze(self, table: str | None = None) -> None:
         """Collect statistics (ANALYZE) for one or all tables."""

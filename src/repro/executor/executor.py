@@ -370,10 +370,13 @@ class MppExecutor:
 
         Transient faults need no state change — the retry itself is the
         recovery.  Persistent faults mark the primary down; recovery
-        succeeds iff the mirror can take over.
+        succeeds iff the mirror can take over.  A shared log's failure
+        (segment -1: the catalog or commit log) has no mirror to take over.
         """
         if failure.transient:
             return True
+        if not 0 <= failure.segment < self.num_segments:
+            return False
         health = self.storage.health
         reason = failure.point or "segment failure"
         mirror_ok = health.failover(failure.segment, reason)

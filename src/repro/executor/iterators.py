@@ -51,7 +51,6 @@ from ..expr.eval import RowLayout, compile_predicate
 from ..physical import ops as phys
 from ..physical.properties import PartSelectorSpec
 from ..resilience.faults import CHANNEL_CLOSE, SCAN_ROW
-from ..storage.distribution import segment_for
 from .context import COORDINATOR_SEGMENT, ExecContext
 from .kernels import (
     filter_kernel,
@@ -705,34 +704,6 @@ def _target_columns(op) -> list[ColumnRef]:
     ]
 
 
-def _delete_rows(target: TableDescriptor, rows: list[tuple], ctx: ExecContext):
-    """Remove ``rows`` from ``target``: each is located through ``f_T``
-    (its leaf) and the distribution hash (its segment; every segment for a
-    replicated table), then removed with one call per (segment, leaf)."""
-    dist = target.distribution
-    replicated = dist.kind == "replicated"
-    if not replicated:
-        col_idx = target.schema.column_index(dist.column)  # type: ignore[arg-type]
-    deletions: dict[tuple[int, int], list[tuple]] = {}
-    for row in rows:
-        if target.is_partitioned:
-            leaf = target.route_row(row)
-            assert leaf is not None
-            oid = target.leaf_oid(leaf)
-        else:
-            oid = target.oid
-        segments = (
-            range(ctx.num_segments)
-            if replicated
-            else [segment_for(row[col_idx], ctx.num_segments)]
-        )
-        for seg in segments:
-            deletions.setdefault((seg, oid), []).append(row)
-    store = ctx.storage.store(target.oid)
-    for (seg, oid), doomed in deletions.items():
-        store.delete_from_leaf(seg, oid, doomed)
-
-
 def _update_batches(op: phys.Update, segment: int, ctx: ExecContext) -> BatchIter:
     child = op.children[0]
     columns = _target_columns(op)
@@ -744,26 +715,22 @@ def _update_batches(op: phys.Update, segment: int, ctx: ExecContext) -> BatchIte
             for exprs in (columns, [assigned.get(c.name, c) for c in columns])
         ),
     )
-    old_rows: list[tuple] = []
-    new_rows: list[tuple] = []
+    # a FROM join may match the same target row several times; the first
+    # match sets its new value (PostgreSQL keeps an arbitrary one)
+    replace: dict[tuple, tuple] = {}
     for batch in build_batches(child, segment, ctx):
-        old_rows += old_of(batch)
-        new_rows += new_of(batch)
+        for old, new in zip(old_of(batch), new_of(batch)):
+            replace.setdefault(old, new)
 
     if segment != COORDINATOR_SEGMENT:
         # The child stream is gathered; only the coordinator applies.
-        if old_rows:
+        if replace:
             raise ExecutionError(
                 "Update received rows on a non-coordinator segment"
             )
         return
-    # Delete-then-insert: re-routes rows whose partition key or
-    # distribution key changed.
-    _delete_rows(op.target, old_rows, ctx)
-    store = ctx.storage.store(op.target.oid)
-    for row in new_rows:
-        store.insert(row)
-    yield [(len(new_rows),)]
+    # storage re-routes rows whose partition or distribution key changed
+    yield [(ctx.storage.store(op.target.oid).write(replace=replace),)]
 
 
 def _delete_batches(op: phys.Delete, segment: int, ctx: ExecContext) -> BatchIter:
@@ -775,7 +742,7 @@ def _delete_batches(op: phys.Delete, segment: int, ctx: ExecContext) -> BatchIte
         ),
     )
     # a USING join may match the same target row several times; it is
-    # still deleted once (PostgreSQL semantics)
+    # still deleted once, with every stored row of its value
     victims: dict[tuple, None] = {}
     for batch in build_batches(child, segment, ctx):
         victims.update(dict.fromkeys(victim_of(batch)))
@@ -786,8 +753,7 @@ def _delete_batches(op: phys.Delete, segment: int, ctx: ExecContext) -> BatchIte
                 "Delete received rows on a non-coordinator segment"
             )
         return
-    _delete_rows(op.target, list(victims), ctx)
-    yield [(len(victims),)]
+    yield [(ctx.storage.store(op.target.oid).write(replace=victims),)]
 
 
 OPERATORS.update(

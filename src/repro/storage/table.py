@@ -18,14 +18,17 @@ this on registration) and marks a primary down, reads for that segment
 are served from the mirror; a double fault raises
 :class:`~repro.errors.SegmentFailure`.
 
-Writes are health-gated the same way: a down copy is *skipped* (the
-survivor still takes the write) and the skipped mutation is reported to
-health as missed, so the copy cannot rejoin until a resync replays it —
-see :meth:`SegmentHealth.recover`.  All mutations run under the
-storage-wide ``write_lock`` and, when a
-:class:`~repro.durability.DurabilityManager` is attached, append WAL
-records through a per-statement :class:`WalTransaction` committed in the
-same critical section.
+Every mutation goes through one entry, :meth:`TableStore.write`: one
+call is one statement's whole write set.  It runs under the
+storage-wide ``write_lock``, logs one
+:class:`~repro.durability.manager.WalTransaction` under one commit
+marker when a :class:`~repro.durability.DurabilityManager` is attached,
+and publishes by assigning each touched bucket a new list.  Live
+buckets are never mutated in place, so a scan keeps the lists it
+started on.  Writes are health-gated like reads: a down copy is
+*skipped* (the survivor still takes the write) and the skipped mutation
+is reported to health as missed, so the copy cannot rejoin until a
+resync replays it — see :meth:`SegmentHealth.recover`.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import iadd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..catalog import DistributionPolicy, TableDescriptor
 from ..errors import PartitionError
@@ -79,61 +83,115 @@ class TableStore:
             {} for _ in range(num_segments)
         ]
         #: mutation hook ``fn(root_oid, leaves | None)`` — set by the
-        #: StorageManager; fires after every write, failed ones included,
-        #: with the leaf mask of the leaves it touched or may have touched
-        #: (``None`` = whole table: truncate, unpartitioned target).  The
+        #: StorageManager; fires once per published write with the leaf
+        #: mask of the leaves it changed (``None`` = whole table: an
+        #: unpartitioned target), never for a write that raised.  The
         #: cache layer's partition-scoped invalidation hangs off this.
         self.on_mutation = None
 
     # -- writes -----------------------------------------------------------
 
-    def insert(self, row: Sequence) -> None:
-        """Validate, route (``f_T``) and distribute one row.
+    def write(
+        self,
+        inserts: Iterable[Sequence] = (),
+        replace: Mapping[tuple, tuple | None] | None = None,
+    ) -> int:
+        """Apply one statement's whole write set: insert ``inserts`` and
+        replace every stored row whose value is a key of ``replace`` by
+        its value (``None`` deletes it).  Returns the number of rows
+        inserted, deleted or updated; a replicated table counts its first
+        segment's copies.  Raises :class:`PartitionError` for a row no
+        partition accepts (⊥).
 
-        Raises :class:`PartitionError` when the row maps to the invalid
-        partition ⊥ — no partition accepts its key values.
+        The write stages (routes every row and fires every fault point:
+        ``delete_rows`` per bucket that loses rows, then ``insert_row``
+        per row and target segment), builds a new list per touched
+        bucket of each writable copy, logs one WAL transaction, and only
+        then publishes the lists and fires one mutation event.  A write
+        that raises has changed nothing.
         """
-        self.insert_many((row,))
+        replace = replace or {}
+        faults = self.faults if self.faults is not None and self.faults.active else None
+        replicated = self.descriptor.distribution.kind == DistributionPolicy.REPLICATED
+        validate = self.descriptor.schema.validate_row
+        copies: dict[int, tuple[bool, bool]] = {}
+        doomed: dict[tuple[int, int], set[tuple]] = {}
+        lost: dict[tuple[int, int], list[tuple]] = {}
+        gained: dict[tuple[int, int], list[tuple]] = {}
+        replaced: Counter = Counter()
 
-    def insert_many(self, rows: Iterable[Sequence]) -> int:
-        """Bulk insert, batching the mutation notification: one event
-        carrying every leaf a row was routed to, not one per row.  A row
-        that fails part-way (a segment failing after others stored it)
-        is in the event too: invalidating an unchanged leaf is sound."""
-        count = 0
-        routed: set[int] = set()
+        def gain(row: Sequence) -> None:
+            validated = validate(row)
+            oid = self._leaf_of(validated)
+            for seg in self._target_segments(validated):
+                if faults is not None:
+                    faults.maybe_fire(INSERT_ROW, seg)
+                self._writable_copies(seg, copies)
+                gained.setdefault((seg, oid), []).append(validated)
+
         with self.write_lock:
-            txn = self._begin()
-            try:
-                for row in rows:
-                    self._insert_row(row, txn, routed)
-                    count += 1
-            finally:
-                # the WAL commit covers exactly the applied prefix: a
-                # mid-batch validation failure leaves rows 0..k applied in
-                # memory, and recovery must reproduce the same state
-                self._commit(txn, routed)
+            # 1. stage
+            for old in replace:
+                oid = self._leaf_of(old)
+                for seg in self._target_segments(old):
+                    doomed.setdefault((seg, oid), set()).add(old)
+            for (seg, oid), values in doomed.items():
+                primary, _ = self._writable_copies(seg, copies)
+                bucket = (self._rows if primary else self._mirror)[seg].get(oid, ())
+                removed = [row for row in bucket if row in values]
+                if removed:
+                    if faults is not None:
+                        faults.maybe_fire(DELETE_ROWS, seg)
+                    lost[seg, oid] = removed
+                    if not replicated or seg == 0:
+                        replaced.update(removed)
+            count = replaced.total()
+            for row in inserts:
+                gain(row)
+                count += 1
+            for old, new in replace.items():
+                if new is not None:
+                    for _ in range(replaced[old]):
+                        gain(new)
+            # 2. build
+            touched = dict.fromkeys(chain(lost, gained))
+            staged = []
+            for seg, oid in touched:
+                values, added = doomed.get((seg, oid)), gained.get((seg, oid), [])
+                for copy, writable in zip((self._rows, self._mirror), copies[seg]):
+                    if writable:
+                        rows = copy[seg].get(oid, [])
+                        if values:
+                            rows = [row for row in rows if row not in values]
+                        staged.append((copy[seg], oid, rows + added))
+            # 3. log
+            if self.durability is not None and touched:
+                txn = self.durability.begin(self.descriptor.oid)
+                for (seg, oid), removed in lost.items():
+                    txn.add_delete(seg, oid, removed, *copies[seg])
+                for (seg, oid), added in gained.items():
+                    for row in added:
+                        txn.add_insert(seg, oid, row, *copies[seg])
+                self.durability.commit(txn)
+            # 4. publish
+            for buckets, oid, rows in staged:
+                buckets[oid] = rows
+            for seg in dict.fromkeys(seg for seg, _ in touched):
+                self._record_missed(seg, *copies[seg])
+            self._notify({oid for _, oid in touched})
         return count
 
-    def _begin(self):
-        if self.durability is None:
-            return None
-        return self.durability.begin(self.descriptor.oid)
-
-    def _commit(self, txn, oids: Iterable[int] | None) -> None:
-        """Commit ``txn`` and report the write to ``oids`` (see
-        :meth:`_notify`), also when the commit raises: memory already
-        holds the write."""
-        try:
-            if txn is not None:
-                self.durability.commit(txn)
-        finally:
-            self._notify(oids)
-
-    def _writable_copies(self, segment: int) -> tuple[bool, bool]:
-        if self.health is None:
-            return True, True
-        return self.health.writable_copies(segment)
+    def _writable_copies(
+        self, segment: int, copies: dict[int, tuple[bool, bool]]
+    ) -> tuple[bool, bool]:
+        """(primary, mirror): the copies of ``segment`` a write goes to,
+        asked of health once per write and kept in ``copies``."""
+        if segment not in copies:
+            health = self.health
+            copies[segment] = (
+                (True, True) if health is None else health.writable_copies(segment)
+            )
+        return copies[segment]
 
     def _record_missed(self, segment: int, primary: bool, mirror: bool) -> None:
         """Without a WAL there are no LSNs to track, so a skipped copy is
@@ -146,42 +204,24 @@ class TableStore:
         if not mirror:
             self.health.record_missed(segment, MIRROR)
 
-    def _insert_row(self, row: Sequence, txn, routed: set[int]) -> None:
-        """Validate, route and store one row, adding its bucket's OID to
-        ``routed`` before any copy takes it."""
+    def _leaf_of(self, row: tuple) -> int:
+        """The bucket OID ``f_T`` routes a validated row to."""
         desc = self.descriptor
-        validated = desc.schema.validate_row(row)
-        if desc.is_partitioned:
-            leaf = desc.route_row(validated)
-            if leaf is None:
-                raise PartitionError(
-                    f"row {validated!r} maps to the invalid partition of "
-                    f"table {desc.name!r}"
-                )
-            oid = desc.leaf_oid(leaf)
-        else:
-            oid = desc.oid
-        routed.add(oid)
-        for seg in self._target_segments(validated):
-            if self.faults is not None and self.faults.active:
-                self.faults.maybe_fire(INSERT_ROW, seg)
-            primary, mirror = self._writable_copies(seg)
-            if primary:
-                self._rows[seg].setdefault(oid, []).append(validated)
-            if mirror:
-                self._mirror[seg].setdefault(oid, []).append(validated)
-            if txn is not None:
-                txn.add_insert(seg, oid, validated, primary, mirror)
-            else:
-                self._record_missed(seg, primary, mirror)
+        if not desc.is_partitioned:
+            return desc.oid
+        leaf = desc.route_row(row)
+        if leaf is None:
+            raise PartitionError(
+                f"row {row!r} maps to the invalid partition of "
+                f"table {desc.name!r}"
+            )
+        return desc.leaf_oid(leaf)
 
-    def _notify(self, oids: Iterable[int] | None) -> None:
-        """Report a write to the buckets ``oids`` (``None``: all of them;
-        empty: none, so no event)."""
+    def _notify(self, oids: set[int]) -> None:
+        """Report a write to the buckets ``oids`` (empty: no event)."""
         desc = self.descriptor
-        if self.on_mutation is not None and (oids is None or oids):
-            scoped = oids is not None and desc.is_partitioned
-            self.on_mutation(desc.oid, desc.leaf_mask(oids) if scoped else None)
+        if self.on_mutation is not None and oids:
+            self.on_mutation(desc.oid, desc.leaf_mask(oids) if desc.is_partitioned else None)
 
     def _target_segments(self, row: tuple) -> range | list[int]:
         dist = self.descriptor.distribution
@@ -189,50 +229,6 @@ class TableStore:
             return range(self.num_segments)
         col_idx = self.descriptor.schema.column_index(dist.column)  # type: ignore[arg-type]
         return [segment_for(row[col_idx], self.num_segments)]
-
-    def truncate(self) -> None:
-        with self.write_lock:
-            txn = self._begin()
-            try:
-                for seg in range(self.num_segments):
-                    primary, mirror = self._writable_copies(seg)
-                    if primary:
-                        self._rows[seg].clear()
-                    if mirror:
-                        self._mirror[seg].clear()
-                    if txn is not None:
-                        txn.add_truncate(seg, primary, mirror)
-                    else:
-                        self._record_missed(seg, primary, mirror)
-            finally:
-                self._commit(txn, None)
-
-    def delete_from_leaf(self, segment: int, oid: int, rows: list[tuple]) -> None:
-        """Remove specific rows (used by UPDATE's delete-then-insert)."""
-        with self.write_lock:
-            if self.faults is not None and self.faults.active:
-                self.faults.maybe_fire(DELETE_ROWS, segment)
-            txn = self._begin()
-            try:
-                primary, mirror = self._writable_copies(segment)
-                for copy, writable in (
-                    (self._rows, primary),
-                    (self._mirror, mirror),
-                ):
-                    if not writable:
-                        continue
-                    bucket = copy[segment].get(oid)
-                    if not bucket:
-                        continue
-                    for row in rows:
-                        bucket.remove(row)
-                if txn is not None:
-                    txn.add_delete(segment, oid, rows, primary, mirror)
-                else:
-                    self._record_missed(segment, primary, mirror)
-            finally:
-                # a removal that raised part-way may have changed the leaf
-                self._commit(txn, (oid,))
 
     # -- recovery back door --------------------------------------------------
 
@@ -299,10 +295,7 @@ class TableStore:
 
         The work per leaf runs in C: the bucket lists are looked up once
         (again only after a failover), their row counts accumulated into
-        leaf bounds, and a batch is found by bisecting those bounds.  A
-        batch whose length disagrees with the bounds (a bucket changed
-        while the consumer held the previous batch) is re-cut from fresh
-        bounds, so it never holds more than ``batch_size`` rows.
+        leaf bounds, and a batch is found by bisecting those bounds.
         """
         buckets = self._segment_buckets(segment)
         keys = sorted(buckets) if oids is None else oids
@@ -327,9 +320,6 @@ class TableStore:
                     batch = lists[first][offset:]
                     reduce(iadd, lists[first + 1 : last], batch)
                     batch += lists[last][:end]
-                if len(batch) != stop - begin:
-                    bounds = list(accumulate(map(len, lists), initial=0))
-                    continue
             reaching = keys[reached : last + 1]
             if opened is not None:
                 opened += reaching

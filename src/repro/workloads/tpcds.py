@@ -226,11 +226,14 @@ def load_data(
     db.insert("date_dim", generate_date_dim())
     db.insert("item", generate_item(items, rng))
     db.insert("customer", generate_customer(customers, rng))
-    for _ in range(fact_rows):
-        base = _sales_row(rng, items, customers)
-        db.storage.store_by_name("store_sales").insert(
-            base + (round(rng.uniform(-50.0, 150.0), 2),)
-        )
+    db.insert(
+        "store_sales",
+        (
+            _sales_row(rng, items, customers)
+            + (round(rng.uniform(-50.0, 150.0), 2),)
+            for _ in range(fact_rows)
+        ),
+    )
     db.insert(
         "web_sales",
         (_sales_row(rng, items, customers) for _ in range(fact_rows)),

@@ -23,7 +23,6 @@ from repro.errors import ExecutionError
 from repro.executor.context import COORDINATOR_SEGMENT, ExecContext
 from repro.executor.iterators import (
     _close_selector,
-    _delete_rows,
     _open_selector,
     _sort_key,
 )
@@ -451,27 +450,24 @@ def _update_iter(op: phys.Update, segment: int, ctx: ExecContext) -> RowIter:
     }
     column_names = target.schema.column_names
 
-    updates: list[tuple[tuple, tuple]] = []
+    # the first match of a target row sets its new value
+    updates: dict[tuple, tuple] = {}
     for row in build_iterator(child, segment, ctx):
         old_row = tuple(row[i] for i in old_indices)
+        if old_row in updates:
+            continue
         new_values = []
         for i, name in enumerate(column_names):
             fn = assignment_fns.get(name)
             new_values.append(fn(row) if fn is not None else old_row[i])
-        updates.append((old_row, tuple(new_values)))
+        updates[old_row] = tuple(new_values)
 
     if segment != COORDINATOR_SEGMENT:
         # The child stream is gathered; only the coordinator applies.
         if updates:
             raise ExecutionError("Update received rows on a non-coordinator segment")
         return
-    # Delete-then-insert: re-routes rows whose partition key or
-    # distribution key changed.
-    _delete_rows(target, [old_row for old_row, _ in updates], ctx)
-    store = ctx.storage.store(target.oid)
-    for _, new_row in updates:
-        store.insert(new_row)
-    yield (len(updates),)
+    yield (ctx.storage.store(target.oid).write(replace=updates),)
 
 
 def _delete_iter(op: phys.Delete, segment: int, ctx: ExecContext) -> RowIter:
@@ -491,8 +487,7 @@ def _delete_iter(op: phys.Delete, segment: int, ctx: ExecContext) -> RowIter:
         if victims:
             raise ExecutionError("Delete received rows on a non-coordinator segment")
         return
-    _delete_rows(op.target, victims, ctx)
-    yield (len(victims),)
+    yield (ctx.storage.store(op.target.oid).write(replace=dict.fromkeys(victims)),)
 
 
 def _motion_iter(op: phys.Motion, segment: int, ctx: ExecContext) -> RowIter:

@@ -481,7 +481,7 @@ def kernel_env():
             partition_scheme=PARTS_SCHEME if name == "parts" else None,
         )
         storage.register(table)
-        storage.store(table.oid).insert_many(rows)
+        storage.store(table.oid).write(rows)
         tables[name] = table
     return catalog, storage, tables
 
@@ -792,7 +792,7 @@ def _dml_env(rows):
     )
     for table, data in ((target, rows), (using, [(a,) for a, _ in rows[:20]] * 2)):
         storage.register(table)
-        storage.store(table.oid).insert_many(data)
+        storage.store(table.oid).write(data)
     return catalog, storage, target, using
 
 

@@ -55,7 +55,7 @@ def env():
         partition_scheme=PartitionScheme([uniform_int_level("k", 0, 100, 4)]),
     )
     storage.register(part)
-    storage.store(part.oid).insert_many([(k, k * 10) for k in range(0, 100, 5)])
+    storage.store(part.oid).write([(k, k * 10) for k in range(0, 100, 5)])
 
     plain = catalog.create_table(
         "plain",
@@ -63,7 +63,7 @@ def env():
         distribution=DistributionPolicy.replicated(),
     )
     storage.register(plain)
-    storage.store(plain.oid).insert_many(
+    storage.store(plain.oid).write(
         [(1, "x"), (2, "y"), (3, None), (None, "z")]
     )
     return catalog, storage, part, plain

@@ -86,7 +86,7 @@ def test_param_dpe_execution_skips_partitions():
     partitions, the guarded probe-side leaves are skipped at run time."""
     db = build_rs_database(num_parts=10, rows_per_table=300)
     # Replace r with rows whose b values live in the first partition only.
-    db.storage.store_by_name("r").truncate()
+    db.sql("DELETE FROM r")
     db.insert("r", [(i, i % 900) for i in range(300)])
     db.analyze("r")
     with_dpe = db.sql(JOIN_QUERY, optimizer="planner")

@@ -39,7 +39,7 @@ def store() -> TableStore:
         partition_scheme=PartitionScheme([uniform_int_level("b", 0, 100, 4)]),
     )
     table_store = TableStore(desc, num_segments=2)
-    table_store.insert_many(
+    table_store.write(
         [(i, i % 100, "x" if i % 10 else None) for i in range(200)]
     )
     return table_store

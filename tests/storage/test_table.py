@@ -31,8 +31,7 @@ def test_insert_routes_to_correct_leaf():
     catalog = Catalog()
     store = _partitioned(catalog)
     desc = store.descriptor
-    store.insert((1, 5))
-    store.insert((2, 80))
+    store.write([(1, 5), (2, 80)])
     oid_first = desc.leaf_oid((0,))
     oid_last = desc.leaf_oid((3,))
     assert list(store.scan_all([oid_first])) == [(1, 5)]
@@ -43,16 +42,20 @@ def test_insert_routes_to_correct_leaf():
 def test_insert_invalid_partition_raises():
     store = _partitioned(Catalog())
     with pytest.raises(PartitionError):
-        store.insert((1, 100))  # outside every range -> ⊥
+        store.write([(1, 100)])  # outside every range -> ⊥
     with pytest.raises(PartitionError):
-        store.insert((1, None))  # NULL partition key -> ⊥
+        store.write([(1, None)])  # NULL partition key -> ⊥
+    # a write is all or nothing: the valid row before the bad one is gone too
+    with pytest.raises(PartitionError):
+        store.write([(1, 5), (2, 100)])
+    assert store.row_count() == 0
 
 
 def test_rows_land_on_hash_segment():
     from repro.storage.distribution import segment_for
 
     store = _partitioned(Catalog())
-    store.insert_many([(i, i % 100) for i in range(50)])
+    store.write([(i, i % 100) for i in range(50)])
     for segment in range(3):
         for row in store.scan_segment(segment):
             assert segment_for(row[0], 3) == segment
@@ -65,38 +68,43 @@ def test_replicated_table_copies_to_all_segments():
         "r", SCHEMA, distribution=DistributionPolicy.replicated()
     )
     store = TableStore(desc, num_segments=3)
-    store.insert_many([(i, i) for i in range(10)])
+    assert store.write([(i, i) for i in range(10)]) == 10
     for segment in range(3):
         assert store.segment_row_count(segment) == 10
     # scan_all must not duplicate replicated rows
     assert store.row_count() == 10
     assert len(list(store.scan_all())) == 10
+    # a replicated row is counted once, though every segment drops a copy
+    assert store.write(replace={(1, 1): None, (2, 2): (2, 3)}) == 2
+    for segment in range(3):
+        assert sorted(store.scan_segment(segment))[:3] == [(0, 0), (2, 3), (3, 3)]
 
 
-def test_truncate():
+def test_write_deletes_every_row():
     store = _partitioned(Catalog())
-    store.insert_many([(i, i % 100) for i in range(20)])
-    store.truncate()
+    rows = [(i, i % 100) for i in range(20)]
+    store.write(rows)
+    assert store.write(replace=dict.fromkeys(rows)) == 20
     assert store.row_count() == 0
 
 
-def test_delete_from_leaf():
-    catalog = Catalog()
-    store = _partitioned(catalog)
-    store.insert((1, 5))
+def test_write_replaces_every_stored_copy_of_a_value():
+    """Equal rows are one value: deleting or updating it changes every
+    stored copy, and an updated copy moves to its new leaf and segment."""
+    store = _partitioned(Catalog())
     desc = store.descriptor
-    oid = desc.leaf_oid((0,))
-    from repro.storage.distribution import segment_for
+    store.write([(1, 5), (1, 5), (2, 5), (3, 6), (3, 6)])
+    assert store.write(replace={(1, 5): None, (7, 7): None}) == 2
+    assert store.write(replace={(3, 6): (4, 80)}) == 2
+    assert list(store.scan_all([desc.leaf_oid((0,))])) == [(2, 5)]
+    assert list(store.scan_all([desc.leaf_oid((3,))])) == [(4, 80), (4, 80)]
 
-    seg = segment_for(1, 3)
-    store.delete_from_leaf(seg, oid, [(1, 5)])
-    assert store.row_count() == 0
 
-
-def test_batches_stay_within_the_width_when_a_bucket_shrinks_mid_scan():
-    """Reads take no lock, so a delete between two batches can shrink the
-    bucket being scanned below the scan's position.  The batches after it
-    still hold at most the width, and only the last is short."""
+def test_a_scan_keeps_the_buckets_it_started_on():
+    """Reads take no lock, and a write publishes new bucket lists rather
+    than changing the live ones: a write between two batches leaves the
+    running scan on the rows it started with, in full-width batches, and
+    the next scan sees the rows after the write."""
     catalog = Catalog()
     desc = catalog.create_table(
         "p",
@@ -107,14 +115,16 @@ def test_batches_stay_within_the_width_when_a_bucket_shrinks_mid_scan():
     store = TableStore(desc, num_segments=1)
     first = [(a, 5) for a in range(100)]
     second = [(a, 30) for a in range(30)]
-    store.insert_many(first + second)
-    scan = store.scan_segment_batches(0, desc.all_leaf_oids(), batch_size=16)
+    store.write(first + second)
+    leaves = desc.all_leaf_oids()
+    scan = store.scan_segment_batches(0, leaves, batch_size=16)
     batches = [next(scan)]
-    store.delete_from_leaf(0, desc.leaf_oid((0,)), first[10:])
+    store.write([(500, 80)], replace=dict.fromkeys(first[10:]))
     batches.extend(scan)
-    assert [len(batch) for batch in batches] == [16, 16, 14]
-    assert batches[0] == first[:16]
-    assert batches[1] + batches[2] == second
+    assert [len(batch) for batch in batches] == [16] * 8 + [2]
+    assert [row for batch in batches for row in batch] == first + second
+    after = [row for batch in store.scan_segment_batches(0, leaves, 16) for row in batch]
+    assert after == first[:10] + second + [(500, 80)]
 
 
 def test_a_failover_between_batches_reads_the_rest_from_the_mirror():
@@ -130,7 +140,7 @@ def test_a_failover_between_batches_reads_the_rest_from_the_mirror():
     )
     health = SegmentHealth(1)
     store = TableStore(desc, num_segments=1, health=health)
-    store.insert_many([(a, a % 100) for a in range(200)])
+    store.write([(a, a % 100) for a in range(200)])
     leaves = desc.all_leaf_oids()
     expected = list(store.scan_segment(0, leaves))
     scan = store.scan_segment_batches(0, leaves, batch_size=16)
@@ -155,7 +165,7 @@ def test_storage_manager_scan_leaf():
         partition_scheme=PartitionScheme([uniform_int_level("b", 0, 100, 4)]),
     )
     manager.register(desc)
-    manager.store(desc.oid).insert((1, 5))
+    manager.store(desc.oid).write([(1, 5)])
     oid = desc.leaf_oid((0,))
     rows = []
     for segment in range(3):

@@ -3,12 +3,14 @@
 
 Boots ``python -m repro --serve 0 --data-dir DIR`` as a subprocess,
 drives concurrent DML (multi-row INSERTs and DELETEs against
-``date_dim``) and read queries through the network REPL protocol, then
-SIGKILLs the server at a random moment — a random WAL offset — and
-restarts it with the same data directory.  After each kill/restart
-cycle it asserts the durability contract:
+``date_dim``, and UPDATEs that move one ``order_id`` class of
+``orders_fk`` to other ``date_id`` partitions) and read queries through
+the network REPL protocol, then SIGKILLs the server at a random moment —
+a random WAL offset — and restarts it with the same data directory.
+After each kill/restart cycle it asserts the durability contract:
 
-* **atomicity** — every multi-row INSERT survived whole or not at all;
+* **atomicity** — every multi-row INSERT survived whole or not at all,
+  and every UPDATE moved all of its rows or none;
 * **prefix** — the surviving statements form a contiguous prefix of the
   issue order (the WAL serializes commits);
 * **no lost acks** — every statement the client saw acknowledged is in
@@ -48,12 +50,18 @@ BATTERY = [
     "WHERE year >= 10000;",
     "SELECT count(*), min(date_id) FROM date_dim WHERE year < 9000;",
     "SELECT count(*) FROM orders_fk WHERE date_id < 100;",
+    "SELECT count(*), sum(amount) FROM orders_fk;",
 ]
 
 #: inserted markers live far above the demo's date_id range (0..729)
 ID_BASE = 100_000
 #: per-cycle cap so the reference replay stays fast
 MAX_STATEMENTS = 400
+#: an UPDATE adds this to the amount of every row it moves, so a probe
+#: can count them; the demo's amounts stay below 500
+MOVED = 1_000_000
+#: orders_fk's order_ids 0..4999 fall into this many classes of 5 rows
+CLASSES = 1000
 
 
 class Client:
@@ -129,6 +137,17 @@ class Statement:
 
 
 def make_statement(rng: random.Random, counter: int) -> Statement:
+    if counter % 4 == 1:
+        # move one order_id class half a cycle of date_id partitions on;
+        # counter // 4 keeps classes unique across cycles
+        target = counter // 4 % CLASSES
+        return Statement(
+            f"UPDATE orders_fk SET date_id = (date_id + 365) % 730, "
+            f"amount = amount + {MOVED} "
+            f"WHERE order_id % {CLASSES} = {target} AND amount < {MOVED};",
+            "update",
+            target,
+        )
     if counter % 4 == 3:
         # delete one base demo row; counter // 4 keeps targets unique
         # across cycles and inside date_dim's base range (0..729)
@@ -173,6 +192,18 @@ def probe_applied(
                 f"{survived}/3 rows"
             )
         return survived == 3
+    if statement.kind == "update":
+        moved = count_rows(
+            client,
+            f"SELECT count(*) FROM orders_fk WHERE order_id % {CLASSES} = "
+            f"{statement.marker} AND amount >= {MOVED};",
+        )
+        if moved not in (0, 5):
+            failures.append(
+                f"atomicity: UPDATE of order_id class {statement.marker} "
+                f"moved {moved}/5 rows"
+            )
+        return moved == 5
     remaining = count_rows(
         client,
         f"SELECT count(*) FROM date_dim WHERE date_id = {statement.marker} "
