@@ -203,17 +203,16 @@ class ReplSession:
         return f"unknown command {name!r}; try \\help"
 
     def _checkpoint(self) -> str:
-        """``\\checkpoint`` — snapshot every segment's buckets and (when
-        all copies are caught up) truncate the WAL."""
+        """``\\checkpoint`` — snapshot every segment's buckets and
+        truncate the WAL."""
         try:
             summary = self.db.checkpoint()
         except ReproError as exc:
             return self._error(exc)
-        truncated = "truncated" if summary["wal_truncated"] else "kept"
         return (
             f"checkpoint at lsn {summary['lsn']}: "
             f"{summary['bytes']} B in {summary['seconds'] * 1000:.2f} ms, "
-            f"wal {truncated}"
+            "wal truncated"
         )
 
     def _wal(self) -> str:
@@ -229,14 +228,11 @@ class ReplSession:
             f"{stats['wal_fsyncs']} fsyncs",
             f"checkpoints: {stats['checkpoints']} "
             f"(last at lsn {stats['last_checkpoint_lsn']}, "
-            f"{stats['last_checkpoint_bytes']} B), "
-            f"{stats['wal_truncations']} truncations",
+            f"{stats['last_checkpoint_bytes']} B)",
         ]
-        if stats["recovery_replayed_records"] or stats["resync_replayed_records"]:
+        if stats["recovery_replayed_records"]:
             lines.append(
-                f"replay: {stats['recovery_replayed_records']} records at "
-                f"restart, {stats['resync_replayed_records']} into "
-                "rejoining copies"
+                f"replay: {stats['recovery_replayed_records']} records at restart"
             )
         resyncing = self.db.health.resyncing_segments
         if resyncing:

@@ -1,4 +1,4 @@
-"""The durability manager: WAL, checkpoints, restart recovery, resync.
+"""The durability manager: WAL, checkpoints, restart recovery.
 
 One :class:`DurabilityManager` owns a database instance's durable state
 under ``data_dir``::
@@ -15,28 +15,24 @@ under ``data_dir``::
 
 **Logging.**  The storage layer stages a statement's whole write set
 under the storage-wide write lock, buffering one delete record per
-touched bucket and one insert record per (segment, copies) group in a
+touched bucket and one insert record per segment in a
 :class:`WalTransaction`; :meth:`commit` then assigns LSNs, appends the
-data records to their per-segment files, appends one commit marker, and
-fsyncs when ``wal_sync == 'sync'``.  Only after the commit returns does
-storage publish the write.  Recovery replays only LSNs named by a valid
-commit marker, so a crash mid-statement can never resurrect half a
-statement — the torn tail of any file is dropped wholesale — and a
-commit that raises is cut out of ``commit.wal``.
+data records to their per-segment files (a DDL record to
+``catalog.wal``), appends one commit marker, and fsyncs when
+``wal_sync == 'sync'``.  Only after the commit returns does storage
+publish the write.  Recovery replays only LSNs named by a valid commit
+marker, so a crash mid-statement can never resurrect half a statement —
+the torn tail of any file is dropped wholesale — and a commit that
+raises is cut out of ``commit.wal``.
 
-**Missed-write tracking.**  A record whose target segment had a copy
-down is still logged (the survivor takes it); once its commit marker is
-durable, its LSN is reported to
-:class:`~repro.resilience.SegmentHealth` as *missed* by that copy, and
-:meth:`resync_replay` — installed as the health resync handler — later
-replays exactly those LSNs from the segment's WAL into the rejoining
-copy.  This is the online counterpart of restart recovery.
+The WAL serves restart recovery only: a copy that missed writes while
+down is rebuilt from its surviving copy on rejoin
+(:meth:`~repro.storage.StorageManager._full_copy_resync`).
 
 **Checkpoints.**  :meth:`checkpoint` snapshots every table's buckets
-(from whichever copy is fully caught up) plus the encoded catalog into
+(from the copy that is not stale) plus the encoded catalog into
 ``checkpoint.tmp``, atomically swaps it in (``checkpoint`` →
-``checkpoint.old`` → remove), and truncates the WAL — unless any copy
-is down or behind, in which case the log is retained for resync.
+``checkpoint.old`` → remove), and truncates the WAL.
 
 **Recovery.**  :meth:`recover_into` rebuilds catalog + storage from the
 newest loadable checkpoint, then replays the committed WAL tail in LSN
@@ -51,6 +47,7 @@ import os
 import shutil
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -61,9 +58,9 @@ from ..resilience.faults import (
     WAL_APPEND,
     WAL_FSYNC,
 )
-from ..resilience.health import MIRROR, PRIMARY
+from ..resilience.health import PRIMARY
 from .serialize import decode_descriptor, encode_descriptor, encode_row
-from .wal import WalFile, scan
+from .wal import WalFile
 
 if TYPE_CHECKING:
     from ..catalog import Catalog
@@ -86,40 +83,23 @@ class WalTransaction:
         self.xid = xid
         #: fully-formed records (minus lsn/xid), in buffer order
         self.ops: list[dict] = []
-        # rows inserted into the same segment under the same copies
-        # decision share one record
-        self._insert_groups: dict[tuple, dict] = {}
+        # rows inserted into the same segment share one record
+        self._insert_groups: dict[int, dict] = {}
 
-    def add_insert(
-        self,
-        segment: int,
-        leaf_oid: int,
-        row: tuple,
-        primary: bool,
-        mirror: bool,
-    ) -> None:
-        key = (segment, primary, mirror)
-        group = self._insert_groups.get(key)
+    def add_insert(self, segment: int, leaf_oid: int, row: tuple) -> None:
+        group = self._insert_groups.get(segment)
         if group is None:
             group = {
                 "type": "insert",
                 "table": self.table_oid,
                 "segment": segment,
                 "rows": [],
-                "copies": [primary, mirror],
             }
-            self._insert_groups[key] = group
+            self._insert_groups[segment] = group
             self.ops.append(group)
         group["rows"].append([leaf_oid, encode_row(row)])
 
-    def add_delete(
-        self,
-        segment: int,
-        leaf_oid: int,
-        rows: list[tuple],
-        primary: bool,
-        mirror: bool,
-    ) -> None:
+    def add_delete(self, segment: int, leaf_oid: int, rows: list[tuple]) -> None:
         self.ops.append(
             {
                 "type": "delete",
@@ -127,7 +107,6 @@ class WalTransaction:
                 "segment": segment,
                 "leaf": leaf_oid,
                 "rows": [encode_row(row) for row in rows],
-                "copies": [primary, mirror],
             }
         )
 
@@ -150,7 +129,6 @@ class DurabilityManager:
         self.num_segments = num_segments
         self.wal_sync = wal_sync
         self.faults = faults
-        self.health = None  # set by StorageManager.attach_durability
         self.storage: "StorageManager | None" = None
         #: allocates LSNs/xids and orders WAL appends; a commit holds it
         #: across its fsyncs
@@ -176,10 +154,8 @@ class DurabilityManager:
         self.checkpoint_seconds_total = 0.0
         self.last_checkpoint_bytes = 0
         self.last_checkpoint_lsn = 0
-        self.wal_truncations = 0
         self.recovery_replayed_records = 0
         self.recovery_checkpoint_lsn = 0
-        self.resync_replayed_records = 0
         # -- background checkpointer ---------------------------------------
         self._ticker: threading.Thread | None = None
         self._stop = threading.Event()
@@ -213,7 +189,6 @@ class DurabilityManager:
         """Rebuild ``catalog`` + ``storage`` from checkpoint + WAL tail,
         then open the logs for append (torn tails truncated)."""
         self.storage = storage
-        self.health = storage.health
         checkpoint_lsn = self._load_checkpoint(catalog, storage)
         self.recovery_checkpoint_lsn = checkpoint_lsn
 
@@ -293,8 +268,9 @@ class DurabilityManager:
         return WalTransaction(table_oid, xid)
 
     def commit(self, txn: WalTransaction) -> None:
-        """Assign LSNs, append the buffered records + a commit marker,
-        fsync in ``sync`` mode, and then report missed LSNs to health.
+        """Assign LSNs, append the buffered records (a ``SHARED_SEGMENT``
+        record to ``catalog.wal``) + a commit marker, and fsync in
+        ``sync`` mode.
 
         A commit that raises is never recovered: its data records carry
         no marker, and a failure after the marker's append cuts
@@ -310,7 +286,11 @@ class DurabilityManager:
                 op["xid"] = txn.xid
                 lsns.append(op["lsn"])
                 self._fire(WAL_APPEND, op["segment"])
-                wal = self._segment_wals[op["segment"]]
+                wal = (
+                    self._catalog_wal
+                    if op["segment"] == SHARED_SEGMENT
+                    else self._segment_wals[op["segment"]]
+                )
                 self._count_record(wal.append(op))
                 if wal not in synced:
                     synced.append(wal)
@@ -327,12 +307,6 @@ class DurabilityManager:
                 except BaseException:
                     self._commit_wal.reset(before)
                     raise
-            for op in txn.ops:
-                primary, mirror = op["copies"]
-                if not primary:
-                    self.health.record_missed(op["segment"], PRIMARY, [op["lsn"]])
-                if not mirror:
-                    self.health.record_missed(op["segment"], MIRROR, [op["lsn"]])
 
     def log_create_table(self, descriptor) -> None:
         self._log_ddl(
@@ -355,21 +329,10 @@ class DurabilityManager:
         )
 
     def _log_ddl(self, record: dict) -> None:
-        with self._lock:
-            record["lsn"] = self._next_lsn
-            self._next_lsn += 1
-            xid = self._next_xid
-            self._next_xid += 1
-            record["xid"] = xid
-            self._fire(WAL_APPEND, SHARED_SEGMENT)
-            self._count_record(self._catalog_wal.append(record))
-            if self.wal_sync == SYNC:
-                self._fsync(self._catalog_wal)
-            marker = {"type": "commit", "xid": xid, "lsns": [record["lsn"]]}
-            self._fire(WAL_APPEND, SHARED_SEGMENT)
-            self._count_record(self._commit_wal.append(marker))
-            if self.wal_sync == SYNC:
-                self._fsync(self._commit_wal)
+        """Log one DDL record as its own transaction."""
+        txn = self.begin(record["table"])
+        txn.ops.append(record)
+        self.commit(txn)
 
     def _fsync(self, wal: WalFile) -> None:
         self._fire(WAL_FSYNC, SHARED_SEGMENT)
@@ -390,8 +353,7 @@ class DurabilityManager:
 
     def checkpoint(self) -> dict:
         """Snapshot every table + the catalog, swap it in atomically, and
-        truncate the WAL when every copy is caught up.  Returns a summary
-        dict (lsn, bytes, duration, truncated)."""
+        truncate the WAL.  Returns a summary dict (lsn, bytes, seconds)."""
         storage = self.storage
         if storage is None:
             raise DurabilityError("durability manager is not attached")
@@ -413,7 +375,8 @@ class DurabilityManager:
                 for segment in range(self.num_segments)
             ]
             total_bytes = self._write_checkpoint(manifest, segments)
-            truncated = self._maybe_truncate_wal()
+            for wal in self._segment_wals + [self._catalog_wal, self._commit_wal]:
+                wal.reset()
         duration = time.perf_counter() - start
         with self._stats_lock:
             self.checkpoints += 1
@@ -421,23 +384,12 @@ class DurabilityManager:
             self.checkpoint_seconds_total += duration
             self.last_checkpoint_bytes = total_bytes
             self.last_checkpoint_lsn = checkpoint_lsn
-            if truncated:
-                self.wal_truncations += 1
-        return {
-            "lsn": checkpoint_lsn,
-            "bytes": total_bytes,
-            "seconds": duration,
-            "wal_truncated": truncated,
-        }
+        return {"lsn": checkpoint_lsn, "bytes": total_bytes, "seconds": duration}
 
     def _snapshot_segment(self, storage: "StorageManager", segment: int) -> dict:
-        """One segment's buckets for every table, read from whichever copy
-        is fully caught up (the survivor, when one copy is down/behind)."""
-        health = storage.health
-        use_mirror = (
-            not health.is_up(segment)
-            or bool(health.missed_lsns(segment, PRIMARY))
-        )
+        """One segment's buckets for every table, read from the copy that
+        is not stale (either, when neither is)."""
+        use_mirror = storage.health.is_stale(segment, PRIMARY)
         snapshot: dict[str, dict[str, list]] = {}
         for store in storage.stores():
             buckets = (
@@ -482,21 +434,6 @@ class DurabilityManager:
             fh.flush()
             os.fsync(fh.fileno())
         return len(body)
-
-    def _maybe_truncate_wal(self) -> bool:
-        """Reset every log file — only when no copy is down or behind
-        (their missed records live in the WAL until resync replays them)."""
-        health = self.health
-        for segment in range(self.num_segments):
-            if not health.is_up(segment) or not health.mirror_is_up(segment):
-                return False
-            if health.missed_lsns(segment, PRIMARY) or health.missed_lsns(
-                segment, MIRROR
-            ):
-                return False
-        for wal in self._segment_wals + [self._catalog_wal, self._commit_wal]:
-            wal.reset()
-        return True
 
     # -- restart recovery -----------------------------------------------------
 
@@ -565,66 +502,34 @@ class DurabilityManager:
             store = storage.store(record["table"])
         except Exception:
             return  # the table was dropped later in the log
-        self._apply_data_record(store, record, copies=(PRIMARY, MIRROR))
+        self._apply_data_record(store, record)
 
     @staticmethod
-    def _apply_data_record(store, record: dict, copies: tuple) -> None:
-        """Apply one insert/delete record to the named copies of its
-        segment, bypassing logging and health gates."""
+    def _apply_data_record(store, record: dict) -> None:
+        """Apply one insert/delete record to both copies of its segment,
+        bypassing logging and health gates.  Restart recovery restores
+        both copies equal, so each bucket is computed once from the
+        primary."""
         segment = record["segment"]
-        kind = record["type"]
-        schema = store.descriptor.schema
-        for copy in copies:
-            buckets = (
-                store.primary_buckets(segment)
-                if copy == PRIMARY
-                else store.mirror_buckets(segment)
-            )
-            if kind == "insert":
-                for leaf_oid, row in record["rows"]:
-                    buckets.setdefault(leaf_oid, []).append(
-                        schema.validate_row(row)
-                    )
-            elif kind == "delete":
-                bucket = buckets.get(record["leaf"])
-                if not bucket:
-                    continue
-                for row in record["rows"]:
-                    validated = schema.validate_row(row)
-                    try:
-                        bucket.remove(validated)
-                    except ValueError:
-                        pass  # this copy never had the row (missed insert)
-
-    # -- online resync (the SegmentHealth resync handler) ---------------------
-
-    def resync_replay(self, segment: int, copy: str, lsns: list[int]) -> None:
-        """Replay exactly the WAL records at ``lsns`` into ``copy`` of
-        ``segment`` — called by :meth:`SegmentHealth.recover` while the
-        segment is held in the ``resyncing`` state."""
-        storage = self.storage
-        if storage is None:
-            raise DurabilityError("durability manager is not attached")
-        wanted = set(lsns)
-        records, _ = scan(self._segment_wal_path(segment))
-        matched = sorted(
-            (r for r in records if r["lsn"] in wanted), key=lambda r: r["lsn"]
-        )
-        if len(matched) != len(wanted):
-            missing = sorted(wanted - {r["lsn"] for r in matched})
-            raise DurabilityError(
-                f"segment {segment}: {len(missing)} missed WAL records "
-                f"not found in the log (lsns {missing[:5]}...) — was the "
-                "WAL truncated while a copy was behind?"
-            )
-        for record in matched:
-            self._fire(RECOVERY_REPLAY, segment)
-            try:
-                store = storage.store(record["table"])
-            except Exception:
-                continue  # table dropped since
-            self._apply_data_record(store, record, copies=(copy,))
-            self.resync_replayed_records += 1
+        validate = store.descriptor.schema.validate_row
+        primary, mirror = store.primary_buckets(segment), store.mirror_buckets(segment)
+        if record["type"] == "insert":
+            for leaf_oid, row in record["rows"]:
+                row = validate(row)
+                primary.setdefault(leaf_oid, []).append(row)
+                mirror.setdefault(leaf_oid, []).append(row)
+            return
+        leaf = record["leaf"]
+        # drop the first occurrence of each listed row in one pass
+        doomed = Counter(map(validate, record["rows"]))
+        kept = []
+        for row in primary.get(leaf, ()):
+            if doomed[row]:
+                doomed[row] -= 1
+            else:
+                kept.append(row)
+        primary[leaf] = kept
+        mirror[leaf] = list(kept)
 
     # -- export ---------------------------------------------------------------
 
@@ -650,8 +555,6 @@ class DurabilityManager:
                 "checkpoint_seconds_total": self.checkpoint_seconds_total,
                 "last_checkpoint_bytes": self.last_checkpoint_bytes,
                 "last_checkpoint_lsn": self.last_checkpoint_lsn,
-                "wal_truncations": self.wal_truncations,
                 "recovery_replayed_records": self.recovery_replayed_records,
                 "recovery_checkpoint_lsn": self.recovery_checkpoint_lsn,
-                "resync_replayed_records": self.resync_replayed_records,
             }

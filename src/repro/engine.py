@@ -242,22 +242,27 @@ class Database:
             )
             self.storage.register(descriptor)
             if self.durability is not None:
-                self.durability.log_create_table(descriptor)
+                try:
+                    self.durability.log_create_table(descriptor)
+                except BaseException:
+                    # not logged, so not created: memory matches a reopen
+                    self.storage.unregister(descriptor)
+                    self.catalog.drop_table(name)
+                    raise
         return descriptor
 
     def drop_table(self, name: str) -> None:
         with self.storage.write_lock:
             descriptor = self.catalog.table(name)
-            self.storage.unregister(descriptor)
-            self.catalog.drop_table(name)
             if self.durability is not None:
                 self.durability.log_drop_table(descriptor)
+            self.storage.unregister(descriptor)
+            self.catalog.drop_table(name)
 
     def checkpoint(self) -> dict:
         """Take a durability checkpoint now: snapshot every table, swap it
-        in atomically, and truncate the WAL when every copy is caught up.
-        Returns the checkpoint summary (lsn, bytes, seconds,
-        wal_truncated).  Raises
+        in atomically, and truncate the WAL.  Returns the checkpoint
+        summary (lsn, bytes, seconds).  Raises
         :class:`~repro.errors.DurabilityError` when the instance has no
         ``data_dir``."""
         if self.durability is None:

@@ -78,7 +78,11 @@ from ..types import DEFAULT_BATCH_SIZE
 #: "selectors_evaluated" (the selection-replay tier is gone; the result
 #: cache is the one statement cache) — see docs/caching.md; every other
 #: v10 field is unchanged.
-METRICS_SCHEMA_VERSION = 11
+#: v12: the "durability" section drops "wal_truncations" (a checkpoint
+#: always truncates the WAL) and the resync replay counter (a stale copy
+#: is rebuilt from its survivor, not replayed from the WAL) — see
+#: docs/durability.md; every other v11 field is unchanged.
+METRICS_SCHEMA_VERSION = 12
 
 
 class ScanTracker:

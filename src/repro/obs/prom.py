@@ -312,12 +312,8 @@ FAMILIES: tuple[tuple[str, str, str, str, Reader], ...] = (
      "Checkpoints taken.", _value("checkpoints")),
     ("repro_durability_checkpoint_seconds_total", "counter", "durability",
      "Wall seconds spent checkpointing.", _value("checkpoint_seconds_total")),
-    ("repro_durability_wal_truncations_total", "counter", "durability",
-     "WAL truncations after checkpoints.", _value("wal_truncations")),
     ("repro_durability_recovery_replayed_total", "counter", "durability",
      "WAL records replayed during restart recovery.", _value("recovery_replayed_records")),
-    ("repro_durability_resync_replayed_total", "counter", "durability",
-     "WAL records replayed into rejoining copies.", _value("resync_replayed_records")),
     ("repro_durability_resyncing_segments", "gauge", "durability",
      "Segments currently replaying missed mutations.",
      _value("resyncing_segments", of=len)),

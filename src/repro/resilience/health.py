@@ -11,20 +11,21 @@ is served from its mirror copy; a double fault (mirror also down) raises
 an unrecoverable :class:`~repro.errors.SegmentFailure`.
 
 Rejoining a downed copy is **not** instant: while a copy is down the
-storage layer keeps writing the surviving copy and reports the skipped
-mutations here (:meth:`record_missed`), so each copy carries the exact
-set of WAL LSNs it missed.  :meth:`recover` routes through a *resync*
-path — the copy is held in the ``resyncing`` state (reads still served
-from the survivor) while a resync handler replays exactly the missed
-mutations, and only then flips back ``up``.  Without a handler, a copy
-that missed mutations refuses to rejoin with a typed
+storage layer keeps writing the surviving copy and marks the skipped copy
+*stale* here (:meth:`mark_stale`), one bit per (segment, copy).  At most
+one copy of a segment is ever stale (``docs/durability.md``, "Resync"),
+so the other copy holds every committed write.  :meth:`recover` routes
+through a *resync* path — the copy is held in the ``resyncing`` state
+(reads still served from the survivor) while a resync handler rebuilds
+it from the survivor, and only then flips back ``up``.  Without a
+handler, a stale copy refuses to rejoin with a typed
 :class:`~repro.errors.ResyncRequired` instead of serving stale rows.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..errors import ResyncRequired, SegmentFailure
 
@@ -32,13 +33,13 @@ UP = "up"
 DOWN = "down"
 RESYNCING = "resyncing"
 
-#: the two copies of a segment, as ``record_missed`` / handler arguments
+#: the two copies of a segment, as ``mark_stale`` / handler arguments
 PRIMARY = "primary"
 MIRROR = "mirror"
 
-#: handler(segment, copy, missed_lsns) replays the missed mutations into
-#: the named copy; installed by the storage layer / durability manager
-ResyncHandler = Callable[[int, str, "list[int]"], None]
+#: handler(segment, copy) rebuilds the stale copy of ``segment`` from the
+#: other one; installed by the storage layer
+ResyncHandler = Callable[[int, str], None]
 
 
 class SegmentHealth:
@@ -50,29 +51,25 @@ class SegmentHealth:
         self.num_segments = num_segments
         self._primary_up = [True] * num_segments
         self._mirror_up = [True] * num_segments
-        #: segments whose primary is currently replaying missed mutations
+        #: segments whose stale copy is currently being rebuilt
         self._resyncing: set[int] = set()
         #: serializes state transitions and read counters — storage reads
         #: and failovers arrive concurrently from segment worker threads
         self._lock = threading.Lock()
         #: chronological failover log: {"segment", "reason"[, "lsn"]}
         self.failover_events: list[dict] = []
-        #: chronological resync log: {"segment", "primary_records",
-        #: "mirror_records"}
+        #: chronological resync log: {"segment", "copy"}
         self.resync_events: list[dict] = []
         #: reads served from a mirror while its primary was down, per segment
         self.mirror_reads = [0] * num_segments
-        #: exact WAL LSNs each down copy skipped, per segment
-        self._missed_primary: list[set[int]] = [set() for _ in range(num_segments)]
-        self._missed_mirror: list[set[int]] = [set() for _ in range(num_segments)]
-        #: descending token source for opaque (no-WAL) missed-write marks
-        self._opaque_lsn = 0
-        #: replays missed mutations into a copy before it rejoins; when
-        #: ``None``, :meth:`recover` refuses stale rejoins (ResyncRequired)
+        #: (segment, copy) pairs that skipped a published write while down
+        self._stale: set[tuple[int, str]] = set()
+        #: rebuilds a stale copy before it rejoins; when ``None``,
+        #: :meth:`recover` refuses stale rejoins (ResyncRequired)
         self.resync_handler: ResyncHandler | None = None
-        #: held across a resync so no writer can race the replay; the
+        #: held across a resync so no writer can race the rebuild; the
         #: StorageManager shares its storage-wide write lock here (an
-        #: RLock: the resync handler re-takes it when applying records)
+        #: RLock: the resync handler re-takes it)
         self.write_lock = threading.RLock()
         #: optional () -> int reporting the current WAL LSN, used to stamp
         #: failover events with the log position at promotion time
@@ -105,14 +102,10 @@ class SegmentHealth:
     def resync_count(self) -> int:
         return len(self.resync_events)
 
-    def missed_lsns(self, segment: int, copy: str = PRIMARY) -> list[int]:
-        """The WAL LSNs ``copy`` of ``segment`` skipped while down."""
+    def is_stale(self, segment: int, copy: str = PRIMARY) -> bool:
+        """Whether ``copy`` of ``segment`` skipped a write while down."""
         self._check_segment(segment)
-        with self._lock:
-            missed = (
-                self._missed_primary if copy == PRIMARY else self._missed_mirror
-            )
-            return sorted(missed[segment])
+        return (segment, copy) in self._stale
 
     # -- transitions --------------------------------------------------------
 
@@ -139,86 +132,61 @@ class SegmentHealth:
         with self._lock:
             self._mirror_up[segment] = False
 
-    def record_missed(
-        self, segment: int, copy: str, lsns: Iterable[int] | None = None
-    ) -> None:
-        """Record that ``copy`` of ``segment`` skipped the mutations at
-        ``lsns`` because it was down — the storage write path calls this
-        atomically with applying the write to the surviving copy, so the
-        missed set is exact even under concurrent DML and failover.
-
-        ``lsns=None`` records an *opaque* miss (no WAL configured): a
-        unique negative token marking the copy stale, replayed only by a
-        full-copy resync handler that ignores LSNs."""
+    def mark_stale(self, segment: int, copy: str) -> None:
+        """Record that ``copy`` of ``segment`` skipped a write because it
+        was down — the storage write path calls this under the write lock
+        as it publishes the write to the surviving copy."""
         self._check_segment(segment)
         with self._lock:
-            missed = (
-                self._missed_primary if copy == PRIMARY else self._missed_mirror
-            )
-            if lsns is None:
-                self._opaque_lsn -= 1
-                missed[segment].add(self._opaque_lsn)
-            else:
-                missed[segment].update(lsns)
+            self._stale.add((segment, copy))
 
     def recover(self, segment: int) -> None:
         """Rejoin a segment's primary (and mirror) via resync.
 
-        A copy that missed no mutations rejoins instantly.  A copy that
-        *did* miss mutations enters ``resyncing``: reads stay on the
-        surviving copy while :attr:`resync_handler` replays exactly the
-        missed WAL records, then the copy flips ``up``.  Without a
-        handler configured the rejoin refuses with
+        A segment with no stale copy rejoins instantly.  A stale copy
+        enters ``resyncing``: reads stay on the surviving copy while
+        :attr:`resync_handler` rebuilds it, then the copy flips ``up``.
+        Without a handler configured the rejoin refuses with
         :class:`~repro.errors.ResyncRequired` — never stale rows.
         """
         self._check_segment(segment)
-        # the write lock first: no writer can add to the missed sets while
-        # the replay runs, so clearing them afterwards loses nothing.  Lock
+        # the write lock first: no writer can mark a copy stale while the
+        # rebuild runs, so clearing the bit afterwards loses nothing.  Lock
         # order everywhere is write_lock -> health lock (writers take the
         # write lock before consulting writable_copies).
         with self.write_lock:
             with self._lock:
-                missed_primary = sorted(self._missed_primary[segment])
-                missed_mirror = sorted(self._missed_mirror[segment])
-                if not missed_primary and not missed_mirror:
+                stale = [c for c in (MIRROR, PRIMARY) if (segment, c) in self._stale]
+                if not stale:
                     self._primary_up[segment] = True
                     self._mirror_up[segment] = True
                     self._resyncing.discard(segment)
                     return
                 if self.resync_handler is None:
                     raise ResyncRequired(
-                        f"segment {segment} missed "
-                        f"{len(missed_primary) or len(missed_mirror)} "
-                        "mutations while down and no resync path is "
-                        "configured; rejoining it would serve stale rows"
+                        f"segment {segment}'s {stale[0]} missed writes while "
+                        "down and no resync path is configured; rejoining "
+                        "it would serve stale rows"
                     )
-                # hold the copy in `resyncing` while the handler replays;
+                # hold the copy in `resyncing` while the handler rebuilds;
                 # reads keep hitting the surviving copy via require_readable
                 self._resyncing.add(segment)
             try:
                 # handler runs outside the health lock (it calls back into
                 # health) but inside the write lock (no concurrent DML)
-                if missed_mirror:
-                    self.resync_handler(segment, MIRROR, missed_mirror)
-                if missed_primary:
-                    self.resync_handler(segment, PRIMARY, missed_primary)
+                for copy in stale:
+                    self.resync_handler(segment, copy)
             except Exception:
                 with self._lock:
                     self._resyncing.discard(segment)
                 raise
             with self._lock:
-                self._missed_primary[segment].clear()
-                self._missed_mirror[segment].clear()
+                for copy in stale:
+                    self._stale.discard((segment, copy))
+                    self.resync_events.append({"segment": segment, "copy": copy})
                 self._primary_up[segment] = True
                 self._mirror_up[segment] = True
                 self._resyncing.discard(segment)
-                self.resync_events.append(
-                    {
-                        "segment": segment,
-                        "primary_records": len(missed_primary),
-                        "mirror_records": len(missed_mirror),
-                    }
-                )
 
     def recover_all(self) -> None:
         for segment in range(self.num_segments):
@@ -230,9 +198,9 @@ class SegmentHealth:
         """Which copies of ``segment`` must receive a write right now.
 
         Returns ``(primary, mirror)`` booleans; a down copy is skipped
-        (the caller then reports the skipped LSNs via
-        :meth:`record_missed`).  Raises :class:`SegmentFailure` when
-        neither copy can take the write — the double-fault case.
+        (the caller then marks it stale via :meth:`mark_stale`).  Raises
+        :class:`SegmentFailure` when neither copy can take the write —
+        the double-fault case.
         """
         self._check_segment(segment)
         with self._lock:

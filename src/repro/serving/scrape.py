@@ -15,7 +15,7 @@ endpoints:
   :class:`~repro.resilience.SegmentHealth` as JSON; the status code is
   the contract — 200 while every segment can serve reads (mirrors
   count), 503 once any segment is double-faulted.  A segment whose
-  primary is down **or resyncing** (replaying missed mutations before
+  primary is down **or resyncing** (being rebuilt from its survivor before
   rejoining — see docs/durability.md) reports ``"degraded"``: reads
   still work off the mirror, but redundancy is reduced.
 * ``GET /activity`` — the live registry
@@ -65,7 +65,7 @@ class _ScrapeHandler(BaseHTTPRequestHandler):
                 if primary != "up" and mirror != "up"
             ]
             # down_segments includes resyncing primaries: a copy that is
-            # still replaying missed mutations is not yet serving reads,
+            # still being rebuilt is not yet serving reads,
             # so the instance reports degraded until the resync completes
             body = {
                 "status": "unhealthy" if double_faults else (

@@ -29,11 +29,10 @@ class StorageManager:
     the health resync path and the durability manager's checkpoints also
     hold — a resync or snapshot never races a write.
 
-    With no durability manager attached, a copy that missed writes while
-    down rejoins through :meth:`_full_copy_resync`: its buckets are
-    rebuilt wholesale from the surviving copy (the WAL-less equivalent
-    of Greenplum's full mirror recovery).  ``attach_durability`` swaps
-    that for exact WAL replay.
+    A copy that missed writes while down rejoins through
+    :meth:`_full_copy_resync`, with or without a WAL: its buckets are
+    rebuilt wholesale from the surviving copy (Greenplum's full mirror
+    recovery), which holds every committed write.
     """
 
     def __init__(
@@ -98,20 +97,17 @@ class StorageManager:
 
     def attach_durability(self, manager) -> None:
         """Wire a :class:`~repro.durability.DurabilityManager` in: stores
-        log through it, health stamps failovers with its LSN and resyncs
-        by exact WAL replay instead of full copy."""
+        log through it and health stamps failovers with its LSN."""
         self.durability = manager
         manager.storage = self
-        manager.health = self.health
-        self.health.resync_handler = manager.resync_replay
         self.health.lsn_provider = manager.current_lsn
         for store in self._stores.values():
             store.durability = manager
 
-    def _full_copy_resync(self, segment: int, copy: str, lsns) -> None:
-        """WAL-less resync: rebuild ``copy`` of ``segment`` from the
-        surviving copy across every table.  Runs under the write lock
-        (the health recover path holds it)."""
+    def _full_copy_resync(self, segment: int, copy: str) -> None:
+        """Rebuild ``copy`` of ``segment`` from the surviving copy across
+        every table.  Runs under the write lock (the health recover path
+        holds it)."""
         with self.write_lock:
             if self.faults is not None and self.faults.active:
                 self.faults.maybe_fire(RECOVERY_REPLAY, segment)

@@ -26,9 +26,9 @@ marker when a :class:`~repro.durability.DurabilityManager` is attached,
 and publishes by assigning each touched bucket a new list.  Live
 buckets are never mutated in place, so a scan keeps the lists it
 started on.  Writes are health-gated like reads: a down copy is
-*skipped* (the survivor still takes the write) and the skipped mutation
-is reported to health as missed, so the copy cannot rejoin until a
-resync replays it — see :meth:`SegmentHealth.recover`.
+*skipped* (the survivor still takes the write) and marked stale in
+health, so the copy cannot rejoin until a resync rebuilds it from the
+survivor — see :meth:`SegmentHealth.recover`.
 """
 
 from __future__ import annotations
@@ -168,16 +168,16 @@ class TableStore:
             if self.durability is not None and touched:
                 txn = self.durability.begin(self.descriptor.oid)
                 for (seg, oid), removed in lost.items():
-                    txn.add_delete(seg, oid, removed, *copies[seg])
+                    txn.add_delete(seg, oid, removed)
                 for (seg, oid), added in gained.items():
                     for row in added:
-                        txn.add_insert(seg, oid, row, *copies[seg])
+                        txn.add_insert(seg, oid, row)
                 self.durability.commit(txn)
             # 4. publish
             for buckets, oid, rows in staged:
                 buckets[oid] = rows
             for seg in dict.fromkeys(seg for seg, _ in touched):
-                self._record_missed(seg, *copies[seg])
+                self._mark_stale(seg, *copies[seg])
             self._notify({oid for _, oid in touched})
         return count
 
@@ -193,16 +193,15 @@ class TableStore:
             )
         return copies[segment]
 
-    def _record_missed(self, segment: int, primary: bool, mirror: bool) -> None:
-        """Without a WAL there are no LSNs to track, so a skipped copy is
-        marked stale with an opaque token (full-copy resync on rejoin).
-        With a WAL, the transaction commit records the exact LSNs."""
-        if self.durability is not None or self.health is None:
+    def _mark_stale(self, segment: int, primary: bool, mirror: bool) -> None:
+        """Mark the copy a published write skipped stale (a full-copy
+        resync rebuilds it on rejoin)."""
+        if self.health is None:
             return
         if not primary:
-            self.health.record_missed(segment, PRIMARY)
+            self.health.mark_stale(segment, PRIMARY)
         if not mirror:
-            self.health.record_missed(segment, MIRROR)
+            self.health.mark_stale(segment, MIRROR)
 
     def _leaf_of(self, row: tuple) -> int:
         """The bucket OID ``f_T`` routes a validated row to."""

@@ -168,9 +168,43 @@ def test_a_failed_commit_marker_reports_no_missed_write(tmp_path):
     with pytest.raises(SegmentFailure):
         db.sql("INSERT INTO kv VALUES (2, 2)")
     db.faults.reset()
-    assert db.health.missed_lsns(0) == []
+    assert not db.health.is_stale(0)
     db.health.recover(0)
     store = db.storage.store_by_name("kv")
     assert store.primary_buckets(0) == store.mirror_buckets(0)
     assert _rows(db, "kv") == [(1, 1)]
     assert _reopened(tmp_path, db, "kv") == [(1, 1)]
+
+
+def test_a_failed_create_table_log_leaves_no_table(tmp_path):
+    db = _open(tmp_path)
+    db.faults.arm("wal_append", segment=-1, mode="fail_once")
+    with pytest.raises(SegmentFailure):
+        db.create_table("x", TableSchema.of(("id", t.INT)))
+    db.faults.reset()
+    assert not db.catalog.has_table("x")
+    db.create_table("x", TableSchema.of(("id", t.INT)))  # the name is free
+    db.insert("x", [(1,)])
+    assert _reopened(tmp_path, db, "x") == [(1,)]
+
+
+def test_a_failed_drop_table_log_keeps_the_table(tmp_path):
+    db = _kv(tmp_path)
+    db.faults.arm("wal_append", segment=-1, mode="fail_once")
+    with pytest.raises(SegmentFailure):
+        db.drop_table("kv")
+    db.faults.reset()
+    assert _rows(db, "kv") == [(1, 1)]
+    assert _reopened(tmp_path, db, "kv") == [(1, 1)]
+
+
+def test_replaying_a_delete_keeps_the_bucket_order(tmp_path):
+    """Duplicate victims sit between and after kept rows of one bucket;
+    the reopened bucket equals the live one list for list."""
+    db = _open(tmp_path, num_segments=1)
+    db.create_table("g", TableSchema.of(("id", t.INT), ("v", t.INT)))
+    db.insert("g", [(0, 0), (5, 5), (1, 1), (5, 5), (2, 2), (6, 6), (5, 5), (3, 3)])
+    db.insert("g", [(6, 6), (4, 4)])
+    db.sql("DELETE FROM g WHERE id >= 5")
+    assert _buckets(db, "g") == [{db.catalog.table("g").oid: [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]}]
+    assert _reopened(tmp_path, db, "g") == [(i, i) for i in range(5)]

@@ -1,6 +1,6 @@
-"""Online mirror resync: a failed-over primary replays the mutations it
-missed before rejoining, and a rejoin that *can't* replay refuses rather
-than serving stale rows (the stale-rejoin regression)."""
+"""Online mirror resync: a failed-over primary is rebuilt from its
+survivor before rejoining, and a rejoin that *can't* rebuild refuses
+rather than serving stale rows (the stale-rejoin regression)."""
 
 import datetime
 import json
@@ -42,17 +42,16 @@ def _copies(db, segment):
     return primary, mirror
 
 
-def test_wal_resync_replays_exactly_the_missed_lsns(tmp_path):
+def test_wal_resync_rebuilds_the_stale_copy(tmp_path):
     db = _kv_db(tmp_path)
     db.health.failover(2, reason="test")
     db.insert("kv", [(1000 + i, 7) for i in range(80)])
     db.sql("DELETE FROM kv WHERE k < 20")
-    missed = db.health.missed_lsns(2, PRIMARY)
-    assert missed, "segment 2 writes while down must be tracked"
+    assert db.health.is_stale(2, PRIMARY), "segment 2 writes while down must be tracked"
+    assert not db.health.is_stale(2, MIRROR)
 
     db.health.recover(2)
-    assert db.durability.resync_replayed_records == len(missed)
-    assert db.health.missed_lsns(2, PRIMARY) == []
+    assert not db.health.is_stale(2, PRIMARY)
     primary, mirror = _copies(db, 2)
     assert primary == mirror
     assert db.health.status()["primaries"] == ["up"] * 4
@@ -79,11 +78,11 @@ def test_reads_served_from_mirror_while_resyncing(tmp_path):
     observed = {}
     inner = db.health.resync_handler
 
-    def spying_handler(segment, copy, lsns):
+    def spying_handler(segment, copy):
         observed["state"] = db.health.status()["primaries"][segment]
         observed["mirror_serves"] = db.health.require_readable(segment)
         observed["degraded"] = segment in db.health.down_segments
-        inner(segment, copy, lsns)
+        inner(segment, copy)
 
     db.health.resync_handler = spying_handler
     db.health.recover(3)
@@ -103,12 +102,12 @@ def test_stale_rejoin_without_resync_path_refuses():
     health = SegmentHealth(2)
     health.resync_handler = None
     health.failover(0)
-    health.record_missed(0, PRIMARY)
+    health.mark_stale(0, PRIMARY)
     with pytest.raises(ResyncRequired):
         health.recover(0)
     # the refusal left the segment down, not half-joined
     assert health.is_up(0) is False
-    assert health.missed_lsns(0, PRIMARY), "missed set must survive"
+    assert health.is_stale(0, PRIMARY), "stale bit must survive"
     # a clean segment still rejoins instantly
     health.failover(1)
     health.recover(1)
@@ -133,7 +132,7 @@ def test_mirror_resync_after_mirror_outage(tmp_path):
     db = _kv_db(tmp_path)
     db.health.mark_mirror_down(2)
     db.insert("kv", [(4000 + i, 2) for i in range(40)])
-    assert db.health.missed_lsns(2, MIRROR)
+    assert db.health.is_stale(2, MIRROR)
     db.health.recover(2)
     primary, mirror = _copies(db, 2)
     assert primary == mirror
@@ -153,32 +152,42 @@ def test_resync_failure_keeps_segment_down(tmp_path):
     db.health.failover(2)
     db.insert("kv", [(5000 + i, 3) for i in range(40)])
 
-    def broken_handler(segment, copy, lsns):
+    def broken_handler(segment, copy):
         raise DurabilityError("disk gone")
 
+    inner = db.health.resync_handler
     db.health.resync_handler = broken_handler
     with pytest.raises(DurabilityError):
         db.health.recover(2)
     assert db.health.is_up(2) is False
     assert not db.health.is_resyncing(2)
     # reinstate the real handler: recovery completes on retry
-    db.health.resync_handler = db.durability.resync_replay
+    db.health.resync_handler = inner
     db.health.recover(2)
     assert db.health.is_up(2)
     db.durability.close()
 
 
-def test_truncating_wal_with_behind_copy_is_refused(tmp_path):
-    """checkpoint() keeps the log while any copy still needs it."""
-    db = _kv_db(tmp_path)
+def test_checkpoint_during_double_fault_keeps_committed_rows(tmp_path):
+    """The mirror goes down, then takes no writes, then the primary fails
+    over: the snapshot must come from the primary, the copy that is not
+    stale, or the checkpoint's LSN hides the inserts from replay."""
+    db = Database(num_segments=2, data_dir=str(tmp_path))
+    db.create_table(
+        "kv",
+        TableSchema.of(("k", t.INT), ("v", t.INT)),
+        distribution=DistributionPolicy.hashed("k"),
+    )
+    db.insert("kv", [(i, i) for i in range(20)])
+    db.health.mark_mirror_down(0)
+    db.insert("kv", [(100 + i, 1) for i in range(20)])
     db.health.failover(0)
-    db.insert("kv", [(6000 + i, 4) for i in range(40)])
-    summary = db.checkpoint()
-    assert summary["wal_truncated"] is False
-    db.health.recover(0)  # replays from the retained log
-    summary = db.checkpoint()
-    assert summary["wal_truncated"] is True
+    db.checkpoint()
     db.durability.close()
+
+    reopened = Database(num_segments=2, data_dir=str(tmp_path))
+    assert reopened.sql("SELECT count(*) FROM kv").rows == [(40,)]
+    reopened.durability.close()
 
 
 def test_mutation_fault_points_fire():
@@ -206,13 +215,13 @@ def test_healthz_reports_resyncing_as_degraded(tmp_path):
         observed = {}
         inner = db.health.resync_handler
 
-        def probing_handler(segment, copy, lsns):
+        def probing_handler(segment, copy):
             with urllib.request.urlopen(
                 f"{scrape.address}/healthz", timeout=5
             ) as response:
                 observed["code"] = response.status
                 observed["body"] = json.loads(response.read())
-            inner(segment, copy, lsns)
+            inner(segment, copy)
 
         db.health.resync_handler = probing_handler
         db.health.recover(1)
@@ -240,9 +249,9 @@ def test_live_gauge_tracks_resyncing_segments(tmp_path):
     seen = []
     inner = db.health.resync_handler
 
-    def sampling_handler(segment, copy, lsns):
+    def sampling_handler(segment, copy):
         seen.append(len(db.health.resyncing_segments))
-        inner(segment, copy, lsns)
+        inner(segment, copy)
 
     db.health.resync_handler = sampling_handler
     db.health.recover(2)

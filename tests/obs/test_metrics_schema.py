@@ -23,7 +23,7 @@ from repro.catalog import (
 from repro.obs.metrics import METRICS_SCHEMA_VERSION
 
 #: the version the golden key sets below describe
-GOLDEN_VERSION = 11
+GOLDEN_VERSION = 12
 
 TOP_LEVEL = {
     "schema_version", "elapsed_seconds", "num_segments", "timing_collected",
@@ -81,9 +81,9 @@ GOLDEN = {
         "enabled", "data_dir", "wal_sync", "wal_records", "wal_bytes",
         "wal_fsyncs", "checkpoints", "last_checkpoint_seconds",
         "checkpoint_seconds_total", "last_checkpoint_bytes",
-        "last_checkpoint_lsn", "wal_truncations",
+        "last_checkpoint_lsn",
         "recovery_replayed_records", "recovery_checkpoint_lsn",
-        "resync_replayed_records", "resyncing_segments", "resync_count",
+        "resyncing_segments", "resync_count",
     },
 }
 
