@@ -28,10 +28,10 @@ so protocol violations surface as :class:`ChannelError` rather than torn
 state, whichever thread commits them.
 
 Instance retry after a segment failure discards the **failed segment's**
-channels only (:meth:`ChannelRegistry.discard` with ``segment=``) so the
-re-run rebuilds them while healthy segments' in-flight channels stay
-untouched — discarding every segment's channel here would corrupt a
-parallel failover.
+channels only (:meth:`ChannelRegistry.discard`) so the re-run rebuilds
+them while healthy segments' in-flight channels stay untouched —
+discarding every segment's channel here would corrupt a parallel
+failover.
 """
 
 from __future__ import annotations
@@ -148,22 +148,12 @@ class ChannelRegistry:
         with self._lock:
             return list(self._channels.values())
 
-    def discard(self, part_scan_ids, segment: int | None = None) -> int:
-        """Drop channels for the given scan ids so a retry rebuilds them.
-
-        ``segment`` scopes the discard to one failed segment's instance —
-        the parallel failover path, where other segments' channels are
-        healthy and possibly mid-consumption.  ``segment=None`` drops every
-        segment's channel (whole-slice reset).  Returns channels removed.
-        """
-        ids = set(part_scan_ids)
+    def discard(self, part_scan_ids, segment: int) -> int:
+        """Drop ``segment``'s channels for the given scan ids so its
+        instance retry rebuilds them; other segments' channels are healthy
+        and possibly mid-consumption.  Returns channels removed."""
+        victims = [(scan_id, segment) for scan_id in part_scan_ids]
         with self._lock:
-            victims = [
-                key
-                for key in self._channels
-                if key[0] in ids
-                and (segment is None or key[1] == segment)
-            ]
-            for key in victims:
-                del self._channels[key]
-            return len(victims)
+            return sum(
+                self._channels.pop(key, None) is not None for key in victims
+            )

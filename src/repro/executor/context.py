@@ -6,12 +6,12 @@ The MPP simulator's conventions:
   coordinator** — GatherMotion routes all rows there, and
   coordinator-only operators (scalar aggregation over a gathered stream,
   Update's count row) emit on segment 0 only.
-* Motion outputs are materialized into per-segment
-  :class:`~repro.executor.queues.TupleQueue` buffers before the consuming
-  slice runs (slice-at-a-time execution) — under the parallel scheduler
-  producers on different worker threads push into them concurrently, and
-  the queues merge rows in producer-segment order so the drained sequence
-  matches a serial run exactly.
+* Motion outputs are materialized into one
+  :class:`~repro.executor.queues.MotionBuffer` per Motion before the
+  consuming slice runs (slice-at-a-time execution) — under the parallel
+  scheduler each producer instance writes only its own runs, and a
+  target's rows are read in producer-segment order so they match a
+  serial run exactly.
 * Partition-OID channels are per (part scan id, segment).
 * The context's :class:`~repro.obs.metrics.MetricsCollector` records
   which leaf partitions every scan touched — the measurement behind the
@@ -65,7 +65,7 @@ class ExecContext:
         self.num_segments = num_segments
         self.params = list(params) if params is not None else []
         self.channels = ChannelRegistry()
-        #: id(motion op) -> per-segment receive queues for that Motion
+        #: id(motion op) -> that Motion's rows, per (target, producer)
         self.motion_buffers: dict[int, MotionBuffer] = {}
         self.metrics = (
             metrics if metrics is not None else MetricsCollector(num_segments)
@@ -119,13 +119,9 @@ class ExecContext:
     def motion_buffer(self, motion_id: int) -> MotionBuffer:
         buffer = self.motion_buffers.get(motion_id)
         if buffer is None:
-            # unbounded queues: the slice-at-a-time schedule attaches no
-            # streaming consumer, so a bound that fills could only raise
-            buffer = MotionBuffer(
-                self.num_segments,
-                limits=self.limits if self.limits.active else None,
+            buffer = self.motion_buffers[motion_id] = MotionBuffer(
+                self.num_segments
             )
-            self.motion_buffers[motion_id] = buffer
         return buffer
 
     def motion_rows(self, motion_id: int, segment: int) -> list[tuple]:
@@ -133,15 +129,6 @@ class ExecContext:
         ``segment`` (requires the producing slice to have closed the
         buffer — the ChannelError contract)."""
         return self.motion_buffer(motion_id).rows(segment)
-
-    def reset_slice(self, part_scan_ids, motion_id: int | None = None) -> None:
-        """Discard one slice's local state before a whole-slice retry: its
-        partition-OID channels (rebuilt locally on the re-run — the
-        Figure 12 invariant keeps producer and consumer in the same slice)
-        and, for a motion slice, the partially-filled send buffer."""
-        self.channels.discard(part_scan_ids)
-        if motion_id is not None:
-            self.motion_buffers.pop(motion_id, None)
 
     def reset_instance(
         self,
@@ -152,8 +139,8 @@ class ExecContext:
         """Discard one failed (slice, segment) instance's state before its
         retry, leaving every other segment's work intact: only the failed
         segment's partition-OID channels (the Figure 12 invariant makes
-        them instance-local) and only that producer's rows in the Motion's
-        send queues."""
+        them instance-local) and only that producer's runs in the Motion's
+        buffer."""
         self.channels.discard(part_scan_ids, segment=segment)
         if motion_id is not None:
             buffer = self.motion_buffers.get(motion_id)

@@ -3,7 +3,7 @@ tolerance.
 
 A plan is cut at Motion boundaries.  Motions are executed deepest-first:
 the child subtree runs once per segment and its output is routed into
-per-segment receive queues —
+the Motion's :class:`~repro.executor.queues.MotionBuffer` —
 
 * **Gather** → everything to the coordinator (segment 0);
 * **Broadcast** → a copy to every segment;
@@ -17,23 +17,23 @@ one (slice, segment) instance before its consumer opens — the shared-memory
 contract of Section 2.2.
 
 **Parallelism** follows the same cut: each slice's per-segment instances
-share nothing but the Motion queues and their own segment's channels, so
+share nothing but the Motion buffers and their own segment's channels, so
 the :class:`~repro.executor.scheduler.SegmentScheduler` runs them
 concurrently on a worker pool (``workers > 1``) while slices stay
-sequential — producers always close their Motion queues before consumers
-drain them.  Results are deterministic regardless of thread interleaving:
-instances are collected in segment order, and
-:class:`~repro.executor.queues.TupleQueue` merges Motion rows in
-producer-segment order, so parallel output is byte-identical to serial.
+sequential — producers always close their Motion buffer before consumers
+read it.  Results are deterministic regardless of thread interleaving:
+instances are collected in segment order, and a Motion buffer hands a
+target its rows in producer-segment order, so parallel output is
+byte-identical to serial.
 The default is ``workers=1``, which bypasses the pool entirely.
 
 **Failure handling** rides on the Figure 12 invariant: when a segment
 instance dies (a :class:`~repro.errors.SegmentFailure`, real or injected),
 only that *instance* is retried.  The failed segment's partition-OID
-channels and its producer run in the Motion send queues are discarded and
+channels and its producer runs in the Motion buffer are discarded and
 rebuilt locally on the re-run — no cross-segment coordination is needed,
-because no channel ever crosses a Motion and every queue keeps per-producer
-runs.  Transient failures retry in place with exponential backoff;
+because no channel ever crosses a Motion and every buffer keeps
+per-producer runs.  Transient failures retry in place with exponential backoff;
 persistent ones first fail the segment over to its mirror
 (:class:`~repro.resilience.SegmentHealth`), after which storage reads for
 that segment are served from the mirror copy and the retry produces
@@ -287,9 +287,9 @@ class MppExecutor:
         segments: Sequence[int],
     ) -> None:
         """Run one motion slice's producer instances on ``segments``, then
-        seal the receive queues so the consuming slice may drain them.  A
-        segment that is not dispatched simply has no producer run: every
-        queue still closes, and retry and failover see only the instances
+        seal the Motion buffer so the consuming slice may read it.  A
+        segment that is not dispatched simply has no producer run: the
+        buffer still closes, and retry and failover see only the instances
         that exist."""
         buffer = ctx.motion_buffer(id(motion))
 
@@ -326,7 +326,7 @@ class MppExecutor:
         persistent one fails the segment over to its mirror first.  Before
         each retry exactly the failed instance's state is discarded: its
         segment's OID channels (instance-local by the Figure 12 invariant)
-        and its producer run in the Motion send queues.  Other segments'
+        and its producer runs in the Motion buffer.  Other segments'
         instances — possibly still running on sibling workers — are
         untouched.  Counters stay cumulative across attempts: a retry
         records into the same slots as the attempt it replaces."""
@@ -393,11 +393,11 @@ class MppExecutor:
         buffer: MotionBuffer,
     ) -> None:
         """One producer instance: run the motion's child subtree on
-        ``segment`` and route every batch into the receive queues, tagged
+        ``segment`` and route every batch into the Motion buffer, tagged
         with this segment as the producer (the deterministic-merge key).
-        A batch takes one lock acquisition per target queue and is sized
-        from the layout alone; the ``motion_send`` fault point fires once
-        per batch, and the buffered-row charges stop at the first one that
+        A batch is one list extend per target and is sized from the
+        layout alone; the ``motion_send`` fault point fires once per
+        batch, and the buffered-row charges stop at the first one that
         crosses ``max_rows``, whatever the width."""
         child = motion.children[0]
         row_bytes = motion_row_bytes(motion)

@@ -11,7 +11,7 @@ per-segment buffers, and this module simply reads the buffer
 An operator never mutates a batch it receives: it builds a new list, or
 passes the one it got on unchanged (a Project of its input's own slots
 returns its input).  So a batch may be shared by several operators, Motion
-queues included, with no copy.
+buffers included, with no copy.
 
 Accounting is exact at every width: metrics charge ``len(batch)`` per
 node, guardrail ticks advance by ``len(batch)``, ``max_rows`` charges stop

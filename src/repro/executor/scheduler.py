@@ -2,12 +2,12 @@
 
 An MPP plan is shaped for concurrency: every slice runs one instance per
 segment, and the instances of one slice share nothing but the Motion
-queues and the (segment-local) partition-OID channels.
+buffers and the (segment-local) partition-OID channels.
 :class:`SegmentScheduler` exploits exactly that — it maps the
 (slice, segment) instances of each slice onto a
 :class:`~concurrent.futures.ThreadPoolExecutor` worker pool, while the
 executor keeps the slice-at-a-time barrier between slices so producers
-always close their Motion queues before consumers drain them.
+always close their Motion buffer before consumers read it.
 
 ``workers=1`` (the default everywhere) bypasses the pool entirely and
 runs instances inline in ascending segment order — byte-for-byte the
@@ -19,14 +19,13 @@ With ``workers>1`` the scheduler still guarantees determinism:
 * when several instances fail, the failure raised is the lowest failed
   segment's (after every instance has settled, so no worker is left
   running against torn state);
-* Motion rows are merged per producer run by the
-  :class:`~repro.executor.queues.TupleQueue`, not by arrival.
+* Motion rows are read per producer run from the
+  :class:`~repro.executor.queues.MotionBuffer`, not by arrival.
 
 In this simulator the workers are Python threads, so CPU-bound operator
 work shares the GIL; what genuinely overlaps is everything that waits —
-the simulated storage I/O latency (``StorageManager.io_latency_s``),
-retry backoff sleeps, and any blocking queue operation — which is also
-what dominates real MPP executors.
+the simulated storage I/O latency (``StorageManager.io_latency_s``) and
+retry backoff sleeps — which is also what dominates real MPP executors.
 """
 
 from __future__ import annotations

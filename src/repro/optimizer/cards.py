@@ -220,12 +220,3 @@ def group_estimate(
         stats = child.column(key)
         ndv_product *= stats.ndv if stats else 25.0
     return min(ndv_product, child.rows)
-
-
-def distinct_values(
-    est: RelationEstimate, ref: ColumnRef, default: float = 25.0
-) -> float:
-    stats = est.column(ref)
-    if stats is None:
-        return min(default, est.rows)
-    return min(float(stats.ndv), est.rows)

@@ -36,7 +36,7 @@ from .faults import (
     FaultInjector,
     FaultSpec,
 )
-from .guardrails import NO_LIMITS, CancelToken, QueryLimits, RetryPolicy
+from .guardrails import CancelToken, QueryLimits, RetryPolicy
 from .health import DOWN, MIRROR, PRIMARY, RESYNCING, UP, SegmentHealth
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "INSERT_ROW",
     "MIRROR",
     "MOTION_SEND",
-    "NO_LIMITS",
     "PRIMARY",
     "RECOVERY_REPLAY",
     "RESYNCING",

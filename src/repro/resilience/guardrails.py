@@ -195,10 +195,6 @@ class QueryLimits:
             )
 
 
-#: limits object used when the caller sets no guardrail — all no-ops
-NO_LIMITS = QueryLimits()
-
-
 class RetryPolicy:
     """Bounds on the executor's slice-retry loop.
 

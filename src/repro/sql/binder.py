@@ -129,49 +129,16 @@ class Binder:
 
     def bind_select(self, stmt: SelectStmt) -> LogicalOp:
         scope = _Scope()
-        gets: list[LogicalGet] = []
-        for table_ref in stmt.tables:
-            gets.append(self._bind_table(table_ref, scope))
-        join_preds: list[Expression] = []
-        explicit_joins: list[tuple[LogicalGet, Expression]] = []
-        for table_ref, on_expr in stmt.joins:
-            get = self._bind_table(table_ref, scope)
-            explicit_joins.append((get, on_expr))
-
-        where = stmt.where
+        gets = [self._bind_table(table_ref, scope) for table_ref in stmt.tables]
+        explicit_joins = [
+            (self._bind_table(table_ref, scope), on_expr)
+            for table_ref, on_expr in stmt.joins
+        ]
         semi_joins: list[tuple[LogicalOp, Expression]] = []
         residual: list[Expression] = []
-        table_filters: dict[str, list[Expression]] = {}
-        if where is not None:
-            for conjunct in conjuncts(where):
-                bound = self._bind_scalar(conjunct, scope, semi_joins)
-                if isinstance(bound, Literal) and bound.value is True:
-                    continue  # an IN-subquery conjunct, now a semi-join
-                refs = scope.relations_of(bound)
-                if len(refs) == 1:
-                    table_filters.setdefault(next(iter(refs)), []).append(bound)
-                elif len(refs) > 1:
-                    join_preds.append(bound)
-                else:
-                    residual.append(bound)
-
-        # Assemble the left-deep tree in FROM order.
-        plan = self._with_filters(gets[0], table_filters)
-        joined_aliases = {gets[0].alias}
-        pending = list(join_preds)
-        for get in gets[1:]:
-            right = self._with_filters(get, table_filters)
-            joined_aliases.add(get.alias)
-            usable, pending = _split_covered(pending, joined_aliases, scope)
-            plan = LogicalJoin(INNER, plan, right, conj(usable))
-        for get, on_expr in explicit_joins:
-            right = self._with_filters(get, table_filters)
-            joined_aliases.add(get.alias)
-            bound_on = self._bind_scalar(on_expr, scope, semi_joins)
-            usable, pending = _split_covered(pending, joined_aliases, scope)
-            plan = LogicalJoin(INNER, plan, right, conj([bound_on] + usable))
-        if pending:
-            plan = LogicalSelect(plan, conj(pending))  # type: ignore[arg-type]
+        plan = self._bind_from_where(
+            scope, gets, stmt.where, semi_joins, explicit_joins, residual
+        )
         for sub_plan, predicate in semi_joins:
             plan = LogicalJoin(SEMI, plan, sub_plan, predicate)
         if residual:
@@ -196,31 +163,10 @@ class Binder:
         gets = [target_get]
         for table_ref in stmt.from_tables:
             gets.append(self._bind_table(table_ref, scope))
-
         semi_joins: list[tuple[LogicalOp, Expression]] = []
-        join_preds: list[Expression] = []
-        table_filters: dict[str, list[Expression]] = {}
-        if stmt.where is not None:
-            for conjunct in conjuncts(stmt.where):
-                bound = self._bind_scalar(conjunct, scope, semi_joins)
-                refs = scope.relations_of(bound)
-                if len(refs) == 1:
-                    table_filters.setdefault(next(iter(refs)), []).append(bound)
-                else:
-                    join_preds.append(bound)
+        plan = self._bind_from_where(scope, gets, stmt.where, semi_joins)
         if semi_joins:
             raise BindError("IN (subquery) is not supported in UPDATE")
-
-        plan: LogicalOp = self._with_filters(gets[0], table_filters)
-        joined_aliases = {gets[0].alias}
-        pending = list(join_preds)
-        for get in gets[1:]:
-            right = self._with_filters(get, table_filters)
-            joined_aliases.add(get.alias)
-            usable, pending = _split_covered(pending, joined_aliases, scope)
-            plan = LogicalJoin(INNER, plan, right, conj(usable))
-        if pending:
-            plan = LogicalSelect(plan, conj(pending))  # type: ignore[arg-type]
 
         assignments = []
         target_schema = target_get.table.schema
@@ -230,7 +176,7 @@ class Binder:
                     f"column {column!r} not in table {target_get.table.name!r}"
                 )
             assignments.append(
-                (column, self._bind_scalar(value, scope, semi_joins))
+                (column, self._bind_scalar(value, scope, None))
             )
         return LogicalUpdate(
             plan, target_get.table, target_get.alias, assignments
@@ -242,31 +188,8 @@ class Binder:
         gets = [target_get]
         for table_ref in stmt.using_tables:
             gets.append(self._bind_table(table_ref, scope))
-
         semi_joins: list[tuple[LogicalOp, Expression]] = []
-        join_preds: list[Expression] = []
-        table_filters: dict[str, list[Expression]] = {}
-        if stmt.where is not None:
-            for conjunct in conjuncts(stmt.where):
-                bound = self._bind_scalar(conjunct, scope, semi_joins)
-                if isinstance(bound, Literal) and bound.value is True:
-                    continue
-                refs = scope.relations_of(bound)
-                if len(refs) == 1:
-                    table_filters.setdefault(next(iter(refs)), []).append(bound)
-                else:
-                    join_preds.append(bound)
-
-        plan: LogicalOp = self._with_filters(gets[0], table_filters)
-        joined_aliases = {gets[0].alias}
-        pending = list(join_preds)
-        for get in gets[1:]:
-            right = self._with_filters(get, table_filters)
-            joined_aliases.add(get.alias)
-            usable, pending = _split_covered(pending, joined_aliases, scope)
-            plan = LogicalJoin(INNER, plan, right, conj(usable))
-        if pending:
-            plan = LogicalSelect(plan, conj(pending))  # type: ignore[arg-type]
+        plan = self._bind_from_where(scope, gets, stmt.where, semi_joins)
         for sub_plan, predicate in semi_joins:
             plan = LogicalJoin(SEMI, plan, sub_plan, predicate)
         return LogicalDelete(plan, target_get.table, target_get.alias)
@@ -284,6 +207,56 @@ class Binder:
         scope.add(table_ref.alias, descriptor.schema.column_names)
         return LogicalGet(descriptor, table_ref.alias)
 
+    def _bind_from_where(
+        self,
+        scope: _Scope,
+        gets: list[LogicalGet],
+        where: Expression | None,
+        semi_joins: list[tuple[LogicalOp, Expression]],
+        explicit_joins: Sequence[tuple[LogicalGet, Expression]] = (),
+        constants: list[Expression] | None = None,
+    ) -> LogicalOp:
+        """The left-deep join of ``gets`` then ``explicit_joins`` (JOIN ...
+        ON, the ON bound here) in FROM order, with ``where`` split into
+        conjuncts: one over a single table filters that table, one over
+        several joins at the first join that covers it, and an
+        IN-subquery becomes a semi-join appended to ``semi_joins`` (its
+        inline ``TRUE`` is dropped).  A conjunct over no table goes to
+        ``constants`` when given; otherwise it is placed like a join
+        conjunct (at the first join, or above a lone table)."""
+        join_preds: list[Expression] = []
+        table_filters: dict[str, list[Expression]] = {}
+        if where is not None:
+            for conjunct in conjuncts(where):
+                bound = self._bind_scalar(conjunct, scope, semi_joins)
+                if isinstance(bound, Literal) and bound.value is True:
+                    continue
+                refs = scope.relations_of(bound)
+                if len(refs) == 1:
+                    table_filters.setdefault(next(iter(refs)), []).append(bound)
+                elif refs or constants is None:
+                    join_preds.append(bound)
+                else:
+                    constants.append(bound)
+
+        plan = self._with_filters(gets[0], table_filters)
+        joined_aliases = {gets[0].alias}
+        pending = join_preds
+        for get in gets[1:]:
+            right = self._with_filters(get, table_filters)
+            joined_aliases.add(get.alias)
+            usable, pending = _split_covered(pending, joined_aliases, scope)
+            plan = LogicalJoin(INNER, plan, right, conj(usable))
+        for get, on_expr in explicit_joins:
+            right = self._with_filters(get, table_filters)
+            joined_aliases.add(get.alias)
+            bound_on = self._bind_scalar(on_expr, scope, semi_joins)
+            usable, pending = _split_covered(pending, joined_aliases, scope)
+            plan = LogicalJoin(INNER, plan, right, conj([bound_on] + usable))
+        if pending:
+            plan = LogicalSelect(plan, conj(pending))  # type: ignore[arg-type]
+        return plan
+
     def _with_filters(
         self, get: LogicalGet, table_filters: dict[str, list[Expression]]
     ) -> LogicalOp:
@@ -298,12 +271,17 @@ class Binder:
         self,
         expr: Expression,
         scope: _Scope,
-        semi_joins: list[tuple[LogicalOp, Expression]],
+        semi_joins: list[tuple[LogicalOp, Expression]] | None,
     ) -> Expression:
-        """Qualify column refs; rewrite IN-subqueries to pending semi-joins."""
+        """Qualify column refs; rewrite IN-subqueries to pending semi-joins
+        (``semi_joins`` is None where no semi-join can be placed)."""
         if isinstance(expr, ColumnRef):
             return scope.qualify(expr)
         if isinstance(expr, InSubquery):
+            if semi_joins is None:
+                raise BindError(
+                    "IN (subquery) is only supported in WHERE and ON conjuncts"
+                )
             subject = self._bind_scalar(expr.subject, scope, semi_joins)
             sub_plan, output_ref = self._bind_subquery(expr.subquery)
             predicate = Comparison("=", subject, output_ref)
@@ -386,7 +364,7 @@ class Binder:
                             (ColumnRef(col, alias), _fresh(col, used_names))
                         )
                 continue
-            bound = self._bind_scalar(item.expr, scope, [])
+            bound = self._bind_scalar(item.expr, scope, None)
             name = item.alias or _default_name(bound)
             items.append((bound, _fresh(name, used_names)))
 
@@ -403,7 +381,7 @@ class Binder:
 
         group_keys: list[ColumnRef] = []
         for expr in stmt.group_by:
-            bound = self._bind_scalar(expr, scope, [])
+            bound = self._bind_scalar(expr, scope, None)
             if not isinstance(bound, ColumnRef):
                 raise BindError("GROUP BY supports plain columns only")
             group_keys.append(bound)
@@ -438,7 +416,7 @@ class Binder:
             raise BindError(
                 f"ORDER BY column {expr!r} must appear in the select list"
             )
-        return self._bind_scalar(expr, scope, [])
+        return self._bind_scalar(expr, scope, None)
 
 
 def _split_covered(

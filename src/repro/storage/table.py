@@ -348,17 +348,22 @@ class TableStore:
         for seg in range(self.num_segments):
             yield from self.scan_segment(seg, oids)
 
-    def leaf_row_count(self, oid: int) -> int:
-        if self.descriptor.distribution.kind == DistributionPolicy.REPLICATED:
-            return len(self._rows[0].get(oid, ()))
-        return sum(len(seg.get(oid, ())) for seg in self._rows)
+    # Counts read the copy scans read (mirror after a failover), and a
+    # replicated table counts one copy: segment 0's.
 
-    def row_count(self) -> int:
+    def _counted_segments(self) -> range:
         if self.descriptor.distribution.kind == DistributionPolicy.REPLICATED:
-            return sum(len(rows) for rows in self._rows[0].values())
+            return range(1)
+        return range(self.num_segments)
+
+    def leaf_row_count(self, oid: int) -> int:
         return sum(
-            len(rows) for seg in self._rows for rows in seg.values()
+            len(self._segment_buckets(seg).get(oid, ()))
+            for seg in self._counted_segments()
         )
 
+    def row_count(self) -> int:
+        return sum(map(self.segment_row_count, self._counted_segments()))
+
     def segment_row_count(self, segment: int) -> int:
-        return sum(len(rows) for rows in self._rows[segment].values())
+        return sum(map(len, self._segment_buckets(segment).values()))

@@ -65,11 +65,6 @@ class DataType:
     def is_numeric(self) -> bool:
         return self.kind in (TypeKind.INT, TypeKind.BIGINT, TypeKind.FLOAT)
 
-    @property
-    def is_orderable(self) -> bool:
-        """Whether values of this type support range comparisons (all do)."""
-        return True
-
     def validate(self, value: Any) -> Any:
         """Coerce ``value`` to this type, raising :class:`TypeMismatchError`
         when the value cannot represent the declared type.

@@ -22,7 +22,7 @@ import shutil
 import tempfile
 from collections import Counter
 
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -210,4 +210,9 @@ class DurableLattice(HealthLattice):
 TestVolatileLattice = VolatileLattice.TestCase
 TestVolatileLattice.settings = LATTICE_SETTINGS
 TestDurableLattice = DurableLattice.TestCase
-TestDurableLattice.settings = LATTICE_SETTINGS
+#: no shrink phase: every shrink candidate writes and reopens a data_dir,
+#: so shrinking a found failure ran for minutes; it is reported unshrunk
+TestDurableLattice.settings = settings(
+    LATTICE_SETTINGS,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)

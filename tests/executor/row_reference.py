@@ -554,7 +554,7 @@ def _send_rows(motion: phys.Motion, segment: int, ctx: ExecContext) -> None:
                 target = sum(stable_hash(v) for v in values) % ctx.num_segments
             kind, targets = "redistribute", [target]
         for target in targets:
-            buffer.queue(target).put(row, segment)
+            buffer.send_batch(target, [row], segment)
             record(motion, kind, segment, target, 1, row_bytes)
         if charge is not None:
             charge(len(targets))

@@ -12,8 +12,7 @@ LIMIT semantics.  These tests pin the exact accounting rules:
   would (cancel-after-checks thresholds, amortized deadline reads);
 * ``charge_rows_batch(n)`` stops at the first crossing charge, so
   ``buffered_rows`` and the typed error message match one-by-one charges;
-* ``TupleQueue.put_batch`` degrades to per-row puts on bounded queues so
-  backpressure errors fire on the same row;
+* ``MotionBuffer.send_batch`` of n rows reads back as n sends of one;
 * the one legal divergence, below a LIMIT that abandons its child, is the
   contract of docs/observability.md ("Width invariance").
 """
@@ -35,7 +34,7 @@ from repro.errors import (
     ResourceLimitExceeded,
 )
 from repro.executor.executor import motion_row_bytes
-from repro.executor.queues import MotionBuffer, TupleQueue
+from repro.executor.queues import MotionBuffer
 from repro.obs.metrics import MetricsCollector
 from repro.resilience import CancelToken, QueryLimits
 from repro.settings import QuerySettings
@@ -146,49 +145,44 @@ def test_charge_rows_batch_under_budget_accumulates_exactly():
     assert limits.buffered_rows == 101
 
 
-# -- queue unit level --------------------------------------------------------
+# -- Motion buffer unit level ------------------------------------------------
 
 
 def test_put_batch_drains_identically_to_per_row_puts():
+    """Split batches, an empty batch and one-row batches read back alike."""
     rows = [(i,) for i in range(10)]
-    per_row = TupleQueue()
+    per_row = MotionBuffer(2)
     for row in rows:
-        per_row.put(row, producer=1)
+        per_row.send_batch(0, [row], producer=1)
     per_row.close()
-    batched = TupleQueue()
-    batched.put_batch(rows[:4], producer=1)
-    batched.put_batch(rows[4:], producer=1)
-    batched.put_batch([], producer=1)
+    batched = MotionBuffer(2)
+    batched.send_batch(0, rows[:4], producer=1)
+    batched.send_batch(0, rows[4:], producer=1)
+    batched.send_batch(0, [], producer=1)
     batched.close()
-    assert batched.rows() == per_row.rows()
+    assert batched.rows(0) == per_row.rows(0) == rows
 
 
 def test_put_batch_interleaves_producers_like_per_row_puts():
-    per_row = TupleQueue()
-    batched = TupleQueue()
+    per_row = MotionBuffer(3)
+    batched = MotionBuffer(3)
     for producer in (2, 0, 1):
         run = [(producer, i) for i in range(3)]
         for row in run:
-            per_row.put(row, producer=producer)
-        batched.put_batch(run, producer=producer)
+            per_row.send_batch(0, [row], producer=producer)
+        batched.send_batch(0, run, producer=producer)
     per_row.close()
     batched.close()
     # the deterministic drain merges runs in producer-segment order
-    assert batched.rows() == per_row.rows()
-
-
-def test_put_batch_bounded_raises_on_the_same_row():
-    bounded = TupleQueue(capacity=3)
-    with pytest.raises(ChannelError):
-        bounded.put_batch([(i,) for i in range(5)])
-    assert len(bounded) == 3  # rows before the overflowing one were kept
+    assert batched.rows(0) == per_row.rows(0)
+    assert [row[0] for row in batched.rows(0)] == [0] * 3 + [1] * 3 + [2] * 3
 
 
 def test_put_batch_to_closed_queue_raises():
-    queue = TupleQueue()
-    queue.close()
+    buffer = MotionBuffer(1)
+    buffer.close()
     with pytest.raises(ChannelError):
-        queue.put_batch([(1,)])
+        buffer.send_batch(0, [(1,)], producer=0)
 
 
 def test_send_batch_of_n_equals_n_sends_of_one():

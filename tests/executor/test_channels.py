@@ -86,11 +86,13 @@ def test_peek_before_close_raises():
 
 
 def test_registry_discard_drops_all_segments():
+    """Discarding a scan id on every segment in turn leaves only the other
+    scan's channels."""
     registry = ChannelRegistry()
     registry.channel(1, 0)
     registry.channel(1, 1)
     registry.channel(2, 0)
-    removed = registry.discard([1])
+    removed = sum(registry.discard([1], segment=s) for s in (0, 1))
     assert removed == 2
     assert len(registry.channels()) == 1
     # A fresh channel replaces the discarded one (retry path).

@@ -1,5 +1,5 @@
-"""Parallel segment execution: the thread-pool scheduler, bounded Motion
-queues, and serial/parallel result equivalence.
+"""Parallel segment execution: the thread-pool scheduler, the Motion
+buffer, and serial/parallel result equivalence.
 
 The acceptance contract: ``db.sql(query, workers=N)`` must return rows
 byte-identical to the serial run, with identical partition-elimination
@@ -10,7 +10,7 @@ strategy, never a semantics change.
 from __future__ import annotations
 
 import datetime
-import threading
+import sys
 
 import pytest
 
@@ -23,7 +23,7 @@ from repro.catalog import (
     monthly_range_level,
 )
 from repro.errors import ChannelError
-from repro.executor.queues import MotionBuffer, TupleQueue
+from repro.executor.queues import MotionBuffer
 from repro.executor.scheduler import SegmentScheduler
 from repro.resilience import FAIL_ONCE, MOTION_SEND, SCAN_ROW
 
@@ -86,96 +86,56 @@ def _clean_state(pdb):
 
 
 # ---------------------------------------------------------------------------
-# TupleQueue contract
+# MotionBuffer contract
 # ---------------------------------------------------------------------------
 
 
 def test_queue_merges_runs_in_producer_order():
-    queue = TupleQueue()
-    # pushes interleaved across producers, as worker threads would
-    queue.put(("b", 1), producer=2)
-    queue.put(("a", 1), producer=0)
-    queue.put(("b", 2), producer=2)
-    queue.put(("a", 2), producer=0)
-    queue.put(("c", 1), producer=3)
-    queue.close()
-    assert queue.rows() == [
+    buffer = MotionBuffer(num_segments=4)
+    # sends interleaved across producers, as worker threads would
+    buffer.send_batch(1, [("b", 1)], producer=2)
+    buffer.send_batch(1, [("a", 1)], producer=0)
+    buffer.send_batch(1, [("b", 2)], producer=2)
+    buffer.send_batch(1, [("a", 2)], producer=0)
+    buffer.send_batch(1, [("c", 1)], producer=3)
+    buffer.close()
+    assert buffer.rows(1) == [
         ("a", 1), ("a", 2), ("b", 1), ("b", 2), ("c", 1)
     ]
     # non-destructive: a retried consumer re-reads the same rows
-    assert queue.rows() == queue.rows()
+    assert buffer.rows(1) == buffer.rows(1)
 
 
 def test_queue_drain_before_close_raises():
-    queue = TupleQueue()
-    queue.put((1,))
+    buffer = MotionBuffer(num_segments=1)
+    buffer.send_batch(0, [(1,)], producer=0)
     with pytest.raises(ChannelError, match="before its producers closed"):
-        queue.rows()
+        buffer.rows(0)
 
 
 def test_queue_put_after_close_raises():
-    queue = TupleQueue()
-    queue.close()
+    buffer = MotionBuffer(num_segments=1)
+    buffer.close()
     with pytest.raises(ChannelError, match="closed motion queue"):
-        queue.put((1,))
+        buffer.send_batch(0, [(1,)], producer=0)
 
 
 def test_queue_double_close_raises():
-    queue = TupleQueue()
-    queue.close()
+    buffer = MotionBuffer(num_segments=1)
+    buffer.close()
     with pytest.raises(ChannelError, match="double close"):
-        queue.close()
-
-
-def test_queue_full_with_no_consumer_fails_fast():
-    """A bounded queue with nobody draining it must raise, not deadlock."""
-    queue = TupleQueue(capacity=2)
-    queue.put((1,))
-    queue.put((2,))
-    with pytest.raises(ChannelError, match="no consumer attached"):
-        queue.put((3,))
-
-
-def test_queue_backpressure_with_streaming_consumer():
-    """With a live stream() consumer, bounded put() blocks until the
-    consumer frees a slot — and every row still arrives exactly once."""
-    queue = TupleQueue(capacity=2)
-    produced = list(range(50))
-    received: list[tuple] = []
-
-    def producer():
-        for i in produced:
-            queue.put((i,))
-        queue.close()
-
-    consumer_ready = threading.Event()
-
-    def consumer():
-        stream = queue.stream()
-        consumer_ready.set()
-        for row in stream:
-            received.append(row)
-
-    consumer_thread = threading.Thread(target=consumer)
-    consumer_thread.start()
-    consumer_ready.wait()
-    producer_thread = threading.Thread(target=producer)
-    producer_thread.start()
-    producer_thread.join(timeout=10)
-    consumer_thread.join(timeout=10)
-    assert not producer_thread.is_alive() and not consumer_thread.is_alive()
-    assert received == [(i,) for i in produced]
+        buffer.close()
 
 
 def test_queue_discard_producer_drops_only_that_run():
-    queue = TupleQueue()
-    queue.put((1,), producer=0)
-    queue.put((2,), producer=1)
-    queue.put((3,), producer=1)
-    assert queue.discard_producer(1) == 2
-    assert queue.discard_producer(1) == 0  # already gone
-    queue.close()
-    assert queue.rows() == [(1,)]
+    buffer = MotionBuffer(num_segments=2)
+    buffer.send_batch(0, [(1,)], producer=0)
+    buffer.send_batch(0, [(2,)], producer=1)
+    buffer.send_batch(0, [(3,)], producer=1)
+    assert buffer.discard_producer(1) == 2
+    assert buffer.discard_producer(1) == 0  # already gone
+    buffer.close()
+    assert buffer.rows(0) == [(1,)]
 
 
 def test_motion_buffer_routes_and_discards_per_target():
@@ -188,6 +148,39 @@ def test_motion_buffer_routes_and_discards_per_target():
     assert buffer.rows(0) == []
     assert buffer.rows(1) == [("z",)]
     assert buffer.closed
+
+
+def test_motion_buffer_without_a_lock_loses_no_rows_under_thread_churn():
+    """Eight producer threads (more than cores) on a tiny switch interval
+    send batches to every target, and each discards and re-sends its own
+    runs once, as an instance retry does; after the pool's barrier every
+    target reads each producer's rows exactly once, in producer order."""
+    producers, targets, batches = 8, 4, 1000
+    buffer = MotionBuffer(num_segments=producers)
+
+    def send(producer: int) -> None:
+        for attempt in (0, 1):
+            for i in range(batches):
+                for target in range(targets):
+                    buffer.send_batch(target, [(producer, i)], producer)
+            if attempt == 0:
+                assert buffer.discard_producer(producer) == batches * targets
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with SegmentScheduler(workers=producers) as scheduler:
+            scheduler.run_slice(
+                [lambda p=p: send(p) for p in range(producers)]
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    buffer.close()
+    expected = [(p, i) for p in range(producers) for i in range(batches)]
+    for target in range(targets):
+        assert buffer.rows(target) == expected
+    for target in range(targets, producers):
+        assert buffer.rows(target) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ exception, never silently wrong rows.
 
 import datetime
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database
@@ -23,6 +23,7 @@ from repro.resilience import (
     FAIL_N,
     FAIL_ONCE,
     INJECTION_POINTS,
+    MOTION_SEND,
 )
 
 SEGMENTS = 4
@@ -38,6 +39,11 @@ QUERIES = [
     # grouped aggregation (hash agg buffers state)
     "SELECT d.tag, count(*) FROM orders o, dim d "
     "WHERE o.id = d.id GROUP BY d.tag",
+    # the Motions above carry a few aggregate rows; these two move base
+    # rows, ~45 (Gather) and ~30 (Broadcast) per producer segment
+    "SELECT id, amount FROM orders WHERE date < '2013-04-01'",
+    "SELECT count(*), sum(o.amount) FROM orders o, dim d "
+    "WHERE o.id + 1 = d.id AND d.tag = 't2'",
 ]
 
 # Module-level lazy singleton: building the database once keeps hypothesis
@@ -87,10 +93,19 @@ def _database():
     n=st.integers(min_value=1, max_value=3),
     skip=st.integers(min_value=0, max_value=5),
     transient=st.booleans(),
+    # width 7 splits a producer's base rows into several batches, so a
+    # motion_send fault can land after its instance already sent some: the
+    # retry must discard that partly sent run
+    batch_size=st.sampled_from([7, 1024]),
+    workers=st.sampled_from([1, 4]),
 )
+# a motion_send fault after the instance's second batch (width 7, 4 workers
+# / serial) on each base-row Motion, retried in place / after a failover
+@example(3, MOTION_SEND, 1, FAIL_ONCE, 1, 2, True, 7, 4)
+@example(4, MOTION_SEND, 2, FAIL_ONCE, 1, 2, False, 7, 1)
 @settings(max_examples=60, deadline=None)
 def test_single_fault_never_corrupts_results(
-    query_index, point, segment, mode, n, skip, transient
+    query_index, point, segment, mode, n, skip, transient, batch_size, workers
 ):
     db, baselines = _database()
     db.faults.reset()
@@ -100,7 +115,7 @@ def test_single_fault_never_corrupts_results(
         point, segment=segment, mode=mode, n=n, skip=skip, transient=transient
     )
     try:
-        result = db.sql(sql)
+        result = db.sql(sql, batch_size=batch_size, workers=workers)
     except ReproError:
         # Typed failure is an acceptable outcome (e.g. retries exhausted
         # under ALWAYS) — a bare exception would escape this clause and
@@ -111,7 +126,8 @@ def test_single_fault_never_corrupts_results(
         db.health.recover_all()
     assert sorted(result.rows) == sorted(baselines[sql]), (
         f"fault {point}@{segment} ({mode}, n={n}, skip={skip}, "
-        f"transient={transient}) corrupted results of {sql!r}"
+        f"transient={transient}, batch_size={batch_size}, "
+        f"workers={workers}) corrupted results of {sql!r}"
     )
 
 

@@ -1,6 +1,6 @@
 """Guardrails under the parallel scheduler: timeout/cancel must
-terminate promptly at workers=4, including producers blocked on Motion
-backpressure, and must never leak worker threads or parked producers."""
+terminate promptly at workers=4 and must never leak worker threads or
+parked producers."""
 
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ from repro.catalog import (
     monthly_range_level,
 )
 from repro.errors import QueryCancelled, QueryTimeout
-from repro.executor.queues import TupleQueue
-from repro.resilience import CancelToken, QueryLimits
+from repro.resilience import CancelToken
 
 JOIN_QUERY = (
     "SELECT avg(amount) FROM orders WHERE date BETWEEN "
@@ -119,72 +118,9 @@ def test_deterministic_cancel_sweep_at_workers_4():
         assert _segment_threads() == 0
 
 
-def test_blocked_producer_unblocks_on_cancel():
-    """A producer parked on a full TupleQueue under backpressure must be
-    released by cancellation — not wait out the stall timeout."""
-    token = CancelToken()
-    limits = QueryLimits(cancel=token)
-    queue = TupleQueue(capacity=1, stall_timeout_s=30.0, limits=limits)
-    errors: list = []
-    taken: list = []
-
-    # attach a streaming consumer that drains exactly one row and then
-    # stalls forever, so put() blocks instead of failing fast
-    stream = queue.stream()
-    consumer = threading.Thread(target=lambda: taken.append(next(stream)))
-    consumer.start()
-    deadline = time.monotonic() + 2.0
-    while queue._consumers == 0 and time.monotonic() < deadline:
-        time.sleep(0.002)
-    assert queue._consumers == 1
-
-    def producer():
-        try:
-            queue.put((1,), producer=0)  # drained by the consumer
-            queue.put((2,), producer=0)  # fills the queue
-            queue.put((3,), producer=0)  # blocks: stalled consumer
-        except QueryCancelled as exc:
-            errors.append(exc)
-
-    thread = threading.Thread(target=producer)
-    thread.start()
-    consumer.join(timeout=2.0)
-    time.sleep(0.05)
-    assert thread.is_alive(), "producer should be parked on backpressure"
-    token.cancel()
-    thread.join(timeout=5.0)
-    assert not thread.is_alive(), "cancel did not release the producer"
-    assert len(errors) == 1
-    assert taken == [(1,)]
-    stream.close()
-
-
-def test_blocked_producer_unblocks_on_timeout():
-    limits = QueryLimits(timeout_seconds=0.05)
-    limits.start()
-    queue = TupleQueue(capacity=1, stall_timeout_s=30.0, limits=limits)
-    taken: list = []
-    stream = queue.stream()
-    consumer = threading.Thread(target=lambda: taken.append(next(stream)))
-    consumer.start()
-    deadline = time.monotonic() + 2.0
-    while queue._consumers == 0 and time.monotonic() < deadline:
-        time.sleep(0.002)
-    queue.put((1,), producer=0)
-    consumer.join(timeout=2.0)  # row 1 drained; consumer now stalls
-    queue.put((2,), producer=0)  # fills the queue
-    started = time.monotonic()
-    with pytest.raises(QueryTimeout):
-        queue.put((3,), producer=0)
-    assert time.monotonic() - started < 5.0
-    stream.close()
-
-
 def test_timeout_with_motion_backpressure_leaves_no_parked_producers():
     """End to end: 4 workers + timeout through Motions.  The query dies
-    promptly and every producer thread drains out.  (The executor's Motion
-    queues are unbounded; a producer parked on a *bounded* queue is the
-    TupleQueue unit tests above.)"""
+    promptly and every producer thread drains out."""
     db = _db()
     db.storage.io_latency_s = 0.002
     before = threading.active_count()

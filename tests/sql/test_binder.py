@@ -199,6 +199,21 @@ def test_multi_column_subquery_rejected(binder):
         )
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "UPDATE sales SET amount = 1.0 WHERE date_id IN (SELECT date_id FROM dates)",
+        "UPDATE sales SET cust_id = date_id IN (SELECT date_id FROM dates)",
+        "SELECT date_id IN (SELECT date_id FROM dates) FROM sales",
+    ],
+)
+def test_in_subquery_outside_where_or_on_is_rejected(binder, sql):
+    """Only a WHERE or ON conjunct can become a semi-join; anywhere else
+    the subquery would be replaced by TRUE for every row."""
+    with pytest.raises(BindError, match="IN \\(subquery\\)"):
+        _bind(binder, sql)
+
+
 def test_partitioned_gets_helper(binder):
     plan = _bind(
         binder,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Database
 from repro import types as t
 from repro.catalog import (
     Catalog,
@@ -201,3 +202,27 @@ def test_stable_hash_deterministic_and_type_aware():
     assert 0 <= segment_for("x", 7) < 7
     with pytest.raises(ValueError):
         segment_for(1, 0)
+
+
+def test_row_counts_read_the_copy_scans_read_after_a_failover():
+    """After a failover the primary is stale: ANALYZE's per-leaf counts and
+    the store's counts must read the mirror, as scans do, and agree with
+    ``count(*)``."""
+    db = Database(num_segments=2)
+    db.create_table(
+        "t",
+        TableSchema.of(("k", t.INT), ("v", t.INT)),
+        distribution=DistributionPolicy.hashed("k"),
+        partition_scheme=PartitionScheme([uniform_int_level("k", 0, 40, 4)]),
+    )
+    db.insert("t", [(k, k) for k in range(40)])
+    db.health.failover(0)
+    db.insert("t", [(k, 100 + k) for k in range(40)])
+    db.analyze("t")
+    store = db.storage.store_by_name("t")
+    stats = db.statistics.get(store.descriptor)
+    assert db.sql("SELECT count(*) FROM t").rows == [(80,)]
+    assert stats.row_count == 80
+    assert sum(stats.leaf_rows.values()) == 80
+    assert store.row_count() == 80
+    assert sum(store.segment_row_count(s) for s in range(2)) == 80
