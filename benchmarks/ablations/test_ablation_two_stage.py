@@ -42,19 +42,16 @@ def _rows_through_motions(db, plan) -> int:
     """Total rows buffered by all Motions during one execution."""
     from repro.executor.context import ExecContext
     from repro.executor.executor import _motions_deepest_first
-    from repro.executor.scheduler import SegmentScheduler
 
     ctx = ExecContext(db.catalog, db.storage, db.num_segments)
     segments = range(db.num_segments)
     for slice_id, motion in enumerate(
         _motions_deepest_first(plan.root), start=1
     ):
-        db.executor._run_motion_slice(
-            motion, ctx, SegmentScheduler(), slice_id, set(), None, segments
-        )
+        db.executor._run_motion_slice(motion, ctx, slice_id, set(), segments)
     total = 0
     for buffer in ctx.motion_buffers.values():
-        total += sum(len(rows) for rows in buffer)
+        total += sum(len(buffer.rows(t)) for t in range(buffer.num_segments))
     return total
 
 

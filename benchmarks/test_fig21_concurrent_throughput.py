@@ -5,8 +5,9 @@ only under concurrency.  This benchmark drives the admission-controlled
 :class:`~repro.serving.QueryServer` two ways:
 
 * **Throughput scaling** — the same query mix from 1, 4 and 16 client
-  sessions over one shared worker pool, with simulated storage I/O
-  latency (the GIL-releasing sleep that parallelises honestly).
+  sessions, each statement on its client's thread, with simulated
+  storage I/O latency (the GIL-releasing sleep that lets statements of
+  different clients overlap).
   Reported: queries/sec and per-session p50/p99 latency per client
   count.  Wall clocks are report-only in the regression gate.
 * **Overload degradation** — a deliberately tiny tier (1 slot, queue of
@@ -87,12 +88,8 @@ def _throughput_pass(db, clients: int, reference) -> dict:
         max_queued=64,
         queue_timeout_s=30.0,
         session_max_inflight=2,
-        pool_workers=16,
     )
-    sessions = [
-        server.session(name=f"client-{i:02d}", workers=2)
-        for i in range(clients)
-    ]
+    sessions = [server.session(name=f"client-{i:02d}") for i in range(clients)]
     wrong = 0
     lock = threading.Lock()
 
@@ -129,7 +126,6 @@ def _throughput_pass(db, clients: int, reference) -> dict:
         "qps": total / elapsed if elapsed else 0.0,
         "p50_s": p50,
         "p99_s": p99,
-        "degraded_grants": admission["degraded_grants"],
     }
 
 
@@ -239,7 +235,7 @@ def _report():
     emit(
         "fig21_concurrent_throughput",
         format_table(
-            ["clients", "queries", "qps", "p50", "p99", "degraded"],
+            ["clients", "queries", "qps", "p50", "p99"],
             [
                 [
                     point["clients"],
@@ -247,7 +243,6 @@ def _report():
                     f"{point['qps']:.1f}",
                     f"{point['p50_s'] * 1000:.1f} ms",
                     f"{point['p99_s'] * 1000:.1f} ms",
-                    point["degraded_grants"],
                 ]
                 for point in points
             ],

@@ -115,8 +115,8 @@ class ReplSession:
         self.db = db or Database(num_segments=4)
         #: where statements run and faults arm: a
         #: :class:`~repro.serving.Session` in the ``--serve`` network mode
-        #: (or tests) — admission control, the shared worker pool, the
-        #: session's fault and cancel scope — else the Database itself
+        #: (or tests) — admission control, the session's fault and cancel
+        #: scope — else the Database itself
         self.target = serving_session if serving_session is not None else self.db
         self.timing = False
         self.done = False
@@ -296,8 +296,7 @@ class ReplSession:
             f"{admission['admitted']} admitted, "
             f"{sum(rejected.values())} rejected "
             f"(full={rejected['queue_full']}, "
-            f"timeout={rejected['queue_timeout']}), "
-            f"{admission['degraded_grants']} degraded grants",
+            f"timeout={rejected['queue_timeout']})",
         ]
         if not snapshot["open_sessions"]:
             lines.append("no open sessions")

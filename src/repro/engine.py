@@ -55,7 +55,13 @@ from .sql.parser import parse
 
 
 class Database:
-    """One in-process MPP database instance."""
+    """One in-process MPP database instance.
+
+    ``workers`` was removed with intra-query threads: a statement's
+    segment instances run in segment order on its own thread.  The
+    keyword is still accepted as ``None`` or ``1`` so existing callers
+    keep working; any other value raises :class:`ValueError`.
+    """
 
     def __init__(
         self,
@@ -71,6 +77,8 @@ class Database:
     ):
         from .storage import StorageManager
 
+        if workers not in (None, 1):
+            raise ValueError("workers was removed: segment instances run serially")
         self.num_segments = num_segments
         self.catalog = Catalog()
         self.storage = StorageManager(self.catalog, num_segments)
@@ -86,7 +94,6 @@ class Database:
         self.settings = resolve(
             DEFAULT_SETTINGS,
             overrides={
-                "workers": workers,
                 "batch_size": batch_size,
                 "cache": None if prebuilt else cache,
             },
@@ -170,14 +177,6 @@ class Database:
             lambda: float(len(self.health.resyncing_segments)),
         )
 
-        def pool_busy() -> float | None:
-            server = self._server
-            if server is None or server.closed:
-                return None
-            return server.scheduler.busy_fraction()
-
-        live.add_source("pool_busy_fraction", pool_busy)
-
     def _cache_hit_rate(self) -> float | None:
         """The result cache's hit rate (None = no lookups yet, so the
         series records nothing rather than a fake zero)."""
@@ -194,8 +193,8 @@ class Database:
     def serve(self, **config):
         """The instance's concurrent serving front end (created on first
         use).  ``config`` forwards to
-        :class:`~repro.serving.ServingConfig` — admission caps, queue
-        bounds, shared-pool width — and is only honoured on creation;
+        :class:`~repro.serving.ServingConfig` — admission caps and queue
+        bounds — and is only honoured on creation;
         reconfiguring requires :meth:`~repro.serving.QueryServer.close`
         first.  See docs/serving.md."""
         from .serving import QueryServer, ServingConfig
@@ -389,7 +388,6 @@ class Database:
         settings: QuerySettings | None = None,
         cancel: CancelToken | None = None,
         faults=None,
-        scheduler=None,
         activity=None,
         **overrides,
     ) -> ExecutionResult:
@@ -397,7 +395,7 @@ class Database:
 
         How it runs is one :class:`~repro.settings.QuerySettings` value:
         ``settings`` if given, else the Database default, with the keyword
-        ``overrides`` on top (``db.sql(q, workers=4, cache="results",
+        ``overrides`` on top (``db.sql(q, batch_size=7, cache="results",
         enable_partition_elimination=False)``).  The fields, their ranges
         and what each does are tabulated in docs/architecture.md,
         "Statement settings"; an invalid value raises here, before
@@ -409,10 +407,7 @@ class Database:
         :class:`~repro.errors.QueryCancelled` (and makes the statement
         cancellable by id via :meth:`cancel_query`).  ``faults`` overrides
         the instance-wide :class:`~repro.resilience.FaultInjector` for
-        this query (serving sessions each carry an isolated one);
-        ``scheduler`` runs the query's segment instances on a caller-owned
-        :class:`~repro.executor.scheduler.SegmentScheduler` — the serving
-        layer's shared worker pool — instead of a per-query pool.
+        this query (serving sessions each carry an isolated one).
 
         Every call registers with the live activity registry
         (``db.live``): the statement is visible in ``db.activity()`` /
@@ -428,9 +423,7 @@ class Database:
         settings = resolve(self.settings, settings, overrides)
         limits = QueryLimits(settings.timeout, settings.max_rows, cancel)
         if activity is None:
-            activity = self.live.begin(
-                query, workers=settings.workers, cancel=cancel
-            )
+            activity = self.live.begin(query, cancel=cancel)
         else:
             activity.adopt_cancel(cancel)
         tracer = Tracer() if settings.trace else None
@@ -448,7 +441,6 @@ class Database:
                             limits,
                             session,
                             faults,
-                            scheduler,
                             activity,
                         )
         except BaseException as error:
@@ -546,7 +538,6 @@ class Database:
         limits: QueryLimits,
         session=None,
         faults=None,
-        scheduler=None,
         activity=None,
     ) -> ExecutionResult:
         with obs_trace.span("parse"):
@@ -588,7 +579,6 @@ class Database:
                 settings,
                 limits=limits,
                 faults=faults,
-                scheduler=scheduler,
                 activity=activity,
             )
         if session is not None:

@@ -20,18 +20,16 @@ The channel enforces the full producer/consumer protocol, raising
   that only need to *read* it (Planner's guarded LeafScans share one
   channel across many scans) use the non-destructive :meth:`peek`.
 
-Under the parallel scheduler every (slice, segment) instance runs on its
-own worker thread; the Figure 12 co-location invariant keeps each
-channel's producer and consumer on one thread, but the registry is shared
-by all workers and each channel guards its state transitions with a lock
-so protocol violations surface as :class:`ChannelError` rather than torn
-state, whichever thread commits them.
+A statement runs on one thread — every (slice, segment) instance in
+segment order — and the Figure 12 co-location invariant keeps each
+channel's producer and consumer inside one instance.  So each channel and
+the registry have one writer; their locks are kept but guard nothing
+that runs concurrently.
 
 Instance retry after a segment failure discards the **failed segment's**
 channels only (:meth:`ChannelRegistry.discard`) so the re-run rebuilds
-them while healthy segments' in-flight channels stay untouched —
-discarding every segment's channel here would corrupt a parallel
-failover.
+them while other segments' channels stay untouched: the consumers of an
+instance that already ran in this slice still read them.
 """
 
 from __future__ import annotations
@@ -127,7 +125,7 @@ class OidChannel:
 
 
 class ChannelRegistry:
-    """All channels of one query execution (shared across worker threads)."""
+    """All channels of one query execution."""
 
     def __init__(self) -> None:
         self._channels: dict[tuple[int, int], OidChannel] = {}

@@ -8,23 +8,25 @@ The MPP simulator's conventions:
   Update's count row) emit on segment 0 only.
 * Motion outputs are materialized into one
   :class:`~repro.executor.queues.MotionBuffer` per Motion before the
-  consuming slice runs (slice-at-a-time execution) — under the parallel
-  scheduler each producer instance writes only its own runs, and a
-  target's rows are read in producer-segment order so they match a
-  serial run exactly.
+  consuming slice runs (slice-at-a-time execution); each producer
+  instance writes only its own runs, and a target's rows are read in
+  producer-segment order.
 * Partition-OID channels are per (part scan id, segment).
 * The context's :class:`~repro.obs.metrics.MetricsCollector` records
   which leaf partitions every scan touched — the measurement behind the
-  paper's Figure 16 and Table 3.  Serial and parallel instances record
-  into the same collector through the same methods: each counter slot
-  belongs to one (slice, segment) instance, so there is nothing to merge.
+  paper's Figure 16 and Table 3.  Each counter slot belongs to one
+  (slice, segment) instance, so there is nothing to merge.
 * The context carries the run's :class:`~repro.resilience.FaultInjector`
   and :class:`~repro.resilience.QueryLimits`; iterators consult both on
   their hot paths (guarded by cheap ``active`` flags).
 * The context carries the statement's
   :class:`~repro.settings.QuerySettings`; operators read the batch width
-  from it.  Worker threads (``settings.workers > 1``) share the one
-  context.
+  from it.
+* One thread per statement: the statement's thread runs every slice,
+  and each slice's segment instances in segment order, so the context
+  and everything it holds has one writer.  The locks it keeps
+  (``_selector_lock``, the channel registry's, the metrics collector's)
+  guard nothing that runs concurrently any more.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class ExecContext:
         )
         self.faults = faults if faults is not None else FaultInjector()
         self.limits = limits if limits is not None else QueryLimits()
-        #: how the statement runs: batch width, pool size (1 = serial)
+        #: how the statement runs: batch width, limits, timing
         self.settings = settings
         #: part_scan_id -> the statement's compiled selector program
         self._selector_programs: dict[int, Any] = {}
@@ -95,8 +97,8 @@ class ExecContext:
     def selector_program(self, part_scan_id: int, build):
         """The one selector program of ``part_scan_id`` for this statement,
         built by the first segment instance that asks (``build()``) and
-        shared by the rest — across worker threads too: nothing in it
-        depends on the segment, and a retried instance reuses it."""
+        shared by the rest: nothing in it depends on the segment, and a
+        retried instance reuses it."""
         program = self._selector_programs.get(part_scan_id)
         if program is None:
             with self._selector_lock:
@@ -109,8 +111,7 @@ class ExecContext:
     def kernel(self, op, build):
         """The statement's generated kernel(s) for ``op``: rendered by the
         first segment instance that asks (``build()``) and shared by the
-        rest.  Kernels keep no state between calls, so worker threads
-        racing here at worst render one twice."""
+        rest.  Kernels keep no state between calls."""
         made = self._kernels.get(id(op))
         if made is None:
             made = self._kernels[id(op)] = build()

@@ -1,5 +1,4 @@
-"""Slice-at-a-time MPP execution with per-segment parallelism and fault
-tolerance.
+"""Slice-at-a-time MPP execution with fault tolerance.
 
 A plan is cut at Motion boundaries.  Motions are executed deepest-first:
 the child subtree runs once per segment and its output is routed into
@@ -16,16 +15,12 @@ the paper's Figure 12 rule), every OID channel is filled and closed within
 one (slice, segment) instance before its consumer opens — the shared-memory
 contract of Section 2.2.
 
-**Parallelism** follows the same cut: each slice's per-segment instances
-share nothing but the Motion buffers and their own segment's channels, so
-the :class:`~repro.executor.scheduler.SegmentScheduler` runs them
-concurrently on a worker pool (``workers > 1``) while slices stay
-sequential — producers always close their Motion buffer before consumers
-read it.  Results are deterministic regardless of thread interleaving:
-instances are collected in segment order, and a Motion buffer hands a
-target its rows in producer-segment order, so parallel output is
-byte-identical to serial.
-The default is ``workers=1``, which bypasses the pool entirely.
+**One execution order.**  A statement runs on one thread: slices run one
+after another, and each slice's per-segment instances run in ascending
+segment order.  In the paper a slice runs once per segment as separate
+processes on separate hosts (Section 2.2); here the instances share the
+statement's thread, and what runs concurrently is statements of
+different sessions (docs/parallelism.md).
 
 **Failure handling** rides on the Figure 12 invariant: when a segment
 instance dies (a :class:`~repro.errors.SegmentFailure`, real or injected),
@@ -62,7 +57,6 @@ from ..storage.distribution import segment_for, stable_hash
 from .context import COORDINATOR_SEGMENT, ExecContext
 from .iterators import build_batches, drain
 from .queues import MotionBuffer
-from .scheduler import SegmentScheduler
 
 
 class ExecutionResult:
@@ -138,22 +132,16 @@ class MppExecutor:
         settings: QuerySettings = DEFAULT_SETTINGS,
         limits: QueryLimits | None = None,
         faults: FaultInjector | None = None,
-        scheduler: SegmentScheduler | None = None,
         activity=None,
     ) -> ExecutionResult:
-        """Run the plan as ``settings`` says: ``workers`` threads (1 =
-        serial), batches of ``batch_size`` rows, per-node wall-clock
-        timings when ``analyze`` (row and partition counters are always
-        on).  ``limits`` is the run's guardrail state (cancel token,
-        deadline, buffered-row count); None builds it from
-        ``settings.timeout`` / ``settings.max_rows``.  ``faults``
-        overrides the executor-wide injector for this query (serving
-        sessions each carry their own).  ``scheduler``
-        runs the query's segment instances on a caller-owned
-        :class:`SegmentScheduler` — the serving layer's shared pool — and
-        is left open afterwards; without it a private scheduler is created
-        and torn down per query.  ``activity`` is the statement's live
-        :class:`~repro.obs.live.QueryActivity` record (None = not
+        """Run the plan as ``settings`` says: batches of ``batch_size``
+        rows, per-node wall-clock timings when ``analyze`` (row and
+        partition counters are always on).  ``limits`` is the run's
+        guardrail state (cancel token, deadline, buffered-row count); None
+        builds it from ``settings.timeout`` / ``settings.max_rows``.
+        ``faults`` overrides the executor-wide injector for this query
+        (serving sessions each carry their own).  ``activity`` is the
+        statement's live :class:`~repro.obs.live.QueryActivity` record (None = not
         registered): the executor attaches the collector to it once, so
         activity snapshots can read rows/partitions-so-far — a pull
         model, with zero per-row writes."""
@@ -163,7 +151,6 @@ class MppExecutor:
         metrics.record_settings(settings)
         if activity is not None:
             activity.metrics = metrics
-            activity.workers = settings.workers
         if limits is None:
             limits = QueryLimits(settings.timeout, settings.max_rows)
         limits.start()
@@ -178,54 +165,37 @@ class MppExecutor:
             limits=limits,
             settings=settings,
         )
-        owns_scheduler = scheduler is None
-        if scheduler is None:
-            scheduler = SegmentScheduler(settings.workers)
-        try:
-            # Slice k (k >= 1) is the subtree below the k-th Motion in
-            # post-order; slice 0 is the root slice.
-            for slice_id, motion in enumerate(
-                _motions_deepest_first(plan.root), start=1
-            ):
-                limits.check()
-                slice_started = time.perf_counter()
-                slice_scan_ids = _slice_part_scan_ids(motion.children[0])
-                segments = self._dispatched_segments(motion, ctx)
-                with obs_trace.span(
-                    f"slice:{slice_id}", motion=motion.name
-                ) as slice_span:
-                    self._run_motion_slice(
-                        motion,
-                        ctx,
-                        scheduler,
-                        slice_id,
-                        slice_scan_ids,
-                        slice_span,
-                        segments,
-                    )
-                metrics.record_slice(
-                    slice_id,
-                    f"below {motion.name}",
-                    time.perf_counter() - slice_started,
-                    segments,
-                )
+        # Slice k (k >= 1) is the subtree below the k-th Motion in
+        # post-order; slice 0 is the root slice.
+        for slice_id, motion in enumerate(
+            _motions_deepest_first(plan.root), start=1
+        ):
             limits.check()
-            root_started = time.perf_counter()
-            root_scan_ids = _slice_part_scan_ids(plan.root)
-            with obs_trace.span("slice:0", motion="root") as slice_span:
-                rows = self._run_root_slice(
-                    plan.root, ctx, scheduler, root_scan_ids, slice_span
+            slice_started = time.perf_counter()
+            slice_scan_ids = _slice_part_scan_ids(motion.children[0])
+            segments = self._dispatched_segments(motion, ctx)
+            with obs_trace.span(f"slice:{slice_id}", motion=motion.name):
+                self._run_motion_slice(
+                    motion, ctx, slice_id, slice_scan_ids, segments
                 )
             metrics.record_slice(
-                0,
-                "root",
-                time.perf_counter() - root_started,
-                range(self.num_segments),
+                slice_id,
+                f"below {motion.name}",
+                time.perf_counter() - slice_started,
+                segments,
             )
-            limits.check()
-        finally:
-            if owns_scheduler:
-                scheduler.close()
+        limits.check()
+        root_started = time.perf_counter()
+        root_scan_ids = _slice_part_scan_ids(plan.root)
+        with obs_trace.span("slice:0", motion="root"):
+            rows = self._run_root_slice(plan.root, ctx, root_scan_ids)
+        metrics.record_slice(
+            0,
+            "root",
+            time.perf_counter() - root_started,
+            range(self.num_segments),
+        )
+        limits.check()
         elapsed = time.perf_counter() - started
         metrics.fault_points = ctx.faults.snapshot()
         metrics.segment_health = self.storage.health.status()
@@ -239,29 +209,22 @@ class MppExecutor:
         self,
         root: phys.PhysicalOp,
         ctx: ExecContext,
-        scheduler: SegmentScheduler,
         scan_ids: set[int],
-        slice_span,
     ) -> list[tuple]:
         """Run the root slice's per-segment instances and concatenate
         their rows in segment order (the Gather contract)."""
 
-        def instance(segment: int) -> Callable[[], list[tuple]]:
-            def work() -> list[tuple]:
-                faults = ctx.faults if ctx.faults.active else None
-                if faults is not None:
-                    faults.maybe_fire(SLICE_START, segment)
-                return drain(root, segment, ctx)
-
-            return lambda: self._run_instance_with_retry(
-                ctx, scheduler, 0, segment, scan_ids, None, slice_span, work
-            )
+        def work(segment: int) -> list[tuple]:
+            faults = ctx.faults if ctx.faults.active else None
+            if faults is not None:
+                faults.maybe_fire(SLICE_START, segment)
+            return drain(root, segment, ctx)
 
         rows: list[tuple] = []
-        for seg_rows in scheduler.run_slice(
-            [instance(segment) for segment in range(self.num_segments)]
-        ):
-            rows += seg_rows
+        for segment in range(self.num_segments):
+            rows += self._run_instance_with_retry(
+                ctx, 0, segment, scan_ids, None, lambda: work(segment)
+            )
         return rows
 
     def _dispatched_segments(
@@ -280,10 +243,8 @@ class MppExecutor:
         self,
         motion: phys.Motion,
         ctx: ExecContext,
-        scheduler: SegmentScheduler,
         slice_id: int,
         scan_ids: set[int],
-        slice_span,
         segments: Sequence[int],
     ) -> None:
         """Run one motion slice's producer instances on ``segments``, then
@@ -292,31 +253,24 @@ class MppExecutor:
         buffer still closes, and retry and failover see only the instances
         that exist."""
         buffer = ctx.motion_buffer(id(motion))
-
-        def instance(segment: int) -> Callable[[], None]:
-            return lambda: self._run_instance_with_retry(
+        for segment in segments:
+            self._run_instance_with_retry(
                 ctx,
-                scheduler,
                 slice_id,
                 segment,
                 scan_ids,
                 id(motion),
-                slice_span,
                 lambda: self._send_segment(motion, ctx, segment, buffer),
             )
-
-        scheduler.run_slice([instance(segment) for segment in segments])
         buffer.close()
 
     def _run_instance_with_retry(
         self,
         ctx: ExecContext,
-        scheduler: SegmentScheduler,
         slice_id: int,
         segment: int,
         scan_ids: set[int],
         motion_id: int | None,
-        slice_span,
         work: Callable[[], Any],
     ) -> Any:
         """Run one (slice, segment) instance, retrying it — and only it —
@@ -326,26 +280,18 @@ class MppExecutor:
         persistent one fails the segment over to its mirror first.  Before
         each retry exactly the failed instance's state is discarded: its
         segment's OID channels (instance-local by the Figure 12 invariant)
-        and its producer runs in the Motion buffer.  Other segments'
-        instances — possibly still running on sibling workers — are
-        untouched.  Counters stay cumulative across attempts: a retry
-        records into the same slots as the attempt it replaces."""
+        and its producer runs in the Motion buffer.  The slice's other
+        instances — those that already ran — are untouched.  Counters stay
+        cumulative across attempts: a retry records into the same slots as
+        the attempt it replaces."""
         policy = self.retry_policy
         attempt = 0
         slept: float | None = None
         started = time.perf_counter()
         try:
             while True:
-                span = (
-                    obs_trace.worker_span(
-                        slice_span, f"segment:{segment}", slice=slice_id
-                    )
-                    if scheduler.parallel
-                    else obs_trace._NULL_SPAN
-                )
                 try:
-                    with span:
-                        return work()
+                    return work()
                 except SegmentFailure as failure:
                     attempt += 1
                     if attempt > policy.max_retries:

@@ -252,9 +252,9 @@ class _SelectorProgram:
             bool(ops) and all(op_name == "=" for op_name in ops)
             for ops in self.streaming
         ]
-        #: shared by every segment instance of the statement; entries are
-        #: pure functions of the streamed values, so workers racing on one
-        #: key store the same mask
+        #: shared by every segment instance of the statement, which run one
+        #: after another on the statement's thread; entries are pure
+        #: functions of the streamed values
         self._memo: dict[tuple, int] = {}
         #: what a selector with no streaming part selects — the same mask
         #: on every segment, built once here; instances only propagate it

@@ -7,17 +7,15 @@ the receiving slice reads it.  So the buffer never streams and never
 fills up: it is one **run** — a list of rows — per (target segment,
 producer segment) pair, allocated when the buffer is made.
 
-* **One writer per run, so no lock.**  A run is written only by its
-  producer's (slice, segment) instance: :meth:`MotionBuffer.send_batch`
+* **One thread per statement, so no lock.**  A run is written only by
+  its producer's (slice, segment) instance: :meth:`MotionBuffer.send_batch`
   extends the instance's own runs, and that instance's retry drops them
-  (:meth:`MotionBuffer.discard_producer`) on the same thread before it
-  re-runs.  Worker threads therefore never write the same list, and
-  readers run after the scheduler's slice barrier, when every writer has
-  finished.
+  (:meth:`MotionBuffer.discard_producer`) before it re-runs.  Instances
+  run one after another on the statement's thread, and readers run after
+  the sending slice has finished.
 * **Deterministic merge order.**  :meth:`MotionBuffer.rows` concatenates
-  a target's runs in ascending producer-segment order, so the rows read
-  are byte-identical to a serial run's send order however the worker
-  threads interleaved.
+  a target's runs in ascending producer-segment order, which is also the
+  order the producers ran in.
 * **The ChannelError contract.**  Sending after close, closing twice and
   reading before close all raise — the same misuse surface
   :class:`~repro.executor.channels.OidChannel` polices.

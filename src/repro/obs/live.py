@@ -18,7 +18,7 @@ do?"; this module answers the two operational questions they cannot:
 * **Over time** — fixed-log-bucket :class:`Histogram` families (query
   latency, admission queue wait, partition scanned-vs-eligible ratio)
   and bounded ring-buffer :class:`GaugeSeries` (queue depth, in-flight,
-  pool busy fraction, cache hit rate, ...) sampled by a background
+  resyncing segments, cache hit rate, ...) sampled by a background
   ticker thread.  All state is O(buckets + ring capacity): the hub's
   memory never grows with query count.
 
@@ -226,7 +226,6 @@ class QueryActivity:
         "query_id",
         "query",
         "session",
-        "workers",
         "phase",
         "phase_log",
         "queued_seconds",
@@ -245,13 +244,11 @@ class QueryActivity:
         query_id: int,
         query: str,
         session: str | None = None,
-        workers: int | None = None,
         cancel: CancelToken | None = None,
     ):
         self.query_id = query_id
         self.query = query
         self.session = session
-        self.workers = workers
         self.phase = "submitted"
         #: (offset_s, phase) transitions, bounded; feeds slow-log timings
         self.phase_log: list[tuple[float, str]] = []
@@ -368,7 +365,6 @@ class QueryActivity:
                 if self.queued_seconds is not None
                 else None
             ),
-            "workers": self.workers,
             "rows_produced": progress["rows"],
             "rows_scanned": progress["rows_scanned"],
             "partitions_scanned": progress["partitions_scanned"],
@@ -396,12 +392,10 @@ class ActivityRegistry:
         self,
         query: str,
         session: str | None = None,
-        workers: int | None = None,
         cancel: CancelToken | None = None,
     ) -> QueryActivity:
         activity = QueryActivity(
-            next(self._ids), query, session=session, workers=workers,
-            cancel=cancel,
+            next(self._ids), query, session=session, cancel=cancel
         )
         with self._lock:
             self._entries[activity.query_id] = activity
@@ -499,13 +493,10 @@ class LiveTelemetry:
         self,
         query: str,
         session: str | None = None,
-        workers: int | None = None,
         cancel: CancelToken | None = None,
     ) -> QueryActivity:
         """Register one statement; returns its live record."""
-        return self.activity.register(
-            query, session=session, workers=workers, cancel=cancel
-        )
+        return self.activity.register(query, session=session, cancel=cancel)
 
     def complete(
         self,

@@ -6,11 +6,11 @@ registers the plan tree up front (capturing names, details and estimates),
 and the iterators report into it through a handful of typed recording
 methods.  Slice wall times are scoped per slice.
 
-Every counter slot has exactly one writer, the (slice, segment) instance
-it belongs to: rows out, loops, wall time, leaves opened and rows scanned
-per (node, segment); Motion rows per (node, producer, target) and Motion
-bytes per (node, producer); selector pushes per (selector, segment).  So
-serial and parallel runs record through the same methods, lock-free, and
+Every counter slot belongs to one (slice, segment) instance: rows out,
+loops, wall time, leaves opened and rows scanned per (node, segment);
+Motion rows per (node, producer, target) and Motion bytes per (node,
+producer); selector pushes per (selector, segment).  A statement runs on
+one thread, so every slot has one writer and is written lock-free, and
 nothing is merged.  Totals are sums over slots, computed on read; the
 per-table scan summary (:class:`ScanTracker`) is derived from the scan
 nodes once, when the statement finishes.
@@ -82,7 +82,11 @@ from ..types import DEFAULT_BATCH_SIZE
 #: always truncates the WAL) and the resync replay counter (a stale copy
 #: is rebuilt from its survivor, not replayed from the WAL) — see
 #: docs/durability.md; every other v11 field is unchanged.
-METRICS_SCHEMA_VERSION = 12
+#: v13: intra-query threads are gone — the "parallel" section drops
+#: "workers", "mode" and "overlap", and the "serving" section drops
+#: "requested_workers", "effective_workers" and "degraded" — see
+#: docs/parallelism.md; every other v12 field is unchanged.
+METRICS_SCHEMA_VERSION = 13
 
 
 class ScanTracker:
@@ -288,17 +292,15 @@ class MetricsCollector:
         self.timing = timing
         self.nodes: list[NodeMetrics] = []
         self.elapsed_seconds = 0.0
-        #: guards shared-structure mutation from worker threads (node and
-        #: selector creation, the slice/instance/retry/failover logs); a
-        #: counter slot has one writer, the (slice, segment) instance it
-        #: belongs to, and stays lock-free
+        #: guards shared-structure mutation (node and selector creation,
+        #: the slice/instance/retry/failover logs).  A statement runs on
+        #: one thread, so nothing contends for it any more; counter slots
+        #: never took it
         self._lock = threading.RLock()
-        # parallel execution (schema v4)
-        #: worker-pool size the query ran with (1 = serial)
-        self.workers = 1
+        # segment instances (schema v4)
         #: batch width the query ran with (schema v9; 1 = row-at-a-time)
         self.batch_size = DEFAULT_BATCH_SIZE
-        #: one entry per (slice, segment) instance: wall seconds on its worker
+        #: one entry per (slice, segment) instance: its wall seconds
         self.instances: list[dict] = []
         #: part_scan_id -> {"mode", "total", "selected" per-segment leaf
         #: masks, "pushed" per-segment pair counts}
@@ -330,7 +332,7 @@ class MetricsCollector:
         #: CacheSession.summary() snapshot: mode, outcomes, totals
         self.cache_summary: dict | None = None
         # serving (schema v6) — populated only for serving-session queries
-        #: QueryServer submit summary: queue wait, degraded worker width
+        #: QueryServer submit summary: queue wait, admission counters
         self.serving_summary: dict | None = None
         # live telemetry (schema v7) — populated by the activity registry
         #: LiveTelemetry.complete() summary: query id, phase log, timings
@@ -497,46 +499,34 @@ class MetricsCollector:
         self.elapsed_seconds = elapsed_seconds
         self._scans = ScanTracker(self.nodes)
 
-    # -- parallel execution (schema v4) ---------------------------------------
+    # -- segment instances (schema v4) ----------------------------------------
 
     def record_settings(self, settings) -> None:
-        """The worker-pool size (1 = serial) and the batch width (schema
-        v9; 1 = one row per batch) the query ran with."""
-        self.workers = settings.workers
+        """The batch width (schema v9; 1 = one row per batch) the query
+        ran with."""
         self.batch_size = settings.batch_size
 
     def record_instance(
         self, slice_id: int, segment: int, seconds: float
     ) -> None:
-        """Wall time of one (slice, segment) instance on its worker."""
+        """Wall time of one (slice, segment) instance."""
         with self._lock:
             self.instances.append(
                 {"slice_id": slice_id, "segment": segment, "seconds": seconds}
             )
 
     def parallel_stats(self) -> dict:
-        """The schema-v4 "parallel" section: worker count, per-instance
-        wall times, and how much segment work overlapped.
-
-        ``overlap`` is Σ instance wall seconds / query elapsed seconds —
-        1.0 means no concurrency benefit, values approaching the worker
-        count mean the instances genuinely ran side by side.  Reported
-        only for parallel runs with a measured elapsed time."""
+        """The "parallel" section: the batch width and the wall time of
+        each (slice, segment) instance, which run one after another in
+        segment order."""
         instances = sorted(
             self.instances,
             key=lambda e: (e["slice_id"], e["segment"]),
         )
-        busy = sum(entry["seconds"] for entry in instances)
-        overlap = None
-        if self.workers > 1 and self.elapsed_seconds > 0:
-            overlap = busy / self.elapsed_seconds
         return {
-            "workers": self.workers,
-            "mode": "parallel" if self.workers > 1 else "serial",
             "batch_size": self.batch_size,
             "instances": instances,
-            "instance_busy_seconds": busy,
-            "overlap": overlap,
+            "instance_busy_seconds": sum(e["seconds"] for e in instances),
         }
 
     # -- resilience (schema v2) ----------------------------------------------

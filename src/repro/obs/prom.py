@@ -269,8 +269,6 @@ FAMILIES: tuple[tuple[str, str, str, str, Reader], ...] = (
      "Queries admitted past admission control", _value("admission", "admitted")),
     ("repro_serving_rejected_total", "counter", "serving",
      "Queries shed by admission control", _by("reason", "admission", "rejected")),
-    ("repro_serving_degraded_total", "counter", "serving",
-     "Grants clamped below their requested worker width", _value("admission", "degraded_grants")),
     ("repro_serving_queued_seconds_total", "counter", "serving",
      "Total time admitted queries waited in the run queue",
      _value("admission", "queued_seconds_total", of=lambda s: round(s, 6))),
@@ -278,8 +276,6 @@ FAMILIES: tuple[tuple[str, str, str, str, Reader], ...] = (
      "Queries currently waiting in the run queue", _value("admission", "queue_depth")),
     ("repro_serving_inflight", "gauge", "serving",
      "Queries currently executing", _value("admission", "inflight")),
-    ("repro_serving_pool_workers", "gauge", "serving",
-     "Width of the shared segment-worker pool", _value("pool_workers")),
     ("repro_serving_sessions_open", "gauge", "serving",
      "Serving sessions currently open", _value("sessions_open")),
     ("repro_serving_session_inflight", "gauge", "serving",

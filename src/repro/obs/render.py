@@ -39,16 +39,6 @@ def render_explain_analyze(metrics: MetricsCollector) -> str:
             f"{entry['seconds'] * 1000:.2f} ms, segments_dispatched = "
             f"{entry['segments_dispatched']}/{metrics.num_segments}"
         )
-    if metrics.workers > 1:
-        parallel = metrics.parallel_stats()
-        line = f"Parallel: {parallel['workers']} workers"
-        if parallel["overlap"] is not None:
-            line += (
-                f", {parallel['instance_busy_seconds'] * 1000:.2f} ms of "
-                f"segment work in {metrics.elapsed_seconds * 1000:.2f} ms "
-                f"wall ({parallel['overlap']:.2f}x overlap)"
-            )
-        lines.append(line)
     if metrics.cache_summary is not None:
         cache = metrics.cache_summary
         line = f"Cache: mode={cache['mode']}"

@@ -52,9 +52,8 @@ class feed_phases:
     every :func:`span` call — which happens per phase / per slice, never
     per row, and fires even when tracing is off — also notifies the
     thread's installed sink.  Scoped per thread so concurrent serving
-    queries each feed their own activity record; worker-thread
-    :func:`worker_span` calls are deliberately not hooked (the lifecycle
-    thread owns the record).  Nesting restores the previous sink.
+    queries each feed their own activity record (a statement runs on one
+    thread).  Nesting restores the previous sink.
     """
 
     __slots__ = ("sink", "_previous")
@@ -128,21 +127,6 @@ def span(name: str, **attrs):
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name, **attrs)
-
-
-def worker_span(parent, name: str, **attrs):
-    """A span explicitly parented under ``parent`` (a :class:`Span`), for
-    worker threads.
-
-    Span nesting is tracked per thread, so a worker thread's first span
-    would otherwise open at the root; the parallel scheduler instead
-    passes the enclosing ``slice:N`` span so ``segment:K`` spans land
-    under it.  No-op when tracing is off (``parent`` is then None, since
-    :func:`span` returned the null handle)."""
-    tracer = _active
-    if tracer is None or parent is None:
-        return _NULL_SPAN
-    return tracer.span(name, _parent=parent, **attrs)
 
 
 class Span:
@@ -221,11 +205,10 @@ class Tracer:
         self._origin = self._clock()
         #: spans in start order (the stable export order)
         self.spans: list[Span] = []
-        #: span nesting is per thread — each worker thread gets its own
-        #: open-span stack, so concurrent segment instances can't corrupt
-        #: each other's parentage
+        #: span nesting is per thread — each thread that opens spans gets
+        #: its own open-span stack
         self._stacks = threading.local()
-        #: guards span-id assignment + the spans list across threads
+        #: guards span-id assignment + the spans list
         self._lock = threading.Lock()
         #: typed optimizer search events (see :mod:`repro.obs.opt_events`)
         self.optimizer = OptimizerEventLog()
@@ -239,14 +222,10 @@ class Tracer:
 
     # -- span lifecycle ----------------------------------------------------
 
-    def span(self, name: str, _parent: Span | None = None, **attrs) -> _SpanHandle:
-        """Open a span; ``_parent`` overrides the thread-local nesting
-        (used by :func:`worker_span` to attach worker-thread spans under
-        the slice span opened on the scheduling thread)."""
+    def span(self, name: str, **attrs) -> _SpanHandle:
+        """Open a span under the innermost span open on this thread."""
         stack = self._stack()
-        parent = _parent
-        if parent is None:
-            parent = stack[-1] if stack else None
+        parent = stack[-1] if stack else None
         start_s = self._clock() - self._origin
         with self._lock:
             opened = Span(

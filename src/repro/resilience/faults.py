@@ -143,9 +143,9 @@ class FaultInjector:
         self._specs: list[FaultSpec] = []
         self._rng = random.Random(seed)
         #: serializes trigger evaluation so counter-based modes stay exact
-        #: when segment instances race on worker threads (two threads must
-        #: not both fire a FAIL_ONCE spec); the fault-free fast path in
-        #: :meth:`maybe_fire` never takes it
+        #: when statements of different sessions share one injector (two
+        #: threads must not both fire a FAIL_ONCE spec); the fault-free
+        #: fast path in :meth:`maybe_fire` never takes it
         self._lock = threading.Lock()
         #: injection point -> evaluations that matched an armed spec
         self.hits_by_point: dict[str, int] = {}

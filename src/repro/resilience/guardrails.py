@@ -87,11 +87,10 @@ class QueryLimits:
         self._deadline: float | None = None
         self._ticks = 0
         self._buffered_rows = 0
-        #: guards the buffered-row budget — blocking operators on
-        #: different segment workers charge it concurrently.  ``tick_rows``'s
-        #: ``_ticks`` counter stays lock-free on purpose: a lost increment
-        #: only shifts *when* the amortized deadline check happens, never
-        #: whether limits are enforced.
+        #: guards the buffered-row budget.  A statement's limits are
+        #: charged from one thread (its segment instances run in segment
+        #: order on it), so nothing contends for this lock any more; it is
+        #: kept.  ``tick_rows``'s ``_ticks`` counter never took it.
         self._charge_lock = threading.Lock()
 
     @property
@@ -201,11 +200,11 @@ class RetryPolicy:
     ``jitter=True`` (the default) applies *decorrelated jitter* to the
     exponential envelope: each wait is drawn uniformly from
     ``[base, min(cap, 3 * previous_wait)]``, where the previous wait
-    seeds the next draw.  Under the parallel scheduler — and under the
-    serving layer's many concurrent queries — several instances of one
-    slice often fail at the same instant (a segment going down hits all
-    of them); deterministic exponential backoff would wake them all on
-    the same schedule and synchronize the re-runs into a retry storm.
+    seeds the next draw.  Under the serving layer's many concurrent
+    queries, several statements often fail at the same instant (a segment
+    going down hits all of them); deterministic exponential backoff would
+    wake them all on the same schedule and synchronize the re-runs into a
+    retry storm.
     Jittered waits stay inside the same ``[base, max]`` bounds but spread
     the wakeups.  ``jitter=False`` restores the deterministic doubling
     (used by tests that assert exact delays).
@@ -234,7 +233,8 @@ class RetryPolicy:
         self.base_delay_seconds = base_delay_seconds
         self.max_delay_seconds = max_delay_seconds
         self.jitter = jitter
-        #: policy objects are shared across worker threads; random.Random
+        #: one policy serves every statement of a Database, and statements
+        #: of different sessions run on different threads; random.Random
         #: is not thread-safe, so draws take this lock (cold path: one
         #: draw per retry, never per row)
         self._rng = random.Random(seed)

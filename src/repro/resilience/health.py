@@ -54,7 +54,8 @@ class SegmentHealth:
         #: segments whose stale copy is currently being rebuilt
         self._resyncing: set[int] = set()
         #: serializes state transitions and read counters — storage reads
-        #: and failovers arrive concurrently from segment worker threads
+        #: and failovers arrive concurrently from statements of different
+        #: sessions
         self._lock = threading.Lock()
         #: chronological failover log: {"segment", "reason"[, "lsn"]}
         self.failover_events: list[dict] = []

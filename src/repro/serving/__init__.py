@@ -10,11 +10,8 @@ Layering, outermost first:
 * :class:`Session` — per-client isolation: settings, fault injector,
   cancel scope (:meth:`~repro.engine.Database.session`).
 * :class:`AdmissionController` / :class:`ServingConfig` — concurrency
-  slots, bounded fair-share run queue, load shedding
-  (:class:`~repro.errors.ServerOverloaded`) and graceful
-  worker-width degradation.
-* :class:`QueryScheduler` — the one shared segment-worker pool all
-  admitted queries multiplex onto.
+  slots, bounded fair-share run queue and load shedding
+  (:class:`~repro.errors.ServerOverloaded`).
 * :class:`ScrapeServer` — HTTP sidecar serving ``/metrics``,
   ``/healthz`` and ``/activity`` for monitoring systems
   (:meth:`~repro.engine.Database.serve_scrape`).
@@ -23,7 +20,6 @@ Layering, outermost first:
 from ..errors import ServerOverloaded
 from .admission import AdmissionController, AdmissionSlot, ServingConfig
 from .netserver import EOT, NetServer
-from .scheduler import QueryScheduler
 from .scrape import ScrapeServer
 from .server import QueryServer, ServingStats
 from .session import Session
@@ -32,7 +28,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionSlot",
     "ServingConfig",
-    "QueryScheduler",
     "QueryServer",
     "ScrapeServer",
     "ServingStats",

@@ -9,7 +9,7 @@ full or a query has waited too long.  A shed query fails fast with a
 typed :class:`~repro.errors.ServerOverloaded` the client can retry
 against — strictly better than an un-typed timeout minutes later.
 
-Three mechanisms compose:
+Two mechanisms compose:
 
 * **Slots** — at most ``max_concurrent`` queries execute at once, and at
   most ``session_max_inflight`` of them belong to any one session, so a
@@ -18,11 +18,6 @@ Three mechanisms compose:
   queues drained round-robin, so under contention every waiting session
   is granted slots at the same rate regardless of how many requests each
   has piled up.
-* **Graceful degradation** — before shedding, the controller narrows
-  admitted queries: above ``degrade_mid`` load a query's segment-worker
-  request is halved, above ``degrade_high`` it is clamped to serial.
-  Narrow-but-admitted beats wide-but-shed, and serial execution bypasses
-  the shared pool entirely, genuinely relieving pressure.
 
 The controller is purely cooperative and thread-safe: callers
 :meth:`~AdmissionController.acquire` a slot (blocking in the queue, up
@@ -47,9 +42,10 @@ class ServingConfig:
 
     The defaults are sized for the in-process simulator: a handful of
     concurrent queries, a small queue, sub-second queue timeouts in
-    tests.  ``pool_workers`` is the width of the shared segment-worker
-    pool all admitted queries multiplex onto (default: enough for every
-    concurrent query to get two workers).
+    tests.  ``pool_workers`` was removed with the shared segment-worker
+    pool (a statement's segment instances run in segment order on its
+    own thread); it is still accepted and checked ``>= 1`` so existing
+    callers keep working, and otherwise unused.
     """
 
     __slots__ = (
@@ -57,9 +53,6 @@ class ServingConfig:
         "max_queued",
         "queue_timeout_s",
         "session_max_inflight",
-        "pool_workers",
-        "degrade_mid",
-        "degrade_high",
     )
 
     def __init__(
@@ -69,8 +62,6 @@ class ServingConfig:
         queue_timeout_s: float = 5.0,
         session_max_inflight: int = 2,
         pool_workers: int | None = None,
-        degrade_mid: float = 0.5,
-        degrade_high: float = 0.75,
     ):
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
@@ -80,21 +71,12 @@ class ServingConfig:
             raise ValueError("queue_timeout_s must be >= 0")
         if session_max_inflight < 1:
             raise ValueError("session_max_inflight must be >= 1")
-        if not 0.0 < degrade_mid <= degrade_high <= 1.0:
-            raise ValueError(
-                "need 0 < degrade_mid <= degrade_high <= 1"
-            )
+        if pool_workers is not None and pool_workers < 1:
+            raise ValueError("pool_workers must be >= 1")
         self.max_concurrent = max_concurrent
         self.max_queued = max_queued
         self.queue_timeout_s = queue_timeout_s
         self.session_max_inflight = session_max_inflight
-        self.pool_workers = (
-            pool_workers if pool_workers is not None else 2 * max_concurrent
-        )
-        if self.pool_workers < 1:
-            raise ValueError("pool_workers must be >= 1")
-        self.degrade_mid = degrade_mid
-        self.degrade_high = degrade_high
 
     def to_dict(self) -> dict:
         return {
@@ -102,9 +84,6 @@ class ServingConfig:
             "max_queued": self.max_queued,
             "queue_timeout_s": self.queue_timeout_s,
             "session_max_inflight": self.session_max_inflight,
-            "pool_workers": self.pool_workers,
-            "degrade_mid": self.degrade_mid,
-            "degrade_high": self.degrade_high,
         }
 
     def __repr__(self) -> str:
@@ -112,45 +91,27 @@ class ServingConfig:
             f"ServingConfig(max_concurrent={self.max_concurrent}, "
             f"max_queued={self.max_queued}, "
             f"queue_timeout_s={self.queue_timeout_s}, "
-            f"session_max_inflight={self.session_max_inflight}, "
-            f"pool_workers={self.pool_workers})"
+            f"session_max_inflight={self.session_max_inflight})"
         )
 
 
 class AdmissionSlot:
     """One granted unit of concurrency; must be released exactly once."""
 
-    __slots__ = (
-        "session_id",
-        "requested_workers",
-        "effective_workers",
-        "queued_seconds",
-        "degraded",
-    )
+    __slots__ = ("session_id", "queued_seconds")
 
-    def __init__(
-        self,
-        session_id: int,
-        requested_workers: int,
-        effective_workers: int,
-        queued_seconds: float,
-        degraded: bool,
-    ):
+    def __init__(self, session_id: int, queued_seconds: float):
         self.session_id = session_id
-        self.requested_workers = requested_workers
-        self.effective_workers = effective_workers
         self.queued_seconds = queued_seconds
-        self.degraded = degraded
 
 
 class _Ticket:
     """One waiter in the run queue."""
 
-    __slots__ = ("session_id", "requested_workers", "slot")
+    __slots__ = ("session_id", "slot")
 
-    def __init__(self, session_id: int, requested_workers: int):
+    def __init__(self, session_id: int):
         self.session_id = session_id
-        self.requested_workers = requested_workers
         #: set (under the controller lock) when the dispatcher grants it
         self.slot: AdmissionSlot | None = None
 
@@ -173,15 +134,12 @@ class AdmissionController:
         # -- cumulative counters (read under the lock) --
         self.admitted = 0
         self.rejected = {"queue_full": 0, "queue_timeout": 0, "shutdown": 0}
-        self.degraded_grants = 0
         self.queued_seconds_total = 0.0
         self.queued_grants = 0
 
     # -- the client side ------------------------------------------------------
 
-    def acquire(
-        self, session_id: int, requested_workers: int = 1
-    ) -> AdmissionSlot:
+    def acquire(self, session_id: int) -> AdmissionSlot:
         """Block until a slot is granted, or shed with
         :class:`~repro.errors.ServerOverloaded` (``reason`` one of
         ``queue_full``, ``queue_timeout``, ``shutdown``)."""
@@ -193,7 +151,7 @@ class AdmissionController:
                     "server is shut down", reason="shutdown"
                 )
             if self._queued == 0 and self._can_admit(session_id):
-                return self._admit(session_id, requested_workers, 0.0)
+                return self._admit(session_id)
             if self._queued >= self.config.max_queued:
                 self.rejected["queue_full"] += 1
                 raise ServerOverloaded(
@@ -201,7 +159,7 @@ class AdmissionController:
                     f"{self._inflight_total} in flight)",
                     reason="queue_full",
                 )
-            ticket = _Ticket(session_id, requested_workers)
+            ticket = _Ticket(session_id)
             self._enqueue(ticket)
             # The new ticket may be immediately runnable (e.g. everything
             # ahead of it is blocked on per-session caps).
@@ -257,38 +215,11 @@ class AdmissionController:
             < self.config.session_max_inflight
         )
 
-    def _effective_workers(self, requested: int) -> tuple[int, bool]:
-        """Degrade a grant's parallelism under load.
-
-        Load is the occupancy the grant *joins* (queries already in
-        flight over ``max_concurrent``), so the first query into an idle
-        server always gets what it asked for and later arrivals narrow
-        as the tier fills.  Serial execution (workers=1) bypasses the
-        shared pool entirely, so clamping genuinely sheds pool pressure
-        rather than just queueing it.  Callers evaluate this *before*
-        counting the new grant in flight.
-        """
-        if requested <= 1:
-            return max(1, requested), False
-        load = self._inflight_total / self.config.max_concurrent
-        if load >= self.config.degrade_high:
-            return 1, True
-        if load >= self.config.degrade_mid:
-            return max(1, requested // 2), True
-        return requested, False
-
-    def _admit(
-        self, session_id: int, requested_workers: int, queued_seconds: float
-    ) -> AdmissionSlot:
-        effective, degraded = self._effective_workers(requested_workers)
+    def _admit(self, session_id: int) -> AdmissionSlot:
         self._inflight_total += 1
         self._inflight[session_id] = self._inflight.get(session_id, 0) + 1
         self.admitted += 1
-        if degraded:
-            self.degraded_grants += 1
-        return AdmissionSlot(
-            session_id, requested_workers, effective, queued_seconds, degraded
-        )
+        return AdmissionSlot(session_id, 0.0)
 
     def _enqueue(self, ticket: _Ticket) -> None:
         queue = self._queues.get(ticket.session_id)
@@ -334,9 +265,7 @@ class AdmissionController:
             ticket = self._next_ticket()
             if ticket is None:
                 break
-            ticket.slot = self._admit(
-                ticket.session_id, ticket.requested_workers, 0.0
-            )
+            ticket.slot = self._admit(ticket.session_id)
             granted = True
         if granted:
             self._cond.notify_all()
@@ -385,7 +314,6 @@ class AdmissionController:
                 "queue_depth": self._queued,
                 "admitted": self.admitted,
                 "rejected": dict(self.rejected),
-                "degraded_grants": self.degraded_grants,
                 "queued_grants": self.queued_grants,
                 "queued_seconds_total": round(self.queued_seconds_total, 6),
             }

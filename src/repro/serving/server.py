@@ -1,4 +1,4 @@
-"""The concurrent serving front end: sessions -> admission -> shared pool.
+"""The concurrent serving front end: sessions -> admission -> execution.
 
 :class:`QueryServer` ties the serving tier together.  A submit runs:
 
@@ -8,9 +8,9 @@
 2. ``span("admit")`` — the query executes via
    :meth:`~repro.engine.Database.sql` with the *session's* isolated
    defaults, fault injector and a per-query
-   :class:`~repro.resilience.CancelToken`, its segment instances
-   multiplexed onto the shared :class:`QueryScheduler` pool at the
-   slot's (possibly degraded) worker width;
+   :class:`~repro.resilience.CancelToken`, on the submitting thread (each
+   session or connection brings its own, so statements overlap; a
+   statement's segment instances run in segment order on it);
 3. the slot is released (dispatching queued work) and the query's
    serving summary is recorded into its metrics export (schema v6
    ``serving`` section) plus the server-wide :class:`ServingStats`.
@@ -23,7 +23,6 @@ Prometheus families (:data:`repro.obs.prom.FAMILIES`) read that dict.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 from collections import deque
@@ -33,7 +32,6 @@ from ..obs import trace as obs_trace
 from ..resilience.guardrails import CancelToken
 from ..settings import QuerySettings, resolve
 from .admission import AdmissionController, ServingConfig
-from .scheduler import QueryScheduler
 from .session import Session
 
 __all__ = ["QueryServer", "ServingStats"]
@@ -95,7 +93,6 @@ class QueryServer:
         self.db = db
         self.config = config if config is not None else ServingConfig()
         self.admission = AdmissionController(self.config)
-        self.scheduler = QueryScheduler(self.config.pool_workers)
         self.stats = ServingStats()
         self._lock = threading.Lock()
         self._sessions: dict[int, Session] = {}
@@ -140,7 +137,7 @@ class QueryServer:
         Raises :class:`~repro.errors.ServerOverloaded` when shed; any
         executor/guardrail error propagates unchanged (typed).  On
         success the result's metrics carry a ``serving`` section with
-        the grant's queue wait and (possibly degraded) worker width.
+        the grant's queue wait and an admission-counter snapshot.
         """
         if self._closed:
             raise ReproError("server is closed")
@@ -148,7 +145,6 @@ class QueryServer:
             raise ReproError(f"session {session.name!r} is closed")
         settings = resolve(session.settings, settings, overrides)
         session.submitted += 1
-        requested = settings.workers
         started = time.perf_counter()
         # Register with the live activity registry BEFORE admission, so a
         # statement waiting in the run queue is already visible (phase
@@ -156,48 +152,29 @@ class QueryServer:
         # the shed/pre-admission paths where it is never reached.
         token = cancel if cancel is not None else CancelToken()
         activity = self.db.live.begin(
-            query, session=session.name, workers=requested, cancel=token
+            query, session=session.name, cancel=token
         )
         try:
             with obs_trace.feed_phases(activity.enter_phase):
                 try:
-                    with obs_trace.span(
-                        "queue", session=session.name, workers=requested
-                    ):
-                        slot = self.admission.acquire(
-                            session.session_id, requested
-                        )
+                    with obs_trace.span("queue", session=session.name):
+                        slot = self.admission.acquire(session.session_id)
                 except ServerOverloaded:
                     session.rejected += 1
                     raise
                 activity.queued_seconds = slot.queued_seconds
-                activity.workers = slot.effective_workers
                 session._register(token)
-                if slot.degraded:
-                    settings = dataclasses.replace(
-                        settings, workers=slot.effective_workers
-                    )
-                segment_scheduler = self.scheduler.segment_scheduler(
-                    slot.effective_workers
-                )
                 try:
-                    with obs_trace.span(
-                        "admit",
-                        session=session.name,
-                        workers=slot.effective_workers,
-                        degraded=slot.degraded,
-                    ):
+                    with obs_trace.span("admit", session=session.name):
                         result = self.db.sql(
                             query,
                             params=params,
                             settings=settings,
                             cancel=token,
                             faults=session.faults,
-                            scheduler=segment_scheduler,
                             activity=activity,
                         )
                 finally:
-                    segment_scheduler.close()
                     session._unregister(token)
                     self.admission.release(slot)
         except BaseException as error:
@@ -213,9 +190,6 @@ class QueryServer:
         result.metrics.serving_summary = {
             "session": session.name,
             "queued_seconds": round(slot.queued_seconds, 6),
-            "requested_workers": slot.requested_workers,
-            "effective_workers": slot.effective_workers,
-            "degraded": slot.degraded,
             "queue_depth": snapshot["queue_depth"],
             "inflight": snapshot["inflight"],
             "admitted_total": snapshot["admitted"],
@@ -245,7 +219,6 @@ class QueryServer:
             "open_sessions": open_sessions,
             "sessions_open": len(sessions),
             "latency": self.stats.to_dict(),
-            "pool_workers": self.scheduler.pool_workers,
             "closed": self._closed,
         }
 
@@ -256,7 +229,7 @@ class QueryServer:
         return self._closed
 
     def close(self) -> None:
-        """Shed queued work, cancel in-flight queries, drain the pool."""
+        """Shed queued work and cancel in-flight queries."""
         with self._lock:
             if self._closed:
                 return
@@ -266,7 +239,6 @@ class QueryServer:
         for session in sessions:
             session.closed = True
             session.cancel()
-        self.scheduler.close()
 
     def __enter__(self) -> "QueryServer":
         return self

@@ -66,7 +66,7 @@ class Session:
         """Submit one statement through the server's admission path.
 
         ``params``, ``cancel`` and ``settings`` pass through; any other
-        keyword (``timeout``, ``workers``, ``cache``, ...; see
+        keyword (``timeout``, ``batch_size``, ``cache``, ...; see
         docs/architecture.md, "Statement settings") overrides the session
         default for this call only.  Raises
         :class:`~repro.errors.ServerOverloaded` when shed.

@@ -96,13 +96,6 @@ FIELDS: tuple[Field, ...] = (
         plan_shaping=True,
     ),
     Field(
-        "workers", ">= 1",
-        "threads running a slice's segment instances (1 = serial)",
-        check=_at_least(1, "workers must be >= 1"),
-        set_name="workers", parse=int, off=("off", "none", "serial", ""),
-        off_ack="workers is off (serial execution)",
-    ),
-    Field(
         "batch_size", ">= 1",
         "rows per executor batch (1 = one row per batch)",
         check=_at_least(1, "batch_size must be >= 1"),
@@ -153,7 +146,6 @@ class QuerySettings:
 
     optimizer: str = ORCA
     optimizer_options: tuple = ()
-    workers: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
     cache: str = "off"
     timeout: float | None = None

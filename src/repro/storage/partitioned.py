@@ -60,10 +60,10 @@ class StorageManager:
         self._mutation_listeners: list = []
         #: simulated per-read I/O latency in seconds (0.0 = off).  A scan
         #: sleeps this long for each leaf it opens, when it reaches it —
-        #: modelling the seek a real segment pays per partition file.  The
-        #: sleep releases the GIL, so it is also what the parallel scheduler
-        #: genuinely overlaps across segment worker threads (fig19's speedup
-        #: source).
+        #: modelling the seek a real segment pays per partition file.  Tests
+        #: and the concurrent-throughput benchmark use it to hold a
+        #: statement in flight; the sleep releases the GIL, so statements
+        #: of different sessions overlap while they wait.
         self.io_latency_s = 0.0
 
     def register(self, descriptor: TableDescriptor) -> TableStore:

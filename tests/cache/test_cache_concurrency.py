@@ -7,8 +7,7 @@ returns; readers snapshot the published floor before issuing each query
 and assert the answer never falls below it.  A stale cache entry serving
 a pre-DML answer after the DML completed would fail the floor check.
 
-Runs in the CI x20 concurrency-stress step alongside the parallel
-scheduler's stress suite.
+Runs in the CI x20 concurrency-stress step.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ def _build_db() -> Database:
     return db
 
 
-def _stress(db: Database, reader_modes: list[str], workers: int | None):
+def _stress(db: Database, reader_modes: list[str]):
     published = {"count": SEED_ROWS}
     publish_lock = threading.Lock()
     stop = threading.Event()
@@ -83,7 +82,7 @@ def _stress(db: Database, reader_modes: list[str], workers: int | None):
                 last_lap = stop.is_set()  # one more read after the writer
                 with publish_lock:
                     floor = published["count"]
-                rows = db.sql(HOT_SQL, cache=mode, workers=workers).rows
+                rows = db.sql(HOT_SQL, cache=mode).rows
                 count = rows[0][0]
                 assert count >= floor, (
                     f"stale read: saw {count} rows after {floor} inserts "
@@ -116,23 +115,7 @@ def _stress(db: Database, reader_modes: list[str], workers: int | None):
 
 def test_hot_query_vs_invalidating_dml_serial_readers():
     db = _build_db()
-    _stress(
-        db,
-        reader_modes=["results"] * READERS,
-        workers=None,
-    )
-
-
-def test_hot_query_vs_invalidating_dml_parallel_readers():
-    """Same race with every query on the workers=2 segment scheduler:
-    the lookup, the epoch guard and the store must stay sound when each
-    query is itself multi-threaded."""
-    db = _build_db()
-    _stress(
-        db,
-        reader_modes=["results", "results"],
-        workers=2,
-    )
+    _stress(db, reader_modes=["results"] * READERS)
 
 
 def test_concurrent_misses_on_distinct_statements():

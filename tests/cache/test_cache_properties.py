@@ -1,13 +1,10 @@
 """Property-based cached/uncached equivalence.
 
-The cache may never change an answer.  For random partition predicates,
-random DML interleavings, and any worker count, a cached run must return
-byte-identical rows to a cache-off run at the same data state — and a
-cached run that executed (a miss) must scan the identical partition set.
+The cache may never change an answer.  For random partition predicates
+and random DML interleavings, a cached run must return byte-identical
+rows to a cache-off run at the same data state — and a cached run that
+executed (a miss) must scan the identical partition set.
 
-Extends the serial/parallel suite in
-``tests/executor/test_parallel_properties.py``: same schema, same idiom,
-with the cache (and its DML invalidation) as the variable under test.
 Module state is shared across examples on purpose — entries persist,
 invalidations accumulate — which is exactly the regime a long-lived cache
 lives in.
@@ -64,14 +61,13 @@ _IDS = itertools.count(10_000)  # fresh ids for interleaved inserts
 
 bounds = st.integers(min_value=-50, max_value=DOMAIN + 50)
 keys = st.integers(min_value=0, max_value=DOMAIN - 1)
-workers_counts = st.sampled_from([1, 2, 4])
 
 
-def _assert_equivalent(sql: str, workers: int) -> None:
+def _assert_equivalent(sql: str) -> None:
     """Cached run ≡ cache-off run at the current data state: identical
     rows, and (when the cached run actually executed) identical
     partitions_scanned."""
-    cached = DB.sql(sql, cache="results", workers=workers)
+    cached = DB.sql(sql, cache="results")
     plain = DB.sql(sql, cache="off")
     assert cached.rows == plain.rows
     summary = cached.metrics.cache_summary
@@ -88,17 +84,17 @@ def _assert_equivalent(sql: str, workers: int) -> None:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(lo=bounds, hi=bounds, workers=workers_counts)
-def test_random_range_predicates_are_cache_invariant(lo, hi, workers):
+@given(lo=bounds, hi=bounds)
+def test_random_range_predicates_are_cache_invariant(lo, hi):
     """Random range predicate on the partition key: warm then repeat —
     both the storing run and the serving run answer exactly like
-    cache-off, at every worker setting."""
+    cache-off."""
     sql = (
         "SELECT id, key, val FROM facts "
         f"WHERE key >= {lo} AND key <= {hi}"
     )
-    _assert_equivalent(sql, workers)  # cold (stores)
-    _assert_equivalent(sql, workers)  # warm (a hit)
+    _assert_equivalent(sql)  # cold (stores)
+    _assert_equivalent(sql)  # warm (a hit)
 
 
 @settings(
@@ -109,9 +105,8 @@ def test_random_range_predicates_are_cache_invariant(lo, hi, workers):
 @given(
     in_keys=st.lists(keys, min_size=1, max_size=6, unique=True),
     dml_key=keys,
-    workers=workers_counts,
 )
-def test_dml_interleaving_is_cache_invariant(in_keys, dml_key, workers):
+def test_dml_interleaving_is_cache_invariant(in_keys, dml_key):
     """Warm the cache, mutate a random partition (which may or may not
     intersect the cached footprint), and re-compare: the cached run must
     reflect the post-DML state exactly — invalidation can be a hit or a
@@ -121,10 +116,10 @@ def test_dml_interleaving_is_cache_invariant(in_keys, dml_key, workers):
         "SELECT count(*), sum(val), min(id), max(id) FROM facts "
         f"WHERE key IN ({in_list})"
     )
-    _assert_equivalent(sql, workers)  # warm at the current state
+    _assert_equivalent(sql)  # warm at the current state
     DB.insert("facts", [(next(_IDS), dml_key, 7)])
-    _assert_equivalent(sql, workers)  # post-DML: no stale hit
-    _assert_equivalent(sql, workers)  # and the refreshed entry holds
+    _assert_equivalent(sql)  # post-DML: no stale hit
+    _assert_equivalent(sql)  # and the refreshed entry holds
 
 
 @settings(
@@ -135,11 +130,8 @@ def test_dml_interleaving_is_cache_invariant(in_keys, dml_key, workers):
 @given(
     grp=st.integers(min_value=0, max_value=9),
     dim_key=keys,
-    workers=workers_counts,
 )
-def test_join_elimination_with_dim_dml_is_cache_invariant(
-    grp, dim_key, workers
-):
+def test_join_elimination_with_dim_dml_is_cache_invariant(grp, dim_key):
     """Join-driven (dynamic) partition elimination: the dimension side's
     rows decide the selection, so dim DML must drop the entry — serving
     the pre-DML answer would miss the partitions the new row selects."""
@@ -147,6 +139,6 @@ def test_join_elimination_with_dim_dml_is_cache_invariant(
         "SELECT count(*), sum(f.val) FROM facts f, dim d "
         f"WHERE f.key = d.key AND d.grp = {grp}"
     )
-    _assert_equivalent(sql, workers)
+    _assert_equivalent(sql)
     DB.insert("dim", [(dim_key, grp)])
-    _assert_equivalent(sql, workers)
+    _assert_equivalent(sql)

@@ -1,7 +1,6 @@
 """Property-based width invariance.
 
-For random partition predicates, any batch width, and any worker count,
-the one pipeline must return exactly the rows of the handwritten row
+For random partition predicates and any batch width, the one pipeline must return exactly the rows of the handwritten row
 operators (:mod:`tests.executor.row_reference`), scan exactly the same
 partition set, and count the same rows at every node and every Motion —
 the width may never change what partition elimination selects, what the
@@ -66,12 +65,12 @@ def _counters(metrics):
     ]
 
 
-def _check(sql, batch_size, workers):
-    """``sql`` at (width, workers) against the row reference: rows, scanned
+def _check(sql, batch_size):
+    """``sql`` at ``batch_size`` against the row reference: rows, scanned
     partitions, and every node's counters (none of these statements has a
     LIMIT, so nothing is abandoned and nothing may differ)."""
     rows, ctx = row_reference.run_plan(DB, DB.plan(sql))
-    result = DB.sql(sql, analyze=True, batch_size=batch_size, workers=workers)
+    result = DB.sql(sql, analyze=True, batch_size=batch_size)
     assert result.rows == rows  # in the same order, ORDER BY or not
     assert result.metrics.partitions_scanned() == ctx.metrics.partitions_scanned()
     assert result.metrics.total_rows_scanned == ctx.metrics.total_rows_scanned
@@ -80,7 +79,6 @@ def _check(sql, batch_size, workers):
 
 bounds = st.integers(min_value=-50, max_value=DOMAIN + 50)
 batch_sizes = st.sampled_from([1, 7, 1024])
-workers_counts = st.sampled_from([1, 4])
 
 
 @settings(
@@ -88,13 +86,13 @@ workers_counts = st.sampled_from([1, 4])
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(lo=bounds, hi=bounds, batch_size=batch_sizes, workers=workers_counts)
-def test_scan_filter_is_batch_invariant(lo, hi, batch_size, workers):
+@given(lo=bounds, hi=bounds, batch_size=batch_sizes)
+def test_scan_filter_is_batch_invariant(lo, hi, batch_size):
     """Random range predicate on the partition key: identical rows, an
     identical scanned-partition set, and identical scan-row totals at
-    every (batch width, worker count)."""
+    every batch width."""
     sql = f"SELECT id, key, val FROM facts WHERE key >= {lo} AND key <= {hi}"
-    _check(sql, batch_size, workers)
+    _check(sql, batch_size)
 
 
 @settings(
@@ -105,16 +103,15 @@ def test_scan_filter_is_batch_invariant(lo, hi, batch_size, workers):
 @given(
     grp=st.integers(min_value=0, max_value=9),
     batch_size=batch_sizes,
-    workers=workers_counts,
 )
-def test_join_elimination_is_batch_invariant(grp, batch_size, workers):
+def test_join_elimination_is_batch_invariant(grp, batch_size):
     """Random dimension filter driving join-based partition elimination:
     the multi-slice plan (Motions included) is batch-invariant."""
     sql = (
         "SELECT count(*), sum(f.val) FROM facts f, dim d "
         f"WHERE f.key = d.key AND d.grp = {grp}"
     )
-    _check(sql, batch_size, workers)
+    _check(sql, batch_size)
 
 
 @settings(
@@ -122,15 +119,15 @@ def test_join_elimination_is_batch_invariant(grp, batch_size, workers):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(cut=bounds, batch_size=batch_sizes, workers=workers_counts)
-def test_group_by_is_batch_invariant(cut, batch_size, workers):
+@given(cut=bounds, batch_size=batch_sizes)
+def test_group_by_is_batch_invariant(cut, batch_size):
     """Two-phase aggregation (partial on segments, final after the
     redistribute) produces identical groups at every batch width."""
     sql = (
         f"SELECT val, count(*), sum(id) FROM facts WHERE key < {cut} "
         "GROUP BY val"
     )
-    _check(sql, batch_size, workers)
+    _check(sql, batch_size)
 
 
 #: one statement per kernel variant the optimizers can produce from SQL:
@@ -162,8 +159,7 @@ KERNEL_SHAPES = [
     shape=st.sampled_from(KERNEL_SHAPES),
     cut=bounds,
     batch_size=batch_sizes,
-    workers=workers_counts,
 )
-def test_kernel_shapes_are_batch_invariant(shape, cut, batch_size, workers):
+def test_kernel_shapes_are_batch_invariant(shape, cut, batch_size):
     sql = shape.format(cut=cut)
-    _check(sql, batch_size, workers)
+    _check(sql, batch_size)

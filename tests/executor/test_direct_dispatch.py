@@ -4,9 +4,10 @@ predicate hashes to, and nothing else can tell.
 Every statement is compared with the *all-segments answer*: the same plan
 with the dispatch restriction stripped from its Motions, executed on every
 segment as before this feature.  Rows and ``partitions_scanned`` must be
-equal; only ``segments_dispatched`` may differ.  The grid crosses workers,
-batch width, cache mode (a second key and a replay of the first follow the
-cold run) and the health of the dispatched segment.
+equal; only ``segments_dispatched`` may differ.  The grid crosses the
+number of client sessions issuing each statement at once, batch width,
+cache mode (a second key and a replay of the first follow the cold run)
+and the health of the dispatched segment.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.catalog import (
 from repro.physical.ops import Motion
 from repro.resilience import FAIL_ONCE, SCAN_ROW
 from repro.storage.distribution import segment_for
+from tests.sessions import at_once, executed
 
 SEGMENTS = 4
 START = datetime.date(2013, 1, 1)
@@ -118,62 +120,70 @@ def assert_same_answer(result, reference):
     assert result.partitions_scanned() == reference.partitions_scanned()
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("sessions", [1, 4])
 @pytest.mark.parametrize("batch_size", [1, 1024])
 @pytest.mark.parametrize("cache", ["off", "results"])
 def test_dispatched_shapes_equal_the_all_segments_answer(
-    db, workers, batch_size, cache
+    db, sessions, batch_size, cache
 ):
-    settings = dict(workers=workers, batch_size=batch_size)
+    settings = dict(batch_size=batch_size)
     for sql, params, expected in DISPATCHED:
         reference = all_segments_answer(db, sql, params, **settings)
         assert reference.metrics.segments_dispatched == SEGMENTS
-        result = db.sql(sql, params=params, cache=cache, **settings)
-        assert_same_answer(result, reference)
-        totals = result.metrics.to_dict()["totals"]
-        assert totals["segments_dispatched"] == expected, sql
-        assert totals["partitions_scanned"] == reference.partitions_scanned()
-        sending = [s for s in result.metrics.slices if s["id"] != 0]
-        assert [s["segments_dispatched"] for s in sending] == [expected]
-        # a scan node ran on exactly the dispatched segments
-        scans = [n for n in result.metrics.nodes if n.op in ("Scan", "DynamicScan")]
-        assert sum(1 for n in scans for loops in n.loops if loops) == expected
+        results = at_once(
+            sessions, lambda: db.sql(sql, params=params, cache=cache, **settings)
+        )
+        assert all(r.rows == results[0].rows for r in results), sql
+        for result in executed(results):
+            assert_same_answer(result, reference)
+            totals = result.metrics.to_dict()["totals"]
+            assert totals["segments_dispatched"] == expected, sql
+            assert totals["partitions_scanned"] == reference.partitions_scanned()
+            sending = [s for s in result.metrics.slices if s["id"] != 0]
+            assert [s["segments_dispatched"] for s in sending] == [expected]
+            # a scan node ran on exactly the dispatched segments
+            scans = [
+                n for n in result.metrics.nodes if n.op in ("Scan", "DynamicScan")
+            ]
+            assert sum(1 for n in scans for loops in n.loops if loops) == expected
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("sessions", [1, 4])
 @pytest.mark.parametrize("batch_size", [1, 1024])
-def test_undispatchable_shapes_run_everywhere(db, workers, batch_size):
-    settings = dict(workers=workers, batch_size=batch_size)
+def test_undispatchable_shapes_run_everywhere(db, sessions, batch_size):
+    settings = dict(batch_size=batch_size)
     for sql, params in EVERYWHERE:
         reference = all_segments_answer(db, sql, params, **settings)
-        result = db.sql(sql, params=params, **settings)
-        assert_same_answer(result, reference)
-        assert result.metrics.segments_dispatched == SEGMENTS, sql
-        assert all(
-            s["segments_dispatched"] == SEGMENTS for s in result.metrics.slices
-        ), sql
+        for result in at_once(
+            sessions, lambda: db.sql(sql, params=params, **settings)
+        ):
+            assert_same_answer(result, reference)
+            assert result.metrics.segments_dispatched == SEGMENTS, sql
+            assert all(
+                s["segments_dispatched"] == SEGMENTS for s in result.metrics.slices
+            ), sql
     assert db.sql("SELECT grp FROM dim WHERE key = 7.0").rows == [(7,)]
     assert db.sql("SELECT grp FROM dim WHERE key IS NULL").rows == [(99,)]
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_a_slice_with_a_join_runs_everywhere(db, workers):
+@pytest.mark.parametrize("sessions", [1, 4])
+def test_a_slice_with_a_join_runs_everywhere(db, sessions):
     """The filtered dimension scan below the Broadcast is a slice of its
     own and is dispatched; the slice that joins is not."""
     sql = (
         "SELECT d.grp, f.id FROM dim d, facts f "
         "WHERE d.key = f.key AND d.key = 7"
     )
-    reference = all_segments_answer(db, sql, None, workers=workers)
-    result = db.sql(sql, workers=workers)
-    assert_same_answer(result, reference)
-    assert len(result.rows) == 5
-    by_label = {
-        s["label"]: s["segments_dispatched"] for s in result.metrics.slices
-    }
-    assert by_label["below BroadcastMotion"] == 1
-    assert by_label["below GatherMotion"] == SEGMENTS  # the join's slice
-    assert result.metrics.segments_dispatched == SEGMENTS
+    reference = all_segments_answer(db, sql, None)
+    for result in at_once(sessions, lambda: db.sql(sql)):
+        assert_same_answer(result, reference)
+        assert len(result.rows) == 5
+        by_label = {
+            s["label"]: s["segments_dispatched"] for s in result.metrics.slices
+        }
+        assert by_label["below BroadcastMotion"] == 1
+        assert by_label["below GatherMotion"] == SEGMENTS  # the join's slice
+        assert result.metrics.segments_dispatched == SEGMENTS
 
 
 def test_null_key_answers_are_well_formed(db):
@@ -196,9 +206,9 @@ def test_dml_is_not_dispatched(db):
     assert db.sql("SELECT grp FROM dim WHERE key = 7").rows == []
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("sessions", [1, 4])
 @pytest.mark.parametrize("cache", ["results"])
-def test_cached_statement_replays_with_a_different_key(db, workers, cache):
+def test_cached_statement_replays_with_a_different_key(db, sessions, cache):
     """Cold run, another key (another segment), then both again from the
     cache: each execution sees only its own key's segment."""
     sql = (
@@ -212,45 +222,54 @@ def test_cached_statement_replays_with_a_different_key(db, workers, cache):
         k: all_segments_answer(db, sql.format(k), None).rows for k in (first, second)
     }
     for key in (first, second, first, second):
-        result = db.sql(sql.format(key), cache=cache, workers=workers)
-        assert result.rows == expected[key]
+        for result in at_once(sessions, lambda: db.sql(sql.format(key), cache=cache)):
+            assert result.rows == expected[key]
     # parameterised: one plan, the segment decided by the value each time
     prepared = "SELECT count(*) FROM events WHERE key = $1"
     for key in (first, second, first):
-        result = db.sql(prepared, params=(key,), cache=cache, workers=workers)
-        assert result.rows == all_segments_answer(db, prepared, (key,)).rows
+        reference = all_segments_answer(db, prepared, (key,)).rows
+        for result in at_once(
+            sessions, lambda: db.sql(prepared, params=(key,), cache=cache)
+        ):
+            assert result.rows == reference
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("sessions", [1, 4])
 @pytest.mark.parametrize("batch_size", [1, 1024])
 @pytest.mark.parametrize("cache", ["off", "results"])
 @pytest.mark.parametrize("transient", [False, True])
 def test_faults_act_on_the_dispatched_segment_only(
-    db, workers, batch_size, cache, transient
+    db, sessions, batch_size, cache, transient
 ):
     """A fault on the dispatched segment is retried there (through the
     mirror when it is persistent); one armed on any other segment never
-    fires, because no instance runs there."""
+    fires, because no instance runs there.  The one fault fires in one
+    statement of those issued at once; the others answer unaffected."""
     sql = "SELECT count(*), sum(val) FROM events WHERE key = 7"
-    settings = dict(workers=workers, batch_size=batch_size)
+    settings = dict(batch_size=batch_size)
     reference = all_segments_answer(db, sql, None, **settings)
     target = segment_for(7, SEGMENTS)
     bystander = (target + 1) % SEGMENTS
     idle = db.faults.arm(SCAN_ROW, segment=bystander, mode=FAIL_ONCE)
     db.faults.arm(SCAN_ROW, segment=target, mode=FAIL_ONCE, transient=transient)
 
-    result = db.sql(sql, cache=cache, **settings)
+    results = at_once(sessions, lambda: db.sql(sql, cache=cache, **settings))
 
-    assert_same_answer(result, reference)
-    assert result.metrics.segments_dispatched == 1
+    assert all(r.rows == reference.rows for r in results)
+    ran = executed(results)
+    for result in ran:
+        assert_same_answer(result, reference)
+        assert result.metrics.segments_dispatched == 1
     assert idle.fired == 0
-    resilience = result.metrics.to_dict()["resilience"]
-    assert [r["segment"] for r in resilience["retries"]] == [target]
+    resilience = [r.metrics.to_dict()["resilience"] for r in ran]
+    retries = [r["segment"] for res in resilience for r in res["retries"]]
+    failovers = [f["segment"] for res in resilience for f in res["failovers"]]
+    assert retries == [target]
     if transient:
-        assert resilience["failovers"] == []
+        assert failovers == []
         assert db.health.down_segments == []
     else:
-        assert [f["segment"] for f in resilience["failovers"]] == [target]
+        assert failovers == [target]
         assert db.health.down_segments == [target]
         # the mirror now serves the dispatched segment: still one segment
         again = db.sql(sql, cache=cache, **settings)
@@ -316,18 +335,19 @@ def test_a_gathered_replicated_scan_answers_once(segments, optimizer, batch_size
         assert result.metrics.segments_dispatched == 1, sql
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_replicated_scan_reads_the_mirror_when_its_primary_is_down(db, workers):
+@pytest.mark.parametrize("sessions", [1, 4])
+def test_replicated_scan_reads_the_mirror_when_its_primary_is_down(db, sessions):
     assert db.health.failover(0, "test")
-    result = db.sql("SELECT count(*) FROM rep", workers=workers)
-    assert result.rows == [(20,)]
-    assert result.metrics.segments_dispatched == 1
+    for result in at_once(sessions, lambda: db.sql("SELECT count(*) FROM rep")):
+        assert result.rows == [(20,)]
+        assert result.metrics.segments_dispatched == 1
     assert db.health.mirror_reads[0] > 0
     db.health.recover_all()
     # a persistent fault on the one dispatched primary fails over and retries
     db.faults.arm(SCAN_ROW, segment=0, mode=FAIL_ONCE, transient=False)
-    result = db.sql("SELECT grp FROM rep WHERE key = 7", workers=workers)
-    assert result.rows == [(2,)]
+    results = at_once(sessions, lambda: db.sql("SELECT grp FROM rep WHERE key = 7"))
+    assert all(result.rows == [(2,)] for result in results)
+    assert sum(result.metrics.failover_count for result in results) == 1
     assert db.health.down_segments == [0]
     db.faults.reset()
     db.health.recover_all()
@@ -381,17 +401,19 @@ def test_a_gathered_join_of_replicated_tables_answers_once(
         )
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_replicated_join_fails_over_like_any_dispatched_slice(db, workers):
+@pytest.mark.parametrize("sessions", [1, 4])
+def test_replicated_join_fails_over_like_any_dispatched_slice(db, sessions):
     sql = "SELECT count(*) FROM rep r, rep s WHERE r.key = s.key"
     assert db.health.failover(0, "test")
-    assert db.sql(sql, workers=workers).rows == [(20,)]
+    assert all(r.rows == [(20,)] for r in at_once(sessions, lambda: db.sql(sql)))
     assert db.health.mirror_reads[0] > 0
     db.health.recover_all()
     db.faults.arm(SCAN_ROW, segment=0, mode=FAIL_ONCE, transient=False)
-    result = db.sql(sql, workers=workers)
-    assert result.rows == [(20,)]
-    assert result.metrics.segments_dispatched == 1
+    results = at_once(sessions, lambda: db.sql(sql))
+    for result in results:
+        assert result.rows == [(20,)]
+        assert result.metrics.segments_dispatched == 1
+    assert sum(result.metrics.failover_count for result in results) == 1
     assert db.health.down_segments == [0]
     db.faults.reset()
     db.health.recover_all()

@@ -6,7 +6,6 @@ from repro import types as t
 from repro.catalog import DistributionPolicy, TableSchema
 from repro.engine import Database
 from repro.executor.context import COORDINATOR_SEGMENT, ExecContext
-from repro.executor.scheduler import SegmentScheduler
 from repro.expr.ast import ColumnRef
 from repro.physical.ops import (
     BroadcastMotion,
@@ -34,10 +33,8 @@ def db() -> Database:
 def _buffered_rows(db, motion):
     plan = Plan(motion)
     ctx = ExecContext(db.catalog, db.storage, db.num_segments)
-    # one motion slice on every segment, run serially: the statement path
-    db.executor._run_motion_slice(
-        motion, ctx, SegmentScheduler(), 1, set(), None, range(db.num_segments)
-    )
+    # one motion slice on every segment: the statement path
+    db.executor._run_motion_slice(motion, ctx, 1, set(), range(db.num_segments))
     return [
         rows_of(motion, segment, ctx)
         for segment in range(db.num_segments)

@@ -4,7 +4,8 @@ A streaming PartitionSelector routes each batch's distinct value tuples
 once and pushes only OIDs its (scan, segment) instance has not pushed yet,
 with one ``partition_propagation`` call per batch.  Against the row
 reference (:mod:`tests.executor.row_reference`, which still propagates
-row by row) nothing may differ at any width or worker count: rows,
+row by row) nothing may differ at any width, with one client session
+or several running the statement at once: rows,
 partitions scanned, partitions selected, and ``oids_pushed``, which
 counts every (row, OID) pair whatever the batching.
 """
@@ -24,6 +25,8 @@ from repro.catalog import (
 )
 from repro.obs.metrics import MetricsCollector
 from repro.workloads import tpcds
+
+from tests.sessions import at_once
 
 from . import row_reference
 
@@ -76,18 +79,18 @@ def _selectors(metrics) -> list[dict]:
     return [metrics.selector_summary(scan_id) for scan_id in sorted(metrics.selectors)]
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("sessions", [1, 4])
 @pytest.mark.parametrize("batch_size", [1, 7, 1024])
 @pytest.mark.parametrize("sql", CASES.values(), ids=list(CASES))
-def test_batch_selection_equals_the_row_reference(db, sql, batch_size, workers):
+def test_batch_selection_equals_the_row_reference(db, sql, batch_size, sessions):
     rows, ctx = row_reference.run_plan(db, db.plan(sql))
-    result = db.sql(sql, batch_size=batch_size, workers=workers)
-    assert result.rows == rows
-    assert result.metrics.partitions_scanned() == ctx.metrics.partitions_scanned()
-    assert result.metrics.total_rows_scanned == ctx.metrics.total_rows_scanned
-    selectors = _selectors(result.metrics)
-    assert [s["mode"] for s in selectors] == ["dynamic"]
-    assert selectors == _selectors(ctx.metrics)
+    for result in at_once(sessions, lambda: db.sql(sql, batch_size=batch_size)):
+        assert result.rows == rows
+        assert result.metrics.partitions_scanned() == ctx.metrics.partitions_scanned()
+        assert result.metrics.total_rows_scanned == ctx.metrics.total_rows_scanned
+        selectors = _selectors(result.metrics)
+        assert [s["mode"] for s in selectors] == ["dynamic"]
+        assert selectors == _selectors(ctx.metrics)
 
 
 def test_one_propagation_per_batch_on_the_workload(monkeypatch):

@@ -1,11 +1,13 @@
 """Partition selection is a statement's work, not a segment's: the selector
 program (interval derivation, ``f*_T``, the OID list) is built once per
 ``(statement, part_scan_id)`` and every segment instance only propagates
-it into its own channel."""
+it into its own channel.  Statements issued at once by several client
+sessions each build their own program, once."""
 
 import pytest
 
 from repro.executor import iterators
+from tests.sessions import at_once
 
 STATIC_SQL = (
     "SELECT count(*) FROM orders "
@@ -30,31 +32,36 @@ def programs_built(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("sessions", [1, 4])
 @pytest.mark.parametrize("batch_size", [1, 1024])
 def test_static_selector_is_derived_once_per_statement(
-    orders_db, programs_built, workers, batch_size
+    orders_db, programs_built, sessions, batch_size
 ):
-    result = orders_db.sql(STATIC_SQL, workers=workers, batch_size=batch_size)
-    assert programs_built == [1]
-    summary = result.metrics.selector_summary(1)
-    assert summary["mode"] == "static"
-    assert summary["partitions_selected"] == 3
-    # ... and still propagated into each of the four segments' channels
-    assert summary["oids_pushed"] == 3 * orders_db.num_segments
-    assert result.partitions_scanned("orders") == 3
+    results = at_once(
+        sessions, lambda: orders_db.sql(STATIC_SQL, batch_size=batch_size)
+    )
+    assert programs_built == [1] * sessions
+    for result in results:
+        summary = result.metrics.selector_summary(1)
+        assert summary["mode"] == "static"
+        assert summary["partitions_selected"] == 3
+        # ... and still propagated into each of the four segments' channels
+        assert summary["oids_pushed"] == 3 * orders_db.num_segments
+        assert result.partitions_scanned("orders") == 3
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("sessions", [1, 4])
 def test_streaming_selector_shares_its_program_too(
-    orders_db, programs_built, workers
+    orders_db, programs_built, sessions
 ):
     reference = orders_db.sql(DYNAMIC_SQL).rows
     del programs_built[:]
-    result = orders_db.sql(DYNAMIC_SQL, workers=workers)
-    assert result.rows == reference
-    assert len(programs_built) == len(set(programs_built)) == 1
-    assert result.metrics.selector_summary(programs_built[0])["mode"] == "dynamic"
+    results = at_once(sessions, lambda: orders_db.sql(DYNAMIC_SQL))
+    assert len(programs_built) == sessions
+    assert len(set(programs_built)) == 1
+    for result in results:
+        assert result.rows == reference
+        assert result.metrics.selector_summary(programs_built[0])["mode"] == "dynamic"
 
 
 def test_selector_program_is_built_once_under_contention(orders_db):
@@ -64,11 +71,8 @@ def test_selector_program_is_built_once_under_contention(orders_db):
     import threading
 
     from repro.executor.context import ExecContext
-    from repro.settings import QuerySettings
 
-    ctx = ExecContext(
-        orders_db.catalog, orders_db.storage, 4, settings=QuerySettings(workers=4)
-    )
+    ctx = ExecContext(orders_db.catalog, orders_db.storage, 4)
     builds: list[int] = []
     got: list[object] = []
     start = threading.Barrier(32)

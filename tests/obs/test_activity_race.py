@@ -1,4 +1,5 @@
-"""``db.activity()`` read while statements run, serial and parallel.
+"""``db.activity()`` read from another thread while statements of one
+client session, or of several at once, run.
 
 An in-flight read derives the scan summary from the scan nodes' slots
 with C-level reads, so it never iterates a container the statement is
@@ -12,6 +13,7 @@ this file twenty times."""
 from __future__ import annotations
 
 import datetime
+import itertools
 import sys
 import threading
 import time
@@ -21,6 +23,7 @@ import pytest
 from repro import Database
 from repro import types as t
 from repro.catalog import DistributionPolicy, PartitionScheme, TableSchema, monthly_range_level
+from tests.sessions import at_once
 
 START = datetime.date(2010, 1, 1)
 MONTHS = 24
@@ -50,8 +53,8 @@ def race_db() -> Database:
     return db
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_activity_reads_never_raise_while_statements_run(race_db, workers):
+@pytest.mark.parametrize("sessions", [1, 4])
+def test_activity_reads_never_raise_while_statements_run(race_db, sessions):
     expected = {sql: race_db.sql(sql).rows for sql in (JOIN_SQL, SCAN_SQL)}
     errors: list[Exception] = []
     reads = 0
@@ -66,16 +69,21 @@ def test_activity_reads_never_raise_while_statements_run(race_db, workers):
             except Exception as error:  # noqa: BLE001 - reported below
                 errors.append(error)
             reads += 1
-            time.sleep(0)  # let the statement's threads have the GIL too
+            time.sleep(0)  # let the statements' threads have the GIL too
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
     thread = threading.Thread(target=reader, daemon=True)
     thread.start()
+    turns = itertools.count()
+
+    def client() -> None:
+        for _ in range(STATEMENTS // sessions):
+            sql = JOIN_SQL if next(turns) % 2 else SCAN_SQL
+            assert race_db.sql(sql).rows == expected[sql]
+
     try:
-        for i in range(STATEMENTS):
-            sql = JOIN_SQL if i % 2 else SCAN_SQL
-            assert race_db.sql(sql, workers=workers).rows == expected[sql]
+        at_once(sessions, client)
     finally:
         done.set()
         thread.join(timeout=10)

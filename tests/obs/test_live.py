@@ -287,13 +287,13 @@ def test_live_gauge_sources_cover_serving():
     values = db.live.sample_now()
     # no server open: serving sources skip the tick rather than lie
     assert values["queue_depth"] is None
-    assert values["pool_busy_fraction"] is None
+    assert values["inflight_admitted"] is None
+    assert "pool_busy_fraction" not in values
     session = db.session(name="gauges")
     session.sql(COUNT)
     values = db.live.sample_now()
     assert values["queue_depth"] == 0.0
     assert values["inflight_admitted"] == 0.0
-    assert values["pool_busy_fraction"] == 0.0
     session.sql(COUNT, cache="results")
     session.sql(COUNT, cache="results")
     values = db.live.sample_now()

@@ -23,7 +23,7 @@ from repro.catalog import (
 from repro.obs.metrics import METRICS_SCHEMA_VERSION
 
 #: the version the golden key sets below describe
-GOLDEN_VERSION = 12
+GOLDEN_VERSION = 13
 
 TOP_LEVEL = {
     "schema_version", "elapsed_seconds", "num_segments", "timing_collected",
@@ -61,17 +61,13 @@ GOLDEN = {
         "winners_costed", "alternatives_pruned", "enforcers",
         "partition_selector_events", "optimization_seconds",
     },
-    "parallel": {
-        "workers", "mode", "batch_size", "instances",
-        "instance_busy_seconds", "overlap",
-    },
+    "parallel": {"batch_size", "instances", "instance_busy_seconds"},
     "cache": {
         "mode", "result", "stored", "hits", "misses", "invalidations",
         "bytes",
     },
     "serving": {
-        "session", "queued_seconds", "requested_workers",
-        "effective_workers", "degraded", "queue_depth", "inflight",
+        "session", "queued_seconds", "queue_depth", "inflight",
         "admitted_total", "rejected_total",
     },
     "live": {

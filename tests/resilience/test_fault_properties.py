@@ -97,15 +97,14 @@ def _database():
     # motion_send fault can land after its instance already sent some: the
     # retry must discard that partly sent run
     batch_size=st.sampled_from([7, 1024]),
-    workers=st.sampled_from([1, 4]),
 )
-# a motion_send fault after the instance's second batch (width 7, 4 workers
-# / serial) on each base-row Motion, retried in place / after a failover
-@example(3, MOTION_SEND, 1, FAIL_ONCE, 1, 2, True, 7, 4)
-@example(4, MOTION_SEND, 2, FAIL_ONCE, 1, 2, False, 7, 1)
+# a motion_send fault after the instance's second batch (width 7) on each
+# base-row Motion, retried in place / after a failover
+@example(3, MOTION_SEND, 1, FAIL_ONCE, 1, 2, True, 7)
+@example(4, MOTION_SEND, 2, FAIL_ONCE, 1, 2, False, 7)
 @settings(max_examples=60, deadline=None)
 def test_single_fault_never_corrupts_results(
-    query_index, point, segment, mode, n, skip, transient, batch_size, workers
+    query_index, point, segment, mode, n, skip, transient, batch_size
 ):
     db, baselines = _database()
     db.faults.reset()
@@ -115,7 +114,7 @@ def test_single_fault_never_corrupts_results(
         point, segment=segment, mode=mode, n=n, skip=skip, transient=transient
     )
     try:
-        result = db.sql(sql, batch_size=batch_size, workers=workers)
+        result = db.sql(sql, batch_size=batch_size)
     except ReproError:
         # Typed failure is an acceptable outcome (e.g. retries exhausted
         # under ALWAYS) — a bare exception would escape this clause and
@@ -126,8 +125,8 @@ def test_single_fault_never_corrupts_results(
         db.health.recover_all()
     assert sorted(result.rows) == sorted(baselines[sql]), (
         f"fault {point}@{segment} ({mode}, n={n}, skip={skip}, "
-        f"transient={transient}, batch_size={batch_size}, "
-        f"workers={workers}) corrupted results of {sql!r}"
+        f"transient={transient}, batch_size={batch_size}) "
+        f"corrupted results of {sql!r}"
     )
 
 

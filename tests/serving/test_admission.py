@@ -1,5 +1,5 @@
 """Unit tests for the admission controller: slots, queue, shedding,
-fair share and degradation — no database involved."""
+and fair share — no database involved."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ def controller(**overrides) -> AdmissionController:
 
 def test_immediate_admission_under_caps():
     admission = controller()
-    slot = admission.acquire(1, requested_workers=1)
+    slot = admission.acquire(1)
     assert slot.queued_seconds == 0.0
     assert admission.stats()["inflight"] == 1
     admission.release(slot)
@@ -146,32 +146,6 @@ def test_round_robin_fair_share_across_sessions():
     assert order == [1, 2, 1, 1]
 
 
-def test_degradation_narrows_with_load():
-    admission = controller(
-        max_concurrent=4, session_max_inflight=4, max_queued=0
-    )
-    # occupancy joined: 0/4, 1/4, 2/4 (>= degrade_mid), 3/4 (>= high)
-    first = admission.acquire(1, requested_workers=4)
-    second = admission.acquire(1, requested_workers=4)
-    third = admission.acquire(1, requested_workers=4)
-    fourth = admission.acquire(1, requested_workers=4)
-    assert (first.effective_workers, first.degraded) == (4, False)
-    assert (second.effective_workers, second.degraded) == (4, False)
-    assert (third.effective_workers, third.degraded) == (2, True)
-    assert (fourth.effective_workers, fourth.degraded) == (1, True)
-    assert admission.stats()["degraded_grants"] == 2
-    for slot in (first, second, third, fourth):
-        admission.release(slot)
-
-
-def test_serial_requests_never_count_as_degraded():
-    admission = controller(max_concurrent=1)
-    slot = admission.acquire(1, requested_workers=1)
-    assert slot.effective_workers == 1
-    assert not slot.degraded
-    admission.release(slot)
-
-
 def test_close_sheds_queued_and_new_waiters():
     admission = controller(max_concurrent=1, queue_timeout_s=5.0)
     slot = admission.acquire(1)
@@ -203,7 +177,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ServingConfig(session_max_inflight=0)
     with pytest.raises(ValueError):
-        ServingConfig(degrade_mid=0.9, degrade_high=0.5)
-    config = ServingConfig(max_concurrent=3)
-    assert config.pool_workers == 6
-    assert config.to_dict()["max_concurrent"] == 3
+        ServingConfig(pool_workers=0)
+    config = ServingConfig(max_concurrent=3, pool_workers=2)
+    assert config.to_dict() == {
+        "max_concurrent": 3,
+        "max_queued": 16,
+        "queue_timeout_s": 5.0,
+        "session_max_inflight": 2,
+    }

@@ -50,7 +50,7 @@ def test_netserver_concurrent_clients_are_isolated(fresh_db):
     with NetServer(fresh_db) as net:
         clients = [Client(net.host, net.port) for _ in range(3)]
         # distinct per-connection settings must not bleed across clients
-        clients[0].rpc("SET workers 2;")
+        clients[0].rpc("SET batch_size 2;")
         clients[1].rpc("SET timeout_seconds 30;")
         outputs: dict[int, str] = {}
 

@@ -1,10 +1,9 @@
 """The QueryServer submit path: concurrent correctness, overload
-behaviour, degradation, metrics and lifecycle."""
+behaviour, metrics and lifecycle."""
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -18,10 +17,8 @@ COUNT = "SELECT count(order_id) FROM orders"
 
 def test_concurrent_sessions_return_identical_results(fresh_db):
     reference = fresh_db.sql(QUERY).rows
-    server = fresh_db.serve(max_concurrent=3, pool_workers=8)
-    sessions = [
-        server.session(name=f"client-{i}", workers=2) for i in range(3)
-    ]
+    server = fresh_db.serve(max_concurrent=3)
+    sessions = [server.session(name=f"client-{i}") for i in range(3)]
     results: list = []
     lock = threading.Lock()
 
@@ -85,43 +82,11 @@ def test_overload_sheds_cleanly_and_admitted_queries_stay_correct(fresh_db):
     server.close()
 
 
-def test_grants_degrade_when_the_tier_fills(fresh_db):
-    fresh_db.storage.io_latency_s = 0.005
-    server = fresh_db.serve(max_concurrent=2, pool_workers=8)
-    holder = server.session(name="holder", workers=4)
-    joiner = server.session(name="joiner", workers=4)
-    background: dict = {}
-
-    def hold():
-        background["result"] = holder.sql(QUERY)
-
-    thread = threading.Thread(target=hold)
-    thread.start()
-    deadline = time.monotonic() + 5.0
-    while server.admission.inflight == 0 and time.monotonic() < deadline:
-        time.sleep(0.001)
-    # the tier is at load 1/2 = degrade_mid: the next grant is halved
-    result = joiner.sql(QUERY)
-    thread.join(timeout=10.0)
-    serving = result.metrics.to_dict()["serving"]
-    assert serving["requested_workers"] == 4
-    assert serving["effective_workers"] == 2
-    assert serving["degraded"] is True
-    first = background["result"].metrics.to_dict()["serving"]
-    assert first["effective_workers"] == 4
-    assert first["degraded"] is False
-    # degraded or not, both computed the same answer
-    assert result.rows == background["result"].rows
-    server.close()
-
-
 def test_serving_metrics_section_schema_v6(fresh_db):
     session = fresh_db.session(name="observer")
     exported = session.sql(COUNT).metrics.to_dict()
     serving = exported["serving"]
     assert serving["session"] == "observer"
-    assert serving["requested_workers"] >= 1
-    assert serving["effective_workers"] >= 1
     assert serving["queued_seconds"] >= 0.0
     assert serving["admitted_total"] >= 1
     # a direct (non-serving) execution carries no serving section
@@ -137,11 +102,9 @@ def test_prometheus_families(fresh_db):
     for family in (
         "repro_serving_admitted_total",
         "repro_serving_rejected_total",
-        "repro_serving_degraded_total",
         "repro_serving_queued_seconds_total",
         "repro_serving_queue_depth",
         "repro_serving_inflight",
-        "repro_serving_pool_workers",
         "repro_serving_sessions_open",
         "repro_serving_session_inflight",
         "repro_serving_session_latency_seconds",

@@ -111,14 +111,14 @@ def test_database_then_session_then_call(db, seen, field):
 
 
 def test_pure_resolution_layers():
-    base = QuerySettings(workers=2)
+    base = QuerySettings(batch_size=2)
     assert resolve(base) is base
     assert resolve(base, None, {}) is base
-    assert resolve(base, None, {"workers": None}) is base  # None = not set
-    other = QuerySettings(workers=3)
+    assert resolve(base, None, {"batch_size": None}) is base  # None = not set
+    other = QuerySettings(batch_size=3)
     assert resolve(base, other) is other  # settings= replaces the default
-    assert resolve(base, other, {"batch_size": 7}) == QuerySettings(
-        workers=3, batch_size=7
+    assert resolve(base, other, {"cache": "results"}) == QuerySettings(
+        batch_size=3, cache="results"
     )
     # a keyword that is no field is an optimizer option, merged and sorted
     tuned = resolve(base, None, {"enable_top_n": False})
@@ -132,10 +132,8 @@ def test_pure_resolution_layers():
 
 def test_database_constructor_keywords(db):
     assert db.settings == QuerySettings()
-    tuned = Database(num_segments=2, workers=3, batch_size=7, cache="results")
-    assert tuned.settings == QuerySettings(
-        workers=3, batch_size=7, cache="results"
-    )
+    tuned = Database(num_segments=2, batch_size=7, cache="results")
+    assert tuned.settings == QuerySettings(batch_size=7, cache="results")
     shared = CacheManager()
     # a prebuilt manager carries no mode: that lives in the settings only
     assert Database(num_segments=2, cache=shared).cache is shared
@@ -145,7 +143,7 @@ def test_database_constructor_keywords(db):
 def test_resolution_is_free_when_nothing_is_overridden(db, seen):
     db.sql(QUERY)
     assert seen[-1] is db.settings
-    session = db.session(workers=2)
+    session = db.session(batch_size=2)
     session.sql(QUERY)
     assert seen[-1] is session.settings
     assert db.session().settings is db.settings
@@ -201,12 +199,35 @@ def test_invalid_values_are_rejected_at_construction(db, field):
 
 
 def test_zero_workers_and_zero_batch_size_are_rejected(db):
-    for name in ("workers", "batch_size"):
-        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-            db.session(**{name: 0})
-        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-            Database(num_segments=2, **{name: 0})
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        db.session(batch_size=0)
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        Database(num_segments=2, batch_size=0)
+    # workers is no setting; the constructor keyword takes None or 1 only
+    with pytest.raises(ValueError, match="workers was removed"):
+        Database(num_segments=2, workers=0)
+    with pytest.raises(ReproError, match="'workers'"):
+        db.session(workers=0)
     db.serve().close()
+
+
+def test_workers_is_gone_and_the_two_kept_keywords_construct(db):
+    """Segment instances run in segment order on the statement's thread,
+    so ``workers`` is no setting.  ``Database(workers=1)`` and
+    ``serve(pool_workers=...)`` stay accepted for existing callers."""
+    with pytest.raises(ReproError, match="'workers'"):
+        db.sql(QUERY, workers=4)
+    shell = ReplSession(db)
+    assert shell.handle_line("SET workers 4;") == (
+        "ERROR (sql): unknown setting 'workers'"
+    )
+    assert not shell.done
+    assert "(1 rows)" in shell.handle_line(QUERY + ";")
+    assert Database(num_segments=2, workers=1).settings == QuerySettings()
+    with Database(num_segments=2).serve(pool_workers=2) as server:
+        assert not server.closed
+    with pytest.raises(ValueError, match="workers was removed"):
+        Database(num_segments=2, workers=4)
 
 
 # -- (ii) SET round trip -----------------------------------------------------
@@ -258,11 +279,6 @@ def test_set_acknowledgements_are_pinned(db):
     """The exact lines of the shell before the table existed."""
     shell = ReplSession(db)
     for line, answer in [
-        ("SET workers 4;", "workers is 4"),
-        ("SET workers off;", "workers is off (serial execution)"),
-        ("SET workers serial;", "workers is off (serial execution)"),
-        ("SET workers 0;", "ERROR (sql): workers must be >= 1"),
-        ("SET workers x;", "ERROR (sql): invalid workers 'x'"),
         ("SET batch_size 7;", "batch_size is 7"),
         ("SET batch_size default;", "batch_size follows the database default"),
         ("SET batch_size 0;", "ERROR (sql): batch_size must be >= 1"),
@@ -316,10 +332,10 @@ def test_help_lists_every_settable_field(db):
 
 def test_settings_are_a_hashable_value():
     one = QuerySettings(
-        workers=4, optimizer_options={"enable_top_n": 1, "enable_join_dpe": 2}
+        batch_size=4, optimizer_options={"enable_top_n": 1, "enable_join_dpe": 2}
     )
     two = QuerySettings(
-        workers=4, optimizer_options=(("enable_join_dpe", 2), ("enable_top_n", 1))
+        batch_size=4, optimizer_options=(("enable_join_dpe", 2), ("enable_top_n", 1))
     )
     assert one == two and hash(one) == hash(two)
     assert one.optimizer_options == (  # sorted tuple
@@ -329,7 +345,7 @@ def test_settings_are_a_hashable_value():
     assert len({one, two, QuerySettings()}) == 2
     assert one.plan_key == two.plan_key
     with pytest.raises(dataclasses.FrozenInstanceError):
-        one.workers = 2
+        one.batch_size = 2
     assert [f.name for f in dataclasses.fields(QuerySettings)] == [
         f.name for f in FIELDS
     ]
@@ -353,7 +369,7 @@ def test_default_statement_key_is_the_plain_one(db):
     """bench/ computes keys itself and must hit entries ``sql()`` stored."""
     plain = statement_key(QUERY, [1], "orca", False)
     assert db._statement_key(QUERY, [1], db.settings) == plain
-    assert db._statement_key(QUERY, [1], QuerySettings(workers=4)) == plain
+    assert db._statement_key(QUERY, [1], QuerySettings(batch_size=4)) == plain
     for shaping in (
         {"optimizer": "planner"},
         {"optimizer_options": {"enable_top_n": False}},

@@ -12,7 +12,7 @@ Two classes of comparison, mirroring what the simulator can promise:
   counters (fig21) are fully deterministic — same code, same numbers.  Any difference from the baseline exits non-zero: either a
   genuine optimizer regression or an intentional change that must ship
   with refreshed baselines (``benchmarks/baselines/``).
-* **Wall clocks report only.**  Timings (fig17/fig19 ``*seconds*`` /
+* **Wall clocks report only.**  Timings (fig17/fig21 ``*seconds*`` /
   ``*elapsed*`` leaves) are noise on shared CI runners, so slowdowns past
   the warn threshold (default 25%) print a ``WARN`` line but never fail
   the gate.

@@ -3,13 +3,11 @@
 
 Runs the same scripted shell sessions through ``python -m repro`` under
 different ``SET`` preambles and diffs every transcript against the run
-with no preamble.  Worker count, batch width and result caching must
-be *invisible* in what the shell prints: same rows, same
-partitions-scanned lines, byte for byte.
+with no preamble.  Batch width and result caching must be *invisible*
+in what the shell prints: same rows, same partitions-scanned lines,
+byte for byte.
 
-* **workers** — ``SET workers 4``;
-* **batch width** — ``SET batch_size 1 | 7 | 1024``, and 1024 under
-  ``SET workers 4``;
+* **batch width** — ``SET batch_size 1 | 7 | 1024``;
 * **cache** — ``SET cache results`` over a script that repeats every
   statement (a repeat is a result hit) with a DML in between (the repeat
   after it is a post-invalidation miss).  A hit executes nothing, so it
@@ -49,7 +47,6 @@ FOOTER = "partitions scanned: "
 #: (what must be invisible, the script, the SET preambles to run it under,
 #: how many statements the preambles answer from the result cache)
 CASES = [
-    ("workers", [RANGE, JOIN], [[("workers", "4")]], 0),
     (
         "batch width",
         [RANGE, JOIN, DIM],
@@ -57,7 +54,6 @@ CASES = [
             [("batch_size", "1")],
             [("batch_size", "7")],
             [("batch_size", "1024")],
-            [("workers", "4"), ("batch_size", "1024")],
         ],
         0,
     ),
@@ -135,8 +131,8 @@ def main() -> int:
         print(f"CLI settings diff: FAILED — {failures} transcript(s) differ")
         return 1
     print(
-        "CLI settings diff: OK — workers, batch width and result "
-        "caching are invisible in the shell's output"
+        "CLI settings diff: OK — batch width and result caching are "
+        "invisible in the shell's output"
     )
     return 0
 
