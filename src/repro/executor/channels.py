@@ -23,8 +23,8 @@ The channel enforces the full producer/consumer protocol, raising
 A statement runs on one thread — every (slice, segment) instance in
 segment order — and the Figure 12 co-location invariant keeps each
 channel's producer and consumer inside one instance.  So each channel and
-the registry have one writer; their locks are kept but guard nothing
-that runs concurrently.
+the registry have one writer and take no lock: one thread owns them, as
+one process owns its shared memory in the paper.
 
 Instance retry after a segment failure discards the **failed segment's**
 channels only (:meth:`ChannelRegistry.discard`) so the re-run rebuilds
@@ -33,8 +33,6 @@ instance that already ran in this slice still read them.
 """
 
 from __future__ import annotations
-
-import threading
 
 from ..errors import ChannelError
 
@@ -48,7 +46,6 @@ class OidChannel:
         "_mask",
         "_closed",
         "_consumed",
-        "_lock",
     )
 
     def __init__(self, part_scan_id: int, segment: int):
@@ -57,28 +54,25 @@ class OidChannel:
         self._mask = 0
         self._closed = False
         self._consumed = False
-        self._lock = threading.Lock()
 
     def push(self, mask: int) -> None:
         """partition_propagation: add the leaves of ``mask``."""
-        with self._lock:
-            if self._closed:
-                raise ChannelError(
-                    f"push to closed channel (scan {self.part_scan_id}, "
-                    f"segment {self.segment})"
-                )
-            self._mask |= mask
+        if self._closed:
+            raise ChannelError(
+                f"push to closed channel (scan {self.part_scan_id}, "
+                f"segment {self.segment})"
+            )
+        self._mask |= mask
 
     def close(self) -> None:
         """Seal the channel.  Closing twice raises: it means two producers
         both believe they own the channel's lifecycle."""
-        with self._lock:
-            if self._closed:
-                raise ChannelError(
-                    f"double close of channel (scan {self.part_scan_id}, "
-                    f"segment {self.segment})"
-                )
-            self._closed = True
+        if self._closed:
+            raise ChannelError(
+                f"double close of channel (scan {self.part_scan_id}, "
+                f"segment {self.segment})"
+            )
+        self._closed = True
 
     def consume(self) -> int:
         """The leaf mask for the DynamicScan — exactly once.
@@ -87,32 +81,30 @@ class OidChannel:
         (the execution-order invariant the plan validator guarantees) and
         when the channel was already consumed.
         """
-        with self._lock:
-            if not self._closed:
-                raise ChannelError(
-                    f"DynamicScan {self.part_scan_id} on segment "
-                    f"{self.segment} consumed before its PartitionSelector "
-                    f"finished"
-                )
-            if self._consumed:
-                raise ChannelError(
-                    f"channel (scan {self.part_scan_id}, segment "
-                    f"{self.segment}) consumed twice"
-                )
-            self._consumed = True
-            return self._mask
+        if not self._closed:
+            raise ChannelError(
+                f"DynamicScan {self.part_scan_id} on segment "
+                f"{self.segment} consumed before its PartitionSelector "
+                f"finished"
+            )
+        if self._consumed:
+            raise ChannelError(
+                f"channel (scan {self.part_scan_id}, segment "
+                f"{self.segment}) consumed twice"
+            )
+        self._consumed = True
+        return self._mask
 
     def peek(self) -> int:
         """Non-destructive read for guard consumers (several LeafScans may
         share one guard channel).  Still requires the producer to have
         closed the channel first."""
-        with self._lock:
-            if not self._closed:
-                raise ChannelError(
-                    f"guard on channel (scan {self.part_scan_id}, segment "
-                    f"{self.segment}) read before its producer finished"
-                )
-            return self._mask
+        if not self._closed:
+            raise ChannelError(
+                f"guard on channel (scan {self.part_scan_id}, segment "
+                f"{self.segment}) read before its producer finished"
+            )
+        return self._mask
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
@@ -129,29 +121,22 @@ class ChannelRegistry:
 
     def __init__(self) -> None:
         self._channels: dict[tuple[int, int], OidChannel] = {}
-        self._lock = threading.Lock()
 
     def channel(self, part_scan_id: int, segment: int) -> OidChannel:
         key = (part_scan_id, segment)
         found = self._channels.get(key)
         if found is None:
-            with self._lock:
-                found = self._channels.get(key)
-                if found is None:
-                    found = OidChannel(part_scan_id, segment)
-                    self._channels[key] = found
+            found = self._channels[key] = OidChannel(part_scan_id, segment)
         return found
 
     def channels(self) -> list[OidChannel]:
-        with self._lock:
-            return list(self._channels.values())
+        return list(self._channels.values())
 
     def discard(self, part_scan_ids, segment: int) -> int:
         """Drop ``segment``'s channels for the given scan ids so its
         instance retry rebuilds them; other segments' channels are healthy
         and possibly mid-consumption.  Returns channels removed."""
-        victims = [(scan_id, segment) for scan_id in part_scan_ids]
-        with self._lock:
-            return sum(
-                self._channels.pop(key, None) is not None for key in victims
-            )
+        return sum(
+            self._channels.pop((scan_id, segment), None) is not None
+            for scan_id in part_scan_ids
+        )

@@ -24,14 +24,14 @@ The MPP simulator's conventions:
   from it.
 * One thread per statement: the statement's thread runs every slice,
   and each slice's segment instances in segment order, so the context
-  and everything it holds has one writer.  The locks it keeps
-  (``_selector_lock``, the channel registry's, the metrics collector's)
-  guard nothing that runs concurrently any more.
+  and everything it holds (channels, memos, metrics, limits) has one
+  writer and no lock.  The locks a statement meets guard state shared
+  *between* statements: segment health, fault injection, the retry
+  jitter, the caches, storage and durability.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Sequence
 
 from ..catalog import Catalog
@@ -78,7 +78,6 @@ class ExecContext:
         self.settings = settings
         #: part_scan_id -> the statement's compiled selector program
         self._selector_programs: dict[int, Any] = {}
-        self._selector_lock = threading.Lock()
         #: id(operator) -> the statement's generated kernel(s) for it
         self._kernels: dict[int, Any] = {}
 
@@ -101,11 +100,7 @@ class ExecContext:
         retried instance reuses it."""
         program = self._selector_programs.get(part_scan_id)
         if program is None:
-            with self._selector_lock:
-                program = self._selector_programs.get(part_scan_id)
-                if program is None:
-                    program = build()
-                    self._selector_programs[part_scan_id] = program
+            program = self._selector_programs[part_scan_id] = build()
         return program
 
     def kernel(self, op, build):

@@ -29,7 +29,6 @@ CLI, the benchmarks and the tests; its schema is documented in
 from __future__ import annotations
 
 import json
-import threading
 import time
 from functools import reduce
 from operator import or_
@@ -292,11 +291,8 @@ class MetricsCollector:
         self.timing = timing
         self.nodes: list[NodeMetrics] = []
         self.elapsed_seconds = 0.0
-        #: guards shared-structure mutation (node and selector creation,
-        #: the slice/instance/retry/failover logs).  A statement runs on
-        #: one thread, so nothing contends for it any more; counter slots
-        #: never took it
-        self._lock = threading.RLock()
+        # No lock: a statement runs on one thread, which owns every
+        # node, selector entry and log below
         # segment instances (schema v4)
         #: batch width the query ran with (schema v9; 1 = row-at-a-time)
         self.batch_size = DEFAULT_BATCH_SIZE
@@ -374,19 +370,13 @@ class MetricsCollector:
         were not part of the registered tree, e.g. hand-built subtrees)."""
         found = self._by_op.get(id(op))
         if found is None:
-            with self._lock:
-                found = self._by_op.get(id(op))
-                if found is None:
-                    found = NodeMetrics(
-                        len(self.nodes),
-                        getattr(op, "name", type(op).__name__),
-                        self.num_segments,
-                        detail=(
-                            op.describe() if hasattr(op, "describe") else ""
-                        ),
-                    )
-                    self.nodes.append(found)
-                    self._by_op[id(op)] = found
+            found = self._by_op[id(op)] = NodeMetrics(
+                len(self.nodes),
+                getattr(op, "name", type(op).__name__),
+                self.num_segments,
+                detail=op.describe() if hasattr(op, "describe") else "",
+            )
+            self.nodes.append(found)
         return found
 
     # -- generic per-node instrumentation -----------------------------------
@@ -436,16 +426,12 @@ class MetricsCollector:
     def _selector(self, part_scan_id: int) -> dict:
         entry = self.selectors.get(part_scan_id)
         if entry is None:
-            with self._lock:
-                entry = self.selectors.get(part_scan_id)
-                if entry is None:
-                    entry = {
-                        "mode": None,
-                        "total": None,
-                        "selected": [0] * self.num_segments,
-                        "pushed": [0] * self.num_segments,
-                    }
-                    self.selectors[part_scan_id] = entry
+            entry = self.selectors[part_scan_id] = {
+                "mode": None,
+                "total": None,
+                "selected": [0] * self.num_segments,
+                "pushed": [0] * self.num_segments,
+            }
         return entry
 
     def selector_summary(self, part_scan_id: int) -> dict | None:
@@ -481,17 +467,16 @@ class MetricsCollector:
     ) -> None:
         """One finished slice; ``segments`` are the ones it ran on (all of
         them, or the direct-dispatch targets of a sending slice)."""
-        with self._lock:
-            self.slices.append(
-                {
-                    "id": slice_id,
-                    "label": label,
-                    "seconds": seconds,
-                    "segments_dispatched": len(segments),
-                }
-            )
-            if slice_id != 0:
-                self._dispatched_segments.update(segments)
+        self.slices.append(
+            {
+                "id": slice_id,
+                "label": label,
+                "seconds": seconds,
+                "segments_dispatched": len(segments),
+            }
+        )
+        if slice_id != 0:
+            self._dispatched_segments.update(segments)
 
     def finish(self, elapsed_seconds: float) -> None:
         """The statement ran to the end: derive its per-table scan
@@ -510,10 +495,9 @@ class MetricsCollector:
         self, slice_id: int, segment: int, seconds: float
     ) -> None:
         """Wall time of one (slice, segment) instance."""
-        with self._lock:
-            self.instances.append(
-                {"slice_id": slice_id, "segment": segment, "seconds": seconds}
-            )
+        self.instances.append(
+            {"slice_id": slice_id, "segment": segment, "seconds": seconds}
+        )
 
     def parallel_stats(self) -> dict:
         """The "parallel" section: the batch width and the wall time of
@@ -544,20 +528,18 @@ class MetricsCollector:
         ``rows_out``/``loops`` over-count when retries occurred; the retry
         log here is what lets a reader normalise.
         """
-        with self._lock:
-            self.retries.append(
-                {
-                    "slice_id": slice_id,
-                    "attempt": attempt,
-                    "segment": segment,
-                    "point": point,
-                }
-            )
+        self.retries.append(
+            {
+                "slice_id": slice_id,
+                "attempt": attempt,
+                "segment": segment,
+                "point": point,
+            }
+        )
 
     def record_failover(self, segment: int, reason: str) -> None:
         """One primary marked down with its mirror taking over."""
-        with self._lock:
-            self.failovers.append({"segment": segment, "reason": reason})
+        self.failovers.append({"segment": segment, "reason": reason})
 
     @property
     def retry_count(self) -> int:

@@ -8,17 +8,21 @@ search events into the tracer's :class:`~repro.obs.opt_events
 .OptimizerEventLog` — Orca's minidump idea scaled to this engine.
 
 Tracing is **off by default and costs nothing when off**: instrumented
-code paths call :func:`current` / :func:`span`, which reduce to one module
-global read when no tracer is active, and no instrumentation site sits on
-a per-row path (spans are per phase / per slice; optimizer events are per
-group / per request).
+code paths call :func:`current` / :func:`span`, which reduce to one
+thread-local read when no tracer is active, and no instrumentation site
+sits on a per-row path (spans are per phase / per slice; optimizer events
+are per group / per request).
 
-Activation is scoped, not ambient::
+Activation is scoped, not ambient, and **per thread**::
 
     tracer = Tracer()
     with activate(tracer):
         plan = db.plan("SELECT ...")
     tracer.seconds("optimize")      # wall time of the optimize phase
+
+A tracer records only the spans opened on the thread that activated it
+(a statement runs on one thread): a statement traced at once on another
+thread never writes into it, so a tracer has one writer and no lock.
 
 The stable export is JSON lines (:meth:`Tracer.to_jsonl`): one object per
 span in start order, so a trace file can be streamed, grepped and diffed.
@@ -32,16 +36,22 @@ import threading
 import time
 from typing import Any, Iterator
 
-#: the active tracer (None = tracing off); set only via :class:`activate`
-_active: "Tracer | None" = None
 
-#: per-thread phase sink (None = nobody listening); set via :class:`feed_phases`
-_phase_sinks = threading.local()
+class _Scope(threading.local):
+    """This thread's active tracer (set via :class:`activate`) and phase
+    sink (set via :class:`feed_phases`); None = off.  Class-level
+    defaults keep the read cheap on a thread that set neither."""
+
+    tracer: "Tracer | None" = None
+    sink = None
+
+
+_scope = _Scope()
 
 
 def current() -> "Tracer | None":
-    """The active tracer, or None when tracing is off."""
-    return _active
+    """This thread's active tracer, or None when tracing is off."""
+    return _scope.tracer
 
 
 class feed_phases:
@@ -51,9 +61,9 @@ class feed_phases:
     a running query's current phase without new instrumentation sites:
     every :func:`span` call — which happens per phase / per slice, never
     per row, and fires even when tracing is off — also notifies the
-    thread's installed sink.  Scoped per thread so concurrent serving
-    queries each feed their own activity record (a statement runs on one
-    thread).  Nesting restores the previous sink.
+    thread's installed sink.  Scoped per thread, like :class:`activate`,
+    so concurrent serving queries each feed their own activity record (a
+    statement runs on one thread).  Nesting restores the previous sink.
     """
 
     __slots__ = ("sink", "_previous")
@@ -63,17 +73,18 @@ class feed_phases:
         self._previous = None
 
     def __enter__(self):
-        self._previous = getattr(_phase_sinks, "sink", None)
-        _phase_sinks.sink = self.sink
+        self._previous = _scope.sink
+        _scope.sink = self.sink
         return self.sink
 
     def __exit__(self, *exc) -> bool:
-        _phase_sinks.sink = self._previous
+        _scope.sink = self._previous
         return False
 
 
 class activate:
-    """Context manager installing ``tracer`` as the active tracer.
+    """Context manager installing ``tracer`` as this thread's active
+    tracer.
 
     ``activate(None)`` is a supported no-op, so callers can write one
     ``with`` block for both traced and untraced runs.  Nesting restores
@@ -85,15 +96,13 @@ class activate:
         self._previous: Tracer | None = None
 
     def __enter__(self) -> "Tracer | None":
-        global _active
-        self._previous = _active
+        self._previous = _scope.tracer
         if self.tracer is not None:
-            _active = self.tracer
+            _scope.tracer = self.tracer
         return self.tracer
 
     def __exit__(self, *exc) -> bool:
-        global _active
-        _active = self._previous
+        _scope.tracer = self._previous
         return False
 
 
@@ -113,17 +122,17 @@ _NULL_SPAN = _NullSpan()
 
 
 def span(name: str, **attrs):
-    """A span on the active tracer, or a no-op when tracing is off.
+    """A span on this thread's active tracer, or a no-op when tracing is
+    off.
 
-    This is the one call instrumented code makes; the off path is a
-    module-global read plus one branch (plus one thread-local read for
-    the :class:`feed_phases` hook — still per phase/slice, never per
-    row).
+    This is the one call instrumented code makes; the off path is two
+    thread-local reads (the :class:`feed_phases` sink and the tracer)
+    plus two branches — per phase/slice, never per row.
     """
-    sink = getattr(_phase_sinks, "sink", None)
+    sink = _scope.sink
     if sink is not None:
         sink(name)
-    tracer = _active
+    tracer = _scope.tracer
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name, **attrs)
@@ -205,46 +214,33 @@ class Tracer:
         self._origin = self._clock()
         #: spans in start order (the stable export order)
         self.spans: list[Span] = []
-        #: span nesting is per thread — each thread that opens spans gets
-        #: its own open-span stack
-        self._stacks = threading.local()
-        #: guards span-id assignment + the spans list
-        self._lock = threading.Lock()
+        #: the open spans, innermost last
+        self._stack: list[Span] = []
         #: typed optimizer search events (see :mod:`repro.obs.opt_events`)
         self.optimizer = OptimizerEventLog()
-
-    def _stack(self) -> list[Span]:
-        stack = getattr(self._stacks, "stack", None)
-        if stack is None:
-            stack = []
-            self._stacks.stack = stack
-        return stack
 
     # -- span lifecycle ----------------------------------------------------
 
     def span(self, name: str, **attrs) -> _SpanHandle:
-        """Open a span under the innermost span open on this thread."""
-        stack = self._stack()
+        """Open a span under the innermost open span."""
+        stack = self._stack
         parent = stack[-1] if stack else None
-        start_s = self._clock() - self._origin
-        with self._lock:
-            opened = Span(
-                len(self.spans),
-                parent.span_id if parent is not None else None,
-                name,
-                parent.depth + 1 if parent is not None else 0,
-                start_s,
-                attrs,
-            )
-            self.spans.append(opened)
+        opened = Span(
+            len(self.spans),
+            parent.span_id if parent is not None else None,
+            name,
+            parent.depth + 1 if parent is not None else 0,
+            self._clock() - self._origin,
+            attrs,
+        )
+        self.spans.append(opened)
         stack.append(opened)
         return _SpanHandle(self, opened)
 
     def _close(self, span: Span) -> None:
         span.end_s = self._clock() - self._origin
-        # Close any dangling descendants too (exception unwinding).  The
-        # stack is the opening thread's own, so no lock is needed.
-        stack = self._stack()
+        # Close any dangling descendants too (exception unwinding).
+        stack = self._stack
         while stack:
             top = stack.pop()
             if top.end_s is None:

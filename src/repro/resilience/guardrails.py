@@ -86,12 +86,9 @@ class QueryLimits:
         self.check_interval = max(1, check_interval)
         self._deadline: float | None = None
         self._ticks = 0
+        #: charged from the statement's one thread (its segment instances
+        #: run in segment order on it), so the budget takes no lock
         self._buffered_rows = 0
-        #: guards the buffered-row budget.  A statement's limits are
-        #: charged from one thread (its segment instances run in segment
-        #: order on it), so nothing contends for this lock any more; it is
-        #: kept.  ``tick_rows``'s ``_ticks`` counter never took it.
-        self._charge_lock = threading.Lock()
 
     @property
     def active(self) -> bool:
@@ -157,8 +154,7 @@ class QueryLimits:
         input, hash-join build side, motion receive buffers, ...)."""
         if self.max_rows is None:
             return
-        with self._charge_lock:
-            self._buffered_rows += count
+        self._buffered_rows += count
         if self._buffered_rows > self.max_rows:
             raise ResourceLimitExceeded(
                 f"query buffered {self._buffered_rows} rows in blocking "
@@ -178,15 +174,14 @@ class QueryLimits:
         """
         if self.max_rows is None or count <= 0:
             return
-        with self._charge_lock:
-            total = count * per_row
-            if self._buffered_rows + total > self.max_rows:
-                headroom = self.max_rows - self._buffered_rows
-                full = max(0, headroom) // per_row
-                crossing = min(full + 1, count)
-                self._buffered_rows += crossing * per_row
-            else:
-                self._buffered_rows += total
+        total = count * per_row
+        if self._buffered_rows + total > self.max_rows:
+            headroom = self.max_rows - self._buffered_rows
+            full = max(0, headroom) // per_row
+            crossing = min(full + 1, count)
+            self._buffered_rows += crossing * per_row
+        else:
+            self._buffered_rows += total
         if self._buffered_rows > self.max_rows:
             raise ResourceLimitExceeded(
                 f"query buffered {self._buffered_rows} rows in blocking "

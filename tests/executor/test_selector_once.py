@@ -63,40 +63,3 @@ def test_streaming_selector_shares_its_program_too(
         assert result.rows == reference
         assert result.metrics.selector_summary(programs_built[0])["mode"] == "dynamic"
 
-
-def test_selector_program_is_built_once_under_contention(orders_db):
-    """More threads than cores, a shortened switch interval: every thread
-    gets the same program and ``build`` ran exactly once per scan id."""
-    import sys
-    import threading
-
-    from repro.executor.context import ExecContext
-
-    ctx = ExecContext(orders_db.catalog, orders_db.storage, 4)
-    builds: list[int] = []
-    got: list[object] = []
-    start = threading.Barrier(32)
-
-    def build(scan_id):
-        builds.append(scan_id)
-        return object()
-
-    def worker(scan_id):
-        start.wait(timeout=10)
-        got.append((scan_id, ctx.selector_program(scan_id, lambda: build(scan_id))))
-
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i % 2,)) for i in range(32)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-    finally:
-        sys.setswitchinterval(previous)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(builds) == [0, 1]
-    assert len(got) == 32
-    assert len({id(program) for scan_id, program in got if scan_id == 0}) == 1
-    assert len({id(program) for scan_id, program in got if scan_id == 1}) == 1

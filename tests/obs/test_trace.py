@@ -11,12 +11,15 @@ enforcer event, and a renderable EXPLAIN (TRACE).
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
 from repro.obs import Tracer, activate
 from repro.obs import opt_events
 from repro.obs import trace as obs_trace
+from tests.serving.conftest import make_orders_db
 
 JOIN_SQL = (
     "SELECT count(*) FROM orders_fk, date_dim "
@@ -94,7 +97,7 @@ def test_exception_unwind_closes_dangling_spans():
                 with obs_trace.span("inner"):
                     raise RuntimeError("boom")
     assert all(s.end_s is not None for s in tracer.spans)
-    assert tracer._stack() == []
+    assert tracer._stack == []
 
 
 def test_jsonl_export_is_one_stable_object_per_span():
@@ -209,3 +212,67 @@ def test_trace_spans_on_static_elimination_query(orders_db):
     )
     assert _is_subsequence(LIFECYCLE, result.trace.phase_names())
     assert result.trace.seconds("optimize") > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Activation is per thread
+# ---------------------------------------------------------------------------
+
+AVG_SQL = "SELECT avg(amount) FROM orders"
+ROOT_PHASES = ["parse", "bind", "optimize", "execute"]
+
+
+def _overlapped(db, first_traced: bool, second_traced: bool):
+    """Run ``AVG_SQL`` on two threads: the second starts once the first is
+    executing its scan slice (it sleeps ``io_latency_s`` per leaf), so the
+    two statements overlap.  Returns both results."""
+    results = {}
+
+    def run(name, traced):
+        results[name] = db.sql(AVG_SQL, trace=traced)
+
+    first = threading.Thread(target=run, args=("first", first_traced))
+    first.start()
+    deadline = time.monotonic() + 10
+    while not any(row["phase"] == "slice:1" for row in db.activity()):
+        assert first.is_alive() and time.monotonic() < deadline
+        time.sleep(0)
+    second = threading.Thread(target=run, args=("second", second_traced))
+    second.start()
+    for thread in (first, second):
+        thread.join(timeout=10)
+    assert not first.is_alive() and not second.is_alive()
+    return results["first"], results["second"]
+
+
+@pytest.fixture
+def slow_orders_db():
+    db = make_orders_db()
+    db.storage.io_latency_s = 0.002
+    return db
+
+
+def test_two_traced_threads_keep_their_own_spans(slow_orders_db):
+    """Each trace holds exactly its own statement's spans, as when traced
+    alone, and no tracer stays installed once both threads are done."""
+    alone = slow_orders_db.sql(AVG_SQL, trace=True).metrics.trace_summary
+    assert alone["phases"] == ROOT_PHASES and len(alone["spans"]) == 7
+    first, second = _overlapped(slow_orders_db, True, True)
+    for result in (first, second):
+        assert result.metrics.trace_summary["phases"] == ROOT_PHASES
+        assert len(result.trace.spans) == 7
+    assert obs_trace.current() is None
+    slow_orders_db.sql(AVG_SQL)
+    assert len(first.trace.spans) == len(second.trace.spans) == 7
+
+
+@pytest.mark.parametrize("traced", ["first", "second"])
+def test_untraced_thread_adds_nothing_to_a_traced_one(slow_orders_db, traced):
+    first, second = _overlapped(
+        slow_orders_db, traced == "first", traced == "second"
+    )
+    result, other = (first, second) if traced == "first" else (second, first)
+    assert other.trace is None
+    assert result.metrics.trace_summary["phases"] == ROOT_PHASES
+    assert len(result.trace.spans) == 7
+    assert obs_trace.current() is None
