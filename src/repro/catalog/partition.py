@@ -130,14 +130,15 @@ class PartitionLevel:
             return None
         # Only the last entry starting at or below the value can hold it;
         # an entry *open* at exactly the value defers to the one before.
+        # A slot's intervals are disjoint and non-adjacent, so no other
+        # interval of the entry's slot can hold the value either.
         # (A point lookup on the per-row insert path: one bisect, no list.)
         lows = self._lows
         pos = bisect.bisect_right(lows, value, self._first_bounded)
         while pos > 0:
             pos -= 1
-            idx = self._entry_slot[pos]
-            if self.slots[idx].constraint.contains(value):
-                return idx
+            if self._intervals[pos].contains(value):
+                return self._entry_slot[pos]
             if lows[pos] != value:
                 break
         return None

@@ -59,7 +59,7 @@ from ..resilience.faults import (
     WAL_FSYNC,
 )
 from ..resilience.health import PRIMARY
-from .serialize import decode_descriptor, encode_descriptor, encode_row
+from .serialize import decode_descriptor, encode_descriptor
 from .wal import WalFile
 
 if TYPE_CHECKING:
@@ -74,7 +74,8 @@ SHARED_SEGMENT = -1
 
 
 class WalTransaction:
-    """Buffered WAL records for one statement on one table."""
+    """Buffered WAL records for one statement on one table; rows arrive
+    as the table's ``TableStore.encode`` renders them."""
 
     __slots__ = ("table_oid", "xid", "ops", "_insert_groups")
 
@@ -86,7 +87,7 @@ class WalTransaction:
         # rows inserted into the same segment share one record
         self._insert_groups: dict[int, dict] = {}
 
-    def add_insert(self, segment: int, leaf_oid: int, row: tuple) -> None:
+    def add_inserts(self, segment: int, leaf_oid: int, cells: list) -> None:
         group = self._insert_groups.get(segment)
         if group is None:
             group = {
@@ -97,16 +98,16 @@ class WalTransaction:
             }
             self._insert_groups[segment] = group
             self.ops.append(group)
-        group["rows"].append([leaf_oid, encode_row(row)])
+        group["rows"] += [[leaf_oid, row] for row in cells]
 
-    def add_delete(self, segment: int, leaf_oid: int, rows: list[tuple]) -> None:
+    def add_delete(self, segment: int, leaf_oid: int, cells: list) -> None:
         self.ops.append(
             {
                 "type": "delete",
                 "table": self.table_oid,
                 "segment": segment,
                 "leaf": leaf_oid,
-                "rows": [encode_row(row) for row in rows],
+                "rows": cells,
             }
         )
 
@@ -398,8 +399,7 @@ class DurabilityManager:
                 else store.primary_buckets(segment)
             )
             snapshot[str(store.descriptor.oid)] = {
-                str(oid): [encode_row(row) for row in rows]
-                for oid, rows in buckets.items()
+                str(oid): store.encode(rows) for oid, rows in buckets.items()
             }
         return snapshot
 
@@ -480,10 +480,8 @@ class DurabilityManager:
                 snapshot = json.load(fh)
             for oid_str, buckets in snapshot.items():
                 store = storage.store(int(oid_str))
-                schema = store.descriptor.schema
                 for leaf_str, rows in buckets.items():
-                    validated = [schema.validate_row(row) for row in rows]
-                    store.load_bucket(segment, int(leaf_str), validated)
+                    store.load_bucket(segment, int(leaf_str), store.coerce(rows))
 
     def _replay(self, record: dict, catalog: "Catalog", storage: "StorageManager") -> None:
         kind = record["type"]
@@ -511,17 +509,17 @@ class DurabilityManager:
         both copies equal, so each bucket is computed once from the
         primary."""
         segment = record["segment"]
-        validate = store.descriptor.schema.validate_row
         primary, mirror = store.primary_buckets(segment), store.mirror_buckets(segment)
         if record["type"] == "insert":
-            for leaf_oid, row in record["rows"]:
-                row = validate(row)
+            entries = record["rows"]
+            rows = store.coerce([row for _, row in entries])
+            for (leaf_oid, _), row in zip(entries, rows):
                 primary.setdefault(leaf_oid, []).append(row)
                 mirror.setdefault(leaf_oid, []).append(row)
             return
         leaf = record["leaf"]
         # drop the first occurrence of each listed row in one pass
-        doomed = Counter(map(validate, record["rows"]))
+        doomed = Counter(store.coerce(record["rows"]))
         kept = []
         for row in primary.get(leaf, ()):
             if doomed[row]:

@@ -1,4 +1,4 @@
-"""JSON codecs for durable state: cell values, rows, table descriptors.
+"""JSON codecs for durable state: row cells and table descriptors.
 
 Everything the WAL and checkpoints persist must survive a JSON round
 trip and decode back into the exact runtime objects — most importantly
@@ -6,8 +6,9 @@ trip and decode back into the exact runtime objects — most importantly
 native type for.  Two encodings are used:
 
 * **row cells** are stored as plain JSON values, with dates flattened to
-  ISO strings; decoding routes every row back through
-  ``TableSchema.validate_row``, whose DATE coercion restores the
+  ISO strings by the table's generated codec (``TableStore.encode``);
+  decoding routes every row back through ``TableStore.coerce``, the write
+  kernel's ``validate_row`` step, whose DATE coercion restores the
   ``datetime.date`` objects (and re-checks types while at it);
 * **partition-constraint bounds** have no schema to validate against, so
   dates carry an explicit ``{"$date": "YYYY-MM-DD"}`` tag.
@@ -27,20 +28,6 @@ from ..catalog.constraints import Interval, IntervalSet
 from ..catalog.partition import PartitionLevel, PartitionScheme, PartitionSlot
 from ..catalog.schema import TableSchema
 from ..types import DataType, TypeKind
-
-# -- cells ------------------------------------------------------------------
-
-
-def encode_cell(value: Any) -> Any:
-    """One row cell as a JSON-native value (dates become ISO strings)."""
-    if isinstance(value, datetime.date):
-        return value.isoformat()
-    return value
-
-
-def encode_row(row: tuple) -> list:
-    return [encode_cell(value) for value in row]
-
 
 # -- tagged bounds (partition constraints) ----------------------------------
 

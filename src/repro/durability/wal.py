@@ -42,10 +42,13 @@ def record_crc(record: dict) -> int:
 
 
 def encode_record(record: dict) -> bytes:
-    """One CRC-stamped JSONL line (newline included)."""
-    stamped = dict(record)
-    stamped["crc"] = record_crc(record)
-    return (json.dumps(stamped, **_CANONICAL) + "\n").encode()
+    """One CRC-stamped JSONL line (newline included).  Every record key
+    sorts after ``crc``, so the canonical stamped line is the canonical
+    body with the crc spliced in first: the body is serialized once."""
+    if min(record) <= "crc":
+        raise ValueError(f"WAL record keys must sort after 'crc': {sorted(record)}")
+    body = json.dumps(record, **_CANONICAL).encode()
+    return b'{"crc":%d,%s\n' % (zlib.crc32(body), body[1:])
 
 
 def _try_decode(line: bytes) -> dict | None:

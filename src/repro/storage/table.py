@@ -33,21 +33,144 @@ survivor — see :meth:`SegmentHealth.recover`.
 
 from __future__ import annotations
 
+import datetime
 import threading
 import time
+import zlib
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate, chain, repeat
 from operator import iadd
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ..catalog import DistributionPolicy, TableDescriptor
-from ..errors import PartitionError
+from ..catalog import DistributionPolicy, TableDescriptor, TableSchema
+from ..errors import CatalogError, PartitionError
+from ..expr.codegen import KernelSource
 from ..resilience.faults import DELETE_ROWS, INSERT_ROW
 from ..resilience.health import MIRROR, PRIMARY, SegmentHealth
-from ..types import DEFAULT_BATCH_SIZE
+from ..types import DEFAULT_BATCH_SIZE, TypeKind
 from .distribution import segment_for
+
+
+#: the class of the values each column type's ``validate`` returns unchanged
+_EXACT = {
+    TypeKind.INT: int, TypeKind.BIGINT: int, TypeKind.FLOAT: float,
+    TypeKind.TEXT: str, TypeKind.DATE: datetime.date, TypeKind.BOOL: bool,
+}
+
+
+def _coerce_lines(source: KernelSource, schema: TableSchema) -> list[str]:
+    """Lines that turn the sequence ``row`` into ``schema.validate_row(row)``:
+    the arity check, then every value that is neither NULL nor of its
+    column's exact class through the column type's ``validate``."""
+    width = len(schema.columns)
+    names = "".join(f"v{i}, " for i in range(width))
+    error = source.const(CatalogError)
+    lines = [
+        f"if len(row) != {width}:",
+        f"    raise {error}(f'row has {{len(row)}} values, schema has {width} columns')",
+        f"({names}) = row",
+    ]
+    for i, column in enumerate(schema.columns):
+        exact, validate = _EXACT[column.data_type.kind], column.data_type.validate
+        lines += [
+            f"if type(v{i}) is not {source.const(exact)} and v{i} is not None:",
+            f"    v{i} = {source.const(validate)}(v{i})",
+        ]
+    return lines + [f"row = ({names})"]
+
+
+def _codec(schema: TableSchema) -> tuple[Callable, Callable]:
+    """``coerce(rows)``, the ``validate_row`` of every row, and
+    ``encode(rows)``, stored rows as JSON-native cells: dates become ISO
+    text, and rows without a DATE column are their own cells."""
+    source = KernelSource()
+    names = "".join(f"v{i}, " for i in range(len(schema.columns)))
+    dated = [column.data_type.kind is TypeKind.DATE for column in schema.columns]
+    cells = "".join(
+        f"None if v{i} is None else v{i}.isoformat(), " if date else f"v{i}, "
+        for i, date in enumerate(dated)
+    )
+    encode = f"return [({cells}) for ({names}) in rows]" if any(dated) else "return rows"
+    return source.build([
+        "def coerce(rows):",
+        "    out = []",
+        "    for row in rows:",
+        *("        " + line for line in _coerce_lines(source, schema)),
+        "        out.append(row)",
+        "    return out",
+        "def encode(rows):",
+        f"    {encode}",
+        "return coerce, encode",
+    ])
+
+
+def _staging_kernel(
+    desc: TableDescriptor, num_segments: int, stored: bool, fire: bool
+) -> Callable:
+    """``stage(rows, groups, touch, fire) -> count``: route every row to
+    its leaf (``f_T``) and target segment(s) and append it to
+    ``groups[segment, leaf]``, in row order; returns the number of rows.
+
+    New rows are validated first (:func:`_coerce_lines`); ``touch`` is
+    called with a segment when its first bucket is made and, when
+    ``fire`` is rendered, ``fire(INSERT_ROW, segment)`` per row and target
+    segment before that.  Stored rows (``stored``) are routed as they
+    are, into sets.  A row no partition accepts raises
+    :class:`PartitionError`.  Which of these run is decided while the
+    text is rendered, never tested per row.
+    """
+    source = KernelSource()
+    schema = desc.schema
+    body = [] if stored else _coerce_lines(source, schema)
+
+    def slot(column: str) -> str:
+        index = schema.column_index(column)
+        return f"row[{index}]" if stored else f"v{index}"
+
+    if desc.is_partitioned:
+        error = source.const(PartitionError)
+        suffix = source.const(f" maps to the invalid partition of table {desc.name!r}")
+        ordinal = ""
+        for depth, level in enumerate(desc.partition_scheme.levels):
+            body += [
+                f"p{depth} = {source.const(level.route)}({slot(level.key)})",
+                f"if p{depth} is None:",
+                f"    raise {error}(f'row {{row!r}}' + {suffix})",
+            ]
+            radix = f"({ordinal}) * {source.const(len(level))} + " if depth else ""
+            ordinal = f"{radix}p{depth}"
+        body.append(f"leaf = {source.const(desc.all_leaf_oids())}[{ordinal}]")
+    else:
+        body.append(f"leaf = {source.const(desc.oid)}")
+    inner = [f"fire({source.const(INSERT_ROW)}, seg)"] if fire else []
+    inner += ["key = (seg, leaf)", "bucket = groups.get(key)", "if bucket is None:"]
+    if stored:
+        inner += ["    groups[key] = {row}", "else:", "    bucket.add(row)"]
+    else:
+        inner += ["    touch(seg)", "    groups[key] = [row]", "else:", "    bucket.append(row)"]
+    if desc.distribution.kind == DistributionPolicy.REPLICATED:
+        body.append(f"for seg in {source.const(range(num_segments))}:")
+        body += ["    " + line for line in inner]
+    else:
+        n = source.const(num_segments)
+        body += [
+            f"dist = {slot(desc.distribution.column)}",
+            f"if type(dist) is {source.const(int)}:",
+            f"    seg = {source.const(zlib.crc32)}(b'i%d' % dist) % {n}",
+            "else:",
+            f"    seg = {source.const(segment_for)}(dist, {n})",
+            *inner,
+        ]
+    return source.build([
+        "def stage(rows, groups, touch, fire):",
+        "    count = 0",
+        "    for count, row in enumerate(rows, 1):",
+        *("        " + line for line in body),
+        "    return count",
+        "return stage",
+    ])
 
 
 class TableStore:
@@ -88,6 +211,11 @@ class TableStore:
         #: unpartitioned target), never for a write that raised.  The
         #: cache layer's partition-scoped invalidation hangs off this.
         self.on_mutation = None
+        self._kernels: dict[tuple[bool, bool], Callable] = {}
+        #: ``coerce(rows)`` validates new rows as the staging kernel does
+        #: (the recovery paths); ``encode(rows)`` renders stored rows for
+        #: the WAL and checkpoints
+        self.coerce, self.encode = _codec(descriptor.schema)
 
     # -- writes -----------------------------------------------------------
 
@@ -103,38 +231,27 @@ class TableStore:
         segment's copies.  Raises :class:`PartitionError` for a row no
         partition accepts (⊥).
 
-        The write stages (routes every row and fires every fault point:
-        ``delete_rows`` per bucket that loses rows, then ``insert_row``
-        per row and target segment), builds a new list per touched
+        The write stages through this table's generated kernels (validates
+        and routes every row, and fires every fault point: ``delete_rows``
+        per bucket that loses rows, then ``insert_row`` per row and target
+        segment), builds a new list per touched
         bucket of each writable copy, logs one WAL transaction, and only
         then publishes the lists and fires one mutation event.  A write
         that raises has changed nothing.
         """
         replace = replace or {}
         faults = self.faults if self.faults is not None and self.faults.active else None
+        fire = None if faults is None else faults.maybe_fire
         replicated = self.descriptor.distribution.kind == DistributionPolicy.REPLICATED
-        validate = self.descriptor.schema.validate_row
         copies: dict[int, tuple[bool, bool]] = {}
         doomed: dict[tuple[int, int], set[tuple]] = {}
         lost: dict[tuple[int, int], list[tuple]] = {}
         gained: dict[tuple[int, int], list[tuple]] = {}
         replaced: Counter = Counter()
-
-        def gain(row: Sequence) -> None:
-            validated = validate(row)
-            oid = self._leaf_of(validated)
-            for seg in self._target_segments(validated):
-                if faults is not None:
-                    faults.maybe_fire(INSERT_ROW, seg)
-                self._writable_copies(seg, copies)
-                gained.setdefault((seg, oid), []).append(validated)
-
+        touch = partial(self._writable_copies, copies=copies)
         with self.write_lock:
             # 1. stage
-            for old in replace:
-                oid = self._leaf_of(old)
-                for seg in self._target_segments(old):
-                    doomed.setdefault((seg, oid), set()).add(old)
+            self._kernel(True, False)(replace, doomed, touch, None)
             for (seg, oid), values in doomed.items():
                 primary, _ = self._writable_copies(seg, copies)
                 bucket = (self._rows if primary else self._mirror)[seg].get(oid, ())
@@ -145,14 +262,10 @@ class TableStore:
                     lost[seg, oid] = removed
                     if not replicated or seg == 0:
                         replaced.update(removed)
-            count = replaced.total()
-            for row in inserts:
-                gain(row)
-                count += 1
-            for old, new in replace.items():
-                if new is not None:
-                    for _ in range(replaced[old]):
-                        gain(new)
+            stage = self._kernel(False, fire is not None)
+            count = replaced.total() + stage(inserts, gained, touch, fire)
+            moved = [(new, replaced[old]) for old, new in replace.items() if new is not None]
+            stage([new for new, times in moved for _ in range(times)], gained, touch, fire)
             # 2. build
             touched = dict.fromkeys(chain(lost, gained))
             staged = []
@@ -168,10 +281,9 @@ class TableStore:
             if self.durability is not None and touched:
                 txn = self.durability.begin(self.descriptor.oid)
                 for (seg, oid), removed in lost.items():
-                    txn.add_delete(seg, oid, removed)
+                    txn.add_delete(seg, oid, self.encode(removed))
                 for (seg, oid), added in gained.items():
-                    for row in added:
-                        txn.add_insert(seg, oid, row)
+                    txn.add_inserts(seg, oid, self.encode(added))
                 self.durability.commit(txn)
             # 4. publish
             for buckets, oid, rows in staged:
@@ -180,6 +292,17 @@ class TableStore:
                 self._mark_stale(seg, *copies[seg])
             self._notify({oid for _, oid in touched})
         return count
+
+    def _kernel(self, stored: bool, fire: bool) -> Callable:
+        """This table's staging kernel for stored rows (``replace`` keys)
+        or for new rows, with ``insert_row`` firing rendered or not; made
+        on first use and kept."""
+        kernel = self._kernels.get((stored, fire))
+        if kernel is None:
+            kernel = self._kernels[stored, fire] = _staging_kernel(
+                self.descriptor, self.num_segments, stored, fire
+            )
+        return kernel
 
     def _writable_copies(
         self, segment: int, copies: dict[int, tuple[bool, bool]]
@@ -203,31 +326,11 @@ class TableStore:
         if not mirror:
             self.health.mark_stale(segment, MIRROR)
 
-    def _leaf_of(self, row: tuple) -> int:
-        """The bucket OID ``f_T`` routes a validated row to."""
-        desc = self.descriptor
-        if not desc.is_partitioned:
-            return desc.oid
-        leaf = desc.route_row(row)
-        if leaf is None:
-            raise PartitionError(
-                f"row {row!r} maps to the invalid partition of "
-                f"table {desc.name!r}"
-            )
-        return desc.leaf_oid(leaf)
-
     def _notify(self, oids: set[int]) -> None:
         """Report a write to the buckets ``oids`` (empty: no event)."""
         desc = self.descriptor
         if self.on_mutation is not None and oids:
             self.on_mutation(desc.oid, desc.leaf_mask(oids) if desc.is_partitioned else None)
-
-    def _target_segments(self, row: tuple) -> range | list[int]:
-        dist = self.descriptor.distribution
-        if dist.kind == DistributionPolicy.REPLICATED:
-            return range(self.num_segments)
-        col_idx = self.descriptor.schema.column_index(dist.column)  # type: ignore[arg-type]
-        return [segment_for(row[col_idx], self.num_segments)]
 
     # -- recovery back door --------------------------------------------------
 

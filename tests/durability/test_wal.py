@@ -1,6 +1,8 @@
 """Unit tests for the WAL file format: CRC stamping, torn-tail
 tolerance, corruption detection, physical truncation on reopen."""
 
+import json
+
 import pytest
 
 from repro.durability.wal import (
@@ -33,6 +35,28 @@ def test_crc_is_stable_under_key_order(tmp_path):
     a = record_crc({"type": "insert", "lsn": 3, "rows": []})
     b = record_crc({"rows": [], "lsn": 3, "type": "insert"})
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"type": "insert", "lsn": 3, "xid": 2, "table": 7, "segment": 1,
+         "rows": [[10, (1, "a", 2.5, None, True)], [11, [2, "2013-05-15"]]]},
+        {"type": "commit", "xid": 2, "lsns": [3, 4]},
+        {"type": "drop_table", "segment": -1, "table": 7, "name": "é\"\n"},
+    ],
+)
+def test_a_line_is_the_canonical_stamped_record(record):
+    """The body is serialized once and the crc spliced in first; the line
+    is the canonical serialization of the record with its crc."""
+    stamped = dict(record, crc=record_crc(record))
+    canonical = json.dumps(stamped, sort_keys=True, separators=(",", ":"))
+    assert encode_record(record) == (canonical + "\n").encode()
+
+
+def test_a_key_sorting_before_crc_is_refused():
+    with pytest.raises(ValueError, match="sort after 'crc'"):
+        encode_record({"copies": [True, True], "lsn": 1})
 
 
 def test_torn_tail_is_dropped(tmp_path):
