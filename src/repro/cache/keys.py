@@ -57,15 +57,18 @@ class StatementKey(NamedTuple):
         return f"{text}{suffix}"
 
 
-def normalized_literals(query: str) -> tuple[str, ...]:
-    """The statement's literal vector, in token order.
+def normalized_literals(
+    query: str, tokens: list | None = None
+) -> tuple[str, ...]:
+    """The statement's literal vector, in token order (``tokens``: the
+    statement already lexed).
 
     Every value the fingerprint erased comes back here, tagged with its
     token kind: ``NUMBER:42``, ``STRING:'05-15-2013'``.  Identifiers,
     keywords and parameters are not literals and do not contribute.
     """
     try:
-        tokens = lexer.tokenize(query)
+        tokens = lexer.tokenize(query) if tokens is None else tokens
     except ReproError:
         # Unlexable statements key on their collapsed text: no token shape
         # means no literal positions, so the whole text is the "literal".
@@ -90,11 +93,14 @@ def statement_key(
     params: Sequence[Any] | None = None,
     optimizer: str = "orca",
     lowered: bool = False,
+    tokens: list | None = None,
 ) -> StatementKey:
-    """Build the cache key for one statement execution."""
+    """Build the cache key for one statement execution (``tokens``: the
+    statement already lexed, None lexes it here; an unlexable statement
+    passes None)."""
     return StatementKey(
-        fingerprint=fingerprint(query),
-        literals=normalized_literals(query),
+        fingerprint=fingerprint(query, tokens),
+        literals=normalized_literals(query, tokens),
         params=tuple(
             _normalize_param(value) for value in (params or ())
         ),

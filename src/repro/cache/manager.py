@@ -133,6 +133,9 @@ class CacheSession:
         self.epoch = manager.epoch
         #: 'hit' | 'miss', or None when the statement did not look up
         self.result_outcome: str | None = None
+        #: 'reused' | 'planned' (docs/caching.md, "Plan reuse"), or None
+        #: when the statement was not planned (a result hit)
+        self.plan_outcome: str | None = None
         self.stored = False
 
     def commit_result(
@@ -151,6 +154,7 @@ class CacheSession:
         totals = self.manager.results.to_dict()
         return {
             "mode": self.mode,
+            "plan": self.plan_outcome,
             "result": self.result_outcome,
             "stored": self.stored,
             "hits": totals["hits"],

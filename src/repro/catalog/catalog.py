@@ -189,6 +189,8 @@ class Catalog:
         self._tables_by_name: dict[str, TableDescriptor] = {}
         self._tables_by_oid: dict[int, TableDescriptor] = {}
         self._next_oid = 16384  # first user OID, Postgres tradition
+        #: bumped by every table created or dropped (keys cached plans)
+        self.version = 0
 
     def _allocate_oid(self) -> int:
         oid = self._next_oid
@@ -233,6 +235,7 @@ class Catalog:
         )
         self._tables_by_name[name] = desc
         self._tables_by_oid[oid] = desc
+        self.version += 1
         return desc
 
     def register_descriptor(self, desc: TableDescriptor) -> TableDescriptor:
@@ -245,6 +248,7 @@ class Catalog:
             raise CatalogError(f"OID {desc.oid} already in use")
         self._tables_by_name[desc.name] = desc
         self._tables_by_oid[desc.oid] = desc
+        self.version += 1
         self._next_oid = max(self._next_oid, desc.oid + desc.num_leaves + 1)
         return desc
 
@@ -252,6 +256,7 @@ class Catalog:
         desc = self.table(name)
         del self._tables_by_name[name]
         del self._tables_by_oid[desc.oid]
+        self.version += 1
 
     def table(self, name: str) -> TableDescriptor:
         try:

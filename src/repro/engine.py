@@ -18,9 +18,12 @@ and the MPP executor:
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Sequence
 
 from .cache import CacheManager, result_footprint, statement_key
+from .cache.lru import LruCache
+from .cache.plans import PLAN_MAX_ENTRIES, shape_of
 from .catalog import (
     Catalog,
     DistributionPolicy,
@@ -28,14 +31,14 @@ from .catalog import (
     TableDescriptor,
     TableSchema,
 )
-from .errors import ReproError
-from .executor.executor import ExecutionResult, MppExecutor
+from .errors import ReproError, SqlError
+from .executor.executor import ExecutionResult, MppExecutor, PreparedPlan
 from .logical.ops import LogicalOp
 from .obs import trace as obs_trace
 from .obs.live import LiveTelemetry
 from .obs.metrics import MetricsCollector
 from .obs.render import render_explain_trace
-from .obs.stats_store import QueryStatsStore
+from .obs.stats_store import QueryStatsStore, fingerprint
 from .obs.trace import Tracer
 from .optimizer.cost import CostModel
 from .optimizer.orca import OrcaOptimizer
@@ -51,7 +54,8 @@ from .resilience import (
 from .settings import DEFAULT_SETTINGS, ORCA, PLANNER, QuerySettings, resolve
 from .sql.ast import InsertStmt
 from .sql.binder import Binder
-from .sql.parser import parse
+from .sql import lexer
+from .sql.parser import parse, parse_tokens
 
 
 class Database:
@@ -104,6 +108,10 @@ class Database:
         self.statistics = StatsRegistry()
         self.cost_model = cost_model or CostModel()
         self.binder = Binder(self.catalog)
+        #: shape key -> (PreparedPlan, INSERT target or None): shared by
+        #: every session, bounded by entries alone (docs/caching.md, "Plan
+        #: reuse"); its lock is the only one, and entries never change
+        self.plans: LruCache = LruCache(PLAN_MAX_ENTRIES, sys.maxsize)
         #: process-lifetime cumulative per-fingerprint query statistics
         #: (every ``sql()`` call is recorded; read via :meth:`stats`)
         self.query_stats = QueryStatsStore()
@@ -350,11 +358,14 @@ class Database:
         parameter_count: int = 0,
         **options,
     ) -> Plan:
-        """Parse, bind and optimize a query into a physical plan."""
+        """Parse, bind and optimize a query into a validated physical
+        plan, afresh: the plan cache is what memoizes this."""
         settings = resolve(
             self.settings, overrides={"optimizer": optimizer, **options}
         )
-        return self._optimize(self.bind(query), settings, parameter_count)
+        plan = self._optimize(self.bind(query), settings, parameter_count)
+        plan.validate()
+        return plan
 
     def explain(self, query: str, optimizer: str = ORCA, **options) -> str:
         return self.plan(query, optimizer, **options).explain()
@@ -426,16 +437,24 @@ class Database:
             activity = self.live.begin(query, cancel=cancel)
         else:
             activity.adopt_cancel(cancel)
+        # lexed once: the fingerprint, both cache keys and the parser share
+        # the stream (None: it does not lex, and parsing raises that error)
+        try:
+            tokens = lexer.tokenize(query)
+        except SqlError:
+            tokens = None
+        activity.fingerprint = fingerprint(query, tokens)
         tracer = Tracer() if settings.trace else None
         try:
             with obs_trace.feed_phases(activity.enter_phase):
                 session, result = self._lookup_result(
-                    query, params, settings, activity
+                    query, tokens, params, settings, activity
                 )
                 if result is None:
                     with obs_trace.activate(tracer):
                         result = self._sql(
                             query,
+                            tokens,
                             params,
                             settings,
                             limits,
@@ -492,6 +511,7 @@ class Database:
         query: str,
         params: Sequence[Any] | None,
         settings: QuerySettings,
+        tokens=None,
     ):
         """The cache key for one execution: the statement, its values and
         ``settings.plan_key``.  Optimizer options change plan shape (and
@@ -499,11 +519,12 @@ class Database:
         optimizer tag."""
         optimizer, options = settings.plan_key
         tag = f"{optimizer}|{options!r}" if options else optimizer
-        return statement_key(query, params, tag)
+        return statement_key(query, params, tag, tokens=tokens)
 
     def _lookup_result(
         self,
         query: str,
+        tokens,
         params: Sequence[Any] | None,
         settings: QuerySettings,
         activity,
@@ -513,7 +534,7 @@ class Database:
         cache without executing."""
         if settings.cache == "off":
             return None, None
-        key = self._statement_key(query, params, settings)
+        key = self._statement_key(query, params, settings, tokens)
         session = self.cache.begin(key, settings.cache)
         # EXPLAIN ANALYZE and tracing report an execution, so they never
         # read the cache (they may still store)
@@ -530,18 +551,15 @@ class Database:
             list(entry.rows), list(entry.column_names), metrics, 0.0
         )
 
-    def _sql(
-        self,
-        query: str,
-        params: Sequence[Any] | None,
-        settings: QuerySettings,
-        limits: QueryLimits,
-        session=None,
-        faults=None,
-        activity=None,
-    ) -> ExecutionResult:
+    def _plan_statement(self, query: str, tokens, params, settings):
+        """Parse, bind and optimize one statement: ``(plan, INSERT ...
+        SELECT target or None, the parser's literal slots)``, or the
+        finished result of an INSERT ... VALUES, which loads its rows
+        without a plan."""
         with obs_trace.span("parse"):
-            statement = parse(query)
+            statement, slots = parse_tokens(
+                lexer.tokenize(query) if tokens is None else tokens
+            )
         #: the table an INSERT ... SELECT loads (None = a plain query)
         target = None
         if isinstance(statement, InsertStmt):
@@ -572,7 +590,49 @@ class Database:
                 f"{len(plan.root.output_layout())} columns, table "
                 f"has {len(target.schema)}"
             )
+        return plan, target, slots
+
+    def _sql(
+        self,
+        query: str,
+        tokens,
+        params: Sequence[Any] | None,
+        settings: QuerySettings,
+        limits: QueryLimits,
+        session=None,
+        faults=None,
+        activity=None,
+    ) -> ExecutionResult:
+        # A traced run reports the optimizer's search, so it plans afresh
+        # and keeps nothing; a measured one (EXPLAIN ANALYZE) reports this
+        # statement's own plan and estimates, so it plans afresh and may
+        # still store.
+        shape = None
+        if tokens is not None and not settings.trace:
+            versions = (self.catalog.version, self.statistics.version)
+            shape = shape_of(
+                tokens, activity.fingerprint, params, settings.plan_key, versions,
+                exact=settings.optimizer == PLANNER,
+            )
+        cached = None
+        if shape is not None and not settings.analyze:
+            cached = self.plans.get(shape.key)
+        if cached is None:
+            planned = self._plan_statement(query, tokens, params, settings)
+            if isinstance(planned, ExecutionResult):
+                return planned  # INSERT ... VALUES: loaded, nothing planned
+            plan, target, slots = planned
+            values = None
+        else:
+            (prepared, target), values = cached, shape.values
+        if session is not None:
+            session.plan_outcome = "planned" if cached is None else "reused"
         with obs_trace.span("execute"):
+            if cached is None:
+                prepared = PreparedPlan(plan, params)
+                if shape is not None and shape.served_by(slots, prepared.slots):
+                    self.plans.put(shape.key, (prepared, target))
+            plan, kernels = prepared.instance(values, params)
             result = self.executor.execute(
                 plan,
                 params,
@@ -580,6 +640,7 @@ class Database:
                 limits=limits,
                 faults=faults,
                 activity=activity,
+                kernels=kernels,
             )
         if session is not None:
             # A SELECT's result is stored with its invalidation footprint:

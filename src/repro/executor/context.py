@@ -61,6 +61,7 @@ class ExecContext:
         faults: FaultInjector | None = None,
         limits: QueryLimits | None = None,
         settings: QuerySettings = DEFAULT_SETTINGS,
+        kernels: dict[int, Any] | None = None,
     ):
         self.catalog = catalog
         self.storage = storage
@@ -78,8 +79,10 @@ class ExecContext:
         self.settings = settings
         #: part_scan_id -> the statement's compiled selector program
         self._selector_programs: dict[int, Any] = {}
-        #: id(operator) -> the statement's generated kernel(s) for it
-        self._kernels: dict[int, Any] = {}
+        #: id(operator) -> the statement's generated kernel(s) for it: a
+        #: prepared plan's, else filled on first use
+        #: (:func:`~repro.executor.iterators.kernel`)
+        self.kernels: dict[int, Any] = {} if kernels is None else kernels
 
     def cancel(self) -> None:
         """Cooperatively cancel this execution: the next guardrail
@@ -102,15 +105,6 @@ class ExecContext:
         if program is None:
             program = self._selector_programs[part_scan_id] = build()
         return program
-
-    def kernel(self, op, build):
-        """The statement's generated kernel(s) for ``op``: rendered by the
-        first segment instance that asks (``build()``) and shared by the
-        rest.  Kernels keep no state between calls."""
-        made = self._kernels.get(id(op))
-        if made is None:
-            made = self._kernels[id(op)] = build()
-        return made
 
     def motion_buffer(self, motion_id: int) -> MotionBuffer:
         buffer = self.motion_buffers.get(motion_id)

@@ -43,7 +43,7 @@ from typing import Any, Callable, Sequence
 
 from ..catalog import Catalog
 from ..errors import SegmentFailure
-from ..expr.eval import compile_expression
+from ..expr.ast import Parameter
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsCollector
 from ..obs.render import render_explain_analyze
@@ -55,7 +55,7 @@ from ..settings import DEFAULT_SETTINGS, QuerySettings
 from ..storage import StorageManager
 from ..storage.distribution import segment_for, stable_hash
 from .context import COORDINATOR_SEGMENT, ExecContext
-from .iterators import build_batches, drain
+from .iterators import KERNELS, build_batches, drain, kernel
 from .queues import MotionBuffer
 
 
@@ -106,6 +106,65 @@ class ExecutionResult:
         )
 
 
+class PreparedPlan:
+    """A validated plan with every operator's kernel rendered once.
+
+    Nothing in it changes once built, so one instance serves every
+    statement of its shape on any thread.  :meth:`instance` gives a
+    statement its plan, with its own values in the template's literal
+    slots (:meth:`~repro.physical.plan.Plan.with_literals`), and its
+    kernels, each made by the cached factory from the statement's
+    constants: nothing is validated or rendered again.
+    """
+
+    __slots__ = ("plan", "slots", "_holders", "_kernels")
+
+    def __init__(self, plan: Plan, params: Sequence[Any] | None = None):
+        plan.validate()
+        self.plan = plan
+        #: the literal slots the plan holds, and the nodes holding them
+        self.slots, self._holders = plan.literal_sites()
+        #: (walk position, kernel as rendered, its recipe or None)
+        self._kernels = tuple(
+            (position, made, _recipe(made))
+            for position, op in enumerate(plan.walk())
+            if type(op) in KERNELS
+            for made in [KERNELS[type(op)](op, params)]
+        )
+
+    def instance(
+        self,
+        values: Sequence[Any] | None = None,
+        params: Sequence[Any] | None = None,
+    ) -> tuple[Plan, dict[int, Any]]:
+        """``(plan, kernels by id(op))`` for one execution: the template's
+        own when ``values`` is None, else those of the statement whose
+        literal values (by slot) and parameters these are."""
+        if values is None:
+            plan = self.plan
+        else:
+            plan = self.plan.with_literals(values, self._holders)
+        ops = list(plan.walk())
+        kernels = {}
+        for position, made, recipe in self._kernels:
+            if values is not None and recipe is not None:
+                make, consts, origins = recipe
+                made = make(*[
+                    const if origin is None
+                    else params[origin.index - 1]  # type: ignore[index]
+                    if isinstance(origin, Parameter)
+                    else values[origin]
+                    for const, origin in zip(consts, origins)
+                ])
+            kernels[id(ops[position])] = made
+        return plan, kernels
+
+
+def _recipe(made: Any):
+    """The ``__recipe__`` of a rendered kernel (None for no kernel)."""
+    return getattr(made[0] if isinstance(made, tuple) else made, "__recipe__", None)
+
+
 class MppExecutor:
     """Executes validated physical plans over the segment simulator."""
 
@@ -133,6 +192,7 @@ class MppExecutor:
         limits: QueryLimits | None = None,
         faults: FaultInjector | None = None,
         activity=None,
+        kernels: dict[int, Any] | None = None,
     ) -> ExecutionResult:
         """Run the plan as ``settings`` says: batches of ``batch_size``
         rows, per-node wall-clock timings when ``analyze`` (row and
@@ -144,8 +204,11 @@ class MppExecutor:
         statement's live :class:`~repro.obs.live.QueryActivity` record (None = not
         registered): the executor attaches the collector to it once, so
         activity snapshots can read rows/partitions-so-far — a pull
-        model, with zero per-row writes."""
-        plan.validate()
+        model, with zero per-row writes.  ``kernels`` are those of a
+        :class:`PreparedPlan` instance for ``plan``; None prepares the plan
+        here (validation and rendering)."""
+        if kernels is None:
+            plan, kernels = PreparedPlan(plan, params).instance()
         metrics = MetricsCollector(self.num_segments, timing=settings.analyze)
         metrics.register_plan(plan)
         metrics.record_settings(settings)
@@ -164,6 +227,7 @@ class MppExecutor:
             faults=faults if faults is not None else self.faults,
             limits=limits,
             settings=settings,
+            kernels=kernels,
         )
         # Slice k (k >= 1) is the subtree below the k-th Motion in
         # post-order; slice 0 is the root slice.
@@ -347,7 +411,6 @@ class MppExecutor:
         crosses ``max_rows``, whatever the width."""
         child = motion.children[0]
         row_bytes = motion_row_bytes(motion)
-        hash_fns = ctx.kernel(motion, lambda: _motion_kernels(motion, ctx.params))
         record = ctx.metrics.record_motion_batch
         faults = ctx.faults if ctx.faults.active else None
         limits = ctx.limits if ctx.limits.active else None
@@ -375,8 +438,7 @@ class MppExecutor:
                     )
             else:
                 by_target: dict[int, list[tuple]] = {}
-                for row in batch:
-                    values = tuple(fn(row) for fn in hash_fns)
+                for values, row in zip(kernel(motion, ctx)(batch), batch):
                     if len(values) == 1:
                         target = segment_for(values[0], self.num_segments)
                     else:
@@ -399,15 +461,6 @@ def motion_row_bytes(motion: phys.Motion) -> int:
     (docs/observability.md): 8 of framing and 8 per slot, whatever its
     type or value."""
     return 8 + 8 * len(motion.output_layout())
-
-
-def _motion_kernels(motion: phys.Motion, params) -> list[Callable] | None:
-    """A Redistribute's hash functions, which every producer instance of
-    ``motion`` shares in one statement (None for any other Motion)."""
-    if not isinstance(motion, phys.RedistributeMotion):
-        return None
-    layout = motion.children[0].output_layout()
-    return [compile_expression(e, layout, params) for e in motion.hash_exprs]
 
 
 def _motions_deepest_first(root: phys.PhysicalOp) -> list[phys.Motion]:

@@ -46,8 +46,8 @@ from ..expr.analysis import (
     interval_for_comparison,
     join_comparison_on_key,
 )
-from ..expr.ast import ColumnRef, Expression
-from ..expr.eval import RowLayout, compile_predicate
+from ..expr.ast import ColumnRef
+from ..expr.eval import compile_predicate
 from ..physical import ops as phys
 from ..physical.properties import PartSelectorSpec
 from ..resilience.faults import CHANNEL_CLOSE, SCAN_ROW
@@ -70,6 +70,23 @@ BatchIter = Iterator[list]
 #: lowering oracle in ``tests/oracles`` adds its two function-based
 #: operators), importing this module, not the reverse.
 OPERATORS: dict[type, Callable[..., BatchIter]] = {}
+
+#: the kernel registry: operator type -> ``(op, params) -> kernel`` (the
+#: operator's generated function(s), or None), listed after
+#: :data:`OPERATORS` at the end of this module.  A prepared plan renders
+#: every operator's kernel once from here; :func:`kernel` renders one for
+#: a context that was handed none.
+KERNELS: dict[type, Callable[[Any, Any], Any]] = {}
+
+
+def kernel(op: phys.PhysicalOp, ctx: ExecContext) -> Any:
+    """The statement's kernel for ``op``: the prepared one, or rendered on
+    first use and shared by the op's later instances.  Kernels keep no
+    state between calls."""
+    kernels = ctx.kernels
+    if id(op) not in kernels:
+        kernels[id(op)] = KERNELS[type(op)](op, ctx.params)
+    return kernels[id(op)]
 
 
 def build_batches(
@@ -195,15 +212,15 @@ class _SelectorProgram:
     def __init__(
         self,
         spec: PartSelectorSpec,
-        child_layout: RowLayout | None,
+        streamed: bool,
         params,
+        values: Callable[[list], list] | None,
     ):
         self.spec = spec
         self.table: TableDescriptor = spec.table
         self.constant_sets: list[IntervalSet | None] = []
         #: per level, the operator of each streaming comparison
         self.streaming: list[list[str]] = []
-        rights: list[Expression] = []
         schema = self.table.schema
         for key, predicate in zip(spec.part_keys, spec.part_predicates):
             if predicate is None:
@@ -220,13 +237,10 @@ class _SelectorProgram:
                 if derived is not None:
                     constant_parts.append(derived)
                     continue
-                normalized = None
-                for candidate in join_comparison_on_key(conjunct, key):
-                    normalized = candidate
-                    break
-                if normalized is not None and child_layout is not None:
-                    streaming_ops.append(normalized.op)
-                    rights.append(normalized.right)
+                if streamed:
+                    streaming_ops += [
+                        c.op for c in join_comparison_on_key(conjunct, key)
+                    ]
                 # else: unsupported shape — no restriction.
             constant: IntervalSet | None = None
             for part in constant_parts:
@@ -234,9 +248,8 @@ class _SelectorProgram:
             self.constant_sets.append(constant)
             self.streaming.append(streaming_ops)
         #: rows -> one tuple of streamed values per row, in level order
-        self.values: Callable[[list], list] | None = (
-            project_kernel(rights, child_layout, params) if rights else None
-        )
+        #: (:func:`_selector_values_kernel`)
+        self.values = values
 
         scheme = self.table.partition_scheme
         assert scheme is not None
@@ -334,10 +347,11 @@ def _open_selector(
     spec = op.spec
     scan_id = spec.part_scan_id
     ctx.metrics.node(op).part_scan_id = scan_id
-    child_layout = op.children[0].output_layout() if op.children else None
     program = ctx.selector_program(
         scan_id,
-        lambda: _SelectorProgram(spec, child_layout, ctx.params),
+        lambda: _SelectorProgram(
+            spec, bool(op.children), ctx.params, kernel(op, ctx)
+        ),
     )
     if program.has_streaming:
         if not op.children:
@@ -353,6 +367,22 @@ def _open_selector(
     partition_propagation(ctx, scan_id, segment, program.static_mask)
     _close_selector(scan_id, segment, ctx)
     return None
+
+
+def _selector_values_kernel(op: phys.PartitionSelector, params):
+    """A streaming selector's kernel: rows -> the tuple of streamed values
+    each row selects by — the right-hand sides of its join-form conjuncts
+    in level order (None for a selector with no input or none of them)."""
+    spec = op.spec
+    rights = [
+        comparison.right
+        for key, predicate in zip(spec.part_keys, spec.part_predicates)
+        for conjunct in conjuncts(predicate)
+        for comparison in join_comparison_on_key(conjunct, key)
+    ]
+    if not rights or not op.children:
+        return None
+    return project_kernel(rights, op.children[0].output_layout(), params)
 
 
 def _close_selector(scan_id: int, segment: int, ctx: ExecContext) -> None:
@@ -407,12 +437,7 @@ def _sequence_batches(
 def _filter_batches(
     op: phys.Filter, segment: int, ctx: ExecContext
 ) -> BatchIter:
-    keep = ctx.kernel(
-        op,
-        lambda: filter_kernel(
-            op.predicate, op.children[0].output_layout(), ctx.params
-        ),
-    )
+    keep = kernel(op, ctx)
     for batch in build_batches(op.children[0], segment, ctx):
         out = keep(batch)
         if out:
@@ -422,14 +447,7 @@ def _filter_batches(
 def _project_batches(
     op: phys.Project, segment: int, ctx: ExecContext
 ) -> BatchIter:
-    project = ctx.kernel(
-        op,
-        lambda: project_kernel(
-            [expr for expr, _ in op.items],
-            op.children[0].output_layout(),
-            ctx.params,
-        ),
-    )
+    project = kernel(op, ctx)
     for batch in build_batches(op.children[0], segment, ctx):
         yield project(batch)
 
@@ -437,18 +455,7 @@ def _project_batches(
 def _hash_join_batches(
     op: phys.HashJoin, segment: int, ctx: ExecContext
 ) -> BatchIter:
-    build, probe = ctx.kernel(
-        op,
-        lambda: hash_join_kernels(
-            op.build_keys,
-            op.probe_keys,
-            op.residual,
-            op.kind == "semi",
-            op.build.output_layout(),
-            op.probe.output_layout(),
-            ctx.params,
-        ),
-    )
+    build, probe = kernel(op, ctx)
     limits = ctx.limits if ctx.limits.active else None
     table: dict = {}
     for batch in build_batches(op.build, segment, ctx):
@@ -478,15 +485,7 @@ def _nl_join_batches(
         # both inputs are materialized: one gulp charge, the same at
         # every width
         ctx.limits.charge_rows(len(outer_rows) + len(inner_rows))
-    predicate = (
-        compile_predicate(
-            op.predicate,
-            op.outer.output_layout().concat(op.inner.output_layout()),
-            ctx.params,
-        )
-        if op.predicate is not None
-        else None
-    )
+    predicate = kernel(op, ctx)
     semi = op.kind == "semi"
     batch_size = ctx.settings.batch_size
     out: list[tuple] = []
@@ -596,18 +595,8 @@ def _hash_agg_batches(
         )
         return
 
-    aggregates = [agg for agg, _ in op.aggregates]
     partial = op.mode == "partial"
-    update, emit = ctx.kernel(
-        op,
-        lambda: hash_agg_kernels(
-            op.group_keys,
-            aggregates,
-            partial,
-            op.children[0].output_layout(),
-            ctx.params,
-        ),
-    )
+    update, emit = kernel(op, ctx)
     groups = {}
     for batch in build_batches(op.children[0], segment, ctx):
         # one buffered group ~ one row of state; the scalar aggregate's
@@ -622,7 +611,7 @@ def _hash_agg_batches(
         # to combine; otherwise the empty result, on the coordinator only
         # (the child is always gathered there).
         if partial or segment == COORDINATOR_SEGMENT:
-            yield emit({(): [0, None] * len(aggregates)})
+            yield emit({(): [0, None] * len(op.aggregates)})
         return
     yield from _slice_batches(emit(groups), ctx.settings.batch_size)
 
@@ -657,17 +646,7 @@ def _sort_batches(op: phys.Sort, segment: int, ctx: ExecContext) -> BatchIter:
     rows = drain(op.children[0], segment, ctx)
     if ctx.limits.active:
         ctx.limits.charge_rows(len(rows))  # one gulp charge at every width
-    rows.sort(
-        key=ctx.kernel(
-            op,
-            lambda: sort_key_kernel(
-                [expr for expr, _ in op.keys],
-                op.children[0].output_layout(),
-                ctx.params,
-                _sort_key([asc for _, asc in op.keys]),
-            ),
-        )
-    )
+    rows.sort(key=kernel(op, ctx))
     yield from _slice_batches(rows, ctx.settings.batch_size)
 
 
@@ -706,21 +685,14 @@ def _target_columns(op) -> list[ColumnRef]:
 
 def _update_batches(op: phys.Update, segment: int, ctx: ExecContext) -> BatchIter:
     child = op.children[0]
-    columns = _target_columns(op)
-    assigned = dict(op.assignments)
-    old_of, new_of = ctx.kernel(
-        op,
-        lambda: tuple(
-            project_kernel(exprs, child.output_layout(), ctx.params)
-            for exprs in (columns, [assigned.get(c.name, c) for c in columns])
-        ),
-    )
+    old_and_new = kernel(op, ctx)
+    width = len(op.target.schema.column_names)
     # a FROM join may match the same target row several times; the first
     # match sets its new value (PostgreSQL keeps an arbitrary one)
     replace: dict[tuple, tuple] = {}
     for batch in build_batches(child, segment, ctx):
-        for old, new in zip(old_of(batch), new_of(batch)):
-            replace.setdefault(old, new)
+        for row in old_and_new(batch):
+            replace.setdefault(row[:width], row[width:])
 
     if segment != COORDINATOR_SEGMENT:
         # The child stream is gathered; only the coordinator applies.
@@ -735,12 +707,7 @@ def _update_batches(op: phys.Update, segment: int, ctx: ExecContext) -> BatchIte
 
 def _delete_batches(op: phys.Delete, segment: int, ctx: ExecContext) -> BatchIter:
     child = op.children[0]
-    victim_of = ctx.kernel(
-        op,
-        lambda: project_kernel(
-            _target_columns(op), child.output_layout(), ctx.params
-        ),
-    )
+    victim_of = kernel(op, ctx)
     # a USING join may match the same target row several times; it is
     # still deleted once, with every stored row of its value
     victims: dict[tuple, None] = {}
@@ -777,5 +744,55 @@ OPERATORS.update(
         phys.Append: _append_batches,
         phys.Update: _update_batches,
         phys.Delete: _delete_batches,
+    }
+)
+
+
+def _layout(op: phys.PhysicalOp):
+    return op.children[0].output_layout()
+
+
+def _update_kernel(op: phys.Update, params):
+    """rows -> one tuple per row: the target row, then its new value."""
+    columns = _target_columns(op)
+    assigned = dict(op.assignments)
+    new = [assigned.get(column.name, column) for column in columns]
+    return project_kernel(columns + new, _layout(op), params)
+
+
+def _nl_join_kernel(op: phys.NLJoin, params):
+    if op.predicate is None:
+        return None
+    layout = op.outer.output_layout().concat(op.inner.output_layout())
+    return compile_predicate(op.predicate, layout, params)
+
+
+KERNELS.update(
+    {
+        phys.RedistributeMotion: lambda op, params: project_kernel(
+            op.hash_exprs, _layout(op), params
+        ),
+        phys.PartitionSelector: _selector_values_kernel,
+        phys.Filter: lambda op, params: filter_kernel(op.predicate, _layout(op), params),
+        phys.Project: lambda op, params: project_kernel(
+            [expr for expr, _ in op.items], _layout(op), params
+        ),
+        phys.HashJoin: lambda op, params: hash_join_kernels(
+            op.build_keys, op.probe_keys, op.residual, op.kind == "semi",
+            op.build.output_layout(), op.probe.output_layout(), params,
+        ),
+        phys.NLJoin: _nl_join_kernel,
+        phys.HashAgg: lambda op, params: None if op.mode == "final" else hash_agg_kernels(
+            op.group_keys, [agg for agg, _ in op.aggregates], op.mode == "partial",
+            _layout(op), params,
+        ),
+        phys.Sort: lambda op, params: sort_key_kernel(
+            [expr for expr, _ in op.keys], _layout(op), params,
+            _sort_key([asc for _, asc in op.keys]),
+        ),
+        phys.Update: _update_kernel,
+        phys.Delete: lambda op, params: project_kernel(
+            _target_columns(op), _layout(op), params
+        ),
     }
 )

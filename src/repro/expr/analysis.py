@@ -219,6 +219,8 @@ def _derive_interval_set(
             isinstance(n, Parameter) for n in expr.walk()
         ):
             return _SHAPE_ONLY
+        if isinstance(expr, Parameter) and expr.index <= len(params or ()):
+            return params[expr.index - 1]  # type: ignore[index]
         return evaluate(expr, params=params)
 
     def coerce(value: Any) -> Any:

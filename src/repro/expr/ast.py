@@ -54,12 +54,18 @@ class Expression:
 
 
 class Literal(Expression):
-    """A constant value (possibly NULL)."""
+    """A constant value (possibly NULL).
 
-    __slots__ = ("value",)
+    ``slot`` is the index of the token the parser made it from (None for
+    any other literal): a prepared plan binds a later statement's value
+    there.  It is not part of the expression's identity or text.
+    """
 
-    def __init__(self, value: Any):
+    __slots__ = ("value", "slot")
+
+    def __init__(self, value: Any, slot: int | None = None):
         self.value = value
+        self.slot = slot
 
     def _key(self) -> tuple:
         return (self.value,)

@@ -134,15 +134,19 @@ def _later_operand_raises(expr: Expression) -> bool:
 
 class KernelSource:
     """One kernel being rendered: the constants that become the factory's
-    parameters, and a supply of temporary names."""
+    parameters, where each came from (a literal's slot, a
+    :class:`Parameter`, or None: fixed by the shape), and a supply of
+    temporary names."""
 
     def __init__(self, params: Sequence[Any] | None = None):
         self.params = params
         self.consts: list[Any] = []
+        self.origins: list[Any] = []
         self._temps = itertools.count()
 
-    def const(self, value: Any) -> str:
+    def const(self, value: Any, origin: Any = None) -> str:
         self.consts.append(value)
+        self.origins.append(origin)
         return f"c{len(self.consts) - 1}"
 
     def temp(self) -> str:
@@ -157,12 +161,16 @@ class KernelSource:
         """Wrap the lines of ``body`` (function definitions and a final
         ``return``) in the factory, fetch or compile it, and call it with
         this kernel's constants.  Every function returned carries
-        ``__source__``."""
+        ``__source__``, and as ``__recipe__`` the factory, the constants
+        and their origins: what a prepared plan makes it again from."""
         names = ", ".join(f"c{i}" for i in range(len(self.consts)))
         text = f"def make({names}):\n    " + "\n    ".join(body) + "\n"
-        made = _factory(text)(*self.consts)
+        make = _factory(text)
+        made = make(*self.consts)
+        recipe = (make, tuple(self.consts), tuple(self.origins))
         for kernel in made if isinstance(made, tuple) else (made,):
             kernel.__source__ = text
+            kernel.__recipe__ = recipe
         return made
 
 
@@ -182,7 +190,7 @@ class RowScope:
 
     def value(self, expr: Expression) -> str:
         if isinstance(expr, Literal):
-            return self._constant(expr.value)
+            return self._constant(expr.value, expr.slot)
         if isinstance(expr, ColumnRef):
             return f"{self.row}[{self.layout.resolve(expr)}]"
         if isinstance(expr, Parameter):
@@ -191,7 +199,7 @@ class RowScope:
                 raise ExecutionError(
                     f"no value bound for parameter ${expr.index}"
                 )
-            return self._constant(params[expr.index - 1])
+            return self._constant(params[expr.index - 1], expr)
         if isinstance(expr, (Comparison, Between)):
             return self._null_unless(expr, *self._comparison(expr))
         if isinstance(expr, Arithmetic):
@@ -250,8 +258,8 @@ class RowScope:
         )
         return [subject, lo, hi], f"{lo[0]} <= {subject[0]} <= {hi[0]}"
 
-    def _constant(self, value: Any) -> str:
-        return "None" if value is None else self.source.const(value)
+    def _constant(self, value: Any, origin: Any) -> str:
+        return "None" if value is None else self.source.const(value, origin)
 
     def _members(self, expr: InList) -> str:
         return self.source.const(

@@ -332,6 +332,11 @@ class QueryActivity:
             self._fingerprint = fingerprint(self.query)
         return self._fingerprint
 
+    @fingerprint.setter
+    def fingerprint(self, value: str) -> None:
+        """Set by the engine from the statement's one lexer pass."""
+        self._fingerprint = value
+
     def phase_timings(self) -> list[dict]:
         """Per-phase wall times derived from the transition log (the last
         phase is open-ended and measured to now)."""

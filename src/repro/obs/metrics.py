@@ -85,7 +85,11 @@ from ..types import DEFAULT_BATCH_SIZE
 #: "workers", "mode" and "overlap", and the "serving" section drops
 #: "requested_workers", "effective_workers" and "degraded" — see
 #: docs/parallelism.md; every other v12 field is unchanged.
-METRICS_SCHEMA_VERSION = 13
+#: v14: the "cache" section gains "plan" ('reused' when the statement ran
+#: a cached prepared plan, 'planned' when it was planned, null for a
+#: result hit) — see docs/caching.md ("Plan reuse"); every v13 field is
+#: unchanged.
+METRICS_SCHEMA_VERSION = 14
 
 
 class ScanTracker:

@@ -46,6 +46,8 @@ def render_explain_analyze(metrics: MetricsCollector) -> str:
             line += f", result {cache['result']}"
         if cache["stored"]:
             line += ", stored"
+        if cache["plan"] is not None:
+            line += f", plan={cache['plan']}"
         lines.append(line)
     if metrics.retry_count or metrics.failover_count:
         mirrored = sorted(

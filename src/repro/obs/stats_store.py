@@ -32,14 +32,15 @@ from ..errors import ReproError
 from ..sql import lexer
 
 
-def fingerprint(query: str) -> str:
-    """Normalize one statement to its fingerprint.
+def fingerprint(query: str, tokens: list | None = None) -> str:
+    """Normalize one statement to its fingerprint (``tokens``: the
+    statement already lexed).
 
     Falls back to whitespace-collapsed lower-casing when the statement
     does not lex (the store must never fail recording).
     """
     try:
-        tokens = lexer.tokenize(query)
+        tokens = lexer.tokenize(query) if tokens is None else tokens
     except ReproError:
         return " ".join(query.lower().split())
     parts: list[str] = []

@@ -20,9 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostModel:
-    """Cost constants.  All per-row unless stated otherwise."""
+    """Cost constants.  All per-row unless stated otherwise.
+
+    Frozen: cached plans were costed with these values, so a different
+    model is a new instance (``dataclasses.replace``), never an edit."""
 
     scan_row: float = 1.0
     partition_open: float = 5.0  # per leaf partition opened

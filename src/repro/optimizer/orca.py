@@ -112,7 +112,6 @@ class OrcaOptimizer:
         with obs_trace.span("place_partition_selectors"):
             root_op = self._extract(root_gid, request)
         plan = Plan(root_op, parameter_count)
-        plan.validate()
         if log is not None:
             log.set_optimization_seconds(time.perf_counter() - started)
         return plan

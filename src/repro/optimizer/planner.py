@@ -84,9 +84,7 @@ class PlannerOptimizer:
         if delivered.kind != DistributionSpec.SINGLETON:
             root = phys.GatherMotion(root)
             root.distribution = DistributionSpec.singleton()
-        plan = Plan(root, parameter_count)
-        plan.validate()
-        return plan
+        return Plan(root, parameter_count)
 
     # -- recursion ------------------------------------------------------------
 

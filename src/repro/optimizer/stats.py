@@ -164,9 +164,12 @@ class StatsRegistry:
 
     def __init__(self) -> None:
         self._stats: dict[int, TableStats] = {}
+        #: bumped by every ANALYZE (keys cached plans)
+        self.version = 0
 
     def put(self, descriptor: TableDescriptor, stats: TableStats) -> None:
         self._stats[descriptor.oid] = stats
+        self.version += 1
 
     def get(self, descriptor: TableDescriptor) -> TableStats:
         """Stats for a table; unanalyzed tables get a default estimate."""

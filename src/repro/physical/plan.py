@@ -24,13 +24,14 @@ slight dependence on the partition count (Section 4.4.2).
 
 from __future__ import annotations
 
+import copy
 import json
-from typing import Iterator
+from typing import Any, Iterator, Sequence
 
 from ..catalog import DistributionPolicy
 from ..errors import InvalidPlanError
 from ..expr.analysis import conj, conjuncts, pins_key
-from ..expr.ast import ColumnRef, Expression, column_refs
+from ..expr.ast import ColumnRef, Expression, Literal, column_refs
 from .ops import (
     Delete,
     DynamicScan,
@@ -143,6 +144,47 @@ def _slice_dispatch(root: PhysicalOp, gathered: bool) -> DispatchSpec | None:
     return DispatchSpec(key, key_type, conj(pinned))
 
 
+def _fields(node: Any) -> dict | None:
+    """The attributes of an operator, expression or spec (None for a leaf
+    value: a table, type, name or number holds no literal)."""
+    if isinstance(node, PhysicalOp):
+        return vars(node)
+    if isinstance(node, (Expression, PartSelectorSpec, DispatchSpec)):
+        return {name: getattr(node, name) for name in type(node).__slots__}
+    return None
+
+
+def _find_literals(node: Any, slots: set[int], holders: set[int]) -> bool:
+    """Whether ``node`` holds a parser literal; collects their slots, and
+    the ids of the nodes holding one at or below them."""
+    if isinstance(node, Literal):
+        held = node.slot is not None
+        if held:
+            slots.add(node.slot)  # type: ignore[arg-type]
+    else:
+        fields = node if isinstance(node, tuple) else _fields(node)
+        items = fields.values() if isinstance(fields, dict) else fields or ()
+        held = any([_find_literals(item, slots, holders) for item in items])
+    if held:
+        holders.add(id(node))
+    return held
+
+
+def _with_literals(node: Any, values: Sequence[Any], holders: set[int]) -> Any:
+    """A copy of ``node`` with ``values[slot]`` in each parser literal,
+    sharing every part outside ``holders``."""
+    if id(node) not in holders:
+        return node
+    if isinstance(node, Literal):
+        return Literal(values[node.slot], node.slot)  # type: ignore[index]
+    if isinstance(node, tuple):
+        return tuple(_with_literals(item, values, holders) for item in node)
+    clone = object.__new__(type(node))
+    for name, value in _fields(node).items():  # type: ignore[union-attr]
+        setattr(clone, name, _with_literals(value, values, holders))
+    return clone
+
+
 class Plan:
     """A complete physical plan."""
 
@@ -193,6 +235,26 @@ class Plan:
 
     def __repr__(self) -> str:
         return f"Plan:\n{self.explain()}"
+
+    def with_literals(
+        self, values: Sequence[Any], holders: set[int] | None = None
+    ) -> "Plan":
+        """This plan for another statement of its shape: each parser
+        literal (a :class:`Literal` with a ``slot``) holds ``values[slot]``;
+        only the nodes holding one (``holders``) are copied."""
+        clone = copy.copy(self)
+        clone.root = _with_literals(
+            self.root, values, holders or self.literal_sites()[1]
+        )
+        return clone
+
+    def literal_sites(self) -> tuple[set[int], set[int]]:
+        """The parser literals' slots this plan holds, and the ids of the
+        nodes holding one at or below them."""
+        slots: set[int] = set()
+        holders: set[int] = set()
+        _find_literals(self.root, slots, holders)
+        return slots, holders
 
     # -- serialization and size metrics -------------------------------------
 

@@ -95,6 +95,12 @@ class NetServer:
             return
         self._closed = True
         try:
+            # close() alone leaves a blocked accept() asleep; shutdown
+            # wakes it, so the accept thread exits before the join below
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # not connected, or already shut down
+        try:
             self._sock.close()
         except OSError:
             pass

@@ -67,7 +67,15 @@ _AGG_KEYWORDS = ("avg", "sum", "count", "min", "max")
 
 def parse(text: str) -> Statement:
     """Parse one SQL statement (an optional trailing ``;`` is allowed)."""
-    return _Parser(tokenize(text)).parse_statement()
+    return parse_tokens(tokenize(text))[0]
+
+
+def parse_tokens(tokens: list[Token]) -> tuple[Statement, set[int]]:
+    """Parse one lexed statement; also return the slots (token indexes) of
+    the literals it made into :class:`Literal` nodes.  The others, a LIMIT
+    count and IN-list or VALUES entries, are plain values."""
+    parser = _Parser(tokens)
+    return parser.parse_statement(), parser.slots
 
 
 def parse_expression(text: str) -> Expression:
@@ -82,6 +90,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        #: token indexes of the literals made into Literal nodes
+        self.slots: set[int] = set()
 
     # -- token helpers ------------------------------------------------------
 
@@ -417,12 +427,11 @@ class _Parser:
 
     def _parse_factor(self) -> Expression:
         token = self.current
-        if token.kind == NUMBER:
+        if token.kind in (NUMBER, STRING):
+            slot = self._pos
+            self.slots.add(slot)
             self.advance()
-            return Literal(token.value)
-        if token.kind == STRING:
-            self.advance()
-            return Literal(_maybe_date(token.value))
+            return Literal(literal_value(token), slot)
         if token.kind == PARAM:
             self.advance()
             return Parameter(token.value)
@@ -465,6 +474,11 @@ class _Parser:
             second = self.expect_ident()
             return ColumnRef(second, qualifier=first)
         return ColumnRef(first)
+
+
+def literal_value(token: Token) -> Any:
+    """The value of a NUMBER or STRING token as an expression literal."""
+    return token.value if token.kind == NUMBER else _maybe_date(token.value)
 
 
 def _maybe_date(text: str) -> Any:

@@ -66,10 +66,11 @@ def test_unknown_option_rejected(db):
 
 
 @pytest.mark.parametrize("optimizer", ["orca", "planner"])
-def test_a_select_validates_its_plan_twice(db, monkeypatch, optimizer):
-    """Once where the optimizer returns it, once where the executor runs
-    it: no plan reaches execution unvalidated, and none is checked a
-    third time in between."""
+def test_a_select_validates_its_plan_once(db, monkeypatch, optimizer):
+    """Once, where the plan is prepared for execution: the optimizer no
+    longer checks what it returns, so no plan reaches execution
+    unvalidated and none is checked twice.  A repeat of the statement
+    runs the prepared plan and validates nothing."""
     db.sql("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
     calls = []
     validate = Plan.validate
@@ -82,7 +83,11 @@ def test_a_select_validates_its_plan_twice(db, monkeypatch, optimizer):
     assert db.sql("SELECT b FROM t WHERE a = 2", optimizer=optimizer).rows == [
         ("y",)
     ]
-    assert len(calls) == 2 and calls[0] is calls[1]
+    assert len(calls) == 1
+    assert db.sql("SELECT b FROM t WHERE a = 2", optimizer=optimizer).rows == [
+        ("y",)
+    ]
+    assert len(calls) == 1
 
 
 def test_plan_is_reusable_and_side_effect_free(db):

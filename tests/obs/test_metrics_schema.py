@@ -23,7 +23,7 @@ from repro.catalog import (
 from repro.obs.metrics import METRICS_SCHEMA_VERSION
 
 #: the version the golden key sets below describe
-GOLDEN_VERSION = 13
+GOLDEN_VERSION = 14
 
 TOP_LEVEL = {
     "schema_version", "elapsed_seconds", "num_segments", "timing_collected",
@@ -63,8 +63,8 @@ GOLDEN = {
     },
     "parallel": {"batch_size", "instances", "instance_busy_seconds"},
     "cache": {
-        "mode", "result", "stored", "hits", "misses", "invalidations",
-        "bytes",
+        "mode", "plan", "result", "stored", "hits", "misses",
+        "invalidations", "bytes",
     },
     "serving": {
         "session", "queued_seconds", "queue_depth", "inflight",

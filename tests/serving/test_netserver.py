@@ -94,3 +94,18 @@ def test_bad_set_answers_an_error_and_the_connection_survives(fresh_db):
         assert client.rpc("\\q") == "bye"
         client.close()
     net.server.close()
+
+
+def test_close_wakes_the_blocked_accept_promptly(fresh_db):
+    """``close()`` with no client connected: the accept thread sits in
+    ``accept()``, which a bare socket close does not wake on Linux, so the
+    join used to wait out its whole timeout."""
+    import time
+
+    net = NetServer(fresh_db).start()
+    time.sleep(0.05)  # let the accept thread block in accept()
+    started = time.perf_counter()
+    net.close()
+    assert time.perf_counter() - started < 0.5
+    assert not net._accept_thread.is_alive()
+    net.server.close()

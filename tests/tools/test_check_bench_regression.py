@@ -259,3 +259,33 @@ def test_repo_baselines_match_committed_format():
     ):
         payload = json.loads((baselines / name).read_text())
         assert payload["planner_bytes"] and payload["orca_bytes"]
+
+
+def test_throughput_leaves_are_higher_is_better(tmp_path):
+    """``rows_per_second`` holds ``_s`` but is a throughput: a rise is a
+    speed-up, never "slowed"; a fall is the slowdown that warns."""
+    fig23 = json.loads(json.dumps(FIG23))
+    for entry in fig23["measurements"]:
+        entry["rows_per_second"] = 100000.0
+    _write_results(
+        tmp_path / "baseline", **{"fig23_batch_throughput.json": fig23}
+    )
+    faster = json.loads(json.dumps(fig23))
+    faster["measurements"][1]["rows_per_second"] = 300000.0
+    _write_results(
+        tmp_path / "current", **{"fig23_batch_throughput.json": faster}
+    )
+    proc = _run(tmp_path / "baseline", tmp_path / "current")
+    assert proc.returncode == 0, proc.stdout
+    assert "rows_per_second" not in proc.stdout
+
+    slower = json.loads(json.dumps(fig23))
+    slower["measurements"][1]["rows_per_second"] = 40000.0
+    _write_results(
+        tmp_path / "current", **{"fig23_batch_throughput.json": slower}
+    )
+    proc = _run(tmp_path / "baseline", tmp_path / "current")
+    assert proc.returncode == 0, proc.stdout
+    warned = [line for line in proc.stdout.splitlines() if "rows_per_second" in line]
+    assert len(warned) == 1 and "slowed 150%" in warned[0]
+    assert "throughput fell" in warned[0]

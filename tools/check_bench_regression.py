@@ -69,8 +69,23 @@ COUNTER_GATES: dict[str, list[str]] = {
     ],
 }
 
-#: substrings identifying wall-clock leaves (report-only)
-TIMING_MARKERS = ("seconds", "elapsed", "_s", "latency")
+#: substrings identifying wall-clock leaves (report-only, lower is
+#: better); a name ending in ``_s`` is one too
+TIMING_MARKERS = ("seconds", "elapsed", "latency")
+#: substrings identifying throughput leaves (report-only, higher is
+#: better): checked first, so ``rows_per_second`` is never a wall clock
+THROUGHPUT_MARKERS = ("per_second", "per_s")
+
+
+def _clock_kind(name: str) -> str | None:
+    """``"throughput"``, ``"timing"`` or None (not a clock) for one leaf
+    name."""
+    name = name.lower()
+    if any(name.endswith(m) or f"{m}_" in name for m in THROUGHPUT_MARKERS):
+        return "throughput"
+    if name.endswith("_s") or any(m in name for m in TIMING_MARKERS):
+        return "timing"
+    return None
 
 
 def _load(path: pathlib.Path):
@@ -78,9 +93,10 @@ def _load(path: pathlib.Path):
         return json.load(handle)
 
 
-def _timing_leaves(payload, prefix: str = "") -> dict[str, float]:
-    """Flatten every numeric leaf whose key smells like a wall clock."""
-    leaves: dict[str, float] = {}
+def _timing_leaves(payload, prefix: str = "") -> dict[str, tuple[float, str]]:
+    """Flatten every numeric leaf whose key smells like a wall clock or a
+    throughput: dotted path -> (value, :func:`_clock_kind`)."""
+    leaves: dict[str, tuple[float, str]] = {}
     if isinstance(payload, dict):
         items = payload.items()
     elif isinstance(payload, list):
@@ -92,9 +108,9 @@ def _timing_leaves(payload, prefix: str = "") -> dict[str, float]:
         if isinstance(value, (dict, list)):
             leaves.update(_timing_leaves(value, path))
         elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            name = str(key).lower()
-            if any(marker in name for marker in TIMING_MARKERS):
-                leaves[path] = float(value)
+            kind = _clock_kind(str(key))
+            if kind is not None:
+                leaves[path] = (float(value), kind)
     return leaves
 
 
@@ -137,7 +153,7 @@ def _summary_rows(
             last = leaf.rsplit(".", 1)[-1].lower()
             if top in gated_keys:
                 kind = "gated"
-            elif any(marker in last for marker in TIMING_MARKERS):
+            elif _clock_kind(last) is not None:
                 kind = "report-only"
             else:
                 continue
@@ -248,16 +264,21 @@ def compare(
             continue
         current_times = _timing_leaves(_load(current_path))
         baseline_times = _timing_leaves(_load(baseline_path))
-        for leaf, current_value in sorted(current_times.items()):
-            baseline_value = baseline_times.get(leaf)
-            if not baseline_value or baseline_value <= 0:
+        for leaf, (current_value, kind) in sorted(current_times.items()):
+            baseline_value = baseline_times.get(leaf, (0.0, kind))[0]
+            if baseline_value <= 0:
                 continue
-            slowdown_pct = (current_value / baseline_value - 1.0) * 100
+            ratio = current_value / baseline_value
+            # a wall clock slows when it rises, a throughput when it falls
+            slowdown = ratio if kind == "timing" else 1.0 / max(ratio, 1e-12)
+            slowdown_pct = (slowdown - 1.0) * 100
             if slowdown_pct > warn_pct:
+                change = "rose" if kind == "timing" else "fell"
                 warnings.append(
                     f"{current_path.name}: {leaf} slowed "
-                    f"{slowdown_pct:.0f}% ({baseline_value:.4f} -> "
-                    f"{current_value:.4f}) [report-only]"
+                    f"{slowdown_pct:.0f}% ({kind} {change} "
+                    f"{baseline_value:.4f} -> {current_value:.4f}) "
+                    "[report-only]"
                 )
 
     _write_step_summary(
